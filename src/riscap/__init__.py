@@ -67,6 +67,7 @@ from .montecarlo import (
     TrialConfig,
     empirical_snr_cdf,
     simulate_ec,
+    simulate_ec_sweep,
     simulate_envelope_moments,
 )
 from .pathloss import (

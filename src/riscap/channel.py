@@ -124,10 +124,30 @@ def sample_rician_envelope(
     size=None,
 ):
     """|sample_rician(...)| without materializing the complex array."""
+    re = rng.standard_normal(size)
+    im = rng.standard_normal(size)
+    return rician_envelope_from_normals(params, los_phase, re, im)
+
+
+def rician_envelope_from_normals(
+    params: RicianParams, los_phase: float, re, im
+):
+    """Envelope of the Rician fade whose scatter term is built from the
+    standard normals re (in-phase) and im (quadrature).
+
+    Works in place: re and im are overwritten and re holds the returned
+    envelope, so no further block-sized array is allocated.  Pass copies
+    when the same normals feed several transforms.
+    """
     s, scale = _los_and_scatter(params.k)
-    re = s * math.cos(los_phase) + scale * rng.standard_normal(size)
-    im = s * math.sin(los_phase) + scale * rng.standard_normal(size)
-    return np.hypot(re, im)
+    re *= scale
+    re += s * math.cos(los_phase)
+    im *= scale
+    im += s * math.sin(los_phase)
+    re *= re
+    im *= im
+    re += im
+    return np.sqrt(re, out=re if isinstance(re, np.ndarray) else None)
 
 
 def _los_and_scatter(k: float) -> tuple[float, float]:

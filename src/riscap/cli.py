@@ -26,10 +26,29 @@ from .workbench import (
 )
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if not (0 <= value < 2**64):
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, with_mode: bool = True) -> None:
-    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="Monte Carlo trials")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="Monte Carlo seed")
-    parser.add_argument("--workers", type=int, default=1, help="Monte Carlo worker threads")
+    # Bad values exit with code 2 through argparse, naming the flag.
+    parser.add_argument(
+        "--trials", type=_at_least_one, default=DEFAULT_TRIALS, help="Monte Carlo trials"
+    )
+    parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="Monte Carlo seed")
+    parser.add_argument(
+        "--workers", type=_at_least_one, default=1, help="Monte Carlo worker threads"
+    )
     if with_mode:
         parser.add_argument(
             "--mode",

@@ -16,6 +16,11 @@ Determinism contract: trials are partitioned into fixed-size blocks and
 block i draws from an independent Philox substream keyed (seed, i).
 Per-block partial sums are reduced in block order with exact summation
 (math.fsum), so the result is bit-identical for any worker count.
+
+Ensembles with equal draw signatures (SnrEnsemble.draw_signature) consume
+identical draws from a block's substream, so simulate_ec_sweep draws each
+block once and evaluates every such ensemble from it; each estimate is
+bit-identical to simulating that ensemble alone.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import RicianParams, sample_rician_envelope
+from .channel import RicianParams, rician_envelope_from_normals, sample_rician_envelope
 from .errors import InvalidScenario
 
 
@@ -106,6 +111,19 @@ class SnrEnsemble:
         if not self.panels and self.beta0_inv == 0:
             raise InvalidScenario("no reflecting elements and no direct link")
 
+    def draw_signature(self) -> tuple:
+        """What fixes a trial block's draws and envelope transforms: per
+        panel the element count, K-factors and LoS phases, plus the direct
+        link's LoS phase.  Ensembles with equal signatures can share every
+        block; path losses, correlations, k0 and gamma_teff may differ."""
+        return (
+            tuple(
+                (p.beta_inv.size, p.k1, p.k2, p.los_phase_h, p.los_phase_g)
+                for p in self.panels
+            ),
+            self.los_phase_direct,
+        )
+
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     """Philox substream for one block; keys (seed, index) never collide."""
@@ -113,27 +131,37 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _block_envelope_sum(ensemble: SnrEnsemble, rng, n: int) -> np.ndarray:
-    """Draw n trials of the co-phased envelope sum Z.
+def _block_envelope_sums(
+    ensembles: Sequence[SnrEnsemble], rng, n: int
+) -> list[np.ndarray]:
+    """Draw n trials once and return the co-phased envelope sum Z of each
+    ensemble (all sharing one draw signature).
 
     Draw order is fixed (panels in order, BS-side fade then user-side fade,
-    direct link last) so a block's samples depend only on its substream.
+    direct link's in-phase then quadrature normals last) so a block's
+    samples depend only on its substream.
     """
-    z = np.zeros(n)
-    for panel in ensemble.panels:
+    first = ensembles[0]
+    zs = [np.zeros(n) for _ in ensembles]
+    for i, panel in enumerate(first.panels):
         m = panel.beta_inv.size
-        h = sample_rician_envelope(
+        hg = sample_rician_envelope(
             RicianParams(panel.k1), rng, panel.los_phase_h, size=(n, m)
         )
-        g = sample_rician_envelope(
+        hg *= sample_rician_envelope(
             RicianParams(panel.k2), rng, panel.los_phase_g, size=(n, m)
         )
-        z += panel.rho * ((h * g) @ np.sqrt(panel.beta_inv))
-    h0 = sample_rician_envelope(
-        RicianParams(ensemble.k0), rng, ensemble.los_phase_direct, size=n
-    )
-    z += ensemble.rho0 * math.sqrt(ensemble.beta0_inv) * h0
-    return z
+        for z, ensemble in zip(zs, ensembles):
+            p = ensemble.panels[i]
+            z += p.rho * (hg @ np.sqrt(p.beta_inv))
+    re0 = rng.standard_normal(n)
+    im0 = rng.standard_normal(n)
+    for z, ensemble in zip(zs, ensembles):
+        h0 = rician_envelope_from_normals(
+            RicianParams(ensemble.k0), first.los_phase_direct, re0.copy(), im0.copy()
+        )
+        z += ensemble.rho0 * math.sqrt(ensemble.beta0_inv) * h0
+    return zs
 
 
 def _block_plan(cfg: TrialConfig) -> list[tuple[int, int]]:
@@ -149,14 +177,20 @@ def _block_plan(cfg: TrialConfig) -> list[tuple[int, int]]:
     return plan
 
 
-def _run_blocks(ensemble: SnrEnsemble, cfg: TrialConfig, workers: int, worker_fn):
+def _run_blocks(
+    ensembles: Sequence[SnrEnsemble], cfg: TrialConfig, workers: int, worker_fn
+):
+    """worker_fn(per-ensemble Z list) for every block, in block order."""
+    if not ensembles:
+        raise ValueError("need at least one ensemble")
+    if len({e.draw_signature() for e in ensembles}) > 1:
+        raise ValueError("ensembles must share one draw signature")
     plan = _block_plan(cfg)
 
     def task(item):
         index, n = item
         rng = _block_rng(cfg.seed, index)
-        z = _block_envelope_sum(ensemble, rng, n)
-        return worker_fn(z)
+        return worker_fn(_block_envelope_sums(ensembles, rng, n))
 
     if workers <= 1:
         return [task(item) for item in plan]
@@ -172,6 +206,40 @@ def _mean_and_stderr(total: float, total_sq: float, n: int) -> tuple[float, floa
     return mean, math.sqrt(var / n)
 
 
+def simulate_ec_sweep(
+    ensembles: Sequence[SnrEnsemble],
+    cfg: TrialConfig,
+    workers: int = 1,
+    keep_samples: bool = False,
+) -> list[McEstimate]:
+    """Estimate the ergodic capacity of each ensemble from one shared set
+    of draws.  The ensembles must share one draw signature; each estimate
+    is bit-identical to simulating its ensemble alone, for any worker
+    count."""
+    ensembles = tuple(ensembles)
+
+    def reduce_block(zs: list[np.ndarray]):
+        parts = []
+        for ensemble, z in zip(ensembles, zs):
+            snr = ensemble.gamma_teff * z * z
+            ec = np.log2(1.0 + snr)
+            parts.append(
+                (float(np.sum(ec)), float(np.sum(ec * ec)), snr if keep_samples else None)
+            )
+        return parts
+
+    blocks = _run_blocks(ensembles, cfg, workers, reduce_block)
+    estimates = []
+    for j in range(len(ensembles)):
+        parts = [block[j] for block in blocks]
+        total = math.fsum(p[0] for p in parts)
+        total_sq = math.fsum(p[1] for p in parts)
+        mean, stderr = _mean_and_stderr(total, total_sq, cfg.trials)
+        samples = np.concatenate([p[2] for p in parts]) if keep_samples else None
+        estimates.append(McEstimate(mean_ec=mean, std_error=stderr, snr_samples=samples))
+    return estimates
+
+
 def simulate_ec(
     ensemble: SnrEnsemble,
     cfg: TrialConfig,
@@ -179,18 +247,7 @@ def simulate_ec(
     keep_samples: bool = False,
 ) -> McEstimate:
     """Estimate the ergodic capacity; bit-identical for any worker count."""
-
-    def reduce_block(z: np.ndarray):
-        snr = ensemble.gamma_teff * z * z
-        ec = np.log2(1.0 + snr)
-        return float(np.sum(ec)), float(np.sum(ec * ec)), snr if keep_samples else None
-
-    parts = _run_blocks(ensemble, cfg, workers, reduce_block)
-    total = math.fsum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
-    mean, stderr = _mean_and_stderr(total, total_sq, cfg.trials)
-    samples = np.concatenate([p[2] for p in parts]) if keep_samples else None
-    return McEstimate(mean_ec=mean, std_error=stderr, snr_samples=samples)
+    return simulate_ec_sweep([ensemble], cfg, workers, keep_samples)[0]
 
 
 def empirical_snr_cdf(
@@ -222,7 +279,8 @@ def simulate_envelope_moments(
     """Sample moments of the envelope sum itself (validates the analytic
     moment layer independently of the capacity layer)."""
 
-    def reduce_block(z: np.ndarray):
+    def reduce_block(zs: list[np.ndarray]):
+        (z,) = zs
         z2 = z * z
         return (
             float(np.sum(z)),
@@ -231,7 +289,7 @@ def simulate_envelope_moments(
             float(np.sum(z2 * z2)),
         )
 
-    parts = _run_blocks(ensemble, cfg, workers, reduce_block)
+    parts = _run_blocks([ensemble], cfg, workers, reduce_block)
     n = cfg.trials
     mean, se_mean = _mean_and_stderr(
         math.fsum(p[0] for p in parts), math.fsum(p[1] for p in parts), n

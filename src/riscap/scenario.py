@@ -9,6 +9,7 @@ to an identical in-memory scenario.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -81,18 +82,18 @@ def _as_number(value, path: str) -> float:
     """Coerce a YAML scalar to float.
 
     Strings are accepted when they parse as numbers because YAML 1.1 reads
-    exponents without a sign ("5.0e9") as strings.
+    exponents without a sign ("5.0e9") as strings.  NaN and infinities are
+    rejected: no scenario quantity is meaningful at them.
     """
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ScenarioError(f"{path}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    raise ScenarioError(f"{path}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except (ValueError, OverflowError):
+        raise ScenarioError(f"{path}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 class _Section:

@@ -35,7 +35,14 @@ from .moments import (
     distributed_moments,
     distributed_noise_variance,
 )
-from .montecarlo import McEstimate, PanelChannel, SnrEnsemble, TrialConfig, simulate_ec
+from .montecarlo import (
+    McEstimate,
+    PanelChannel,
+    SnrEnsemble,
+    TrialConfig,
+    simulate_ec,
+    simulate_ec_sweep,
+)
 from .pathloss import beta0_reference, direct_pathloss, element_pathloss, farfield_pathloss
 from .scenario import Scenario
 from .units import dbm_to_watts, db_to_linear, wavelength
@@ -86,6 +93,10 @@ class SweepSpec:
         unknown = set(self.outputs) - {"approx", "ub", "lb", "mc"}
         if unknown:
             raise ScenarioError(f"sweep.outputs: unknown entries {sorted(unknown)}")
+        if self.trials < 1:
+            raise ScenarioError(f"sweep.trials: must be >= 1, got {self.trials}")
+        if not (0 <= self.seed < 2**64):
+            raise ScenarioError(f"sweep.seed: must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -329,33 +340,44 @@ def run_sweep(
     sweep: SweepSpec,
     workers: int = 1,
 ) -> list[SweepRow]:
-    """Evaluate each sweep value; Monte Carlo points share one seed so that
-    sweep trends use common random numbers."""
-    rows = []
+    """Evaluate each sweep value.  Monte Carlo points share one seed
+    (common random numbers); points with equal draw signatures also share
+    every block's draws, so each block is drawn once per group and every
+    point's estimate is bit-identical to running it alone."""
+    resolved = []
+    reports = []
     for value in sweep.values:
-        point = apply_sweep_value(scenario, sweep.variable, value)
-        want_mc = "mc" in sweep.outputs
-        result = run_scenario(
-            point,
-            trials=sweep.trials if want_mc else None,
-            seed=sweep.seed,
-            workers=workers,
-        )
-        report = result.report
-        rows.append(
-            SweepRow(
-                sweep_value=value,
-                ec_approx=report.ec_approx if "approx" in sweep.outputs else None,
-                ec_ub=report.ec_upper if "ub" in sweep.outputs else None,
-                ec_lb=report.ec_lower if "lb" in sweep.outputs else None,
-                ec_mc=result.mc.mean_ec if result.mc else None,
-                mc_stderr=result.mc.std_error if result.mc else None,
-                gamma_teff=result.gamma_teff,
-                mode=result.mode_used,
-                d_boundary_m=result.d_boundary,
+        point = resolve(apply_sweep_value(scenario, sweep.variable, value))
+        resolved.append(point)
+        reports.append(cap.capacity_report(point.moments, point.effective.gamma_teff))
+
+    mc: list[Optional[McEstimate]] = [None] * len(resolved)
+    if "mc" in sweep.outputs:
+        groups: dict[tuple, list[int]] = {}
+        for i, point in enumerate(resolved):
+            groups.setdefault(point.ensemble.draw_signature(), []).append(i)
+        cfg = TrialConfig(trials=sweep.trials, seed=sweep.seed)
+        for indices in groups.values():
+            estimates = simulate_ec_sweep(
+                [resolved[i].ensemble for i in indices], cfg, workers=workers
             )
+            for i, estimate in zip(indices, estimates):
+                mc[i] = estimate
+
+    return [
+        SweepRow(
+            sweep_value=value,
+            ec_approx=report.ec_approx if "approx" in sweep.outputs else None,
+            ec_ub=report.ec_upper if "ub" in sweep.outputs else None,
+            ec_lb=report.ec_lower if "lb" in sweep.outputs else None,
+            ec_mc=estimate.mean_ec if estimate else None,
+            mc_stderr=estimate.std_error if estimate else None,
+            gamma_teff=point.effective.gamma_teff,
+            mode=point.mode_used,
+            d_boundary_m=point.d_boundary,
         )
-    return rows
+        for value, point, report, estimate in zip(sweep.values, resolved, reports, mc)
+    ]
 
 
 def _format(value) -> str:

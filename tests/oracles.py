@@ -3,13 +3,17 @@
 Everything here recomputes expected values by a route that shares no code
 with the library: high-precision mpmath evaluations, brute-force double
 loops, and direct sampling.  Keep it that way; these are the other side
-of every dual-route check.
+of every dual-route check.  The one exception is per_point_sweep, whose
+point is to run each sweep point alone through the library's single-run
+route, as the reference for the batched sweep route.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+
+from riscap.workbench import SweepRow, apply_sweep_value, run_scenario
 
 mp.mp.dps = 30
 
@@ -161,3 +165,32 @@ def ks_distance(sorted_samples: np.ndarray, cdf_values: np.ndarray) -> float:
     upper = np.max(np.abs(cdf_values - i / n))
     lower = np.max(np.abs(cdf_values - (i - 1) / n))
     return float(max(upper, lower))
+
+
+def per_point_sweep(scenario, sweep, workers: int = 1) -> list:
+    """Sweep rows with one run_scenario call per point, no shared draws."""
+    rows = []
+    for value in sweep.values:
+        point = apply_sweep_value(scenario, sweep.variable, value)
+        want_mc = "mc" in sweep.outputs
+        result = run_scenario(
+            point,
+            trials=sweep.trials if want_mc else None,
+            seed=sweep.seed,
+            workers=workers,
+        )
+        report = result.report
+        rows.append(
+            SweepRow(
+                sweep_value=value,
+                ec_approx=report.ec_approx if "approx" in sweep.outputs else None,
+                ec_ub=report.ec_upper if "ub" in sweep.outputs else None,
+                ec_lb=report.ec_lower if "lb" in sweep.outputs else None,
+                ec_mc=result.mc.mean_ec if result.mc else None,
+                mc_stderr=result.mc.std_error if result.mc else None,
+                gamma_teff=result.gamma_teff,
+                mode=result.mode_used,
+                d_boundary_m=result.d_boundary,
+            )
+        )
+    return rows

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from riscap.montecarlo import (
     TrialConfig,
     empirical_snr_cdf,
     simulate_ec,
+    simulate_ec_sweep,
     simulate_envelope_moments,
 )
 from riscap.moments import PanelStats, distributed_moments
@@ -56,6 +58,39 @@ class TestDeterminism:
         cfg = TrialConfig(trials=1000, seed=5, block_size=333)
         out = simulate_ec(ens, cfg, keep_samples=True)
         assert out.snr_samples.size == 1000
+
+
+class TestSharedDraws:
+    def test_single_ensemble_sweep_is_simulate_ec(self):
+        ens = small_ensemble()
+        cfg = TrialConfig(trials=3_000, seed=41, block_size=1024)
+        assert simulate_ec_sweep([ens], cfg)[0] == simulate_ec(ens, cfg)
+
+    def test_each_estimate_matches_its_own_run(self):
+        # rho, rho0, k0, path losses and gamma_teff all differ; the draw
+        # signature (M, k1, k2, phases) is shared
+        base = small_ensemble()
+        variants = [
+            base,
+            small_ensemble(rho=0.4, rho0=0.5),
+            dataclasses.replace(base, k0=0.0, gamma_teff=3e9),
+            dataclasses.replace(
+                base,
+                panels=(dataclasses.replace(base.panels[0], beta_inv=np.full(6, 1e-11)),),
+                beta0_inv=0.0,
+            ),
+        ]
+        cfg = TrialConfig(trials=2_500, seed=8, block_size=1000)
+        for workers in (1, 3):
+            batched = simulate_ec_sweep(variants, cfg, workers=workers)
+            assert batched == [simulate_ec(e, cfg) for e in variants]
+
+    def test_mixed_signatures_rejected(self):
+        cfg = TrialConfig(trials=100, seed=1)
+        with pytest.raises(ValueError, match="draw signature"):
+            simulate_ec_sweep([small_ensemble(), small_ensemble(k=3.0)], cfg)
+        with pytest.raises(ValueError, match="draw signature"):
+            simulate_ec_sweep([small_ensemble(), small_ensemble(m=7)], cfg)
 
 
 class TestDeterministicChannelLimit:

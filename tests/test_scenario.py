@@ -1,3 +1,5 @@
+import re
+
 import pytest
 import yaml
 
@@ -113,6 +115,22 @@ class TestValidationErrors:
     def test_field_path_in_message(self, mutate, fragment):
         with pytest.raises(ScenarioError, match=fragment):
             parse_scenario(edited(mutate))
+
+    @pytest.mark.parametrize("literal", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize(
+        "mutate, path",
+        [
+            (lambda d, v: (d["budget"].pop("p_dbm"), d["budget"].update(p_w=v)), "scenario.budget.p_w"),
+            (lambda d, v: d.update(fc_hz=v), "scenario.fc_hz"),
+            (lambda d, v: (d["channel"].pop("k0_db"), d["channel"].update(k0=v)), "scenario.channel.k0"),
+            (lambda d, v: d["budget"].update(eta_db=v), "scenario.budget.eta_db"),
+            (lambda d, v: d["deployment"]["panel"].update(dx=v), "scenario.deployment.panel.dx"),
+        ],
+    )
+    def test_non_finite_number_rejected(self, mutate, path, literal):
+        value = yaml.safe_load(literal)
+        with pytest.raises(ScenarioError, match=f"{re.escape(path)}: expected a finite number"):
+            parse_scenario(edited(lambda d: mutate(d, value)))
 
     def test_per_panel_length_mismatch(self):
         def mutate(d):

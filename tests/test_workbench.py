@@ -11,7 +11,10 @@ from riscap.geometry import Point3, RisPanel
 from riscap.pathloss import LinkBudget
 from riscap.presets import preset
 from riscap.scenario import PanelSetup, Scenario, dump_scenario
+
+from oracles import per_point_sweep
 from riscap.workbench import (
+    SWEEP_VARIABLES,
     SweepSpec,
     apply_sweep_value,
     resolve,
@@ -162,6 +165,13 @@ class TestApplySweepValue:
         with pytest.raises(ScenarioError):
             SweepSpec(variable="bananas", values=(1.0,))
 
+    @pytest.mark.parametrize(
+        "field, value", [("trials", 0), ("trials", -5), ("seed", -1), ("seed", 2**64)]
+    )
+    def test_bad_trials_or_seed(self, field, value):
+        with pytest.raises(ScenarioError, match=f"sweep.{field}"):
+            SweepSpec(variable="P", values=(0.0,), **{field: value})
+
 
 class TestSweepCsv:
     def test_deterministic_bytes(self):
@@ -217,6 +227,32 @@ class TestSweepCsv:
         a = rows_to_csv(run_sweep(s, sweep), "P")
         b = rows_to_csv(run_sweep(as_distributed, sweep), "P")
         assert a == b
+
+
+class TestBatchedSweep:
+    VALUES = {
+        "P": (-10.0, 0.0, 10.0),
+        "rho": (0.5, 0.9, 1.0),
+        "rho0": (0.6, 0.95),
+        "My": (2, 3, 4),
+        "d1": (0.8, 2.0, 5.0),
+        "cell_size": (0.005, 0.01),
+        "K0": (-3.0, 0.0, 5.0),
+    }
+
+    @pytest.mark.parametrize("variable", SWEEP_VARIABLES)
+    def test_csv_equals_per_point_runs(self, variable):
+        s, _ = preset("fig2")
+        if variable == "My":
+            setup = s.panels[0]
+            panel = dataclasses.replace(setup.panel, mx=4, my=4)
+            s = dataclasses.replace(s, panels=(dataclasses.replace(setup, panel=panel),))
+        # 2100 trials: one full block of 2048 and a partial one
+        sweep = SweepSpec(variable=variable, values=self.VALUES[variable], trials=2100, seed=17)
+        for workers in (1, 2):
+            batched = rows_to_csv(run_sweep(s, sweep, workers=workers), variable)
+            reference = rows_to_csv(per_point_sweep(s, sweep, workers=workers), variable)
+            assert batched == reference
 
 
 class TestCli:
@@ -277,6 +313,26 @@ class TestCli:
         bad.write_text(yaml.safe_dump(data))
         proc = self.run_cli("analyze", str(bad), "--no-mc", expect=2)
         assert "scenario.budget.xi" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["mc", "{s}", "--trials", "0"], "--trials"),
+            (["mc", "{s}", "--seed", "-1"], "--seed"),
+            (["analyze", "{s}", "--seed", str(2**64)], "--seed"),
+            (["sweep", "{s}", "--var", "P", "--values", "0", "--trials", "-5"], "--trials"),
+            (["sweep", "{s}", "--var", "P", "--values", "0", "--trials", "0"], "--trials"),
+            (["preset", "fig2", "--workers", "0"], "--workers"),
+        ],
+    )
+    def test_bad_mc_flag_exit_code(self, tmp_path, capsys, argv, flag):
+        from riscap import cli
+
+        path = self.scenario_file(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([arg.replace("{s}", path) for arg in argv])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self):
         self.run_cli("analyze", "does-not-exist.yaml", expect=2)
