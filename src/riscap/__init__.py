@@ -40,7 +40,7 @@ from .errors import (
     ValidationFailure,
 )
 from .geometry import (
-    ElementLink,
+    ElementLinks,
     PanelLink,
     Point3,
     RisPanel,
@@ -72,13 +72,11 @@ from .montecarlo import (
 )
 from .pathloss import (
     LinkBudget,
-    PathLossSet,
     beta0_reference,
     combine_pattern,
     direct_pathloss,
     element_pathloss,
     farfield_pathloss,
-    pathloss_set,
 )
 from .presets import PRESET_NAMES, fig8_distributed_cases, preset
 from .scenario import (

@@ -2,6 +2,9 @@
 
 Panels are rectangular grids of reflecting elements lying in a plane
 parallel to the xy-plane.  All distances are Euclidean, in meters.
+Per-element quantities are numpy arrays with one entry per element,
+row-major over (y, x): ``element_centers`` gives the coordinate arrays and
+``element_links`` one ``ElementLinks`` record of distance and cosine arrays.
 
 Convention note: the elevation cosine from an element toward the user
 (``cos_r``) is computed from the *receiver* height.  Output metadata of
@@ -12,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import GeometryError
 
@@ -69,16 +74,23 @@ class RisPanel:
 
 
 @dataclass(frozen=True)
-class ElementLink:
-    """Per-element link quantities for one BS -> element -> user hop."""
+class ElementLinks:
+    """Per-element link quantities for one BS -> element -> user hop.
 
-    r_t: float  # BS to element
-    r_r: float  # element to user
-    d_m: float  # element to panel center
-    cos_tx: float
-    cos_rx: float
-    cos_t: float
-    cos_r: float
+    Each field is an array with one entry per element, row-major over
+    (y, x) like ``element_centers``.
+    """
+
+    r_t: np.ndarray  # BS to element
+    r_r: np.ndarray  # element to user
+    d_m: np.ndarray  # element to panel center
+    cos_tx: np.ndarray
+    cos_rx: np.ndarray
+    cos_t: np.ndarray
+    cos_r: np.ndarray
+
+    def __len__(self) -> int:
+        return self.r_t.size
 
 
 @dataclass(frozen=True)
@@ -91,17 +103,18 @@ class PanelLink:
     cos_theta_r: float
 
 
-def element_centers(panel: RisPanel) -> list[Point3]:
-    """Element-center positions, row-major over (y, x).
+def element_centers(panel: RisPanel) -> tuple[np.ndarray, np.ndarray]:
+    """Element-center x and y coordinates, row-major over (y, x).
 
     Offsets along each axis are (i - (n-1)/2) * spacing for i = 0..n-1, so
     the grid is symmetric about the panel center and the centroid of the
-    returned points is the center itself.
+    returned points is the center itself.  Every element lies at z =
+    panel.center.z.
     """
-    x0, y0, z0 = panel.center.x, panel.center.y, panel.center.z
-    xs = [x0 + (i - (panel.mx - 1) / 2.0) * panel.dx for i in range(panel.mx)]
-    ys = [y0 + (j - (panel.my - 1) / 2.0) * panel.dy for j in range(panel.my)]
-    return [Point3(x, y, z0) for y in ys for x in xs]
+    xs = panel.center.x + (np.arange(panel.mx) - (panel.mx - 1) / 2.0) * panel.dx
+    ys = panel.center.y + (np.arange(panel.my) - (panel.my - 1) / 2.0) * panel.dy
+    x, y = np.meshgrid(xs, ys)
+    return x.ravel(), y.ravel()
 
 
 def _require_above_plane(point: Point3, z0: float, label: str) -> None:
@@ -126,35 +139,35 @@ def panel_link(bs: Point3, user: Point3, panel: RisPanel) -> PanelLink:
     )
 
 
-def element_links(bs: Point3, user: Point3, panel: RisPanel) -> list[ElementLink]:
+def _distances(point: Point3, x: np.ndarray, y: np.ndarray, z0: float) -> np.ndarray:
+    dx, dy, dz = x - point.x, y - point.y, z0 - point.z
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def element_links(bs: Point3, user: Point3, panel: RisPanel) -> ElementLinks:
     """Per-element distances and elevation cosines.
 
     cos_tx / cos_rx follow the law of cosines in the triangle formed by the
     endpoint, the element, and the panel center; cos_t / cos_r are height
     over slant range.
     """
-    z0 = panel.center.z
-    _require_above_plane(bs, z0, "BS")
-    _require_above_plane(user, z0, "user")
     link = panel_link(bs, user, panel)
     d1, d2 = link.d1, link.d2
-    out = []
-    for center in element_centers(panel):
-        r_t = bs.distance_to(center)
-        r_r = user.distance_to(center)
-        d_m = panel.center.distance_to(center)
-        out.append(
-            ElementLink(
-                r_t=r_t,
-                r_r=r_r,
-                d_m=d_m,
-                cos_tx=(d1 * d1 + r_t * r_t - d_m * d_m) / (2.0 * d1 * r_t),
-                cos_rx=(d2 * d2 + r_r * r_r - d_m * d_m) / (2.0 * d2 * r_r),
-                cos_t=(bs.z - z0) / r_t,
-                cos_r=(user.z - z0) / r_r,
-            )
-        )
-    return out
+    x, y = element_centers(panel)
+    z0 = panel.center.z
+    r_t = _distances(bs, x, y, z0)
+    r_r = _distances(user, x, y, z0)
+    d_m = _distances(panel.center, x, y, z0)
+    d_m2 = d_m * d_m
+    return ElementLinks(
+        r_t=r_t,
+        r_r=r_r,
+        d_m=d_m,
+        cos_tx=(d1 * d1 + r_t * r_t - d_m2) / (2.0 * d1 * r_t),
+        cos_rx=(d2 * d2 + r_r * r_r - d_m2) / (2.0 * d2 * r_r),
+        cos_t=(bs.z - z0) / r_t,
+        cos_r=(user.z - z0) / r_r,
+    )
 
 
 def near_field_boundary(panel: RisPanel, wavelength: float) -> float:

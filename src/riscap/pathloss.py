@@ -16,8 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import SingularPattern
-from .geometry import ElementLink, PanelLink, Point3, RisPanel, element_links, panel_link
+from .geometry import ElementLinks, PanelLink
 
 
 @dataclass(frozen=True)
@@ -42,21 +44,6 @@ class LinkBudget:
             raise ValueError("path-loss exponent must be positive")
 
 
-@dataclass(frozen=True)
-class PathLossSet:
-    """All loss factors for one scenario.
-
-    per_element and farfield carry one entry per panel; per_element entries
-    are lists over that panel's elements (row-major, matching
-    geometry.element_centers).
-    """
-
-    beta0_ref: float
-    per_element: tuple[tuple[float, ...], ...]
-    farfield: tuple[float, ...]
-    direct: float
-
-
 def beta0_reference(gt: float, gr: float, dx: float, dy: float) -> float:
     """Element-aperture reference constant 16*pi^2 / (gt*gr*dx^2*dy^2)."""
     if min(gt, gr, dx, dy) <= 0:
@@ -64,34 +51,40 @@ def beta0_reference(gt: float, gr: float, dx: float, dy: float) -> float:
     return 16.0 * math.pi**2 / (gt * gr * dx**2 * dy**2)
 
 
-def combine_pattern(link: ElementLink, gt: float, gr: float) -> float:
-    """Joint normalized power radiation pattern for one element.
+def combine_pattern(links: ElementLinks, gt: float, gr: float) -> np.ndarray:
+    """Joint normalized power radiation pattern, one entry per element.
 
     The endpoint-side cosines enter with the (possibly fractional) gain
     exponents, so they must be positive; an endpoint sitting past the
     perpendicular of an element has no defined pattern.
     """
-    if link.cos_tx <= 0 or link.cos_rx <= 0:
+    endpoint_cos = np.minimum(links.cos_tx, links.cos_rx)
+    bad = endpoint_cos <= 0
+    if bad.any():
         raise SingularPattern(
-            f"endpoint-side pattern cosines ({link.cos_tx:.4g}, {link.cos_rx:.4g}) "
-            "must be positive"
+            f"endpoint-side pattern cosines must be positive; {int(bad.sum())} "
+            f"element(s) are not (worst {endpoint_cos.min():.4g})"
         )
     return (
-        link.cos_tx ** (gt / 2.0 - 1.0)
-        * link.cos_t
-        * link.cos_r
-        * link.cos_rx ** (gr / 2.0 - 1.0)
+        links.cos_tx ** (gt / 2.0 - 1.0)
+        * links.cos_t
+        * links.cos_r
+        * links.cos_rx ** (gr / 2.0 - 1.0)
     )
 
 
-def element_pathloss(link: ElementLink, beta0_ref: float, gt: float, gr: float) -> float:
-    """Near-field loss factor of one element: beta0_ref*(r_t*r_r)^2/pattern."""
-    pattern = combine_pattern(link, gt, gr)
-    if pattern <= 0:
+def element_pathloss(
+    links: ElementLinks, beta0_ref: float, gt: float, gr: float
+) -> np.ndarray:
+    """Near-field loss factor per element: beta0_ref*(r_t*r_r)^2/pattern."""
+    pattern = combine_pattern(links, gt, gr)
+    bad = pattern <= 0
+    if bad.any():
         raise SingularPattern(
-            f"radiation pattern {pattern} is not positive; check link geometry"
+            f"radiation pattern is not positive at {int(bad.sum())} element(s) "
+            f"(worst {pattern.min():.4g}); check link geometry"
         )
-    return beta0_ref * (link.r_t * link.r_r) ** 2 / pattern
+    return beta0_ref * (links.r_t * links.r_r) ** 2 / pattern
 
 
 def farfield_pathloss(link: PanelLink, beta0_ref: float) -> float:
@@ -111,39 +104,3 @@ def direct_pathloss(d0: float, eta_db: float, xi: float) -> float:
         raise ValueError("direct-link distance must be positive")
     inv_db = eta_db - 10.0 * xi * math.log10(d0)
     return 10.0 ** (-inv_db / 10.0)
-
-
-def pathloss_set(
-    bs: Point3,
-    user: Point3,
-    panels: list[RisPanel],
-    budget: LinkBudget,
-) -> PathLossSet:
-    """Evaluate every loss factor a scenario needs.
-
-    All panels share one element size for the reference constant; mixed
-    element sizes across panels are rejected.
-    """
-    if not panels:
-        raise ValueError("at least one panel is required")
-    dx, dy = panels[0].dx, panels[0].dy
-    for p in panels[1:]:
-        if (p.dx, p.dy) != (dx, dy):
-            raise ValueError("all panels must share one element size")
-    b0_ref = beta0_reference(budget.gt, budget.gr, dx, dy)
-    per_element = tuple(
-        tuple(
-            element_pathloss(link, b0_ref, budget.gt, budget.gr)
-            for link in element_links(bs, user, panel)
-        )
-        for panel in panels
-    )
-    farfield = tuple(
-        farfield_pathloss(panel_link(bs, user, panel), b0_ref) for panel in panels
-    )
-    return PathLossSet(
-        beta0_ref=b0_ref,
-        per_element=per_element,
-        farfield=farfield,
-        direct=direct_pathloss(bs.distance_to(user), budget.eta_db, budget.xi),
-    )

@@ -90,6 +90,9 @@ class SweepSpec:
         if not self.values:
             raise ScenarioError("sweep.values: must be non-empty")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        bad = [v for v in self.values if not math.isfinite(v)]
+        if bad:
+            raise ScenarioError(f"sweep.values: must be finite, got {bad[0]}")
         unknown = set(self.outputs) - {"approx", "ub", "lb", "mc"}
         if unknown:
             raise ScenarioError(f"sweep.outputs: unknown entries {sorted(unknown)}")
@@ -131,7 +134,6 @@ def resolve(scenario: Scenario) -> ResolvedScenario:
     beta0_inv = 1.0 / direct_pathloss(
         scenario.bs.distance_to(scenario.user), scenario.budget.eta_db, scenario.budget.xi
     )
-    b0_ref_cache: dict[tuple[float, float], float] = {}
 
     boundaries = []
     links = []
@@ -165,16 +167,10 @@ def resolve(scenario: Scenario) -> ResolvedScenario:
     mc_panels = []
     for setup, link, boundary in zip(scenario.panels, links, boundaries):
         gt, gr = scenario.budget.gt, scenario.budget.gr
-        key = (setup.panel.dx, setup.panel.dy)
-        if key not in b0_ref_cache:
-            b0_ref_cache[key] = beta0_reference(gt, gr, setup.panel.dx, setup.panel.dy)
-        b0_ref = b0_ref_cache[key]
+        b0_ref = beta0_reference(gt, gr, setup.panel.dx, setup.panel.dy)
         if mode == "near":
-            beta_inv = np.array(
-                [
-                    1.0 / element_pathloss(el, b0_ref, gt, gr)
-                    for el in element_links(scenario.bs, scenario.user, setup.panel)
-                ]
+            beta_inv = 1.0 / element_pathloss(
+                element_links(scenario.bs, scenario.user, setup.panel), b0_ref, gt, gr
             )
         else:
             beta_inv = np.full(

@@ -124,6 +124,53 @@ def naive_envelope_moments(
     return mean, second
 
 
+def brute_force_element_links(bs, user, panel) -> dict[str, list[float]]:
+    """Per-element distances and cosines by a scalar loop over the grid.
+
+    Row-major over (y, x); distances by math.dist, the endpoint-side
+    cosines by the law of cosines against the panel center, the elevation
+    cosines as height over slant range.  Returns one list per quantity.
+    """
+    c = (panel.center.x, panel.center.y, panel.center.z)
+    b = (bs.x, bs.y, bs.z)
+    u = (user.x, user.y, user.z)
+    d1 = math.dist(b, c)
+    d2 = math.dist(u, c)
+    out = {k: [] for k in ("r_t", "r_r", "d_m", "cos_tx", "cos_rx", "cos_t", "cos_r")}
+    for j in range(panel.my):
+        for i in range(panel.mx):
+            e = (
+                c[0] + (i - (panel.mx - 1) / 2.0) * panel.dx,
+                c[1] + (j - (panel.my - 1) / 2.0) * panel.dy,
+                c[2],
+            )
+            r_t = math.dist(b, e)
+            r_r = math.dist(u, e)
+            d_m = math.dist(c, e)
+            out["r_t"].append(r_t)
+            out["r_r"].append(r_r)
+            out["d_m"].append(d_m)
+            out["cos_tx"].append((d1 * d1 + r_t * r_t - d_m * d_m) / (2.0 * d1 * r_t))
+            out["cos_rx"].append((d2 * d2 + r_r * r_r - d_m * d_m) / (2.0 * d2 * r_r))
+            out["cos_t"].append((b[2] - c[2]) / r_t)
+            out["cos_r"].append((u[2] - c[2]) / r_r)
+    return out
+
+
+def brute_force_beta_inv(bs, user, panel, gt: float, gr: float) -> list[float]:
+    """Inverse near-field loss factor of every element, one scalar at a time:
+    pattern / (16 pi^2 / (gt gr dx^2 dy^2) * (r_t r_r)^2)."""
+    b0_ref = 16.0 * math.pi**2 / (gt * gr * panel.dx**2 * panel.dy**2)
+    links = brute_force_element_links(bs, user, panel)
+    out = []
+    for r_t, r_r, cos_tx, cos_rx, cos_t, cos_r in zip(
+        links["r_t"], links["r_r"], links["cos_tx"], links["cos_rx"], links["cos_t"], links["cos_r"]
+    ):
+        pattern = cos_tx ** (gt / 2.0 - 1.0) * cos_t * cos_r * cos_rx ** (gr / 2.0 - 1.0)
+        out.append(pattern / (b0_ref * (r_t * r_r) ** 2))
+    return out
+
+
 def farfield_closed_form_moments(
     m: int,
     beta_ff_inv: float,

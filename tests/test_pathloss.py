@@ -1,17 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
 from riscap.errors import SingularPattern
-from riscap.geometry import ElementLink, PanelLink, Point3, RisPanel, element_links, panel_link
+from riscap.geometry import ElementLinks, PanelLink, Point3, RisPanel, element_links, panel_link
 from riscap.pathloss import (
-    LinkBudget,
     beta0_reference,
     combine_pattern,
     direct_pathloss,
     element_pathloss,
     farfield_pathloss,
-    pathloss_set,
 )
 
 CELL = 0.0075
@@ -21,6 +20,13 @@ USER = Point3(50.0, 0.0, 10.0)
 
 def fig_panel(mx=40, my=40):
     return RisPanel(center=Point3(-49.5, 0.0, 9.5), mx=mx, my=my, dx=CELL, dy=CELL)
+
+
+def one_element(r_t, r_r, d_m, cos_tx, cos_rx, cos_t, cos_r):
+    """An ElementLinks record holding a single element."""
+    return ElementLinks(
+        *(np.array([v], dtype=float) for v in (r_t, r_r, d_m, cos_tx, cos_rx, cos_t, cos_r))
+    )
 
 
 class TestBeta0Reference:
@@ -46,60 +52,82 @@ class TestBeta0Reference:
 
 class TestCombinePattern:
     def test_all_unit_cosines(self):
-        link = ElementLink(1, 1, 0, 1.0, 1.0, 1.0, 1.0)
-        assert combine_pattern(link, 20.0, 4.0) == 1.0
+        link = one_element(1, 1, 0, 1.0, 1.0, 1.0, 1.0)
+        assert combine_pattern(link, 20.0, 4.0)[0] == 1.0
 
     def test_exponents_vanish_at_gain_two(self):
-        link = ElementLink(1, 1, 0, 0.3, 0.4, 0.5, 0.6)
-        assert combine_pattern(link, 2.0, 2.0) == pytest.approx(0.5 * 0.6, rel=1e-15)
+        link = one_element(1, 1, 0, 0.3, 0.4, 0.5, 0.6)
+        assert combine_pattern(link, 2.0, 2.0)[0] == pytest.approx(0.5 * 0.6, rel=1e-15)
 
     def test_off_center_element_against_scripted_product(self):
         links = element_links(BS, USER, fig_panel())
-        el = links[7]  # arbitrary off-center element
-        gt, gr = 100.0, 1.0
-        expected = (
-            el.cos_tx ** (gt / 2 - 1) * el.cos_t * el.cos_r * el.cos_rx ** (gr / 2 - 1)
+        i = 7  # arbitrary off-center element
+        cos_tx, cos_rx, cos_t, cos_r = (
+            float(getattr(links, name)[i]) for name in ("cos_tx", "cos_rx", "cos_t", "cos_r")
         )
-        assert combine_pattern(el, gt, gr) == pytest.approx(expected, rel=1e-15)
+        gt, gr = 100.0, 1.0
+        expected = cos_tx ** (gt / 2 - 1) * cos_t * cos_r * cos_rx ** (gr / 2 - 1)
+        assert combine_pattern(links, gt, gr)[i] == pytest.approx(expected, rel=1e-15)
 
 
 class TestElementPathloss:
     def test_center_element_matches_farfield_at_gain_two(self):
         p = RisPanel(center=Point3(-49.5, 0.0, 9.5), mx=1, my=1, dx=CELL, dy=CELL)
         b0 = beta0_reference(2.0, 2.0, CELL, CELL)
-        (el,) = element_links(BS, USER, p)
+        links = element_links(BS, USER, p)
+        assert len(links) == 1
         plink = panel_link(BS, USER, p)
-        assert element_pathloss(el, b0, 2.0, 2.0) == pytest.approx(
+        assert element_pathloss(links, b0, 2.0, 2.0)[0] == pytest.approx(
             farfield_pathloss(plink, b0), rel=1e-12
         )
 
     def test_distance_scaling(self):
-        link = ElementLink(3.0, 40.0, 0.1, 0.99, 0.98, 0.6, 0.5)
-        scaled = ElementLink(6.0, 80.0, 0.1, 0.99, 0.98, 0.6, 0.5)
+        link = one_element(3.0, 40.0, 0.1, 0.99, 0.98, 0.6, 0.5)
+        scaled = one_element(6.0, 80.0, 0.1, 0.99, 0.98, 0.6, 0.5)
         b0 = 1e9
-        assert element_pathloss(scaled, b0, 20.0, 4.0) == pytest.approx(
-            16.0 * element_pathloss(link, b0, 20.0, 4.0), rel=1e-12
+        assert element_pathloss(scaled, b0, 20.0, 4.0)[0] == pytest.approx(
+            16.0 * element_pathloss(link, b0, 20.0, 4.0)[0], rel=1e-12
         )
 
     def test_edge_element_lossier_than_center(self):
         links = element_links(BS, USER, fig_panel())
         b0 = beta0_reference(100.0, 1.0, CELL, CELL)
-        losses = [element_pathloss(el, b0, 100.0, 1.0) for el in links]
-        center = min(links, key=lambda l: l.d_m)
-        edge = max(links, key=lambda l: l.d_m)
-        ratio = losses[links.index(edge)] / losses[links.index(center)]
+        losses = element_pathloss(links, b0, 100.0, 1.0)
+        center = np.argmin(links.d_m)
+        edge = np.argmax(links.d_m)
+        ratio = losses[edge] / losses[center]
         assert ratio > 1.0
 
     def test_negative_pattern_rejected(self):
-        link = ElementLink(1.0, 1.0, 0.0, 1.0, 1.0, -0.2, 0.5)
+        link = one_element(1.0, 1.0, 0.0, 1.0, 1.0, -0.2, 0.5)
         with pytest.raises(SingularPattern):
             element_pathloss(link, 1.0, 2.0, 2.0)
 
     def test_negative_endpoint_cosine_rejected_with_fractional_exponent(self):
         # a float power of a negative base would otherwise go complex
-        link = ElementLink(1.0, 1.0, 0.5, -0.2, 0.9, 0.8, 0.5)
+        link = one_element(1.0, 1.0, 0.5, -0.2, 0.9, 0.8, 0.5)
         with pytest.raises(SingularPattern):
             combine_pattern(link, 5.0, 1.0)
+
+    def test_rejection_names_count_and_worst_value(self):
+        ones = np.ones(4)
+        cos_rx = np.array([0.9, -0.3, 0.0, 0.5])
+        links = ElementLinks(ones, ones, ones, ones, cos_rx, ones, ones)
+        with pytest.raises(SingularPattern, match=r"2 element\(s\).*worst -0\.3"):
+            combine_pattern(links, 5.0, 1.0)
+        cos_t = np.array([0.9, -0.5, 0.7, -0.25])
+        links = ElementLinks(ones, ones, ones, ones, ones, cos_t, ones)
+        with pytest.raises(SingularPattern, match=r"2 element\(s\).*worst -0\.5"):
+            element_pathloss(links, 1.0, 2.0, 2.0)
+
+    def test_shapes_and_positivity(self):
+        b0 = beta0_reference(100.0, 1.0, CELL, CELL)
+        for (mx, my), size in (((4, 6), 24), ((3, 3), 9)):
+            p = fig_panel(mx, my)
+            betas = element_pathloss(element_links(BS, USER, p), b0, 100.0, 1.0)
+            assert betas.shape == (size,)
+            assert np.all(betas > 0)
+            assert farfield_pathloss(panel_link(BS, USER, p), b0) > 0
 
     def test_farfield_convergence_with_distance(self):
         # max |beta_m / beta_ff - 1| shrinks on a doubling sequence and is
@@ -111,9 +139,7 @@ class TestElementPathloss:
             bs = Point3(-d / math.sqrt(2), 0.0, d / math.sqrt(2))
             user = Point3(d / math.sqrt(2), 1.0, d / math.sqrt(2))
             ff = farfield_pathloss(panel_link(bs, user, p), b0)
-            betas = [
-                element_pathloss(el, b0, 100.0, 1.0) for el in element_links(bs, user, p)
-            ]
+            betas = element_pathloss(element_links(bs, user, p), b0, 100.0, 1.0)
             worst.append(max(abs(b / ff - 1.0) for b in betas))
         assert worst[0] < 0.01
         assert worst[2] < worst[1] < worst[0]
@@ -154,26 +180,3 @@ class TestDirectPathloss:
     def test_monotone_in_distance(self):
         losses = [direct_pathloss(d, -30.0, 3.5) for d in (1.0, 10.0, 50.0, 200.0)]
         assert losses == sorted(losses)
-
-
-class TestPathlossSet:
-    def test_shapes_and_positivity(self):
-        budget = LinkBudget(
-            gt=100.0, gr=1.0, tx_power=1e-3, noise_power=1e-15, eta_db=-30.0, xi=3.5
-        )
-        panels = [fig_panel(4, 6), fig_panel(3, 3)]
-        out = pathloss_set(BS, USER, panels, budget)
-        assert len(out.per_element) == 2
-        assert len(out.per_element[0]) == 24
-        assert len(out.per_element[1]) == 9
-        assert all(b > 0 for betas in out.per_element for b in betas)
-        assert all(f > 0 for f in out.farfield)
-        assert out.direct == pytest.approx(1e10, rel=1e-12)
-
-    def test_mixed_cell_sizes_rejected(self):
-        budget = LinkBudget(
-            gt=100.0, gr=1.0, tx_power=1e-3, noise_power=1e-15, eta_db=-30.0, xi=3.5
-        )
-        other = RisPanel(center=Point3(0.0, 0.0, 9.5), mx=2, my=2, dx=0.01, dy=0.01)
-        with pytest.raises(ValueError):
-            pathloss_set(BS, USER, [fig_panel(), other], budget)

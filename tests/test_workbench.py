@@ -12,7 +12,7 @@ from riscap.pathloss import LinkBudget
 from riscap.presets import preset
 from riscap.scenario import PanelSetup, Scenario, dump_scenario
 
-from oracles import per_point_sweep
+from oracles import brute_force_beta_inv, per_point_sweep
 from riscap.workbench import (
     SWEEP_VARIABLES,
     SweepSpec,
@@ -73,19 +73,28 @@ class TestPipelineConsistency:
         assert a.report == b.report
         assert a.gamma_teff == b.gamma_teff
 
-    def test_near_field_vector_matches_pathloss_module(self):
-        from riscap.geometry import element_links
-        from riscap.pathloss import beta0_reference, element_pathloss
-
-        s = synthetic_scenario(d1=2.0)
+    @pytest.mark.parametrize(
+        "case",
+        ["synthetic_2x2", "fig2_gain_40x40", "fig2_gain_odd_7x5"],
+    )
+    def test_near_field_beta_inv_matches_brute_force_loop(self, case):
+        if case == "synthetic_2x2":
+            s = synthetic_scenario(d1=2.0)
+        else:
+            mx, my = (40, 40) if case == "fig2_gain_40x40" else (7, 5)
+            s, _ = preset("fig2")
+            setup = s.panels[0]
+            panel = dataclasses.replace(setup.panel, mx=mx, my=my)
+            s = dataclasses.replace(
+                s, panels=(dataclasses.replace(setup, panel=panel),), mode="near"
+            )
         res = resolve(s)
-        setup = s.panels[0]
-        b0 = beta0_reference(s.budget.gt, s.budget.gr, setup.panel.dx, setup.panel.dy)
-        expected = [
-            1.0 / element_pathloss(el, b0, s.budget.gt, s.budget.gr)
-            for el in element_links(s.bs, s.user, setup.panel)
-        ]
-        assert np.allclose(res.panel_stats[0].beta_inv, expected, rtol=1e-15)
+        assert res.mode_used == "near"
+        panel = s.panels[0].panel
+        expected = brute_force_beta_inv(s.bs, s.user, panel, s.budget.gt, s.budget.gr)
+        np.testing.assert_allclose(
+            res.panel_stats[0].beta_inv, expected, rtol=1e-12, atol=0
+        )
 
     def test_monotone_in_power_rho_and_k(self):
         s, _ = preset("fig2")
@@ -333,6 +342,16 @@ class TestCli:
             cli.main([arg.replace("{s}", path) for arg in argv])
         assert exc.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("variable", ["P", "K0", "d1", "cell_size", "My"])
+    def test_non_finite_sweep_value_exit_code(self, tmp_path, capsys, variable, value):
+        from riscap import cli
+
+        path = self.scenario_file(tmp_path)
+        code = cli.main(["sweep", path, "--var", variable, f"--values={value}", "--no-mc"])
+        assert code == 2
+        assert "sweep.values" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self):
         self.run_cli("analyze", "does-not-exist.yaml", expect=2)
