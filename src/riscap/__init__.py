@@ -18,13 +18,11 @@ from .capacity import (
     snr_variance,
 )
 from .channel import (
-    CsiAging,
     RicianParams,
     envelope_error_variance,
     laguerre_half,
     outdated_correlation,
     rician_mean_envelope,
-    sample_rician,
     sample_rician_envelope,
 )
 from .errors import (
@@ -53,8 +51,6 @@ from .moments import (
     EffectiveSnr,
     MomentSummary,
     PanelStats,
-    centralized_moments,
-    centralized_noise_variance,
     distributed_moments,
     distributed_noise_variance,
     saturation_gamma_teff,
@@ -78,7 +74,7 @@ from .pathloss import (
     element_pathloss,
     farfield_pathloss,
 )
-from .presets import PRESET_NAMES, fig8_distributed_cases, preset
+from .presets import PRESET_NAMES, fig8_distributed_cases, preset, run_preset
 from .scenario import (
     DopplerSpec,
     PanelSetup,

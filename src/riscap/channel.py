@@ -39,17 +39,6 @@ class RicianParams:
             raise ValueError("Rician K-factor must be >= 0")
 
 
-@dataclass(frozen=True)
-class CsiAging:
-    """Correlation between the outdated channel estimate and the truth."""
-
-    rho: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.rho <= 1.0):
-            raise ValueError("correlation coefficient must lie in [0, 1]")
-
-
 def laguerre_half(x: float) -> float:
     """Degree-1/2 Laguerre polynomial on x <= 0.
 
@@ -76,45 +65,20 @@ def envelope_error_variance(params: RicianParams) -> float:
     return 1.0 - omega * omega
 
 
-def outdated_correlation(
-    fc: float, v: float, ts: float, clamp_negative: bool = False
-) -> float:
+def outdated_correlation(fc: float, v: float, ts: float) -> float:
     """Doppler-aging correlation J0(2*pi*(fc*v/c)*ts).
 
     The aging model only admits rho in [0, 1]; past the first Bessel zero
-    J0 goes negative and we refuse unless clamp_negative=True (then 0 is
-    returned, useful for sweep continuity).
+    J0 goes negative and we refuse.
     """
     if fc < 0 or v < 0 or ts < 0:
         raise ValueError("fc, v, ts must all be >= 0")
     rho = float(special.j0(2.0 * math.pi * (fc * v / SPEED_OF_LIGHT) * ts))
     if rho < 0:
-        if clamp_negative:
-            return 0.0
         raise NegativeCorrelation(
-            f"J0 argument past first zero gives rho={rho:.6g}; "
-            "supply rho directly or pass clamp_negative=True"
+            f"J0 argument past first zero gives rho={rho:.6g}; supply rho directly"
         )
     return min(rho, 1.0)
-
-
-def sample_rician(
-    params: RicianParams,
-    rng: np.random.Generator,
-    los_phase: float = 0.0,
-    size=None,
-):
-    """Complex unit-power Rician samples sqrt(K/(1+K))e^{j phase} + scatter.
-
-    The scatter term is circular complex Gaussian with power 1/(1+K).  The
-    analysis downstream depends only on envelopes, so los_phase is free;
-    it defaults to 0 and exists so phase-invariance can be exercised.
-    """
-    s, scale = _los_and_scatter(params.k)
-    los = s * complex(math.cos(los_phase), math.sin(los_phase))
-    re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
-    return los + scale * (re + 1j * im)
 
 
 def sample_rician_envelope(
@@ -123,7 +87,11 @@ def sample_rician_envelope(
     los_phase: float = 0.0,
     size=None,
 ):
-    """|sample_rician(...)| without materializing the complex array."""
+    """Envelopes of unit-power Rician samples sqrt(K/(1+K)) e^{j los_phase}
+    + scatter, the scatter term circular complex Gaussian with power
+    1/(1+K), drawn as in-phase then quadrature normals.  The analysis
+    depends only on envelopes, so los_phase is free; it defaults to 0 and
+    exists so phase-invariance can be exercised."""
     re = rng.standard_normal(size)
     im = rng.standard_normal(size)
     return rician_envelope_from_normals(params, los_phase, re, im)
@@ -139,7 +107,11 @@ def rician_envelope_from_normals(
     envelope, so no further block-sized array is allocated.  Pass copies
     when the same normals feed several transforms.
     """
-    s, scale = _los_and_scatter(params.k)
+    k = params.k
+    if math.isinf(k):
+        s, scale = 1.0, 0.0
+    else:
+        s, scale = math.sqrt(k / (1.0 + k)), math.sqrt(1.0 / (2.0 * (1.0 + k)))
     re *= scale
     re += s * math.cos(los_phase)
     im *= scale
@@ -148,9 +120,3 @@ def rician_envelope_from_normals(
     im *= im
     re += im
     return np.sqrt(re, out=re if isinstance(re, np.ndarray) else None)
-
-
-def _los_and_scatter(k: float) -> tuple[float, float]:
-    if math.isinf(k):
-        return 1.0, 0.0
-    return math.sqrt(k / (1.0 + k)), math.sqrt(1.0 / (2.0 * (1.0 + k)))

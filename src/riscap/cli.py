@@ -13,12 +13,11 @@ import dataclasses
 import sys
 
 from .errors import NumericalFailure, ValidationFailure
-from .presets import PRESET_NAMES, fig8_distributed_cases, preset_with
+from .presets import PRESET_NAMES, run_preset
 from .scenario import load_scenario
 from .workbench import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
-    SweepRow,
     SweepSpec,
     rows_to_csv,
     run_scenario,
@@ -151,38 +150,10 @@ def _cmd_sweep(args) -> None:
 
 
 def _cmd_preset(args) -> None:
-    scenario, sweep = preset_with(args.name, trials=args.trials, seed=args.seed)
-    sweep = dataclasses.replace(sweep, outputs=_outputs(args.no_mc))
-    rows: list[SweepRow] = []
-    if args.name == "fig4":
-        # Emit the general-formula rows first, then the constant-loss rows,
-        # so the two models can be compared per distance.
-        for mode in ("near", "far"):
-            rows.extend(
-                run_sweep(_override_mode(scenario, mode), sweep, workers=args.workers)
-            )
-    else:
-        rows.extend(run_sweep(scenario, sweep, workers=args.workers))
-    if args.name == "fig8":
-        # Append the distributed layouts as rows 1..3 after the moving-panel
-        # sweep (documented preset behavior).
-        for case_number, case in enumerate(fig8_distributed_cases(), start=1):
-            trials = None if args.no_mc else sweep.trials
-            result = run_scenario(case, trials=trials, seed=sweep.seed, workers=args.workers)
-            rows.append(
-                SweepRow(
-                    sweep_value=float(case_number),
-                    ec_approx=result.report.ec_approx,
-                    ec_ub=result.report.ec_upper,
-                    ec_lb=result.report.ec_lower,
-                    ec_mc=result.mc.mean_ec if result.mc else None,
-                    mc_stderr=result.mc.std_error if result.mc else None,
-                    gamma_teff=result.gamma_teff,
-                    mode=result.mode_used,
-                    d_boundary_m=result.d_boundary,
-                )
-            )
-    _emit(rows_to_csv(rows, sweep.variable), args.out)
+    rows, variable = run_preset(
+        args.name, trials=args.trials, seed=args.seed, mc=not args.no_mc, workers=args.workers
+    )
+    _emit(rows_to_csv(rows, variable), args.out)
 
 
 def _cmd_mc(args) -> None:

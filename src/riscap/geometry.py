@@ -24,6 +24,9 @@ from .errors import GeometryError
 ELEVATION_CONVENTION_NOTE = (
     "element-to-user elevation cosine computed from the receiver height"
 )
+# Per-panel element bound, so every per-element array stays allocatable
+# (100x the largest panel the benchmark runs, 316 x 316).
+MAX_PANEL_ELEMENTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,12 @@ class RisPanel:
             raise ValueError("element counts must be >= 1")
         if self.dx <= 0 or self.dy <= 0:
             raise ValueError("element dimensions must be positive")
+        if self.mx * self.my > MAX_PANEL_ELEMENTS:
+            raise ValueError(f"element count mx*my exceeds the limit of {MAX_PANEL_ELEMENTS}")
+        # the path-loss reference constant divides by dx^2 * dy^2
+        sq = (self.dx * self.dx, self.dy * self.dy)
+        if not all(0.0 < v < math.inf for v in (*sq, sq[0] * sq[1])):
+            raise ValueError(f"element size {self.dx:g} x {self.dy:g} m is out of float range")
 
     @property
     def element_count(self) -> int:

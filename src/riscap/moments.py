@@ -107,42 +107,18 @@ def distributed_moments(
     return _summary(mean, second)
 
 
-def centralized_moments(
-    beta_inv,
-    omega1: float,
-    omega2: float,
-    omega0: float,
-    rho_c: float,
-    rho0: float,
-    beta0_direct_inv: float,
-) -> MomentSummary:
-    """Moments of the single-panel envelope sum Z (one-panel case of H)."""
-    panel = PanelStats(
-        beta_inv=np.asarray(beta_inv, dtype=float),
-        omega1=omega1,
-        omega2=omega2,
-        rho=rho_c,
-    )
-    return distributed_moments([panel], omega0, rho0, beta0_direct_inv)
-
-
-def distributed_noise_variance(
+def _leakage(
     tx_power: float,
     per_panel: Sequence[PanelStats],
     rho0: float,
     omega0: float,
     beta0_direct_inv: float,
-    noise_power: float,
-) -> EffectiveSnr:
-    """Effective-noise variance: outdated-CSI leakage plus thermal noise.
+) -> float:
+    """Outdated-CSI leakage power.
 
     Each panel leaks P*(1-rho^2)*(1-omega2^2)*sum(beta^-1); the direct link
     leaks P*(1-rho0^2)*(1-omega0^2)*beta0^-1.
     """
-    if tx_power <= 0:
-        raise ValueError("transmit power must be positive")
-    if noise_power <= 0:
-        raise ValueError("noise power must be positive")
     panel_terms = [
         tx_power
         * (1.0 - p.rho * p.rho)
@@ -153,27 +129,24 @@ def distributed_noise_variance(
     direct_term = (
         tx_power * (1.0 - rho0 * rho0) * (1.0 - omega0 * omega0) * beta0_direct_inv
     )
-    variance = math.fsum(panel_terms) + direct_term + noise_power
-    return EffectiveSnr(gamma_teff=tx_power / variance, noise_variance=variance)
+    return math.fsum(panel_terms) + direct_term
 
 
-def centralized_noise_variance(
+def distributed_noise_variance(
     tx_power: float,
-    rho_c: float,
+    per_panel: Sequence[PanelStats],
     rho0: float,
-    omega2: float,
     omega0: float,
-    beta_inv,
     beta0_direct_inv: float,
     noise_power: float,
 ) -> EffectiveSnr:
-    """One-panel case of distributed_noise_variance."""
-    panel = PanelStats(
-        beta_inv=np.asarray(beta_inv, dtype=float), omega1=1.0, omega2=omega2, rho=rho_c
-    )
-    return distributed_noise_variance(
-        tx_power, [panel], rho0, omega0, beta0_direct_inv, noise_power
-    )
+    """Effective-noise variance: outdated-CSI leakage plus thermal noise."""
+    if tx_power <= 0:
+        raise ValueError("transmit power must be positive")
+    if noise_power <= 0:
+        raise ValueError("noise power must be positive")
+    variance = _leakage(tx_power, per_panel, rho0, omega0, beta0_direct_inv) + noise_power
+    return EffectiveSnr(gamma_teff=tx_power / variance, noise_variance=variance)
 
 
 def saturation_gamma_teff(
@@ -186,12 +159,7 @@ def saturation_gamma_teff(
 
     Infinite when every aging coefficient is 1 (no CSI leakage at all).
     """
-    leak = math.fsum(
-        (1.0 - p.rho * p.rho)
-        * (1.0 - p.omega2 * p.omega2)
-        * float(np.sum(np.asarray(p.beta_inv, dtype=float)))
-        for p in per_panel
-    ) + (1.0 - rho0 * rho0) * (1.0 - omega0 * omega0) * beta0_direct_inv
+    leak = _leakage(1.0, per_panel, rho0, omega0, beta0_direct_inv)
     if leak <= 0:
         return math.inf
     return 1.0 / leak

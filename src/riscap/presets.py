@@ -26,10 +26,11 @@ Documented defaults where the source material under-specifies:
   (x = -49.5 near the BS, x = +49.5 near the user) so all three layouts
   share the same best-panel geometry.
 
-The CLI runner expands two presets beyond their single (scenario, sweep)
-pair: fig4 is emitted once per forced mode (near rows, then far rows) so
-the two formulas can be compared per distance, and fig8 appends one row
-per distributed case (sweep_value 1..3) after the moving-panel sweep.
+run_preset expands two presets beyond their single (scenario, sweep)
+pair, and the CLI prints its rows as they are: fig4 is evaluated once per
+forced mode (near rows, then far rows) so the two formulas can be
+compared per distance, and fig8 appends one row per distributed case
+(sweep_value 1..3) after the moving-panel sweep.
 """
 
 from __future__ import annotations
@@ -41,7 +42,14 @@ from .geometry import Point3, RisPanel
 from .pathloss import LinkBudget
 from .scenario import PanelSetup, Scenario
 from .units import db_to_linear, dbm_to_watts, wavelength
-from .workbench import SweepSpec
+from .workbench import (
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
+    SweepRow,
+    SweepSpec,
+    _run_points,
+    apply_sweep_value,
+)
 
 FC_HZ = 5.0e9
 LAMBDA = wavelength(FC_HZ)
@@ -77,17 +85,19 @@ def _panel(center: Point3, mx: int, my: int, cell: float = CELL) -> PanelSetup:
     )
 
 
-def _centralized(
-    panel: PanelSetup,
+def _scenario(
+    *panels: PanelSetup,
     p_dbm: float = 0.0,
     mode: str = "auto",
     fixed_total: int | None = None,
 ) -> Scenario:
+    """Baseline scenario: one panel is a centralized deployment, more are
+    a distributed one."""
     return Scenario(
         bs=BS,
         user=USER,
-        kind="centralized",
-        panels=(panel,),
+        kind="centralized" if len(panels) == 1 else "distributed",
+        panels=panels,
         k0=K_DEFAULT,
         rho0=RHO0_DEFAULT,
         budget=_budget(p_dbm),
@@ -97,23 +107,9 @@ def _centralized(
     )
 
 
-def _distributed(panels: tuple[PanelSetup, ...], p_dbm: float = 0.0) -> Scenario:
-    return Scenario(
-        bs=BS,
-        user=USER,
-        kind="distributed",
-        panels=panels,
-        k0=K_DEFAULT,
-        rho0=RHO0_DEFAULT,
-        budget=_budget(p_dbm),
-        fc_hz=FC_HZ,
-        mode="auto",
-    )
-
-
 def _fig2():
     """Capacity vs transmit power, centralized 24x24 panel near the BS."""
-    scenario = _centralized(_panel(NEAR_PANEL_CENTER, 24, 24))
+    scenario = _scenario(_panel(NEAR_PANEL_CENTER, 24, 24))
     sweep = SweepSpec(variable="P", values=tuple(range(-20, 25, 5)))
     return scenario, sweep
 
@@ -124,7 +120,7 @@ def _fig3():
         _panel(Point3(-49.0, 0.0, 9.5), 16, 18),
         _panel(Point3(49.0, 0.0, 9.5), 16, 18),
     )
-    scenario = _distributed(panels)
+    scenario = _scenario(*panels)
     sweep = SweepSpec(variable="rho", values=(1.0, 0.95, 0.9, 0.85, 0.8, 0.7, 0.6, 0.5))
     return scenario, sweep
 
@@ -133,7 +129,7 @@ def _fig4():
     """General vs constant-loss formula as the BS-to-panel distance grows
     (40x40 panel, boundary at 6 m; see the module docstring for the
     depth/power choice)."""
-    scenario = _centralized(
+    scenario = _scenario(
         _panel(Point3(-49.5, 0.0, 7.5), 40, 40), p_dbm=-30.0, mode="near"
     )
     sweep = SweepSpec(
@@ -144,7 +140,7 @@ def _fig4():
 
 def _fig5():
     """Capacity vs element size, centralized 24x24 near-field panel."""
-    scenario = _centralized(_panel(NEAR_PANEL_CENTER, 24, 24))
+    scenario = _scenario(_panel(NEAR_PANEL_CENTER, 24, 24))
     sweep = SweepSpec(
         variable="cell_size",
         values=tuple(LAMBDA / k for k in (10.0, 8.0, 6.0, 4.0, 3.0, 2.0)),
@@ -155,7 +151,7 @@ def _fig5():
 def _fig6():
     """Capacity vs element count at fixed mx = 24 (near-field panel);
     uniform my steps so successive capacity differences are comparable."""
-    scenario = _centralized(_panel(NEAR_PANEL_CENTER, 24, 8))
+    scenario = _scenario(_panel(NEAR_PANEL_CENTER, 24, 8))
     sweep = SweepSpec(variable="My", values=tuple(range(8, 104, 8)))
     return scenario, sweep
 
@@ -166,7 +162,7 @@ def _fig7():
     Sweeping My with fixed_total_elements re-derives mx = 576 / My, giving
     the shapes 24x24, 16x36, 12x48.
     """
-    scenario = _centralized(
+    scenario = _scenario(
         _panel(NEAR_PANEL_CENTER, 24, 24), p_dbm=-10.0, fixed_total=576
     )
     sweep = SweepSpec(variable="My", values=(24, 36, 48))
@@ -176,7 +172,7 @@ def _fig7():
 def _fig8():
     """Centralized panel moved along the link axis (compare against the
     distributed cases from fig8_distributed_cases)."""
-    scenario = _centralized(_panel(NEAR_PANEL_CENTER, 24, 24))
+    scenario = _scenario(_panel(NEAR_PANEL_CENTER, 24, 24))
     sweep = SweepSpec(
         variable="d1",
         values=(2.0, 5.0, 10.0, 20.0, 35.0, 50.0, 65.0, 80.0, 90.0, 95.0, 99.0),
@@ -184,7 +180,7 @@ def _fig8():
     return scenario, sweep
 
 
-def fig8_distributed_cases(p_dbm: float = 0.0) -> list[Scenario]:
+def fig8_distributed_cases() -> list[Scenario]:
     """The three two-panel layouts: both near the BS, both near the user,
     and one at each end (case 3)."""
     half = 16, 18
@@ -193,10 +189,7 @@ def fig8_distributed_cases(p_dbm: float = 0.0) -> list[Scenario]:
         (Point3(49.0, 0.0, 9.5), Point3(49.5, 0.0, 9.5)),
         (Point3(-49.5, 0.0, 9.5), Point3(49.5, 0.0, 9.5)),
     )
-    return [
-        _distributed((_panel(a, *half), _panel(b, *half)), p_dbm=p_dbm)
-        for a, b in layouts
-    ]
+    return [_scenario(_panel(a, *half), _panel(b, *half)) for a, b in layouts]
 
 
 _BUILDERS = {
@@ -219,17 +212,26 @@ def preset(name: str) -> tuple[Scenario, SweepSpec]:
     return _BUILDERS[name]()
 
 
-def preset_with(
+def run_preset(
     name: str,
-    trials: int | None = None,
-    seed: int | None = None,
-) -> tuple[Scenario, SweepSpec]:
+    trials: int = DEFAULT_TRIALS,
+    seed: int = DEFAULT_SEED,
+    mc: bool = True,
+    workers: int = 1,
+) -> tuple[list[SweepRow], str]:
+    """Rows of one preset (expanded as the module docstring says) and the
+    swept variable that labels them in rows_to_csv."""
     scenario, sweep = preset(name)
-    updates = {}
-    if trials is not None:
-        updates["trials"] = trials
-    if seed is not None:
-        updates["seed"] = seed
-    if updates:
-        sweep = dataclasses.replace(sweep, **updates)
-    return scenario, sweep
+    outputs = sweep.outputs if mc else tuple(o for o in sweep.outputs if o != "mc")
+    sweep = dataclasses.replace(sweep, outputs=outputs, trials=trials, seed=seed)
+    bases = [scenario]
+    if name == "fig4":
+        bases = [dataclasses.replace(scenario, mode=mode) for mode in ("near", "far")]
+    points = [
+        (value, apply_sweep_value(base, sweep.variable, value))
+        for base in bases
+        for value in sweep.values
+    ]
+    if name == "fig8":
+        points += [(float(i), case) for i, case in enumerate(fig8_distributed_cases(), 1)]
+    return _run_points(points, sweep, workers), sweep.variable

@@ -128,18 +128,14 @@ class _Section:
             raise ScenarioError(f"{self.path}.{key}: expected an integer, got {value!r}")
         return value
 
-    def one_of(self, *keys: str, required: bool = True) -> Optional[tuple[str, object]]:
+    def one_of(self, *keys: str) -> tuple[str, object]:
         present = [k for k in keys if k in self.data]
         if len(present) > 1:
             raise ScenarioError(
                 f"{self.path}: fields {present} are mutually exclusive; give exactly one"
             )
         if not present:
-            if required:
-                raise ScenarioError(
-                    f"{self.path}: one of {list(keys)} is required"
-                )
-            return None
+            raise ScenarioError(f"{self.path}: one of {list(keys)} is required")
         key = present[0]
         return key, self.require(key)
 
@@ -173,33 +169,54 @@ def _panel(section: _Section) -> RisPanel:
         raise ScenarioError(f"{section.path}: {exc}") from exc
 
 
-def _linear_or_db(section: _Section, base: str, required: bool = True) -> Optional[float]:
+def _to_linear(number: float, path: str, convert=db_to_linear) -> float:
+    """A dB (or, with dbm_to_watts, dBm) number of field `path` in linear
+    units."""
+    try:
+        return convert(number)
+    except OverflowError:
+        raise ScenarioError(f"{path}: {number!r} is out of float range in linear units") from None
+
+
+def _linear_or_db(section: _Section, base: str) -> float:
     """Read `base` (linear) or `base`_db, whichever is present."""
-    got = section.one_of(base, f"{base}_db", required=required)
-    if got is None:
-        return None
-    key, value = got
-    number = _as_number(value, f"{section.path}.{key}")
-    return db_to_linear(number) if key.endswith("_db") else number
+    key, value = section.one_of(base, f"{base}_db")
+    path = f"{section.path}.{key}"
+    number = _as_number(value, path)
+    return _to_linear(number, path) if key.endswith("_db") else number
+
+
+def _watts_or_dbm(section: _Section, base: str) -> float:
+    """Read `base`_w or `base`_dbm, whichever is present, in watts."""
+    key, value = section.one_of(f"{base}_dbm", f"{base}_w")
+    path = f"{section.path}.{key}"
+    number = _as_number(value, path)
+    return _to_linear(number, path, dbm_to_watts) if key.endswith("_dbm") else number
+
+
+def _broadcast(section: _Section, key: str, value, n: int) -> list:
+    """A scalar repeated for n panels, or a per-panel list of n values."""
+    raw = value if isinstance(value, list) else [value] * n
+    if len(raw) != n:
+        raise ScenarioError(f"{section.path}.{key}: expected {n} per-panel values, got {len(raw)}")
+    return raw
+
+
+def _correlation(value, path: str) -> float:
+    rho = _as_number(value, path)
+    if not (0.0 <= rho <= 1.0):
+        raise ScenarioError(f"{path}: correlation must lie in [0, 1]")
+    return rho
 
 
 def _per_panel_values(section: _Section, base: str, n: int) -> list[float]:
     """Scalar (broadcast) or per-panel list, linear or dB spelling."""
-    got = section.one_of(base, f"{base}_db")
-    key, value = got
-    in_db = key.endswith("_db")
-    if isinstance(value, list):
-        if len(value) != n:
-            raise ScenarioError(
-                f"{section.path}.{key}: expected {n} per-panel values, got {len(value)}"
-            )
-        raw = value
-    else:
-        raw = [value] * n
+    key, value = section.one_of(base, f"{base}_db")
     out = []
-    for i, v in enumerate(raw):
-        number = _as_number(v, f"{section.path}.{key}[{i}]")
-        out.append(db_to_linear(number) if in_db else number)
+    for i, v in enumerate(_broadcast(section, key, value, n)):
+        path = f"{section.path}.{key}[{i}]"
+        number = _as_number(v, path)
+        out.append(_to_linear(number, path) if key.endswith("_db") else number)
     return out
 
 
@@ -212,34 +229,21 @@ def _doppler(section: _Section, default_fc: float) -> DopplerSpec:
 def _aging(
     section: _Section, rho_key: str, doppler_key: str, default_fc: float
 ) -> tuple[Optional[float], Optional[DopplerSpec]]:
-    got = section.one_of(rho_key, doppler_key)
-    key, value = got
+    key, value = section.one_of(rho_key, doppler_key)
     if key == doppler_key:
         return None, _doppler(section.child(doppler_key), default_fc)
-    rho = _as_number(value, f"{section.path}.{key}")
-    if not (0.0 <= rho <= 1.0):
-        raise ScenarioError(f"{section.path}.{key}: correlation must lie in [0, 1]")
-    return rho, None
+    return _correlation(value, f"{section.path}.{key}"), None
 
 
 def _per_panel_aging(
     section: _Section, n: int, default_fc: float
 ) -> list[tuple[Optional[float], Optional[DopplerSpec]]]:
-    got = section.one_of("rho", "doppler")
-    key, value = got
+    key, value = section.one_of("rho", "doppler")
     if key == "doppler":
         spec = _doppler(section.child("doppler"), default_fc)
         return [(None, spec)] * n
-    raw = value if isinstance(value, list) else [value] * n
-    if len(raw) != n:
-        raise ScenarioError(f"{section.path}.rho: expected {n} per-panel values, got {len(raw)}")
-    out = []
-    for i, v in enumerate(raw):
-        rho = _as_number(v, f"{section.path}.rho[{i}]")
-        if not (0.0 <= rho <= 1.0):
-            raise ScenarioError(f"{section.path}.rho[{i}]: correlation must lie in [0, 1]")
-        out.append((rho, None))
-    return out
+    raw = _broadcast(section, "rho", value, n)
+    return [(_correlation(v, f"{section.path}.rho[{i}]"), None) for i, v in enumerate(raw)]
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -308,12 +312,8 @@ def parse_scenario(data: dict) -> Scenario:
     budget_sec.reject_unknown(
         {"p_dbm", "p_w", "noise_dbm", "noise_w", "gt", "gt_db", "gr", "gr_db", "eta_db", "xi"}
     )
-    p_key, p_val = budget_sec.one_of("p_dbm", "p_w")
-    p_num = _as_number(p_val, f"scenario.budget.{p_key}")
-    tx_power = dbm_to_watts(p_num) if p_key == "p_dbm" else p_num
-    n_key, n_val = budget_sec.one_of("noise_dbm", "noise_w")
-    n_num = _as_number(n_val, f"scenario.budget.{n_key}")
-    noise_power = dbm_to_watts(n_num) if n_key == "noise_dbm" else n_num
+    tx_power = _watts_or_dbm(budget_sec, "p")
+    noise_power = _watts_or_dbm(budget_sec, "noise")
     try:
         budget = LinkBudget(
             gt=_linear_or_db(budget_sec, "gt"),

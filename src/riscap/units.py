@@ -5,8 +5,6 @@ meters).  dB and dBm appear only at the scenario-file / CLI boundary, and
 these helpers are that boundary.
 """
 
-import math
-
 # Engineering convention (makes a 5 GHz carrier an exact 0.06 m wavelength).
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
@@ -15,16 +13,8 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)
-
-
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(w: float) -> float:
-    return 10.0 * math.log10(w) + 30.0
 
 
 def wavelength(fc_hz: float) -> float:

@@ -141,27 +141,22 @@ def resolve(scenario: Scenario) -> ResolvedScenario:
         boundaries.append(near_field_boundary(setup.panel, lam))
         links.append(panel_link(scenario.bs, scenario.user, setup.panel))
 
+    inside = [
+        i
+        for i, (link, boundary) in enumerate(zip(links, boundaries))
+        if min(link.d1, link.d2) <= boundary
+    ]
     mode = scenario.mode
     if mode == "auto":
-        all_far = all(
-            min(link.d1, link.d2) > boundary
-            for link, boundary in zip(links, boundaries)
-        )
-        mode = "far" if all_far else "near"
+        mode = "near" if inside else "far"
     notes = [ELEVATION_CONVENTION_NOTE]
-    if mode == "far":
-        inside = [
-            i
-            for i, (link, boundary) in enumerate(zip(links, boundaries))
-            if min(link.d1, link.d2) <= boundary
-        ]
-        if inside:
-            message = (
-                f"far-field formula applied to panel(s) {inside} inside the "
-                "near/far boundary; results are approximate there"
-            )
-            warnings.warn(message)
-            notes.append(message)
+    if mode == "far" and inside:
+        message = (
+            f"far-field formula applied to panel(s) {inside} inside the "
+            "near/far boundary; results are approximate there"
+        )
+        warnings.warn(message)
+        notes.append(message)
 
     panel_stats = []
     mc_panels = []
@@ -247,19 +242,28 @@ def apply_sweep_value(scenario: Scenario, variable: str, value: float) -> Scenar
     Units: P in dBm, K0 in dB, d1 and cell_size in meters; rho/rho0 are
     plain correlations; My is an element count (with
     deployment.fixed_total_elements set, mx is re-derived as total/my).
+    A value the scenario's constructors reject, or whose conversion
+    overflows, raises ScenarioError naming the sweep variable and value.
     """
+    try:
+        return _replace_swept(scenario, variable, value)
+    except ValueError as exc:
+        raise ScenarioError(f"sweep {variable}={value}: {exc}") from exc
+    except OverflowError:
+        raise ScenarioError(f"sweep {variable}={value}: out of float range") from None
+
+
+def _replace_swept(scenario: Scenario, variable: str, value: float) -> Scenario:
     if variable == "P":
         return dataclasses.replace(
             scenario,
             budget=dataclasses.replace(scenario.budget, tx_power=dbm_to_watts(value)),
         )
+    if variable in ("rho", "rho0") and not (0.0 <= value <= 1.0):
+        raise ScenarioError(f"sweep {variable}={value}: correlation must lie in [0, 1]")
     if variable == "rho0":
-        if not (0.0 <= value <= 1.0):
-            raise ScenarioError(f"sweep rho0={value}: correlation must lie in [0, 1]")
         return dataclasses.replace(scenario, rho0=value, doppler0=None)
     if variable == "rho":
-        if not (0.0 <= value <= 1.0):
-            raise ScenarioError(f"sweep rho={value}: correlation must lie in [0, 1]")
         panels = tuple(
             dataclasses.replace(ps, rho=value, doppler=None) for ps in scenario.panels
         )
@@ -336,14 +340,29 @@ def run_sweep(
     sweep: SweepSpec,
     workers: int = 1,
 ) -> list[SweepRow]:
-    """Evaluate each sweep value.  Monte Carlo points share one seed
-    (common random numbers); points with equal draw signatures also share
-    every block's draws, so each block is drawn once per group and every
-    point's estimate is bit-identical to running it alone."""
+    """Evaluate each sweep value; _run_points says how Monte Carlo points
+    share their draws."""
+    return _run_points(
+        [(v, apply_sweep_value(scenario, sweep.variable, v)) for v in sweep.values],
+        sweep,
+        workers,
+    )
+
+
+def _run_points(
+    points: Sequence[tuple[float, Scenario]],
+    sweep: SweepSpec,
+    workers: int,
+) -> list[SweepRow]:
+    """One row per (sweep_value, scenario) point, with the outputs, trials
+    and seed of sweep.  Monte Carlo points share one seed (common random
+    numbers); points with equal draw signatures also share every block's
+    draws, so each block is drawn once per group and every point's
+    estimate is bit-identical to running it alone."""
     resolved = []
     reports = []
-    for value in sweep.values:
-        point = resolve(apply_sweep_value(scenario, sweep.variable, value))
+    for _, scenario in points:
+        point = resolve(scenario)
         resolved.append(point)
         reports.append(cap.capacity_report(point.moments, point.effective.gamma_teff))
 
@@ -372,7 +391,7 @@ def run_sweep(
             mode=point.mode_used,
             d_boundary_m=point.d_boundary,
         )
-        for value, point, report, estimate in zip(sweep.values, resolved, reports, mc)
+        for (value, _), point, report, estimate in zip(points, resolved, reports, mc)
     ]
 
 

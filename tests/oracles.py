@@ -3,16 +3,19 @@
 Everything here recomputes expected values by a route that shares no code
 with the library: high-precision mpmath evaluations, brute-force double
 loops, and direct sampling.  Keep it that way; these are the other side
-of every dual-route check.  The one exception is per_point_sweep, whose
-point is to run each sweep point alone through the library's single-run
-route, as the reference for the batched sweep route.
+of every dual-route check.  The exceptions are per_point_sweep and
+per_point_preset, whose point is to run each point alone through the
+library's single-run route, as the reference for the batched sweep and
+preset routes.
 """
 
+import dataclasses
 import math
 
 import mpmath as mp
 import numpy as np
 
+from riscap.presets import fig8_distributed_cases, preset
 from riscap.workbench import SweepRow, apply_sweep_value, run_scenario
 
 mp.mp.dps = 30
@@ -226,18 +229,57 @@ def per_point_sweep(scenario, sweep, workers: int = 1) -> list:
             seed=sweep.seed,
             workers=workers,
         )
-        report = result.report
-        rows.append(
-            SweepRow(
-                sweep_value=value,
-                ec_approx=report.ec_approx if "approx" in sweep.outputs else None,
-                ec_ub=report.ec_upper if "ub" in sweep.outputs else None,
-                ec_lb=report.ec_lower if "lb" in sweep.outputs else None,
-                ec_mc=result.mc.mean_ec if result.mc else None,
-                mc_stderr=result.mc.std_error if result.mc else None,
-                gamma_teff=result.gamma_teff,
-                mode=result.mode_used,
-                d_boundary_m=result.d_boundary,
-            )
-        )
+        rows.append(_row(value, result, sweep.outputs))
     return rows
+
+
+def _row(value, result, outputs) -> SweepRow:
+    report = result.report
+    return SweepRow(
+        sweep_value=value,
+        ec_approx=report.ec_approx if "approx" in outputs else None,
+        ec_ub=report.ec_upper if "ub" in outputs else None,
+        ec_lb=report.ec_lower if "lb" in outputs else None,
+        ec_mc=result.mc.mean_ec if result.mc else None,
+        mc_stderr=result.mc.std_error if result.mc else None,
+        gamma_teff=result.gamma_teff,
+        mode=result.mode_used,
+        d_boundary_m=result.d_boundary,
+    )
+
+
+def per_point_preset(name: str, trials: int, seed: int, workers: int = 1) -> list:
+    """Preset rows with Monte Carlo, one run_scenario call per point: fig4
+    as a near-mode sweep followed by a far-mode sweep, fig8 as its sweep
+    followed by one row per distributed case, numbered 1..3."""
+    scenario, sweep = preset(name)
+    sweep = dataclasses.replace(sweep, trials=trials, seed=seed)
+    if name == "fig4":
+        rows = []
+        for mode in ("near", "far"):
+            forced = dataclasses.replace(scenario, mode=mode)
+            rows.extend(per_point_sweep(forced, sweep, workers))
+        return rows
+    rows = per_point_sweep(scenario, sweep, workers)
+    if name == "fig8":
+        for number, case in enumerate(fig8_distributed_cases(), start=1):
+            result = run_scenario(case, trials=trials, seed=seed, workers=workers)
+            rows.append(_row(float(number), result, sweep.outputs))
+    return rows
+
+
+def sample_rician(params, rng, los_phase: float = 0.0, size=None):
+    """Complex unit-power Rician samples sqrt(K/(1+K)) e^{j los_phase} +
+    scatter, the scatter circular complex Gaussian with power 1/(1+K).
+
+    Draws the in-phase normals, then the quadrature ones, so on the same
+    generator its modulus is the library's envelope sampler.
+    """
+    k = params.k
+    if math.isinf(k):
+        los, scale = 1.0, 0.0
+    else:
+        los, scale = math.sqrt(k / (1.0 + k)), math.sqrt(1.0 / (2.0 * (1.0 + k)))
+    re = rng.standard_normal(size)
+    im = rng.standard_normal(size)
+    return los * complex(math.cos(los_phase), math.sin(los_phase)) + scale * (re + 1j * im)

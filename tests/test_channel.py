@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mp_j0, mp_laguerre_half, mp_rician_mean
+from oracles import mp_j0, mp_laguerre_half, mp_rician_mean, sample_rician
 from riscap.channel import (
-    CsiAging,
     RicianParams,
     envelope_error_variance,
     laguerre_half,
     outdated_correlation,
     rician_mean_envelope,
-    sample_rician,
     sample_rician_envelope,
 )
 from riscap.errors import NegativeCorrelation
@@ -119,7 +117,6 @@ class TestOutdatedCorrelation:
         # v*ts = 0.03 m puts the argument at pi, where J0 < 0
         with pytest.raises(NegativeCorrelation):
             outdated_correlation(5e9, 30.0, 1e-3)
-        assert outdated_correlation(5e9, 30.0, 1e-3, clamp_negative=True) == 0.0
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(ValueError):
@@ -128,18 +125,11 @@ class TestOutdatedCorrelation:
     @given(st.floats(0.0, 1e-2), st.floats(0.0, 50.0))
     @settings(max_examples=50, deadline=None)
     def test_magnitude_bounded(self, ts, v):
-        rho = outdated_correlation(5e9, v, ts, clamp_negative=True)
+        try:
+            rho = outdated_correlation(5e9, v, ts)
+        except NegativeCorrelation:
+            return
         assert 0.0 <= rho <= 1.0
-
-
-class TestCsiAging:
-    def test_bounds_enforced(self):
-        CsiAging(0.0)
-        CsiAging(1.0)
-        with pytest.raises(ValueError):
-            CsiAging(1.2)
-        with pytest.raises(ValueError):
-            CsiAging(-0.1)
 
 
 class TestSampler:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import brute_force_element_links
 from riscap.errors import GeometryError
 from riscap.geometry import (
+    MAX_PANEL_ELEMENTS,
     Point3,
     RisPanel,
     element_centers,
@@ -22,6 +23,20 @@ CELL = LAMBDA / 8
 
 def panel(mx, my, dx=CELL, dy=CELL, center=Point3(0.0, 0.0, 0.0)):
     return RisPanel(center=center, mx=mx, my=my, dx=dx, dy=dy)
+
+
+class TestRisPanelLimits:
+    def test_element_count_bound(self):
+        assert panel(MAX_PANEL_ELEMENTS, 1).element_count == MAX_PANEL_ELEMENTS
+        with pytest.raises(ValueError, match="element count"):
+            panel(MAX_PANEL_ELEMENTS + 1, 1)
+        with pytest.raises(ValueError, match="element count"):
+            panel(10**5, 10**5)
+
+    @pytest.mark.parametrize("dx, dy", [(1e155, CELL), (1e-200, CELL), (1e200, 1e-200)])
+    def test_element_size_out_of_float_range(self, dx, dy):
+        with pytest.raises(ValueError, match="element size"):
+            panel(2, 2, dx=dx, dy=dy)
 
 
 class TestElementCenters:

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from oracles import farfield_closed_form_moments, naive_envelope_moments
 from riscap.moments import (
     PanelStats,
-    centralized_moments,
-    centralized_noise_variance,
     distributed_moments,
     distributed_noise_variance,
     saturation_gamma_teff,
@@ -31,15 +29,19 @@ def random_panels(rng, n_panels, max_elements=12):
     return panels
 
 
+def one_panel(beta_inv, omega1, omega2, rho):
+    return [PanelStats(np.asarray(beta_inv, dtype=float), omega1, omega2, rho)]
+
+
 class TestCentralizedMoments:
     def test_no_elements_leaves_direct_link_only(self):
         omega0 = 0.93
-        out = centralized_moments([], 0.9, 0.95, omega0, 1.0, 0.8, 4.0e-10)
+        out = distributed_moments(one_panel([], 0.9, 0.95, 1.0), omega0, 0.8, 4.0e-10)
         assert out.mean == pytest.approx(math.sqrt(4.0e-10) * 0.8 * omega0, rel=1e-15)
         assert out.second_moment == pytest.approx(4.0e-10 * 0.64, rel=1e-15)
 
     def test_single_element_no_direct(self):
-        out = centralized_moments([2.5e-11], 0.91, 0.93, 0.9, 1.0, 0.0, 7.0e-10)
+        out = distributed_moments(one_panel([2.5e-11], 0.91, 0.93, 1.0), 0.9, 0.0, 7.0e-10)
         assert out.mean == pytest.approx(math.sqrt(2.5e-11) * 0.91 * 0.93, rel=1e-14)
         assert out.second_moment == pytest.approx(2.5e-11, rel=1e-14)
 
@@ -51,7 +53,7 @@ class TestCentralizedMoments:
             o1, o2, o0 = rng.uniform(0.8863, 0.9999, size=3)
             rho_c, rho0 = rng.uniform(0.0, 1.0, size=2)
             b0 = rng.uniform(1e-12, 1e-9)
-            got = centralized_moments(beta_inv, o1, o2, o0, rho_c, rho0, b0)
+            got = distributed_moments(one_panel(beta_inv, o1, o2, rho_c), o0, rho0, b0)
             mean, second = naive_envelope_moments(
                 [(list(beta_inv), o1, o2, rho_c)], o0, rho0, b0
             )
@@ -62,7 +64,7 @@ class TestCentralizedMoments:
         # constant per-element loss reproduces the explicit M / M(M-1) form
         m, bff, o1, o2, o0 = 576, 3.7e-12, 0.93, 0.9, 0.96
         rho_c, rho0, b0 = 0.9, 0.95, 1e-10
-        got = centralized_moments(np.full(m, bff), o1, o2, o0, rho_c, rho0, b0)
+        got = distributed_moments(one_panel(np.full(m, bff), o1, o2, rho_c), o0, rho0, b0)
         mean, second = farfield_closed_form_moments(m, bff, o1, o2, rho_c, o0, rho0, b0)
         assert got.mean == pytest.approx(mean, rel=1e-12)
         assert got.second_moment == pytest.approx(second, rel=1e-12)
@@ -70,9 +72,9 @@ class TestCentralizedMoments:
     def test_moment_homogeneity(self):
         rng = np.random.default_rng(3)
         beta_inv = rng.uniform(1e-13, 1e-10, size=24)
-        base = centralized_moments(beta_inv, 0.9, 0.92, 0.94, 0.85, 0.9, 2e-11)
+        base = distributed_moments(one_panel(beta_inv, 0.9, 0.92, 0.85), 0.94, 0.9, 2e-11)
         c = 7.3
-        scaled = centralized_moments(c * beta_inv, 0.9, 0.92, 0.94, 0.85, 0.9, c * 2e-11)
+        scaled = distributed_moments(one_panel(c * beta_inv, 0.9, 0.92, 0.85), 0.94, 0.9, c * 2e-11)
         assert scaled.mean == pytest.approx(math.sqrt(c) * base.mean, rel=1e-12)
         assert scaled.second_moment == pytest.approx(c * base.second_moment, rel=1e-12)
 
@@ -88,15 +90,14 @@ class TestCentralizedMoments:
 
 class TestDistributedMoments:
     def test_single_panel_reduces_to_centralized_bitwise(self):
+        # a second panel whose estimate is fully outdated (rho = 0) adds
+        # nothing, so the layout reduces bitwise to the one-panel sum Z
         rng = np.random.default_rng(11)
         beta_inv = rng.uniform(1e-13, 1e-10, size=30)
-        a = centralized_moments(beta_inv, 0.91, 0.93, 0.95, 0.88, 0.92, 3e-11)
-        b = distributed_moments(
-            [PanelStats(beta_inv=beta_inv, omega1=0.91, omega2=0.93, rho=0.88)],
-            0.95,
-            0.92,
-            3e-11,
-        )
+        live = PanelStats(beta_inv=beta_inv, omega1=0.91, omega2=0.93, rho=0.88)
+        dead = PanelStats(beta_inv=beta_inv[:7], omega1=0.9, omega2=0.9, rho=0.0)
+        a = distributed_moments([live], 0.95, 0.92, 3e-11)
+        b = distributed_moments([live, dead], 0.95, 0.92, 3e-11)
         assert a == b
 
     def test_matches_naive_double_loop_multi_panel(self):
@@ -141,18 +142,10 @@ class TestDistributedMoments:
 
 class TestNoiseVariance:
     def test_perfect_csi_leaves_thermal_noise(self):
-        out = centralized_noise_variance(
-            1e-3, 1.0, 1.0, 0.93, 0.95, np.array([1e-10] * 5), 1e-10, 1e-15
-        )
+        panel = PanelStats(beta_inv=np.array([1e-10] * 5), omega1=1.0, omega2=0.93, rho=1.0)
+        out = distributed_noise_variance(1e-3, [panel], 1.0, 0.95, 1e-10, 1e-15)
         assert out.noise_variance == pytest.approx(1e-15, rel=1e-15)
         assert out.gamma_teff == pytest.approx(1e12, rel=1e-12)
-
-    def test_distributed_single_panel_matches_centralized(self):
-        beta_inv = np.array([1e-11, 2e-11, 3e-11])
-        a = centralized_noise_variance(2e-3, 0.9, 0.95, 0.93, 0.96, beta_inv, 1e-10, 1e-15)
-        panel = PanelStats(beta_inv=beta_inv, omega1=1.0, omega2=0.93, rho=0.9)
-        b = distributed_noise_variance(2e-3, [panel], 0.95, 0.96, 1e-10, 1e-15)
-        assert a == b
 
     def test_large_power_limit(self):
         beta_inv = np.array([1e-11, 2e-11])
@@ -169,7 +162,8 @@ class TestNoiseVariance:
         # draw the outdated-CSI leakage noise directly: each element
         # contributes w_m * h_m * sqrt(beta_inv), w_m complex normal with
         # the envelope-error variance, h_m a unit-power Rician fade
-        from riscap.channel import RicianParams, envelope_error_variance, sample_rician
+        from oracles import sample_rician
+        from riscap.channel import RicianParams, envelope_error_variance
 
         rng = np.random.default_rng(2024)
         beta_inv = rng.uniform(1e-12, 1e-10, size=8)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import subprocess
 import sys
 
@@ -9,10 +10,10 @@ import yaml
 from riscap.errors import ScenarioError
 from riscap.geometry import Point3, RisPanel
 from riscap.pathloss import LinkBudget
-from riscap.presets import preset
+from riscap.presets import PRESET_NAMES, preset, run_preset
 from riscap.scenario import PanelSetup, Scenario, dump_scenario
 
-from oracles import brute_force_beta_inv, per_point_sweep
+from oracles import brute_force_beta_inv, per_point_preset, per_point_sweep
 from riscap.workbench import (
     SWEEP_VARIABLES,
     SweepSpec,
@@ -264,6 +265,20 @@ class TestBatchedSweep:
             assert batched == reference
 
 
+class TestRunPreset:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_csv_equals_per_point_cli_route(self, name):
+        for workers in (1, 2):
+            rows, variable = run_preset(name, trials=600, seed=3, workers=workers)
+            reference = per_point_preset(name, trials=600, seed=3, workers=workers)
+            assert rows_to_csv(rows, variable) == rows_to_csv(reference, variable)
+
+    def test_no_mc_blanks_mc_columns(self):
+        rows, _ = run_preset("fig8", mc=False)
+        assert all(r.ec_mc is None and r.mc_stderr is None for r in rows)
+        assert all(r.ec_approx is not None for r in rows)
+
+
 class TestCli:
     def run_cli(self, *argv, expect=0):
         proc = subprocess.run(
@@ -352,6 +367,40 @@ class TestCli:
         code = cli.main(["sweep", path, "--var", variable, f"--values={value}", "--no-mc"])
         assert code == 2
         assert "sweep.values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, edits, field",
+        [
+            (["sweep", "--var", "My", "--values=1e300"], {}, "sweep My="),
+            (["sweep", "--var", "P", "--values=1e300"], {}, "sweep P="),
+            (["sweep", "--var", "K0", "--values=1e300"], {}, "sweep K0="),
+            (["sweep", "--var", "cell_size", "--values=1e300"], {}, "sweep cell_size="),
+            (["sweep", "--var", "d1", "--values=1e300"], {}, "sweep d1="),
+            (["analyze"], {"budget.p_w": None, "budget.p_dbm": 1e300}, "scenario.budget.p_dbm"),
+            (["analyze"], {"channel.k0": None, "channel.k0_db": 1e300}, "scenario.channel.k0_db"),
+            (["analyze"], {"deployment.panel.mx": 10**12}, "scenario.deployment.panel"),
+            (
+                ["analyze"],
+                {"deployment.panel.mx": 10**5, "deployment.panel.my": 10**5},
+                "scenario.deployment.panel",
+            ),
+        ],
+    )
+    def test_extreme_finite_input_exit_code(self, tmp_path, argv, edits, field):
+        # edits: dotted scenario-file field -> new value (None deletes it)
+        data = yaml.safe_load(dump_scenario(preset("fig2")[0]))
+        for dotted, value in edits.items():
+            *parents, key = dotted.split(".")
+            target = functools.reduce(dict.__getitem__, parents, data)
+            if value is None:
+                del target[key]
+            else:
+                target[key] = value
+        path = tmp_path / "extreme.yaml"
+        path.write_text(yaml.safe_dump(data))
+        proc = self.run_cli(argv[0], str(path), *argv[1:], "--no-mc", expect=2)
+        assert field in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_file_exit_code(self):
         self.run_cli("analyze", "does-not-exist.yaml", expect=2)
