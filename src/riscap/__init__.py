@@ -18,6 +18,7 @@ from .capacity import (
     snr_variance,
 )
 from .channel import (
+    PanelChannel,
     RicianParams,
     envelope_error_variance,
     laguerre_half,
@@ -50,7 +51,6 @@ from .geometry import (
 from .moments import (
     EffectiveSnr,
     MomentSummary,
-    PanelStats,
     distributed_moments,
     distributed_noise_variance,
     saturation_gamma_teff,
@@ -58,7 +58,6 @@ from .moments import (
 from .montecarlo import (
     EnvelopeMomentEstimate,
     McEstimate,
-    PanelChannel,
     SnrEnsemble,
     TrialConfig,
     empirical_snr_cdf,

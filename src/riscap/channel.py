@@ -39,6 +39,32 @@ class RicianParams:
             raise ValueError("Rician K-factor must be >= 0")
 
 
+@dataclass(frozen=True)
+class PanelChannel:
+    """One panel's statistics, read by the moment formulas and the Monte
+    Carlo oracle alike: each element's inverse loss factor, the aging
+    correlation of the panel-to-user estimate, and the K-factors (and LoS
+    phases, which only the sampler uses) of the BS-to-panel and
+    panel-to-user fades."""
+
+    beta_inv: np.ndarray
+    rho: float
+    k1: float
+    k2: float
+    los_phase_h: float = 0.0
+    los_phase_g: float = 0.0
+
+    def __post_init__(self):
+        beta_inv = np.asarray(self.beta_inv, dtype=float)
+        object.__setattr__(self, "beta_inv", beta_inv)
+        if beta_inv.ndim != 1 or beta_inv.size == 0:
+            raise ValueError("beta_inv must be a non-empty 1-D array")
+        if np.any(~np.isfinite(beta_inv)) or np.any(beta_inv < 0):
+            raise ValueError("inverse loss factors must be finite and >= 0")
+        if not (0.0 <= self.rho <= 1.0):
+            raise ValueError("rho must lie in [0, 1]")
+
+
 def laguerre_half(x: float) -> float:
     """Degree-1/2 Laguerre polynomial on x <= 0.
 

@@ -132,17 +132,12 @@ def _parse_values(raw: str) -> tuple[float, ...]:
         raise ValidationFailure(f"--values: {exc}") from exc
 
 
-def _outputs(no_mc: bool) -> tuple[str, ...]:
-    return ("approx", "ub", "lb") if no_mc else ("approx", "ub", "lb", "mc")
-
-
 def _cmd_sweep(args) -> None:
     scenario = _override_mode(load_scenario(args.scenario), args.mode)
     sweep = SweepSpec(
         variable=args.var,
         values=_parse_values(args.values),
-        outputs=_outputs(args.no_mc),
-        trials=args.trials,
+        trials=None if args.no_mc else args.trials,
         seed=args.seed,
     )
     rows = run_sweep(scenario, sweep, workers=args.workers)
@@ -151,7 +146,7 @@ def _cmd_sweep(args) -> None:
 
 def _cmd_preset(args) -> None:
     rows, variable = run_preset(
-        args.name, trials=args.trials, seed=args.seed, mc=not args.no_mc, workers=args.workers
+        args.name, None if args.no_mc else args.trials, args.seed, args.workers
     )
     _emit(rows_to_csv(rows, variable), args.out)
 

@@ -6,9 +6,11 @@ The end-to-end envelope variable is
     Z = sum_l rho_l * sum_m sqrt(beta_lm^-1) |g_lm| |h_lm|  +  rho_0 sqrt(beta_0^-1) |h_0|
 
 with one panel (centralized) or several (distributed).  These operations
-take *path-loss vectors*, not geometry: a near-field panel passes its
-per-element losses, a far-field panel passes a constant vector, and the
-far-field closed forms fall out as a special case checked in tests.
+take the ``channel.PanelChannel`` records the Monte Carlo oracle samples,
+so they see *path-loss vectors*, not geometry: a near-field panel carries
+its per-element losses, a far-field panel a constant vector, and the
+far-field closed forms fall out as a special case checked in tests.  Each
+panel's envelope means come from its K-factors (``rician_mean_envelope``).
 
 Cross terms use the (sum a)^2 - sum a^2 factorization, O(M) instead of
 O(M^2); the naive double loop is kept as a test oracle only.
@@ -21,6 +23,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .channel import PanelChannel, RicianParams, rician_mean_envelope
 
 
 @dataclass(frozen=True)
@@ -40,29 +44,8 @@ class EffectiveSnr:
     noise_variance: float
 
 
-@dataclass(frozen=True)
-class PanelStats:
-    """One panel's inputs to the moment formulas.
-
-    beta_inv holds the inverse loss factor of each element; omega1/omega2
-    are the envelope means of the BS-to-panel and panel-to-user fades; rho
-    is the aging correlation of the panel-to-user estimate.
-    """
-
-    beta_inv: np.ndarray
-    omega1: float
-    omega2: float
-    rho: float
-
-
-def _summary(mean: float, second: float) -> MomentSummary:
-    # Clamp away the tiny negative variance a near-deterministic sum can
-    # produce through cancellation.
-    return MomentSummary(mean=mean, second_moment=second, variance=max(second - mean * mean, 0.0))
-
-
 def distributed_moments(
-    per_panel: Sequence[PanelStats],
+    per_panel: Sequence[PanelChannel],
     omega0: float,
     rho0: float,
     beta0_direct_inv: float,
@@ -77,17 +60,14 @@ def distributed_moments(
     power_sums = []  # rho_l^2 * sum_m beta_lm^-1
     within_cross = []
     for p in per_panel:
-        beta_inv = np.asarray(p.beta_inv, dtype=float)
-        if beta_inv.ndim != 1:
-            raise ValueError("beta_inv must be one-dimensional")
-        if np.any(beta_inv < 0):
-            raise ValueError("inverse loss factors must be >= 0")
-        root_sum = float(np.sum(np.sqrt(beta_inv)))
-        sq_sum = float(np.sum(beta_inv))
-        amp_sums.append(p.rho * p.omega1 * p.omega2 * root_sum)
+        omega1 = rician_mean_envelope(RicianParams(p.k1))
+        omega2 = rician_mean_envelope(RicianParams(p.k2))
+        root_sum = float(np.sum(np.sqrt(p.beta_inv)))
+        sq_sum = float(np.sum(p.beta_inv))
+        amp_sums.append(p.rho * omega1 * omega2 * root_sum)
         power_sums.append(p.rho * p.rho * sq_sum)
         within_cross.append(
-            (p.rho * p.omega1 * p.omega2) ** 2 * (root_sum * root_sum - sq_sum)
+            (p.rho * omega1 * omega2) ** 2 * (root_sum * root_sum - sq_sum)
         )
 
     direct_amp = math.sqrt(beta0_direct_inv) * rho0 * omega0
@@ -104,12 +84,14 @@ def distributed_moments(
             beta0_direct_inv * rho0 * rho0,
         ]
     )
-    return _summary(mean, second)
+    # Clamp away the tiny negative variance a near-deterministic sum can
+    # produce through cancellation.
+    return MomentSummary(mean=mean, second_moment=second, variance=max(second - mean * mean, 0.0))
 
 
 def _leakage(
     tx_power: float,
-    per_panel: Sequence[PanelStats],
+    per_panel: Sequence[PanelChannel],
     rho0: float,
     omega0: float,
     beta0_direct_inv: float,
@@ -119,13 +101,12 @@ def _leakage(
     Each panel leaks P*(1-rho^2)*(1-omega2^2)*sum(beta^-1); the direct link
     leaks P*(1-rho0^2)*(1-omega0^2)*beta0^-1.
     """
-    panel_terms = [
-        tx_power
-        * (1.0 - p.rho * p.rho)
-        * (1.0 - p.omega2 * p.omega2)
-        * float(np.sum(np.asarray(p.beta_inv, dtype=float)))
-        for p in per_panel
-    ]
+    panel_terms = []
+    for p in per_panel:
+        omega2 = rician_mean_envelope(RicianParams(p.k2))
+        panel_terms.append(
+            tx_power * (1.0 - p.rho * p.rho) * (1.0 - omega2 * omega2) * float(np.sum(p.beta_inv))
+        )
     direct_term = (
         tx_power * (1.0 - rho0 * rho0) * (1.0 - omega0 * omega0) * beta0_direct_inv
     )
@@ -134,7 +115,7 @@ def _leakage(
 
 def distributed_noise_variance(
     tx_power: float,
-    per_panel: Sequence[PanelStats],
+    per_panel: Sequence[PanelChannel],
     rho0: float,
     omega0: float,
     beta0_direct_inv: float,
@@ -150,7 +131,7 @@ def distributed_noise_variance(
 
 
 def saturation_gamma_teff(
-    per_panel: Sequence[PanelStats],
+    per_panel: Sequence[PanelChannel],
     rho0: float,
     omega0: float,
     beta0_direct_inv: float,

@@ -32,8 +32,24 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import RicianParams, rician_envelope_from_normals, sample_rician_envelope
-from .errors import InvalidScenario
+from .channel import (
+    PanelChannel,
+    RicianParams,
+    rician_envelope_from_normals,
+    sample_rician_envelope,
+)
+from .errors import InvalidScenario, ScenarioError
+
+
+def check_run_settings(trials: Optional[int], seed: int, workers: int = 1, prefix: str = ""):
+    """Reject trials below 1 (None means no Monte Carlo), a seed outside
+    [0, 2**64) and fewer than one worker, naming the field after prefix."""
+    if trials is not None and trials < 1:
+        raise ScenarioError(f"{prefix}trials: must be >= 1, got {trials}")
+    if not (0 <= seed < 2**64):
+        raise ScenarioError(f"{prefix}seed: must lie in [0, 2**64), got {seed}")
+    if workers < 1:
+        raise ScenarioError(f"{prefix}workers: must be >= 1, got {workers}")
 
 
 @dataclass(frozen=True)
@@ -49,12 +65,9 @@ class TrialConfig:
     block_size: int = 2048
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        check_run_settings(self.trials, self.seed)
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 bits")
 
 
 @dataclass(frozen=True)
@@ -64,28 +77,6 @@ class McEstimate:
     mean_ec: float
     std_error: float
     snr_samples: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
-class PanelChannel:
-    """Sampling inputs for one panel's cascaded links."""
-
-    beta_inv: np.ndarray
-    rho: float
-    k1: float
-    k2: float
-    los_phase_h: float = 0.0
-    los_phase_g: float = 0.0
-
-    def __post_init__(self):
-        beta_inv = np.asarray(self.beta_inv, dtype=float)
-        object.__setattr__(self, "beta_inv", beta_inv)
-        if beta_inv.ndim != 1 or beta_inv.size == 0:
-            raise ValueError("beta_inv must be a non-empty 1-D array")
-        if np.any(~np.isfinite(beta_inv)) or np.any(beta_inv < 0):
-            raise ValueError("inverse loss factors must be finite and >= 0")
-        if not (0.0 <= self.rho <= 1.0):
-            raise ValueError("rho must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

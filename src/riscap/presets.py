@@ -214,16 +214,14 @@ def preset(name: str) -> tuple[Scenario, SweepSpec]:
 
 def run_preset(
     name: str,
-    trials: int = DEFAULT_TRIALS,
+    trials: int | None = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
-    mc: bool = True,
     workers: int = 1,
 ) -> tuple[list[SweepRow], str]:
     """Rows of one preset (expanded as the module docstring says) and the
-    swept variable that labels them in rows_to_csv."""
+    swept variable that labels them in rows_to_csv; trials=None skips
+    Monte Carlo."""
     scenario, sweep = preset(name)
-    outputs = sweep.outputs if mc else tuple(o for o in sweep.outputs if o != "mc")
-    sweep = dataclasses.replace(sweep, outputs=outputs, trials=trials, seed=seed)
     bases = [scenario]
     if name == "fig4":
         bases = [dataclasses.replace(scenario, mode=mode) for mode in ("near", "far")]
@@ -234,4 +232,4 @@ def run_preset(
     ]
     if name == "fig8":
         points += [(float(i), case) for i, case in enumerate(fig8_distributed_cases(), 1)]
-    return _run_points(points, sweep, workers), sweep.variable
+    return _run_points(points, trials, seed, workers), sweep.variable

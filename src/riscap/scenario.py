@@ -178,20 +178,20 @@ def _to_linear(number: float, path: str, convert=db_to_linear) -> float:
         raise ScenarioError(f"{path}: {number!r} is out of float range in linear units") from None
 
 
-def _linear_or_db(section: _Section, base: str) -> float:
-    """Read `base` (linear) or `base`_db, whichever is present."""
-    key, value = section.one_of(base, f"{base}_db")
+def _linear_field(
+    section: _Section, keys: tuple[str, str], convert=db_to_linear, positive: bool = False
+) -> float:
+    """Read whichever of keys is present, in linear units: the one ending in
+    _db or _dbm is converted by `convert`.  With positive, a value that is
+    not positive in linear units (a dB value that underflows to 0 among
+    them) is rejected under its own field path."""
+    key, value = section.one_of(*keys)
     path = f"{section.path}.{key}"
     number = _as_number(value, path)
-    return _to_linear(number, path) if key.endswith("_db") else number
-
-
-def _watts_or_dbm(section: _Section, base: str) -> float:
-    """Read `base`_w or `base`_dbm, whichever is present, in watts."""
-    key, value = section.one_of(f"{base}_dbm", f"{base}_w")
-    path = f"{section.path}.{key}"
-    number = _as_number(value, path)
-    return _to_linear(number, path, dbm_to_watts) if key.endswith("_dbm") else number
+    linear = _to_linear(number, path, convert) if key.endswith(("_db", "_dbm")) else number
+    if positive and not linear > 0:
+        raise ScenarioError(f"{path}: must be positive in linear units, got {number!r}")
+    return linear
 
 
 def _broadcast(section: _Section, key: str, value, n: int) -> list:
@@ -296,7 +296,7 @@ def parse_scenario(data: dict) -> Scenario:
     channel.reject_unknown(
         {"k0", "k0_db", "k1", "k1_db", "k2", "k2_db", "rho0", "doppler0", "rho", "doppler"}
     )
-    k0 = _linear_or_db(channel, "k0")
+    k0 = _linear_field(channel, ("k0", "k0_db"))
     if k0 < 0:
         raise ScenarioError("scenario.channel.k0: K-factor must be >= 0")
     k1s = _per_panel_values(channel, "k1", len(panels))
@@ -312,12 +312,12 @@ def parse_scenario(data: dict) -> Scenario:
     budget_sec.reject_unknown(
         {"p_dbm", "p_w", "noise_dbm", "noise_w", "gt", "gt_db", "gr", "gr_db", "eta_db", "xi"}
     )
-    tx_power = _watts_or_dbm(budget_sec, "p")
-    noise_power = _watts_or_dbm(budget_sec, "noise")
+    tx_power = _linear_field(budget_sec, ("p_dbm", "p_w"), dbm_to_watts, positive=True)
+    noise_power = _linear_field(budget_sec, ("noise_dbm", "noise_w"), dbm_to_watts, positive=True)
     try:
         budget = LinkBudget(
-            gt=_linear_or_db(budget_sec, "gt"),
-            gr=_linear_or_db(budget_sec, "gr"),
+            gt=_linear_field(budget_sec, ("gt", "gt_db"), positive=True),
+            gr=_linear_field(budget_sec, ("gr", "gr_db"), positive=True),
             tx_power=tx_power,
             noise_power=noise_power,
             eta_db=budget_sec.number("eta_db"),

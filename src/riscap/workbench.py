@@ -1,5 +1,10 @@
-"""Scenario execution: near/far resolution, analytic pipeline, Monte Carlo
-runs, parameter sweeps, and CSV emission.
+"""Scenario execution: near/far resolution, the analytic pipeline, Monte
+Carlo runs, parameter sweeps, and CSV emission.
+
+Every evaluation goes through one private route, ``_evaluate``: scenarios
+in, one ``RunResult`` each out, with Monte Carlo unless trials is None.
+``run_scenario`` is its one-scenario case; ``run_sweep`` and
+``presets.run_preset`` turn (sweep_value, scenario) points into rows.
 
 Near/far decision in "auto" mode: the far-field constant-loss model is
 used only when, for every panel, both endpoint distances (BS-to-center
@@ -19,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import capacity as cap
-from .channel import RicianParams, rician_mean_envelope
+from .channel import PanelChannel, RicianParams, rician_mean_envelope
 from .errors import ScenarioError
 from .geometry import (
     ELEVATION_CONVENTION_NOTE,
@@ -31,16 +36,14 @@ from .geometry import (
 from .moments import (
     EffectiveSnr,
     MomentSummary,
-    PanelStats,
     distributed_moments,
     distributed_noise_variance,
 )
 from .montecarlo import (
     McEstimate,
-    PanelChannel,
     SnrEnsemble,
     TrialConfig,
-    simulate_ec,
+    check_run_settings,
     simulate_ec_sweep,
 )
 from .pathloss import beta0_reference, direct_pathloss, element_pathloss, farfield_pathloss
@@ -74,12 +77,12 @@ DEFAULT_SEED = 7_543_137
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept variable, its values, and what to compute per point."""
+    """One swept variable, its values, and the points' shared trials (None:
+    no Monte Carlo) and seed."""
 
     variable: str
     values: tuple[float, ...]
-    outputs: tuple[str, ...] = ("approx", "ub", "lb", "mc")
-    trials: int = DEFAULT_TRIALS
+    trials: Optional[int] = DEFAULT_TRIALS
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
@@ -93,20 +96,13 @@ class SweepSpec:
         bad = [v for v in self.values if not math.isfinite(v)]
         if bad:
             raise ScenarioError(f"sweep.values: must be finite, got {bad[0]}")
-        unknown = set(self.outputs) - {"approx", "ub", "lb", "mc"}
-        if unknown:
-            raise ScenarioError(f"sweep.outputs: unknown entries {sorted(unknown)}")
-        if self.trials < 1:
-            raise ScenarioError(f"sweep.trials: must be >= 1, got {self.trials}")
-        if not (0 <= self.seed < 2**64):
-            raise ScenarioError(f"sweep.seed: must lie in [0, 2**64), got {self.seed}")
+        check_run_settings(self.trials, self.seed, prefix="sweep.")
 
 
 @dataclass(frozen=True)
 class ResolvedScenario:
     """Scenario after geometry and channel statistics are evaluated."""
 
-    panel_stats: tuple[PanelStats, ...]
     ensemble: SnrEnsemble
     moments: MomentSummary
     effective: EffectiveSnr
@@ -128,11 +124,27 @@ class RunResult:
     notes: tuple[str, ...]
 
 
+def _loss(what: str, pathloss, *args):
+    """pathloss(*args), a loss factor (or array) that must be finite and
+    positive: out of float range it raises ScenarioError naming `what`."""
+    try:
+        loss = pathloss(*args)
+    except (OverflowError, ZeroDivisionError):
+        loss = math.inf
+    if not np.all((loss > 0) & (loss < math.inf)):
+        raise ScenarioError(f"{what}: loss factor is out of float range")
+    return loss
+
+
 def resolve(scenario: Scenario) -> ResolvedScenario:
     """Wire geometry -> path loss -> envelope statistics for one scenario."""
     lam = wavelength(scenario.fc_hz)
-    beta0_inv = 1.0 / direct_pathloss(
-        scenario.bs.distance_to(scenario.user), scenario.budget.eta_db, scenario.budget.xi
+    d0 = scenario.bs.distance_to(scenario.user)
+    budget = scenario.budget
+    beta0_inv = 1.0 / _loss(
+        f"scenario.budget: direct link at eta_db={budget.eta_db:g}, xi={budget.xi:g} "
+        f"over the {d0:g} m bs-user distance",
+        direct_pathloss, d0, budget.eta_db, budget.xi,
     )
 
     boundaries = []
@@ -158,49 +170,40 @@ def resolve(scenario: Scenario) -> ResolvedScenario:
         warnings.warn(message)
         notes.append(message)
 
-    panel_stats = []
-    mc_panels = []
-    for setup, link, boundary in zip(scenario.panels, links, boundaries):
-        gt, gr = scenario.budget.gt, scenario.budget.gr
-        b0_ref = beta0_reference(gt, gr, setup.panel.dx, setup.panel.dy)
+    gt, gr = budget.gt, budget.gr
+    panels = []
+    for i, (setup, link) in enumerate(zip(scenario.panels, links)):
+        dx, dy = setup.panel.dx, setup.panel.dy
+        b0_ref = _loss(
+            f"scenario.budget: reference constant at gt={gt:g}, gr={gr:g}, {dx:g} x {dy:g} m",
+            beta0_reference, gt, gr, dx, dy,
+        )
+        what = f"panel {i}: {mode}-field loss at d1={link.d1:g} m, d2={link.d2:g} m"
         if mode == "near":
-            beta_inv = 1.0 / element_pathloss(
-                element_links(scenario.bs, scenario.user, setup.panel), b0_ref, gt, gr
-            )
+            links_i = element_links(scenario.bs, scenario.user, setup.panel)
+            beta_inv = 1.0 / _loss(what, element_pathloss, links_i, b0_ref, gt, gr)
         else:
             beta_inv = np.full(
-                setup.panel.element_count, 1.0 / farfield_pathloss(link, b0_ref)
+                setup.panel.element_count, 1.0 / _loss(what, farfield_pathloss, link, b0_ref)
             )
-        rho = setup.aging_rho()
-        omega1 = rician_mean_envelope(RicianParams(setup.k1))
-        omega2 = rician_mean_envelope(RicianParams(setup.k2))
-        panel_stats.append(
-            PanelStats(beta_inv=beta_inv, omega1=omega1, omega2=omega2, rho=rho)
-        )
-        mc_panels.append(
-            PanelChannel(beta_inv=beta_inv, rho=rho, k1=setup.k1, k2=setup.k2)
+        panels.append(
+            PanelChannel(beta_inv=beta_inv, rho=setup.aging_rho(), k1=setup.k1, k2=setup.k2)
         )
 
     rho0 = scenario.aging_rho0()
     omega0 = rician_mean_envelope(RicianParams(scenario.k0))
-    moments = distributed_moments(panel_stats, omega0, rho0, beta0_inv)
+    moments = distributed_moments(panels, omega0, rho0, beta0_inv)
     effective = distributed_noise_variance(
-        scenario.budget.tx_power,
-        panel_stats,
-        rho0,
-        omega0,
-        beta0_inv,
-        scenario.budget.noise_power,
+        budget.tx_power, panels, rho0, omega0, beta0_inv, budget.noise_power
     )
     ensemble = SnrEnsemble(
-        panels=tuple(mc_panels),
+        panels=tuple(panels),
         beta0_inv=beta0_inv,
         rho0=rho0,
         k0=scenario.k0,
         gamma_teff=effective.gamma_teff,
     )
     return ResolvedScenario(
-        panel_stats=tuple(panel_stats),
         ensemble=ensemble,
         moments=moments,
         effective=effective,
@@ -210,30 +213,58 @@ def resolve(scenario: Scenario) -> ResolvedScenario:
     )
 
 
+def _evaluate(
+    scenarios: Sequence[Scenario], trials: Optional[int], seed: int, workers: int
+) -> list[RunResult]:
+    """Analytic report of every scenario, plus Monte Carlo estimates unless
+    trials is None.
+
+    Monte Carlo runs share one seed (common random numbers); scenarios
+    with equal draw signatures also share every block's draws, so each
+    block is drawn once per group and every estimate is bit-identical to
+    running its scenario alone.
+    """
+    check_run_settings(trials, seed, workers)
+    resolved = []
+    reports = []
+    for scenario in scenarios:
+        point = resolve(scenario)
+        resolved.append(point)
+        reports.append(cap.capacity_report(point.moments, point.effective.gamma_teff))
+
+    mc: dict[int, McEstimate] = {}
+    if trials is not None:
+        groups: dict[tuple, list[int]] = {}
+        for i, point in enumerate(resolved):
+            groups.setdefault(point.ensemble.draw_signature(), []).append(i)
+        cfg = TrialConfig(trials=trials, seed=seed)
+        for indices in groups.values():
+            ensembles = [resolved[i].ensemble for i in indices]
+            mc.update(zip(indices, simulate_ec_sweep(ensembles, cfg, workers=workers)))
+
+    return [
+        RunResult(
+            report=report,
+            mc=mc.get(i),
+            gamma_teff=point.effective.gamma_teff,
+            mode_used=point.mode_used,
+            d_boundary=point.d_boundary,
+            moments=point.moments,
+            notes=point.notes,
+        )
+        for i, (point, report) in enumerate(zip(resolved, reports))
+    ]
+
+
 def run_scenario(
     scenario: Scenario,
     trials: Optional[int] = None,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
 ) -> RunResult:
-    """Analytic capacity report, plus a Monte Carlo estimate when trials
-    are requested."""
-    resolved = resolve(scenario)
-    report = cap.capacity_report(resolved.moments, resolved.effective.gamma_teff)
-    mc = None
-    if trials:
-        mc = simulate_ec(
-            resolved.ensemble, TrialConfig(trials=trials, seed=seed), workers=workers
-        )
-    return RunResult(
-        report=report,
-        mc=mc,
-        gamma_teff=resolved.effective.gamma_teff,
-        mode_used=resolved.mode_used,
-        d_boundary=resolved.d_boundary,
-        moments=resolved.moments,
-        notes=resolved.notes,
-    )
+    """Analytic capacity report, plus a Monte Carlo estimate unless trials
+    is None."""
+    return _evaluate([scenario], trials, seed, workers)[0]
 
 
 def apply_sweep_value(scenario: Scenario, variable: str, value: float) -> Scenario:
@@ -322,12 +353,12 @@ def _replace_swept(scenario: Scenario, variable: str, value: float) -> Scenario:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep point's outputs (None for values not computed)."""
+    """One sweep point's outputs (the Monte Carlo ones None without trials)."""
 
     sweep_value: float
-    ec_approx: Optional[float]
-    ec_ub: Optional[float]
-    ec_lb: Optional[float]
+    ec_approx: float
+    ec_ub: float
+    ec_lb: float
     ec_mc: Optional[float]
     mc_stderr: Optional[float]
     gamma_teff: float
@@ -340,58 +371,34 @@ def run_sweep(
     sweep: SweepSpec,
     workers: int = 1,
 ) -> list[SweepRow]:
-    """Evaluate each sweep value; _run_points says how Monte Carlo points
+    """One row per sweep value; _evaluate says how Monte Carlo points
     share their draws."""
     return _run_points(
         [(v, apply_sweep_value(scenario, sweep.variable, v)) for v in sweep.values],
-        sweep,
+        sweep.trials,
+        sweep.seed,
         workers,
     )
 
 
 def _run_points(
-    points: Sequence[tuple[float, Scenario]],
-    sweep: SweepSpec,
-    workers: int,
+    points: Sequence[tuple[float, Scenario]], trials: Optional[int], seed: int, workers: int
 ) -> list[SweepRow]:
-    """One row per (sweep_value, scenario) point, with the outputs, trials
-    and seed of sweep.  Monte Carlo points share one seed (common random
-    numbers); points with equal draw signatures also share every block's
-    draws, so each block is drawn once per group and every point's
-    estimate is bit-identical to running it alone."""
-    resolved = []
-    reports = []
-    for _, scenario in points:
-        point = resolve(scenario)
-        resolved.append(point)
-        reports.append(cap.capacity_report(point.moments, point.effective.gamma_teff))
-
-    mc: list[Optional[McEstimate]] = [None] * len(resolved)
-    if "mc" in sweep.outputs:
-        groups: dict[tuple, list[int]] = {}
-        for i, point in enumerate(resolved):
-            groups.setdefault(point.ensemble.draw_signature(), []).append(i)
-        cfg = TrialConfig(trials=sweep.trials, seed=sweep.seed)
-        for indices in groups.values():
-            estimates = simulate_ec_sweep(
-                [resolved[i].ensemble for i in indices], cfg, workers=workers
-            )
-            for i, estimate in zip(indices, estimates):
-                mc[i] = estimate
-
+    """One row per (sweep_value, scenario) point, all evaluated together."""
+    results = _evaluate([scenario for _, scenario in points], trials, seed, workers)
     return [
         SweepRow(
             sweep_value=value,
-            ec_approx=report.ec_approx if "approx" in sweep.outputs else None,
-            ec_ub=report.ec_upper if "ub" in sweep.outputs else None,
-            ec_lb=report.ec_lower if "lb" in sweep.outputs else None,
-            ec_mc=estimate.mean_ec if estimate else None,
-            mc_stderr=estimate.std_error if estimate else None,
-            gamma_teff=point.effective.gamma_teff,
-            mode=point.mode_used,
-            d_boundary_m=point.d_boundary,
+            ec_approx=result.report.ec_approx,
+            ec_ub=result.report.ec_upper,
+            ec_lb=result.report.ec_lower,
+            ec_mc=result.mc.mean_ec if result.mc else None,
+            mc_stderr=result.mc.std_error if result.mc else None,
+            gamma_teff=result.gamma_teff,
+            mode=result.mode_used,
+            d_boundary_m=result.d_boundary,
         )
-        for (value, _), point, report, estimate in zip(points, resolved, reports, mc)
+        for (value, _), result in zip(points, results)
     ]
 
 

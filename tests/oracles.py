@@ -218,28 +218,23 @@ def ks_distance(sorted_samples: np.ndarray, cdf_values: np.ndarray) -> float:
 
 
 def per_point_sweep(scenario, sweep, workers: int = 1) -> list:
-    """Sweep rows with one run_scenario call per point, no shared draws."""
+    """Sweep rows with one run_scenario call per point, no shared draws;
+    sweep.trials None runs no Monte Carlo."""
     rows = []
     for value in sweep.values:
         point = apply_sweep_value(scenario, sweep.variable, value)
-        want_mc = "mc" in sweep.outputs
-        result = run_scenario(
-            point,
-            trials=sweep.trials if want_mc else None,
-            seed=sweep.seed,
-            workers=workers,
-        )
-        rows.append(_row(value, result, sweep.outputs))
+        result = run_scenario(point, trials=sweep.trials, seed=sweep.seed, workers=workers)
+        rows.append(_row(value, result))
     return rows
 
 
-def _row(value, result, outputs) -> SweepRow:
+def _row(value, result) -> SweepRow:
     report = result.report
     return SweepRow(
         sweep_value=value,
-        ec_approx=report.ec_approx if "approx" in outputs else None,
-        ec_ub=report.ec_upper if "ub" in outputs else None,
-        ec_lb=report.ec_lower if "lb" in outputs else None,
+        ec_approx=report.ec_approx,
+        ec_ub=report.ec_upper,
+        ec_lb=report.ec_lower,
         ec_mc=result.mc.mean_ec if result.mc else None,
         mc_stderr=result.mc.std_error if result.mc else None,
         gamma_teff=result.gamma_teff,
@@ -264,7 +259,7 @@ def per_point_preset(name: str, trials: int, seed: int, workers: int = 1) -> lis
     if name == "fig8":
         for number, case in enumerate(fig8_distributed_cases(), start=1):
             result = run_scenario(case, trials=trials, seed=seed, workers=workers)
-            rows.append(_row(float(number), result, sweep.outputs))
+            rows.append(_row(float(number), result))
     return rows
 
 

@@ -174,7 +174,7 @@ def test_criterion_06_power_saturation():
     res = resolve(big)
     omega0 = rician_mean_envelope(RicianParams(big.k0))
     limit = saturation_gamma_teff(
-        res.panel_stats, res.ensemble.rho0, omega0, res.ensemble.beta0_inv
+        res.ensemble.panels, res.ensemble.rho0, omega0, res.ensemble.beta0_inv
     )
     rel = abs(res.effective.gamma_teff - limit) / limit
     ok = delta < 0.05 and rel < 1e-9

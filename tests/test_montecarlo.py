@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from riscap.channel import PanelChannel
 from riscap.errors import InvalidScenario
 from riscap.montecarlo import (
-    PanelChannel,
     SnrEnsemble,
     TrialConfig,
     empirical_snr_cdf,
@@ -14,7 +14,7 @@ from riscap.montecarlo import (
     simulate_ec_sweep,
     simulate_envelope_moments,
 )
-from riscap.moments import PanelStats, distributed_moments
+from riscap.moments import distributed_moments
 
 
 def small_ensemble(rho=0.9, rho0=0.95, k=2.0, phases=(0.0, 0.0, 0.0), m=6):
@@ -133,30 +133,19 @@ class TestMomentAgreement:
         rng = np.random.default_rng(seed)
         n_panels = int(rng.integers(1, 3))
         panels = []
-        stats = []
         for _ in range(n_panels):
             m = int(rng.integers(1, 8))
             beta_inv = rng.uniform(1e-12, 1e-10, size=m)
             rho = float(rng.uniform(0.3, 1.0))
             k1, k2 = rng.uniform(0.0, 8.0, size=2)
             panels.append(PanelChannel(beta_inv=beta_inv, rho=rho, k1=float(k1), k2=float(k2)))
-            from riscap.channel import RicianParams, rician_mean_envelope
-
-            stats.append(
-                PanelStats(
-                    beta_inv=beta_inv,
-                    omega1=rician_mean_envelope(RicianParams(float(k1))),
-                    omega2=rician_mean_envelope(RicianParams(float(k2))),
-                    rho=rho,
-                )
-            )
         rho0 = float(rng.uniform(0.3, 1.0))
         k0 = float(rng.uniform(0.0, 8.0))
         b0_inv = float(rng.uniform(1e-11, 1e-9))
         from riscap.channel import RicianParams, rician_mean_envelope
 
         omega0 = rician_mean_envelope(RicianParams(k0))
-        analytic = distributed_moments(stats, omega0, rho0, b0_inv)
+        analytic = distributed_moments(panels, omega0, rho0, b0_inv)
         ens = SnrEnsemble(
             panels=tuple(panels), beta0_inv=b0_inv, rho0=rho0, k0=k0, gamma_teff=1e10
         )

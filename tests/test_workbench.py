@@ -1,7 +1,11 @@
+import contextlib
+import copy
 import dataclasses
 import functools
+import io
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from riscap.errors import ScenarioError
 from riscap.geometry import Point3, RisPanel
 from riscap.pathloss import LinkBudget
 from riscap.presets import PRESET_NAMES, preset, run_preset
-from riscap.scenario import PanelSetup, Scenario, dump_scenario
+from riscap.scenario import PanelSetup, Scenario, dump_scenario, scenario_to_dict
 
 from oracles import brute_force_beta_inv, per_point_preset, per_point_sweep
 from riscap.workbench import (
@@ -94,7 +98,7 @@ class TestPipelineConsistency:
         panel = s.panels[0].panel
         expected = brute_force_beta_inv(s.bs, s.user, panel, s.budget.gt, s.budget.gr)
         np.testing.assert_allclose(
-            res.panel_stats[0].beta_inv, expected, rtol=1e-12, atol=0
+            res.ensemble.panels[0].beta_inv, expected, rtol=1e-12, atol=0
         )
 
     def test_monotone_in_power_rho_and_k(self):
@@ -183,6 +187,27 @@ class TestApplySweepValue:
             SweepSpec(variable="P", values=(0.0,), **{field: value})
 
 
+class TestRunSettings:
+    BAD = [
+        ("trials", 0),
+        ("trials", -5),
+        ("seed", -1),
+        ("seed", 2**64),
+        ("workers", 0),
+    ]
+
+    @pytest.mark.parametrize("field, value", BAD)
+    def test_run_scenario_rejects(self, field, value):
+        s, _ = preset("fig2")
+        with pytest.raises(ScenarioError, match=f"^{field}: "):
+            run_scenario(s, **{field: value})
+
+    @pytest.mark.parametrize("field, value", BAD)
+    def test_run_preset_rejects(self, field, value):
+        with pytest.raises(ScenarioError, match=f"^{field}: "):
+            run_preset("fig7", **{field: value})
+
+
 class TestSweepCsv:
     def test_deterministic_bytes(self):
         s, _ = preset("fig2")
@@ -196,26 +221,24 @@ class TestSweepCsv:
             "sweep_value,ec_approx,ec_ub,ec_lb,ec_mc,mc_stderr,gamma_teff,mode,d_boundary_m"
         )
 
-    def test_outputs_subset_blanks_columns(self):
+    def test_no_trials_blanks_mc_columns(self):
         s, _ = preset("fig2")
-        sweep = SweepSpec(variable="P", values=(0.0,), outputs=("approx",))
+        sweep = SweepSpec(variable="P", values=(0.0,), trials=None)
         text = rows_to_csv(run_sweep(s, sweep), "P")
         row = text.splitlines()[2].split(",")
-        assert row[1] != ""
-        assert row[2] == row[3] == row[4] == row[5] == ""
+        assert row[1] != "" and row[2] != "" and row[3] != ""
+        assert row[4] == row[5] == ""
 
     def test_monotone_power_sweep(self):
         s, _ = preset("fig2")
-        sweep = SweepSpec(
-            variable="P", values=(-20.0, -10.0, 0.0, 10.0, 20.0), outputs=("approx",)
-        )
+        sweep = SweepSpec(variable="P", values=(-20.0, -10.0, 0.0, 10.0, 20.0), trials=None)
         rows = run_sweep(s, sweep)
         ecs = [r.ec_approx for r in rows]
         assert all(b > a for a, b in zip(ecs, ecs[1:]))
 
     def test_rho_sweep_nonincreasing_when_descending(self):
         s, sweep = preset("fig3")
-        rows = run_sweep(s, dataclasses.replace(sweep, outputs=("approx",)))
+        rows = run_sweep(s, dataclasses.replace(sweep, trials=None))
         ecs = [r.ec_approx for r in rows]
         assert all(b < a for a, b in zip(ecs, ecs[1:]))  # values run 1.0 -> 0.5
 
@@ -223,7 +246,7 @@ class TestSweepCsv:
         # growing the panel toward the BS adds ever-lossier edge elements,
         # so capacity gains per added row must shrink toward zero
         s, sweep = preset("fig6")
-        rows = run_sweep(s, dataclasses.replace(sweep, outputs=("approx",)))
+        rows = run_sweep(s, dataclasses.replace(sweep, trials=None))
         ecs = [r.ec_approx for r in rows]
         diffs = [b - a for a, b in zip(ecs, ecs[1:])]
         assert all(d > 0 for d in diffs)
@@ -274,7 +297,7 @@ class TestRunPreset:
             assert rows_to_csv(rows, variable) == rows_to_csv(reference, variable)
 
     def test_no_mc_blanks_mc_columns(self):
-        rows, _ = run_preset("fig8", mc=False)
+        rows, _ = run_preset("fig8", trials=None)
         assert all(r.ec_mc is None and r.mc_stderr is None for r in rows)
         assert all(r.ec_approx is not None for r in rows)
 
@@ -384,6 +407,27 @@ class TestCli:
                 {"deployment.panel.mx": 10**5, "deployment.panel.my": 10**5},
                 "scenario.deployment.panel",
             ),
+            # loss factors that leave float range inside resolve
+            (["sweep", "--var", "d1", "--values=1e100"], {}, "d1="),
+            (["analyze"], {"budget.eta_db": 1e300}, "eta_db="),
+            (["analyze"], {"budget.eta_db": -1e300}, "eta_db="),
+            (["analyze"], {"budget.xi": 1e300}, "xi="),
+            (["analyze"], {"bs.x": 1e300}, "bs-user"),
+            (["analyze"], {"bs.y": -1e300}, "bs-user"),
+            (["analyze"], {"user.x": -1e300}, "bs-user"),
+            (["analyze"], {"user.y": 1e300}, "bs-user"),
+            (["analyze"], {"deployment.panel.center.x": 1e300}, "panel 0"),
+            (["analyze"], {"deployment.panel.center.y": 1e300}, "panel 0"),
+            (["analyze"], {"budget.gt": 1e-320}, "gt="),
+            # dB/dBm fields that underflow to 0 in linear units
+            (["analyze"], {"budget.p_w": None, "budget.p_dbm": -1e300}, "scenario.budget.p_dbm"),
+            (
+                ["analyze"],
+                {"budget.noise_w": None, "budget.noise_dbm": -1e300},
+                "scenario.budget.noise_dbm",
+            ),
+            (["analyze"], {"budget.gt": None, "budget.gt_db": -1e300}, "scenario.budget.gt_db"),
+            (["analyze"], {"budget.gr": None, "budget.gr_db": -1e300}, "scenario.budget.gr_db"),
         ],
     )
     def test_extreme_finite_input_exit_code(self, tmp_path, argv, edits, field):
@@ -401,6 +445,52 @@ class TestCli:
         proc = self.run_cli(argv[0], str(path), *argv[1:], "--no-mc", expect=2)
         assert field in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_rayleigh_k_from_underflowing_db_is_valid(self, tmp_path):
+        data = yaml.safe_load(dump_scenario(preset("fig2")[0]))
+        del data["channel"]["k0"]
+        data["channel"]["k0_db"] = -1e300
+        path = tmp_path / "rayleigh.yaml"
+        path.write_text(yaml.safe_dump(data))
+        self.run_cli("analyze", str(path), "--no-mc")
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3"])
+    def test_no_scenario_leaf_ends_in_traceback(self, tmp_path, name):
+        # every leaf of the scenario file but mode at every extreme value:
+        # the CLI returns 0, 2 or 3 and no exception escapes it
+        from riscap import cli
+
+        def leaves(node, path=()):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                if isinstance(value, (dict, list)):
+                    yield from leaves(value, path + (key,))
+                elif key != "mode":
+                    yield path + (key,)
+
+        base = scenario_to_dict(preset(name)[0])
+        path = tmp_path / "leaf.yaml"
+        escaped = []
+        cases = 0
+        for leaf in leaves(base):
+            for value in (0, -1, 1e-300, -1e-300, 1e300, -1e300, 10**8):
+                data = copy.deepcopy(base)
+                functools.reduce(lambda node, key: node[key], leaf[:-1], data)[leaf[-1]] = value
+                path.write_text(yaml.safe_dump(data))
+                cases += 1
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                        io.StringIO()
+                    ), warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        code = cli.main(["analyze", str(path), "--no-mc"])
+                except Exception as exc:
+                    escaped.append((leaf, value, repr(exc)))
+                    continue
+                if code not in (0, 2, 3):
+                    escaped.append((leaf, value, f"exit code {code}"))
+        assert cases == 7 * {"fig2": 26, "fig3": 36}[name]
+        assert escaped == []
 
     def test_missing_file_exit_code(self):
         self.run_cli("analyze", "does-not-exist.yaml", expect=2)
