@@ -13,14 +13,12 @@ from .capacity import (
     ec_upper_bound,
     ergodic_capacity,
     gamma_fit,
-    snr_cdf,
     snr_mean,
     snr_variance,
 )
 from .channel import (
     PanelChannel,
     RicianParams,
-    envelope_error_variance,
     laguerre_half,
     outdated_correlation,
     rician_mean_envelope,
@@ -56,14 +54,10 @@ from .moments import (
     saturation_gamma_teff,
 )
 from .montecarlo import (
-    EnvelopeMomentEstimate,
     McEstimate,
     SnrEnsemble,
     TrialConfig,
-    empirical_snr_cdf,
-    simulate_ec,
     simulate_ec_sweep,
-    simulate_envelope_moments,
 )
 from .pathloss import (
     LinkBudget,

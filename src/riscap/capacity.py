@@ -1,4 +1,4 @@
-"""Gamma moment matching, SNR distribution, ergodic capacity and bounds.
+"""Gamma moment matching, ergodic capacity and bounds.
 
 The envelope variable (Z or H) is approximated by a Gamma(a, b)
 distribution matched to its first two moments.  With gamma = gamma_teff *
@@ -20,16 +20,22 @@ normative evaluation here and the identity is exercised in tests.
 The "lower bound" is a second-order delta-method approximation of the
 Jensen harmonic-mean bound, not a true bound; reports label it
 approximate, and orderings against Monte Carlo allow a small slack.
+
+The SNR CDF above enters only through the capacity integral; the
+acceptance suite compares it with sampled SNRs directly.  A report never
+holds a non-finite figure: an envelope that is identically 0 reports 0,
+and a figure the arithmetic cannot represent raises NumericalFailure.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 from scipy import integrate, special
 
-from .errors import DegenerateDistribution, QuadratureFailure
+from .errors import DegenerateDistribution, NumericalFailure, QuadratureFailure
 from .moments import MomentSummary
 
 DEGENERATE_EPS = 1e-12
@@ -63,23 +69,14 @@ class CapacityReport:
 def gamma_fit(moments: MomentSummary) -> GammaFit:
     """Match Gamma(a, b) to the envelope mean and variance."""
     mean, var = moments.mean, moments.variance
-    if mean <= 0:
-        raise ValueError("envelope mean must be positive to fit")
     if var <= DEGENERATE_EPS * mean * mean:
         raise DegenerateDistribution(
             f"variance {var:.3g} too small relative to mean {mean:.3g}; "
             "treat the envelope as deterministic"
         )
+    if mean <= 0:
+        raise ValueError("envelope mean must be positive to fit")
     return GammaFit(a=mean * mean / var, b=mean / var)
-
-
-def snr_cdf(gamma: float, fit: GammaFit, gamma_teff: float) -> float:
-    """CDF of the received SNR gamma_teff * Z^2 under the fitted envelope."""
-    if gamma < 0:
-        raise ValueError("SNR must be >= 0")
-    if gamma == 0:
-        return 0.0
-    return 1.0 - float(special.gammaincc(fit.a, fit.b * math.sqrt(gamma / gamma_teff)))
 
 
 def _survival_integral_compact(a: float, c: float):
@@ -206,25 +203,47 @@ def deterministic_capacity(mean_envelope: float, gamma_teff: float) -> float:
 
 def capacity_report(moments: MomentSummary, gamma_teff: float) -> CapacityReport:
     """Full analytic report; falls back to the deterministic-envelope value
-    when the distribution is too concentrated to fit."""
+    when the distribution is too concentrated to fit (an envelope that is
+    identically 0, as under fully outdated CSI, gives 0 throughout)."""
     try:
         fit = gamma_fit(moments)
     except DegenerateDistribution:
         ec = deterministic_capacity(moments.mean, gamma_teff)
         mean_g = gamma_teff * moments.second_moment
-        return CapacityReport(
+        report = CapacityReport(
             ec_approx=ec,
             ec_upper=ec_upper_bound(mean_g),
             ec_lower=ec_upper_bound(mean_g),
             snr_mean=mean_g,
             snr_variance=0.0,
         )
-    mean_g = snr_mean(fit, gamma_teff)
-    var_g = snr_variance(fit, gamma_teff)
-    return CapacityReport(
-        ec_approx=ergodic_capacity(fit, gamma_teff),
-        ec_upper=ec_upper_bound(mean_g),
-        ec_lower=ec_lower_bound(mean_g, var_g),
-        snr_mean=mean_g,
-        snr_variance=var_g,
-    )
+    else:
+        mean_g = snr_mean(fit, gamma_teff)
+        var_g = snr_variance(fit, gamma_teff)
+        report = CapacityReport(
+            ec_approx=ergodic_capacity(fit, gamma_teff),
+            ec_upper=ec_upper_bound(mean_g),
+            ec_lower=ec_lower_bound(mean_g, var_g),
+            snr_mean=mean_g,
+            snr_variance=var_g,
+        )
+    return _finite(report)
+
+
+def _finite(report: CapacityReport) -> CapacityReport:
+    """The report with every figure finite.
+
+    An SNR mean that underflows leaves the lower bound at 0/0; its SNR -> 0
+    limit is 0, since it cannot exceed an upper bound of 0.  Any other
+    non-finite figure raises NumericalFailure naming it.
+    """
+    if report.ec_upper == 0.0 and not math.isfinite(report.ec_lower):
+        report = dataclasses.replace(report, ec_lower=0.0)
+    bad = [
+        f"{field.name}={getattr(report, field.name)}"
+        for field in dataclasses.fields(report)
+        if not math.isfinite(getattr(report, field.name))
+    ]
+    if bad:
+        raise NumericalFailure(f"capacity report figure(s) not finite: {', '.join(bad)}")
+    return report

@@ -11,6 +11,10 @@ naive e^{x/2}*I(.) product would underflow near K ~ 1400).
 
 CSI aging follows the classic isotropic-scattering autocorrelation:
 rho = J0(2*pi*f_d*T_s) with f_d the maximum Doppler shift.
+
+The envelope sampler takes the line-of-sight term real: the co-phased
+analysis depends only on envelopes, whose law does not depend on that
+phase.  CSI-error variances are 1 - Omega(K)^2, formed where they are used.
 """
 
 from __future__ import annotations
@@ -43,16 +47,13 @@ class RicianParams:
 class PanelChannel:
     """One panel's statistics, read by the moment formulas and the Monte
     Carlo oracle alike: each element's inverse loss factor, the aging
-    correlation of the panel-to-user estimate, and the K-factors (and LoS
-    phases, which only the sampler uses) of the BS-to-panel and
-    panel-to-user fades."""
+    correlation of the panel-to-user estimate, and the K-factors of the
+    BS-to-panel and panel-to-user fades."""
 
     beta_inv: np.ndarray
     rho: float
     k1: float
     k2: float
-    los_phase_h: float = 0.0
-    los_phase_g: float = 0.0
 
     def __post_init__(self):
         beta_inv = np.asarray(self.beta_inv, dtype=float)
@@ -85,12 +86,6 @@ def rician_mean_envelope(params: RicianParams) -> float:
     return math.sqrt(math.pi / (4.0 * (1.0 + k))) * laguerre_half(-k)
 
 
-def envelope_error_variance(params: RicianParams) -> float:
-    """Per-component CSI-error variance, 1 - Omega(K)^2."""
-    omega = rician_mean_envelope(params)
-    return 1.0 - omega * omega
-
-
 def outdated_correlation(fc: float, v: float, ts: float) -> float:
     """Doppler-aging correlation J0(2*pi*(fc*v/c)*ts).
 
@@ -107,25 +102,17 @@ def outdated_correlation(fc: float, v: float, ts: float) -> float:
     return min(rho, 1.0)
 
 
-def sample_rician_envelope(
-    params: RicianParams,
-    rng: np.random.Generator,
-    los_phase: float = 0.0,
-    size=None,
-):
-    """Envelopes of unit-power Rician samples sqrt(K/(1+K)) e^{j los_phase}
-    + scatter, the scatter term circular complex Gaussian with power
-    1/(1+K), drawn as in-phase then quadrature normals.  The analysis
-    depends only on envelopes, so los_phase is free; it defaults to 0 and
-    exists so phase-invariance can be exercised."""
+def sample_rician_envelope(params: RicianParams, rng: np.random.Generator, size=None):
+    """Envelopes of unit-power Rician samples sqrt(K/(1+K)) + scatter, the
+    scatter term circular complex Gaussian with power 1/(1+K), drawn as
+    in-phase then quadrature normals.  The analysis depends only on
+    envelopes, so the line-of-sight term is taken real."""
     re = rng.standard_normal(size)
     im = rng.standard_normal(size)
-    return rician_envelope_from_normals(params, los_phase, re, im)
+    return rician_envelope_from_normals(params, re, im)
 
 
-def rician_envelope_from_normals(
-    params: RicianParams, los_phase: float, re, im
-):
+def rician_envelope_from_normals(params: RicianParams, re, im):
     """Envelope of the Rician fade whose scatter term is built from the
     standard normals re (in-phase) and im (quadrature).
 
@@ -139,9 +126,8 @@ def rician_envelope_from_normals(
     else:
         s, scale = math.sqrt(k / (1.0 + k)), math.sqrt(1.0 / (2.0 * (1.0 + k)))
     re *= scale
-    re += s * math.cos(los_phase)
+    re += s
     im *= scale
-    im += s * math.sin(los_phase)
     re *= re
     im *= im
     re += im

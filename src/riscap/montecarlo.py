@@ -10,7 +10,8 @@ sets SNR = gamma_teff * Z^2, and averages log2(1 + SNR).  gamma_teff is
 the deterministic effective transmit SNR computed upstream from the
 expected effective-noise power; the oracle does not re-draw the
 outdated-CSI noise per realization (that would estimate a different
-quantity).
+quantity).  simulate_ec_sweep is the one reduction: the capacity mean and
+its standard error.
 
 Determinism contract: trials are partitioned into fixed-size blocks and
 block i draws from an independent Philox substream keyed (seed, i).
@@ -76,7 +77,6 @@ class McEstimate:
 
     mean_ec: float
     std_error: float
-    snr_samples: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,6 @@ class SnrEnsemble:
     rho0: float
     k0: float
     gamma_teff: float
-    los_phase_direct: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "panels", tuple(self.panels))
@@ -104,16 +103,10 @@ class SnrEnsemble:
 
     def draw_signature(self) -> tuple:
         """What fixes a trial block's draws and envelope transforms: per
-        panel the element count, K-factors and LoS phases, plus the direct
-        link's LoS phase.  Ensembles with equal signatures can share every
-        block; path losses, correlations, k0 and gamma_teff may differ."""
-        return (
-            tuple(
-                (p.beta_inv.size, p.k1, p.k2, p.los_phase_h, p.los_phase_g)
-                for p in self.panels
-            ),
-            self.los_phase_direct,
-        )
+        panel the element count and K-factors.  Ensembles with equal
+        signatures can share every block; path losses, correlations, k0
+        and gamma_teff may differ."""
+        return tuple((p.beta_inv.size, p.k1, p.k2) for p in self.panels)
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -136,158 +129,62 @@ def _block_envelope_sums(
     zs = [np.zeros(n) for _ in ensembles]
     for i, panel in enumerate(first.panels):
         m = panel.beta_inv.size
-        hg = sample_rician_envelope(
-            RicianParams(panel.k1), rng, panel.los_phase_h, size=(n, m)
-        )
-        hg *= sample_rician_envelope(
-            RicianParams(panel.k2), rng, panel.los_phase_g, size=(n, m)
-        )
+        hg = sample_rician_envelope(RicianParams(panel.k1), rng, size=(n, m))
+        hg *= sample_rician_envelope(RicianParams(panel.k2), rng, size=(n, m))
         for z, ensemble in zip(zs, ensembles):
             p = ensemble.panels[i]
             z += p.rho * (hg @ np.sqrt(p.beta_inv))
     re0 = rng.standard_normal(n)
     im0 = rng.standard_normal(n)
     for z, ensemble in zip(zs, ensembles):
-        h0 = rician_envelope_from_normals(
-            RicianParams(ensemble.k0), first.los_phase_direct, re0.copy(), im0.copy()
-        )
+        h0 = rician_envelope_from_normals(RicianParams(ensemble.k0), re0.copy(), im0.copy())
         z += ensemble.rho0 * math.sqrt(ensemble.beta0_inv) * h0
     return zs
 
 
 def _block_plan(cfg: TrialConfig) -> list[tuple[int, int]]:
     """(block_index, trials_in_block) pairs covering cfg.trials."""
-    plan = []
-    done = 0
-    index = 0
-    while done < cfg.trials:
-        n = min(cfg.block_size, cfg.trials - done)
-        plan.append((index, n))
-        done += n
-        index += 1
-    return plan
-
-
-def _run_blocks(
-    ensembles: Sequence[SnrEnsemble], cfg: TrialConfig, workers: int, worker_fn
-):
-    """worker_fn(per-ensemble Z list) for every block, in block order."""
-    if not ensembles:
-        raise ValueError("need at least one ensemble")
-    if len({e.draw_signature() for e in ensembles}) > 1:
-        raise ValueError("ensembles must share one draw signature")
-    plan = _block_plan(cfg)
-
-    def task(item):
-        index, n = item
-        rng = _block_rng(cfg.seed, index)
-        return worker_fn(_block_envelope_sums(ensembles, rng, n))
-
-    if workers <= 1:
-        return [task(item) for item in plan]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, plan))
-
-
-def _mean_and_stderr(total: float, total_sq: float, n: int) -> tuple[float, float]:
-    mean = total / n
-    if n < 2:
-        return mean, 0.0
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    return mean, math.sqrt(var / n)
+    starts = range(0, cfg.trials, cfg.block_size)
+    return [(i, min(cfg.block_size, cfg.trials - start)) for i, start in enumerate(starts)]
 
 
 def simulate_ec_sweep(
-    ensembles: Sequence[SnrEnsemble],
-    cfg: TrialConfig,
-    workers: int = 1,
-    keep_samples: bool = False,
+    ensembles: Sequence[SnrEnsemble], cfg: TrialConfig, workers: int = 1
 ) -> list[McEstimate]:
     """Estimate the ergodic capacity of each ensemble from one shared set
     of draws.  The ensembles must share one draw signature; each estimate
     is bit-identical to simulating its ensemble alone, for any worker
     count."""
     ensembles = tuple(ensembles)
+    if not ensembles:
+        raise ValueError("need at least one ensemble")
+    if len({e.draw_signature() for e in ensembles}) > 1:
+        raise ValueError("ensembles must share one draw signature")
 
-    def reduce_block(zs: list[np.ndarray]):
-        parts = []
+    def block_sums(item) -> list[tuple[float, float]]:
+        """Per ensemble, the block's sum of log2(1 + SNR) and of its square."""
+        index, n = item
+        zs = _block_envelope_sums(ensembles, _block_rng(cfg.seed, index), n)
+        sums = []
         for ensemble, z in zip(ensembles, zs):
-            snr = ensemble.gamma_teff * z * z
-            ec = np.log2(1.0 + snr)
-            parts.append(
-                (float(np.sum(ec)), float(np.sum(ec * ec)), snr if keep_samples else None)
-            )
-        return parts
+            ec = np.log2(1.0 + ensemble.gamma_teff * z * z)
+            sums.append((float(np.sum(ec)), float(np.sum(ec * ec))))
+        return sums
 
-    blocks = _run_blocks(ensembles, cfg, workers, reduce_block)
+    plan = _block_plan(cfg)
+    if workers <= 1:
+        blocks = [block_sums(item) for item in plan]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(block_sums, plan))
+
+    n = cfg.trials
     estimates = []
     for j in range(len(ensembles)):
-        parts = [block[j] for block in blocks]
-        total = math.fsum(p[0] for p in parts)
-        total_sq = math.fsum(p[1] for p in parts)
-        mean, stderr = _mean_and_stderr(total, total_sq, cfg.trials)
-        samples = np.concatenate([p[2] for p in parts]) if keep_samples else None
-        estimates.append(McEstimate(mean_ec=mean, std_error=stderr, snr_samples=samples))
+        mean = math.fsum(block[j][0] for block in blocks) / n
+        stderr = 0.0
+        if n >= 2:
+            total_sq = math.fsum(block[j][1] for block in blocks)
+            stderr = math.sqrt(max(total_sq - n * mean * mean, 0.0) / (n - 1) / n)
+        estimates.append(McEstimate(mean_ec=mean, std_error=stderr))
     return estimates
-
-
-def simulate_ec(
-    ensemble: SnrEnsemble,
-    cfg: TrialConfig,
-    workers: int = 1,
-    keep_samples: bool = False,
-) -> McEstimate:
-    """Estimate the ergodic capacity; bit-identical for any worker count."""
-    return simulate_ec_sweep([ensemble], cfg, workers, keep_samples)[0]
-
-
-def empirical_snr_cdf(
-    ensemble: SnrEnsemble,
-    cfg: TrialConfig,
-    grid: Sequence[float],
-    workers: int = 1,
-) -> np.ndarray:
-    """Empirical P(SNR <= g) on the given grid."""
-    estimate = simulate_ec(ensemble, cfg, workers=workers, keep_samples=True)
-    samples = np.sort(estimate.snr_samples)
-    grid = np.asarray(grid, dtype=float)
-    return np.searchsorted(samples, grid, side="right") / samples.size
-
-
-@dataclass(frozen=True)
-class EnvelopeMomentEstimate:
-    """Sample mean and raw second moment of Z with standard errors."""
-
-    mean: float
-    second_moment: float
-    se_mean: float
-    se_second_moment: float
-
-
-def simulate_envelope_moments(
-    ensemble: SnrEnsemble, cfg: TrialConfig, workers: int = 1
-) -> EnvelopeMomentEstimate:
-    """Sample moments of the envelope sum itself (validates the analytic
-    moment layer independently of the capacity layer)."""
-
-    def reduce_block(zs: list[np.ndarray]):
-        (z,) = zs
-        z2 = z * z
-        return (
-            float(np.sum(z)),
-            float(np.sum(z2)),
-            float(np.sum(z2)),
-            float(np.sum(z2 * z2)),
-        )
-
-    parts = _run_blocks([ensemble], cfg, workers, reduce_block)
-    n = cfg.trials
-    mean, se_mean = _mean_and_stderr(
-        math.fsum(p[0] for p in parts), math.fsum(p[1] for p in parts), n
-    )
-    m2, se_m2 = _mean_and_stderr(
-        math.fsum(p[2] for p in parts), math.fsum(p[3] for p in parts), n
-    )
-    return EnvelopeMomentEstimate(
-        mean=mean, second_moment=m2, se_mean=se_mean, se_second_moment=se_m2
-    )

@@ -140,6 +140,8 @@ def resolve(scenario: Scenario) -> ResolvedScenario:
     """Wire geometry -> path loss -> envelope statistics for one scenario."""
     lam = wavelength(scenario.fc_hz)
     d0 = scenario.bs.distance_to(scenario.user)
+    if d0 == 0:
+        raise ScenarioError("scenario.bs, scenario.user: the endpoints coincide")
     budget = scenario.budget
     beta0_inv = 1.0 / _loss(
         f"scenario.budget: direct link at eta_db={budget.eta_db:g}, xi={budget.xi:g} "
@@ -196,6 +198,11 @@ def resolve(scenario: Scenario) -> ResolvedScenario:
     effective = distributed_noise_variance(
         budget.tx_power, panels, rho0, omega0, beta0_inv, budget.noise_power
     )
+    if not 0 < effective.gamma_teff < math.inf:
+        raise ScenarioError(
+            "scenario.budget.p_w, scenario.budget.noise_w: effective transmit SNR "
+            f"{budget.tx_power:g} W / {effective.noise_variance:g} W is out of float range"
+        )
     ensemble = SnrEnsemble(
         panels=tuple(panels),
         beta0_inv=beta0_inv,

@@ -7,10 +7,20 @@ of every dual-route check.  The exceptions are per_point_sweep and
 per_point_preset, whose point is to run each point alone through the
 library's single-run route, as the reference for the batched sweep and
 preset routes.
+
+The Monte Carlo reference kernel, reference_block_z, shares no code with
+src/ either: it reads the library's ensemble and trial records as plain
+inputs and redraws each block from its own Philox generator with numpy,
+in the library's key, draw order and block partition, so the library's
+block kernel can be compared with it block by block.  The sampling
+routes the acceptance suite needs (envelope moments, SNR samples) are
+built on it.
 """
 
 import dataclasses
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import mpmath as mp
 import numpy as np
@@ -45,10 +55,6 @@ def mp_rician_mean(k: float) -> float:
 
 def mp_j0(x: float) -> float:
     return float(mp.besselj(0, mp.mpf(x)))
-
-
-def mp_gammainc_upper_regularized(a: float, x: float) -> float:
-    return float(mp.gammainc(mp.mpf(a), mp.mpf(x), mp.inf, regularized=True))
 
 
 def mp_capacity_direct(a: float, b: float, gamma_teff: float) -> float:
@@ -278,3 +284,90 @@ def sample_rician(params, rng, los_phase: float = 0.0, size=None):
     re = rng.standard_normal(size)
     im = rng.standard_normal(size)
     return los * complex(math.cos(los_phase), math.sin(los_phase)) + scale * (re + 1j * im)
+
+
+def block_partition(cfg) -> list[tuple[int, int]]:
+    """(block_index, trials_in_block) for cfg.trials trials in blocks of
+    cfg.block_size, the last block holding the remainder."""
+    full, rest = divmod(cfg.trials, cfg.block_size)
+    return [(i, cfg.block_size) for i in range(full)] + ([(full, rest)] if rest else [])
+
+
+def _rician_modulus(k: float, rng, size) -> np.ndarray:
+    """|sqrt(K/(1+K)) + (x + jy) / sqrt(2(1+K))| with standard normals x,
+    then y, drawn from rng."""
+    los, s = (1.0, 0.0) if math.isinf(k) else (math.sqrt(k / (1 + k)), 1 / math.sqrt(2 * (1 + k)))
+    x = rng.standard_normal(size)
+    y = rng.standard_normal(size)
+    return np.sqrt((los + s * x) ** 2 + (s * y) ** 2)
+
+
+def reference_block_z(ensemble, seed: int, block_index: int, n: int) -> np.ndarray:
+    """Envelope sums Z of one block's n trials, drawn from the Philox
+    generator keyed (seed, block_index): per panel the BS-side fades then
+    the user-side fades, (n, M) each, then the direct link's fade."""
+    bits = np.random.Philox(key=np.array([seed, block_index], dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    z = np.zeros(n)
+    for panel in ensemble.panels:
+        m = len(panel.beta_inv)
+        h = _rician_modulus(panel.k1, rng, (n, m))
+        g = _rician_modulus(panel.k2, rng, (n, m))
+        z += panel.rho * np.sum(h * g * np.sqrt(panel.beta_inv), axis=1)
+    h0 = _rician_modulus(ensemble.k0, rng, n)
+    return z + ensemble.rho0 * math.sqrt(ensemble.beta0_inv) * h0
+
+
+def _blockwise_mean(sums, sums_sq, n: int) -> tuple[float, float]:
+    """Sample mean and its standard error from per-block sums."""
+    mean = math.fsum(sums) / n
+    var = max(math.fsum(sums_sq) - n * mean * mean, 0.0) / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
+@dataclass(frozen=True)
+class EnvelopeMomentEstimate:
+    """Sample mean and raw second moment of Z with standard errors."""
+
+    mean: float
+    second_moment: float
+    se_mean: float
+    se_second_moment: float
+
+
+def simulate_envelope_moments(ensemble, cfg) -> EnvelopeMomentEstimate:
+    """Sample moments of the envelope sum Z over cfg's blocks."""
+    s1, s2, s4 = [], [], []
+    for index, n in block_partition(cfg):
+        z = reference_block_z(ensemble, cfg.seed, index, n)
+        z2 = z * z
+        s1.append(float(np.sum(z)))
+        s2.append(float(np.sum(z2)))
+        s4.append(float(np.sum(z2 * z2)))
+    mean, se_mean = _blockwise_mean(s1, s2, cfg.trials)
+    second, se_second = _blockwise_mean(s2, s4, cfg.trials)
+    return EnvelopeMomentEstimate(mean, second, se_mean, se_second)
+
+
+@dataclass(frozen=True)
+class SampledCapacity:
+    """Sample-mean capacity, its standard error, and the SNR samples when
+    they were kept."""
+
+    mean_ec: float
+    std_error: float
+    snr_samples: Optional[np.ndarray] = None
+
+
+def simulate_ec(ensemble, cfg, keep_samples: bool = False) -> SampledCapacity:
+    """Sampled E[log2(1 + gamma_teff Z^2)] over cfg's blocks."""
+    sums, sums_sq, samples = [], [], []
+    for index, n in block_partition(cfg):
+        z = reference_block_z(ensemble, cfg.seed, index, n)
+        snr = ensemble.gamma_teff * z * z
+        ec = np.log2(1.0 + snr)
+        sums.append(float(np.sum(ec)))
+        sums_sq.append(float(np.sum(ec * ec)))
+        samples.append(snr)
+    mean, stderr = _blockwise_mean(sums, sums_sq, cfg.trials)
+    return SampledCapacity(mean, stderr, np.concatenate(samples) if keep_samples else None)

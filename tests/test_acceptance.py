@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 from scipy import special
 
-from oracles import ks_distance
+from oracles import ks_distance, simulate_ec, simulate_envelope_moments
 from riscap.capacity import gamma_fit
 from riscap.geometry import Point3, RisPanel, near_field_boundary
 from riscap.moments import saturation_gamma_teff
-from riscap.montecarlo import TrialConfig, simulate_ec, simulate_envelope_moments
+from riscap.montecarlo import TrialConfig
 from riscap.channel import RicianParams, rician_mean_envelope
 from riscap.pathloss import LinkBudget
 from riscap.presets import fig8_distributed_cases, preset

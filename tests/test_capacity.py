@@ -6,7 +6,6 @@ import pytest
 from oracles import (
     mp_capacity_direct,
     mp_capacity_meijerg,
-    mp_gammainc_upper_regularized,
     sample_gamma_log_capacity,
 )
 from riscap.capacity import (
@@ -18,7 +17,6 @@ from riscap.capacity import (
     ec_upper_bound,
     ergodic_capacity,
     gamma_fit,
-    snr_cdf,
     snr_mean,
     snr_variance,
 )
@@ -54,37 +52,6 @@ class TestGammaFit:
     def test_degenerate_variance_raises(self):
         with pytest.raises(DegenerateDistribution):
             gamma_fit(summary(1.0, 1e-14))
-
-
-class TestSnrCdf:
-    def test_boundary_values(self):
-        fit = GammaFit(2.0, 1.0)
-        assert snr_cdf(0.0, fit, 1.0) == 0.0
-        assert snr_cdf(1e12, fit, 1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_integer_shape_closed_form(self):
-        # shape 2: survival = (1 + x) e^-x at x = b*sqrt(gamma/gamma_teff)
-        fit = GammaFit(2.0, 1.0)
-        assert snr_cdf(1.0, fit, 1.0) == pytest.approx(1.0 - 2.0 * math.exp(-1.0), rel=1e-12)
-
-    def test_matches_mpmath_incomplete_gamma(self):
-        fit = GammaFit(3.7, 2.2)
-        for g in (0.01, 0.5, 1.0, 7.0, 40.0):
-            x = fit.b * math.sqrt(g / 5.0)
-            assert snr_cdf(g, fit, 5.0) == pytest.approx(
-                1.0 - mp_gammainc_upper_regularized(fit.a, x), rel=1e-12
-            )
-
-    def test_nondecreasing_on_grid(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            fit = GammaFit(float(rng.uniform(0.3, 60.0)), float(rng.uniform(0.1, 30.0)))
-            gt = float(rng.uniform(0.01, 1e6))
-            grid = np.linspace(0.0, 50.0 * gt * (fit.a / fit.b) ** 2 + 1.0, 1000)
-            vals = [snr_cdf(g, fit, gt) for g in grid]
-            assert all(b >= a for a, b in zip(vals, vals[1:]))
-            assert vals[0] == 0.0
-            assert vals[-1] <= 1.0
 
 
 class TestErgodicCapacity:

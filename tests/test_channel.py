@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oracles import mp_j0, mp_laguerre_half, mp_rician_mean, sample_rician
 from riscap.channel import (
     RicianParams,
-    envelope_error_variance,
     laguerre_half,
     outdated_correlation,
     rician_mean_envelope,
@@ -75,26 +74,6 @@ class TestRicianMeanEnvelope:
         ks = [0.0, 0.3, 1.0, 2.0, 5.0, 10.0, 50.0, 300.0]
         omegas = [rician_mean_envelope(RicianParams(k)) for k in ks]
         assert all(b > a for a, b in zip(omegas, omegas[1:]))
-
-
-class TestErrorVariance:
-    def test_complement_identity(self):
-        for k in (0.0, 0.7, 3.0, 42.0):
-            omega = rician_mean_envelope(RicianParams(k))
-            assert omega * omega + envelope_error_variance(RicianParams(k)) == pytest.approx(
-                1.0, abs=1e-15
-            )
-
-    def test_rayleigh_and_deterministic_endpoints(self):
-        assert envelope_error_variance(RicianParams(0.0)) == pytest.approx(
-            1.0 - math.pi / 4.0, rel=1e-14
-        )
-        assert envelope_error_variance(RicianParams(math.inf)) == 0.0
-
-    def test_k5(self):
-        assert envelope_error_variance(RicianParams(5.0)) == pytest.approx(
-            1.0 - OMEGA_5**2, abs=1e-8
-        )
 
 
 class TestOutdatedCorrelation:
@@ -164,8 +143,8 @@ class TestSampler:
 
     def test_envelope_and_complex_sampler_agree_in_law(self):
         # identical substream, identical construction order
-        e1 = sample_rician_envelope(RicianParams(2.0), np.random.default_rng(5), 0.3, size=4096)
-        e2 = np.abs(sample_rician(RicianParams(2.0), np.random.default_rng(5), 0.3, size=4096))
+        e1 = sample_rician_envelope(RicianParams(2.0), np.random.default_rng(5), size=4096)
+        e2 = np.abs(sample_rician(RicianParams(2.0), np.random.default_rng(5), size=4096))
         assert np.allclose(e1, e2)
 
     def test_k_must_be_nonnegative(self):

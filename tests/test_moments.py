@@ -167,8 +167,8 @@ class TestNoiseVariance:
         # draw the outdated-CSI leakage noise directly: each element
         # contributes w_m * h_m * sqrt(beta_inv), w_m complex normal with
         # the envelope-error variance, h_m a unit-power Rician fade
-        from oracles import sample_rician
-        from riscap.channel import RicianParams, envelope_error_variance
+        from oracles import mp_rician_mean, sample_rician
+        from riscap.channel import RicianParams
 
         rng = np.random.default_rng(2024)
         beta_inv = rng.uniform(1e-12, 1e-10, size=8)
@@ -177,8 +177,8 @@ class TestNoiseVariance:
         p, sigma0 = 1e-3, 1e-15
         k0 = 1.5
         b0_inv = 2.3e-10
-        omega2sq_err = envelope_error_variance(RicianParams(k2))
-        omega0sq_err = envelope_error_variance(RicianParams(k0))
+        omega2sq_err = 1.0 - mp_rician_mean(k2) ** 2
+        omega0sq_err = 1.0 - mp_rician_mean(k0) ** 2
 
         n = 200_000
         h = sample_rician(RicianParams(k1), rng, size=(n, beta_inv.size))

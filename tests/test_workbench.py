@@ -10,6 +10,8 @@ import warnings
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from riscap.errors import ScenarioError
 from riscap.geometry import Point3, RisPanel
@@ -302,6 +304,65 @@ class TestRunPreset:
         assert all(r.ec_approx is not None for r in rows)
 
 
+# fig2 with every aging correlation 0
+OUTDATED = {"channel.rho": [0.0], "channel.rho0": 0.0}
+
+
+def edited_preset_file(tmp_path, name, edits) -> str:
+    """Write preset `name`'s scenario with edits applied; edits maps a
+    dotted scenario-file field to its new value (None deletes it)."""
+    data = scenario_to_dict(preset(name)[0])
+    for dotted, value in edits.items():
+        *parents, key = dotted.split(".")
+        target = functools.reduce(dict.__getitem__, parents, data)
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+    path = tmp_path / f"{name}_edited.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return str(path)
+
+
+def scenario_leaves(node, path=()):
+    """Key paths of every leaf of a scenario dict but mode."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from scenario_leaves(value, path + (key,))
+        elif key != "mode":
+            yield path + (key,)
+
+
+PAIR_BASES = {name: scenario_to_dict(preset(name)[0]) for name in ("fig2", "fig3")}
+EXTREMES = (0, -1, 1e-300, 1e300)
+VALUE_TOKENS = ("0", "-1", "1e-300", "1e300", "0.5", "0.9", "2", "nan", "-inf", "", " ", "x", "0x10")
+
+
+@st.composite
+def cli_cases(draw):
+    """(scenario dict, argv after the scenario path): a preset with two of
+    its numeric leaves set to extreme values, then analyze or sweep with
+    drawn --var, --values and --mode strings."""
+    name = draw(st.sampled_from(sorted(PAIR_BASES)))
+    data = copy.deepcopy(PAIR_BASES[name])
+    numeric = [
+        leaf
+        for leaf in scenario_leaves(data)
+        if isinstance(functools.reduce(lambda n, k: n[k], leaf, data), (int, float))
+    ]
+    for leaf in draw(st.lists(st.sampled_from(numeric), min_size=2, max_size=2, unique=True)):
+        value = draw(st.sampled_from(EXTREMES))
+        functools.reduce(lambda n, k: n[k], leaf[:-1], data)[leaf[-1]] = value
+    mode = draw(st.sampled_from((None, None, None, "auto", "near", "far", "", "NEAR")))
+    argv = ["--no-mc"] + ([] if mode is None else ["--mode", mode])
+    if draw(st.booleans()):
+        return data, ["analyze", *argv]
+    variable = draw(st.sampled_from(SWEEP_VARIABLES * 2 + ("", "p", "rho,rho0", "My ")))
+    values = ",".join(draw(st.lists(st.sampled_from(VALUE_TOKENS), min_size=1, max_size=3)))
+    return data, ["sweep", "--var", variable, f"--values={values}", *argv]
+
+
 class TestCli:
     def run_cli(self, *argv, expect=0):
         proc = subprocess.run(
@@ -431,20 +492,50 @@ class TestCli:
         ],
     )
     def test_extreme_finite_input_exit_code(self, tmp_path, argv, edits, field):
-        # edits: dotted scenario-file field -> new value (None deletes it)
-        data = yaml.safe_load(dump_scenario(preset("fig2")[0]))
-        for dotted, value in edits.items():
-            *parents, key = dotted.split(".")
-            target = functools.reduce(dict.__getitem__, parents, data)
-            if value is None:
-                del target[key]
-            else:
-                target[key] = value
-        path = tmp_path / "extreme.yaml"
-        path.write_text(yaml.safe_dump(data))
-        proc = self.run_cli(argv[0], str(path), *argv[1:], "--no-mc", expect=2)
+        path = edited_preset_file(tmp_path, "fig2", edits)
+        proc = self.run_cli(argv[0], path, *argv[1:], "--no-mc", expect=2)
         assert field in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "name, edits, argv, code, expected",
+        [
+            # fully outdated CSI: Z is identically 0, so every capacity is 0
+            (
+                "fig2",
+                OUTDATED,
+                ["analyze", "--no-mc"],
+                0,
+                ["ec_approx_bit_s_hz: 0\n", "ec_upper_bit_s_hz: 0\n", "ec_lower_approx_bit_s_hz: 0\n"],
+            ),
+            ("fig2", OUTDATED, ["sweep", "--var", "rho", "--values=0,0.5", "--no-mc"], 0, ["\n0,0,0,0,,,"]),
+            ("fig2", OUTDATED, ["sweep", "--var", "rho0", "--values=0", "--trials", "100"], 0, ["\n0,0,0,0,0,0,"]),
+            # endpoints at one point; an effective SNR that underflows
+            ("fig2", {"bs.x": 0, "user.x": 0}, ["analyze", "--no-mc"], 2, ["scenario.bs", "scenario.user"]),
+            (
+                "fig2",
+                {"budget.p_w": 1e-300, "budget.noise_w": 1e300},
+                ["analyze", "--no-mc"],
+                2,
+                ["scenario.budget.p_w", "scenario.budget.noise_w"],
+            ),
+            # the SNR -> 0 limit of the lower bound; a variance out of range
+            ("fig2", {"budget.p_w": 1e-300}, ["analyze", "--no-mc"], 0, ["ec_lower_approx_bit_s_hz: 0\n"]),
+            ("fig3", {"budget.p_w": 1e-300, "budget.gt": 1e300}, ["analyze", "--no-mc"], 3, ["snr_variance"]),
+        ],
+    )
+    def test_degenerate_input_exit_code(self, tmp_path, capsys, name, edits, argv, code, expected):
+        from riscap import cli
+
+        path = edited_preset_file(tmp_path, name, edits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert cli.main([argv[0], path, *argv[1:]]) == code
+        out, err = capsys.readouterr()
+        for text in expected:
+            assert text in (out if code == 0 else err)
+        if code == 0:
+            assert "nan" not in out
 
     def test_rayleigh_k_from_underflowing_db_is_valid(self, tmp_path):
         data = yaml.safe_load(dump_scenario(preset("fig2")[0]))
@@ -460,19 +551,11 @@ class TestCli:
         # the CLI returns 0, 2 or 3 and no exception escapes it
         from riscap import cli
 
-        def leaves(node, path=()):
-            items = node.items() if isinstance(node, dict) else enumerate(node)
-            for key, value in items:
-                if isinstance(value, (dict, list)):
-                    yield from leaves(value, path + (key,))
-                elif key != "mode":
-                    yield path + (key,)
-
         base = scenario_to_dict(preset(name)[0])
         path = tmp_path / "leaf.yaml"
         escaped = []
         cases = 0
-        for leaf in leaves(base):
+        for leaf in scenario_leaves(base):
             for value in (0, -1, 1e-300, -1e-300, 1e300, -1e300, 10**8):
                 data = copy.deepcopy(base)
                 functools.reduce(lambda node, key: node[key], leaf[:-1], data)[leaf[-1]] = value
@@ -491,6 +574,35 @@ class TestCli:
                     escaped.append((leaf, value, f"exit code {code}"))
         assert cases == 7 * {"fig2": 26, "fig3": 36}[name]
         assert escaped == []
+
+    @given(cli_cases())
+    @settings(
+        max_examples=400,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_leaf_pairs_and_flag_strings_exit_cleanly(self, tmp_path, case):
+        # two extreme leaves at once, plus free-form flag strings: the CLI
+        # exits 0, 2 or 3, nothing escapes it, and success prints no nan
+        from riscap import cli
+
+        data, argv = case
+        path = tmp_path / "pair.yaml"
+        path.write_text(yaml.safe_dump(data))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(
+            io.StringIO()
+        ), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                code = cli.main([argv[0], str(path), *argv[1:]])
+            except SystemExit as exc:  # argparse rejects a flag
+                code = exc.code
+        assert code in (0, 2, 3), (argv, code)
+        if code == 0:
+            assert "nan" not in out.getvalue(), (argv, out.getvalue())
 
     def test_missing_file_exit_code(self):
         self.run_cli("analyze", "does-not-exist.yaml", expect=2)
