@@ -69,7 +69,6 @@ from .pathloss import (
 )
 from .presets import PRESET_NAMES, fig8_distributed_cases, preset, run_preset
 from .scenario import (
-    DopplerSpec,
     PanelSetup,
     Scenario,
     dump_scenario,

@@ -33,6 +33,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import integrate, special
 
 from .errors import DegenerateDistribution, NumericalFailure, QuadratureFailure
@@ -175,9 +176,12 @@ def snr_variance(fit: GammaFit, gamma_teff: float) -> float:
 
     The gamma-ratio difference a(a+1)(a+2)(a+3) - (a(a+1))^2 factors as
     a(a+1)(4a+6), which avoids catastrophic cancellation for large shapes.
+    The scale gamma_teff / b^2 is formed first, so the result does not
+    turn to 0/0 where gamma_teff^2 and b^4 both underflow.
     """
     a = fit.a
-    return gamma_teff * gamma_teff * a * (a + 1.0) * (4.0 * a + 6.0) / fit.b**4
+    r = gamma_teff / (fit.b * fit.b)
+    return r * r * a * (a + 1.0) * (4.0 * a + 6.0)
 
 
 def ec_upper_bound(mean_snr: float) -> float:
@@ -201,6 +205,9 @@ def deterministic_capacity(mean_envelope: float, gamma_teff: float) -> float:
     return math.log2(1.0 + gamma_teff * mean_envelope * mean_envelope)
 
 
+# numpy-scalar moments would warn where a figure leaves float range;
+# _finite checks every figure instead
+@np.errstate(all="ignore")
 def capacity_report(moments: MomentSummary, gamma_teff: float) -> CapacityReport:
     """Full analytic report; falls back to the deterministic-envelope value
     when the distribution is too concentrated to fit (an envelope that is

@@ -134,13 +134,10 @@ def _parse_values(raw: str) -> tuple[float, ...]:
 
 def _cmd_sweep(args) -> None:
     scenario = _override_mode(load_scenario(args.scenario), args.mode)
-    sweep = SweepSpec(
-        variable=args.var,
-        values=_parse_values(args.values),
-        trials=None if args.no_mc else args.trials,
-        seed=args.seed,
+    sweep = SweepSpec(variable=args.var, values=_parse_values(args.values))
+    rows = run_sweep(
+        scenario, sweep, None if args.no_mc else args.trials, args.seed, args.workers
     )
-    rows = run_sweep(scenario, sweep, workers=args.workers)
     _emit(rows_to_csv(rows, sweep.variable), args.out)
 
 

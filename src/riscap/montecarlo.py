@@ -42,15 +42,15 @@ from .channel import (
 from .errors import InvalidScenario, ScenarioError
 
 
-def check_run_settings(trials: Optional[int], seed: int, workers: int = 1, prefix: str = ""):
+def check_run_settings(trials: Optional[int], seed: int, workers: int = 1):
     """Reject trials below 1 (None means no Monte Carlo), a seed outside
-    [0, 2**64) and fewer than one worker, naming the field after prefix."""
+    [0, 2**64) and fewer than one worker, naming the field."""
     if trials is not None and trials < 1:
-        raise ScenarioError(f"{prefix}trials: must be >= 1, got {trials}")
+        raise ScenarioError(f"trials: must be >= 1, got {trials}")
     if not (0 <= seed < 2**64):
-        raise ScenarioError(f"{prefix}seed: must lie in [0, 2**64), got {seed}")
+        raise ScenarioError(f"seed: must lie in [0, 2**64), got {seed}")
     if workers < 1:
-        raise ScenarioError(f"{prefix}workers: must be >= 1, got {workers}")
+        raise ScenarioError(f"workers: must be >= 1, got {workers}")
 
 
 @dataclass(frozen=True)

@@ -62,8 +62,6 @@ K_DEFAULT = db_to_linear(3.0)
 RHO0_DEFAULT = 0.95
 RHO_PANEL_DEFAULT = 0.9
 
-PRESET_NAMES = ("fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8")
-
 
 def _budget(p_dbm: float) -> LinkBudget:
     return LinkBudget(
@@ -201,6 +199,7 @@ _BUILDERS = {
     "fig7": _fig7,
     "fig8": _fig8,
 }
+PRESET_NAMES = tuple(_BUILDERS)
 
 
 def preset(name: str) -> tuple[Scenario, SweepSpec]:

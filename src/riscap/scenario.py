@@ -2,9 +2,11 @@
 
 The on-disk format is YAML with nested sections (see README for the full
 grammar).  dB/dBm spellings are accepted for powers, gains, and K-factors
-and converted here; the in-memory model is strictly linear.  Serializing
-always emits the linear spellings so that serialize -> parse round-trips
-to an identical in-memory scenario.
+and converted here, and a Doppler triple (doppler, doppler0) is resolved
+here to its aging correlation J0(2 pi f_d T_s); the in-memory model is
+strictly linear and holds plain correlations.  Serializing always emits
+the linear spellings (rho, rho0 for a triple) so that serialize -> parse
+round-trips to an identical in-memory scenario.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional
 import yaml
 
 from .channel import outdated_correlation
-from .errors import ScenarioError
+from .errors import NegativeCorrelation, ScenarioError
 from .geometry import Point3, RisPanel
 from .pathloss import LinkBudget
 from .units import db_to_linear, dbm_to_watts
@@ -25,33 +27,13 @@ MODES = ("auto", "near", "far")
 
 
 @dataclass(frozen=True)
-class DopplerSpec:
-    """Aging triple from which the correlation coefficient is derived."""
-
-    fc_hz: float
-    v_mps: float
-    ts_s: float
-
-    def rho(self) -> float:
-        return outdated_correlation(self.fc_hz, self.v_mps, self.ts_s)
-
-
-@dataclass(frozen=True)
 class PanelSetup:
-    """One panel plus its fading and aging parameters (linear K factors)."""
+    """One panel plus its fading (linear K factors) and aging correlation."""
 
     panel: RisPanel
     k1: float
     k2: float
-    rho: Optional[float] = None
-    doppler: Optional[DopplerSpec] = None
-
-    def aging_rho(self) -> float:
-        if self.rho is not None:
-            return self.rho
-        if self.doppler is None:
-            raise ValueError("panel needs either rho or a doppler triple")
-        return self.doppler.rho()
+    rho: float
 
 
 @dataclass(frozen=True)
@@ -65,17 +47,9 @@ class Scenario:
     k0: float
     budget: LinkBudget
     fc_hz: float
-    rho0: Optional[float] = None
-    doppler0: Optional[DopplerSpec] = None
+    rho0: float
     mode: str = "auto"
     fixed_total_elements: Optional[int] = None
-
-    def aging_rho0(self) -> float:
-        if self.rho0 is not None:
-            return self.rho0
-        if self.doppler0 is None:
-            raise ValueError("scenario needs either rho0 or a doppler0 triple")
-        return self.doppler0.rho()
 
 
 def _as_number(value, path: str) -> float:
@@ -202,10 +176,9 @@ def _broadcast(section: _Section, key: str, value, n: int) -> list:
     return raw
 
 
-def _correlation(value, path: str) -> float:
-    rho = _as_number(value, path)
+def _correlation(rho: float, path: str) -> float:
     if not (0.0 <= rho <= 1.0):
-        raise ScenarioError(f"{path}: correlation must lie in [0, 1]")
+        raise ScenarioError(f"{path}: correlation must lie in [0, 1], got {rho!r}")
     return rho
 
 
@@ -220,30 +193,35 @@ def _per_panel_values(section: _Section, base: str, n: int) -> list[float]:
     return out
 
 
-def _doppler(section: _Section, default_fc: float) -> DopplerSpec:
+def _doppler(section: _Section, default_fc: float) -> float:
+    """The aging correlation J0(2 pi f_d T_s) of a Doppler triple; a triple
+    the model cannot take raises ScenarioError naming the section."""
     section.reject_unknown({"fc_hz", "v_mps", "ts_s"})
     fc = _as_number(section.optional("fc_hz", default_fc), f"{section.path}.fc_hz")
-    return DopplerSpec(fc_hz=fc, v_mps=section.number("v_mps"), ts_s=section.number("ts_s"))
+    try:
+        rho = outdated_correlation(fc, section.number("v_mps"), section.number("ts_s"))
+    except (ValueError, NegativeCorrelation) as exc:
+        raise ScenarioError(f"{section.path}: {exc}") from None
+    return _correlation(rho, section.path)
 
 
-def _aging(
-    section: _Section, rho_key: str, doppler_key: str, default_fc: float
-) -> tuple[Optional[float], Optional[DopplerSpec]]:
-    key, value = section.one_of(rho_key, doppler_key)
-    if key == doppler_key:
-        return None, _doppler(section.child(doppler_key), default_fc)
-    return _correlation(value, f"{section.path}.{key}"), None
+def _rho0(section: _Section, default_fc: float) -> float:
+    key, value = section.one_of("rho0", "doppler0")
+    if key == "doppler0":
+        return _doppler(section.child(key), default_fc)
+    path = f"{section.path}.rho0"
+    return _correlation(_as_number(value, path), path)
 
 
-def _per_panel_aging(
-    section: _Section, n: int, default_fc: float
-) -> list[tuple[Optional[float], Optional[DopplerSpec]]]:
+def _per_panel_rho(section: _Section, n: int, default_fc: float) -> list[float]:
     key, value = section.one_of("rho", "doppler")
     if key == "doppler":
-        spec = _doppler(section.child("doppler"), default_fc)
-        return [(None, spec)] * n
-    raw = _broadcast(section, "rho", value, n)
-    return [(_correlation(v, f"{section.path}.rho[{i}]"), None) for i, v in enumerate(raw)]
+        return [_doppler(section.child(key), default_fc)] * n
+    out = []
+    for i, v in enumerate(_broadcast(section, key, value, n)):
+        path = f"{section.path}.rho[{i}]"
+        out.append(_correlation(_as_number(v, path), path))
+    return out
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -305,8 +283,8 @@ def parse_scenario(data: dict) -> Scenario:
         for i, v in enumerate(values):
             if v < 0:
                 raise ScenarioError(f"scenario.channel.{name}[{i}]: K-factor must be >= 0")
-    rho0, doppler0 = _aging(channel, "rho0", "doppler0", fc_hz)
-    panel_aging = _per_panel_aging(channel, len(panels), fc_hz)
+    rho0 = _rho0(channel, fc_hz)
+    rhos = _per_panel_rho(channel, len(panels), fc_hz)
 
     budget_sec = root.child("budget")
     budget_sec.reject_unknown(
@@ -327,8 +305,8 @@ def parse_scenario(data: dict) -> Scenario:
         raise ScenarioError(f"scenario.budget: {exc}") from exc
 
     setups = tuple(
-        PanelSetup(panel=p, k1=k1, k2=k2, rho=rho, doppler=dop)
-        for p, k1, k2, (rho, dop) in zip(panels, k1s, k2s, panel_aging)
+        PanelSetup(panel=p, k1=k1, k2=k2, rho=rho)
+        for p, k1, k2, rho in zip(panels, k1s, k2s, rhos)
     )
     return Scenario(
         bs=bs,
@@ -339,7 +317,6 @@ def parse_scenario(data: dict) -> Scenario:
         budget=budget,
         fc_hz=fc_hz,
         rho0=rho0,
-        doppler0=doppler0,
         mode=mode,
         fixed_total_elements=fixed_total,
     )
@@ -372,10 +349,6 @@ def _panel_dict(p: RisPanel) -> dict:
     }
 
 
-def _doppler_dict(d: DopplerSpec) -> dict:
-    return {"fc_hz": d.fc_hz, "v_mps": d.v_mps, "ts_s": d.ts_s}
-
-
 def scenario_to_dict(s: Scenario) -> dict:
     """Canonical (all-linear) mapping; parse(scenario_to_dict(s)) == s."""
     if s.kind == "centralized":
@@ -388,17 +361,13 @@ def scenario_to_dict(s: Scenario) -> dict:
     if s.fixed_total_elements is not None:
         deployment["fixed_total_elements"] = s.fixed_total_elements
 
-    channel: dict = {"k0": s.k0, "k1": [ps.k1 for ps in s.panels], "k2": [ps.k2 for ps in s.panels]}
-    if s.rho0 is not None:
-        channel["rho0"] = s.rho0
-    else:
-        channel["doppler0"] = _doppler_dict(s.doppler0)
-    if all(ps.rho is not None for ps in s.panels):
-        channel["rho"] = [ps.rho for ps in s.panels]
-    else:
-        # Mixed rho/doppler panels cannot arise from parsing (one key rules
-        # all panels), so the first panel's spec is authoritative.
-        channel["doppler"] = _doppler_dict(s.panels[0].doppler)
+    channel = {
+        "k0": s.k0,
+        "k1": [ps.k1 for ps in s.panels],
+        "k2": [ps.k2 for ps in s.panels],
+        "rho0": s.rho0,
+        "rho": [ps.rho for ps in s.panels],
+    }
 
     return {
         "fc_hz": s.fc_hz,

@@ -50,7 +50,6 @@ from .pathloss import beta0_reference, direct_pathloss, element_pathloss, farfie
 from .scenario import Scenario
 from .units import dbm_to_watts, db_to_linear, wavelength
 
-SWEEP_VARIABLES = ("P", "rho", "rho0", "My", "d1", "cell_size", "K0")
 SWEEP_UNITS = {
     "P": "dBm",
     "rho": "1",
@@ -60,6 +59,7 @@ SWEEP_UNITS = {
     "cell_size": "m",
     "K0": "dB",
 }
+SWEEP_VARIABLES = tuple(SWEEP_UNITS)
 CSV_COLUMNS = (
     "sweep_value",
     "ec_approx",
@@ -77,13 +77,10 @@ DEFAULT_SEED = 7_543_137
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept variable, its values, and the points' shared trials (None:
-    no Monte Carlo) and seed."""
+    """One swept variable and its values."""
 
     variable: str
     values: tuple[float, ...]
-    trials: Optional[int] = DEFAULT_TRIALS
-    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
@@ -96,7 +93,6 @@ class SweepSpec:
         bad = [v for v in self.values if not math.isfinite(v)]
         if bad:
             raise ScenarioError(f"sweep.values: must be finite, got {bad[0]}")
-        check_run_settings(self.trials, self.seed, prefix="sweep.")
 
 
 @dataclass(frozen=True)
@@ -189,10 +185,10 @@ def resolve(scenario: Scenario) -> ResolvedScenario:
                 setup.panel.element_count, 1.0 / _loss(what, farfield_pathloss, link, b0_ref)
             )
         panels.append(
-            PanelChannel(beta_inv=beta_inv, rho=setup.aging_rho(), k1=setup.k1, k2=setup.k2)
+            PanelChannel(beta_inv=beta_inv, rho=setup.rho, k1=setup.k1, k2=setup.k2)
         )
 
-    rho0 = scenario.aging_rho0()
+    rho0 = scenario.rho0
     omega0 = rician_mean_envelope(RicianParams(scenario.k0))
     moments = distributed_moments(panels, omega0, rho0, beta0_inv)
     effective = distributed_noise_variance(
@@ -300,11 +296,9 @@ def _replace_swept(scenario: Scenario, variable: str, value: float) -> Scenario:
     if variable in ("rho", "rho0") and not (0.0 <= value <= 1.0):
         raise ScenarioError(f"sweep {variable}={value}: correlation must lie in [0, 1]")
     if variable == "rho0":
-        return dataclasses.replace(scenario, rho0=value, doppler0=None)
+        return dataclasses.replace(scenario, rho0=value)
     if variable == "rho":
-        panels = tuple(
-            dataclasses.replace(ps, rho=value, doppler=None) for ps in scenario.panels
-        )
+        panels = tuple(dataclasses.replace(ps, rho=value) for ps in scenario.panels)
         return dataclasses.replace(scenario, panels=panels)
     if variable == "K0":
         return dataclasses.replace(scenario, k0=db_to_linear(value))
@@ -376,14 +370,16 @@ class SweepRow:
 def run_sweep(
     scenario: Scenario,
     sweep: SweepSpec,
+    trials: Optional[int] = DEFAULT_TRIALS,
+    seed: int = DEFAULT_SEED,
     workers: int = 1,
 ) -> list[SweepRow]:
-    """One row per sweep value; _evaluate says how Monte Carlo points
-    share their draws."""
+    """One row per sweep value, with Monte Carlo unless trials is None;
+    _evaluate says how Monte Carlo points share their draws."""
     return _run_points(
         [(v, apply_sweep_value(scenario, sweep.variable, v)) for v in sweep.values],
-        sweep.trials,
-        sweep.seed,
+        trials,
+        seed,
         workers,
     )
 

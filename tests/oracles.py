@@ -223,13 +223,13 @@ def ks_distance(sorted_samples: np.ndarray, cdf_values: np.ndarray) -> float:
     return float(max(upper, lower))
 
 
-def per_point_sweep(scenario, sweep, workers: int = 1) -> list:
+def per_point_sweep(scenario, sweep, trials, seed: int, workers: int = 1) -> list:
     """Sweep rows with one run_scenario call per point, no shared draws;
-    sweep.trials None runs no Monte Carlo."""
+    trials None runs no Monte Carlo."""
     rows = []
     for value in sweep.values:
         point = apply_sweep_value(scenario, sweep.variable, value)
-        result = run_scenario(point, trials=sweep.trials, seed=sweep.seed, workers=workers)
+        result = run_scenario(point, trials=trials, seed=seed, workers=workers)
         rows.append(_row(value, result))
     return rows
 
@@ -254,14 +254,13 @@ def per_point_preset(name: str, trials: int, seed: int, workers: int = 1) -> lis
     as a near-mode sweep followed by a far-mode sweep, fig8 as its sweep
     followed by one row per distributed case, numbered 1..3."""
     scenario, sweep = preset(name)
-    sweep = dataclasses.replace(sweep, trials=trials, seed=seed)
     if name == "fig4":
         rows = []
         for mode in ("near", "far"):
             forced = dataclasses.replace(scenario, mode=mode)
-            rows.extend(per_point_sweep(forced, sweep, workers))
+            rows.extend(per_point_sweep(forced, sweep, trials, seed, workers))
         return rows
-    rows = per_point_sweep(scenario, sweep, workers)
+    rows = per_point_sweep(scenario, sweep, trials, seed, workers)
     if name == "fig8":
         for number, case in enumerate(fig8_distributed_cases(), start=1):
             result = run_scenario(case, trials=trials, seed=seed, workers=workers)

@@ -20,7 +20,7 @@ from riscap.capacity import (
     snr_mean,
     snr_variance,
 )
-from riscap.errors import DegenerateDistribution
+from riscap.errors import DegenerateDistribution, NumericalFailure
 from riscap.moments import MomentSummary
 
 # frozen from oracles.mp_capacity_direct(2, 1, 10) (30-digit quadrature);
@@ -184,6 +184,11 @@ class TestCapacityReport:
         assert report.ec_approx == pytest.approx(math.log2(1.0 + 10.0 * 4.0), rel=1e-12)
         assert report.snr_variance == 0.0
         assert report.ec_upper == report.ec_lower
+
+    def test_figure_out_of_float_range_raises(self):
+        # gamma_teff * a(a+1) / b^2 overflows: E[SNR] is not representable
+        with pytest.raises(NumericalFailure, match="snr_mean"):
+            capacity_report(MomentSummary(1.0, 1.5, 0.5), 1e308)
 
     def test_ordering_of_fields(self):
         report = capacity_report(summary(1.5, 0.2), 25.0)

@@ -3,6 +3,7 @@ import re
 import pytest
 import yaml
 
+from riscap.channel import outdated_correlation
 from riscap.errors import ScenarioError
 from riscap.presets import PRESET_NAMES, fig8_distributed_cases, preset
 from riscap.scenario import dump_scenario, load_scenario, parse_scenario
@@ -85,7 +86,7 @@ class TestParsing:
             d["channel"]["doppler"] = {"v_mps": 1.0, "ts_s": 1.0e-3}
 
         s = parse_scenario(edited(mutate))
-        rho = s.panels[0].aging_rho()
+        rho = s.panels[0].rho
         # J0(2 pi (5e9/3e8) * 1e-3); frozen from the series oracle
         assert rho == pytest.approx(0.99726032168302324479, rel=1e-12)
 
@@ -167,10 +168,9 @@ class TestValidationErrors:
 class TestPresetContracts:
     def test_defaults(self):
         for name in PRESET_NAMES:
-            scenario, sweep = preset(name)
-            assert sweep.trials == 100_000
+            scenario, _ = preset(name)
             assert scenario.rho0 == 0.95
-            assert all(ps.rho in (0.9, None) for ps in scenario.panels)
+            assert all(ps.rho == 0.9 for ps in scenario.panels)
 
     def test_fig7_shape_setup(self):
         scenario, sweep = preset("fig7")
@@ -199,6 +199,20 @@ class TestRoundTrip:
     def test_fig8_cases_round_trip(self):
         for scenario in fig8_distributed_cases():
             assert parse_scenario(yaml.safe_load(dump_scenario(scenario))) == scenario
+
+    def test_doppler_file_round_trips_as_correlations(self):
+        def mutate(d):
+            d["channel"].pop("rho")
+            d["channel"].pop("rho0")
+            d["channel"]["doppler"] = {"v_mps": 1.0, "ts_s": 1.0e-3}
+            d["channel"]["doppler0"] = {"fc_hz": 2.0e9, "v_mps": 3.0, "ts_s": 2.0e-3}
+
+        scenario = parse_scenario(edited(mutate))
+        dumped = yaml.safe_load(dump_scenario(scenario))
+        assert "doppler" not in dumped["channel"] and "doppler0" not in dumped["channel"]
+        assert parse_scenario(dumped) == scenario
+        assert scenario.panels[0].rho == outdated_correlation(5.0e9, 1.0, 1.0e-3)
+        assert scenario.rho0 == outdated_correlation(2.0e9, 3.0, 2.0e-3)
 
     def test_file_round_trip(self, tmp_path):
         scenario = parse_text(MINIMAL)
