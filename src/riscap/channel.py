@@ -102,14 +102,25 @@ def outdated_correlation(fc: float, v: float, ts: float) -> float:
     return min(rho, 1.0)
 
 
+_CHUNK_ELEMENTS = 32_768  # the sampler's quadrature-normal buffer: 256 KB, below L2
+
+
 def sample_rician_envelope(params: RicianParams, rng: np.random.Generator, size=None):
     """Envelopes of unit-power Rician samples sqrt(K/(1+K)) + scatter, the
     scatter term circular complex Gaussian with power 1/(1+K), drawn as
     in-phase then quadrature normals.  The analysis depends only on
-    envelopes, so the line-of-sight term is taken real."""
+    envelopes, so the line-of-sight term is taken real.  The quadrature
+    normals stream through one buffer: chunked standard_normal(out=) calls
+    read the bit stream as one whole draw does, so the result is the same."""
     re = rng.standard_normal(size)
-    im = rng.standard_normal(size)
-    return rician_envelope_from_normals(params, re, im)
+    if size is None:
+        return rician_envelope_from_normals(params, re, rng.standard_normal())
+    flat = re.reshape(-1)
+    buf = np.empty(min(flat.size, _CHUNK_ELEMENTS))
+    for start in range(0, flat.size, _CHUNK_ELEMENTS):
+        chunk = flat[start : start + _CHUNK_ELEMENTS]
+        rician_envelope_from_normals(params, chunk, rng.standard_normal(out=buf[: chunk.size]))
+    return re
 
 
 def rician_envelope_from_normals(params: RicianParams, re, im):

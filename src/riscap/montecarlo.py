@@ -22,6 +22,9 @@ Ensembles with equal draw signatures (SnrEnsemble.draw_signature) consume
 identical draws from a block's substream, so simulate_ec_sweep draws each
 block once and evaluates every such ensemble from it; each estimate is
 bit-identical to simulating that ensemble alone.
+
+Memory: a worker holds two arrays of block_size x M x 8 bytes (|h|, then
+g), e.g. 328 MB at M = 10^4 with the default 2048-trial blocks.
 """
 
 from __future__ import annotations

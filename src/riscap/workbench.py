@@ -132,6 +132,8 @@ def _loss(what: str, pathloss, *args):
     return loss
 
 
+# every overflow is range-checked and named below; numpy's warnings add nothing
+@np.errstate(all="ignore")
 def resolve(scenario: Scenario) -> ResolvedScenario:
     """Wire geometry -> path loss -> envelope statistics for one scenario."""
     lam = wavelength(scenario.fc_hz)
@@ -194,6 +196,11 @@ def resolve(scenario: Scenario) -> ResolvedScenario:
     effective = distributed_noise_variance(
         budget.tx_power, panels, rho0, omega0, beta0_inv, budget.noise_power
     )
+    if not math.isfinite(effective.noise_variance):
+        raise ScenarioError(
+            "scenario.budget.p_w, scenario.budget.gt, scenario.budget.gr: the outdated-CSI leakage "
+            f"P * sum(beta^-1) overflowed at p_w={budget.tx_power:g} W, gt={gt:g}, gr={gr:g}"
+        )
     if not 0 < effective.gamma_teff < math.inf:
         raise ScenarioError(
             "scenario.budget.p_w, scenario.budget.noise_w: effective transmit SNR "

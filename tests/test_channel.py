@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from oracles import mp_j0, mp_laguerre_half, mp_rician_mean, sample_rician
 from riscap.channel import (
+    _CHUNK_ELEMENTS,
     RicianParams,
     laguerre_half,
     outdated_correlation,
+    rician_envelope_from_normals,
     rician_mean_envelope,
     sample_rician_envelope,
 )
@@ -17,6 +19,10 @@ from riscap.errors import NegativeCorrelation
 
 # frozen from the quadrature oracle in oracles.mp_rician_mean (30 digits)
 OMEGA_5 = 0.95993011075201893576
+
+
+def philox(seed):
+    return np.random.Generator(np.random.Philox(seed))
 
 
 class TestLaguerreHalf:
@@ -146,6 +152,29 @@ class TestSampler:
         e1 = sample_rician_envelope(RicianParams(2.0), np.random.default_rng(5), size=4096)
         e2 = np.abs(sample_rician(RicianParams(2.0), np.random.default_rng(5), size=4096))
         assert np.allclose(e1, e2)
+
+    def test_chunked_draws_continue_the_stream(self):
+        # the sampler's quadrature buffer relies on this: standard_normal
+        # into uneven pieces reads the Philox stream as one full draw does
+        sizes = (1, 7, _CHUNK_ELEMENTS + 5)
+        whole = philox(3).standard_normal(sum(sizes))
+        rng = philox(3)
+        pieces = [rng.standard_normal(out=np.empty(s)) for s in sizes]
+        assert np.array_equal(np.concatenate(pieces), whole)
+
+    @pytest.mark.parametrize("k", [0.0, 2.0, math.inf])
+    @pytest.mark.parametrize("shape", [(5, 3), (2048, 40), (3, _CHUNK_ELEMENTS + 11)])
+    def test_equals_two_whole_draws(self, k, shape):
+        rng = philox(11)
+        re = rng.standard_normal(shape)
+        im = rng.standard_normal(shape)
+        expected = rician_envelope_from_normals(RicianParams(k), re, im)
+        after = philox(11)
+        env = sample_rician_envelope(RicianParams(k), after, size=shape)
+        assert env.shape == shape
+        assert np.array_equal(env, expected)
+        # and leaves the generator where the two whole draws leave it
+        assert after.standard_normal() == rng.standard_normal()
 
     def test_k_must_be_nonnegative(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from riscap.channel import PanelChannel
+from riscap.channel import _CHUNK_ELEMENTS, PanelChannel
 from riscap.errors import InvalidScenario
 from riscap.montecarlo import (
     SnrEnsemble,
@@ -186,7 +187,9 @@ class TestMonotonicity:
         assert all(b > a for a, b in zip(ec_by_power, ec_by_power[1:]))
 
 
-def two_panel_ensemble(rho=(0.8, 0.6), k=(1.0, 4.0, 0.5, 2.0), beta_scale=1.0, k0=0.7):
+def two_panel_ensemble(
+    rho=(0.8, 0.6), k=(1.0, 4.0, 0.5, 2.0), beta_scale=1.0, k0=0.7, ms=(5, 3)
+):
     rng = np.random.default_rng(321)
     panels = tuple(
         PanelChannel(
@@ -195,7 +198,7 @@ def two_panel_ensemble(rho=(0.8, 0.6), k=(1.0, 4.0, 0.5, 2.0), beta_scale=1.0, k
             k1=k1,
             k2=k2,
         )
-        for m, r, k1, k2 in ((5, rho[0], k[0], k[1]), (3, rho[1], k[2], k[3]))
+        for m, r, k1, k2 in ((ms[0], rho[0], k[0], k[1]), (ms[1], rho[1], k[2], k[3]))
     )
     return SnrEnsemble(panels=panels, beta0_inv=4e-10, rho0=0.9, k0=k0, gamma_teff=2e10)
 
@@ -224,10 +227,28 @@ class TestReferenceKernel:
         ],
     }
 
+    # blocks of 3 trials span several sampler chunks, end on a partial one
+    # and put chunk edges inside rows
+    WIDE = (12_007, 20_011)
+    WIDE_CASES = {
+        "wider_than_chunk": [small_ensemble(m=_CHUNK_ELEMENTS + 123)],
+        "wide_shared_signature": [
+            two_panel_ensemble(ms=WIDE),
+            two_panel_ensemble(rho=(0.3, 1.0), beta_scale=7.0, k0=0.0, ms=WIDE),
+        ],
+    }
+
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("trials, block_size", [(700, 256), (512, 128)])
     def test_blocks_match_reference_kernel(self, case, trials, block_size):
-        ensembles = self.CASES[case]
+        self.assert_blocks_match(self.CASES[case], trials, block_size)
+
+    @pytest.mark.parametrize("case", sorted(WIDE_CASES))
+    def test_wide_blocks_match_reference_kernel(self, case):
+        self.assert_blocks_match(self.WIDE_CASES[case], trials=7, block_size=3)
+
+    @staticmethod
+    def assert_blocks_match(ensembles, trials, block_size):
         cfg = TrialConfig(trials=trials, seed=2024, block_size=block_size)
         plan = _block_plan(cfg)
         assert plan == oracles.block_partition(cfg)
@@ -236,3 +257,22 @@ class TestReferenceKernel:
             for ensemble, z in zip(ensembles, zs):
                 ref = oracles.reference_block_z(ensemble, cfg.seed, index, n)
                 np.testing.assert_allclose(z, ref, rtol=1e-12, atol=0)
+
+
+def test_block_kernel_peaks_at_two_block_arrays():
+    # |h|, then g: each fade's quadrature normals pass through a small
+    # buffer, so a block call never holds three (n, M) arrays at once
+    n, m = 2048, 576
+    base = small_ensemble(m=m)
+    group = [base, dataclasses.replace(base, rho0=0.5, gamma_teff=1e9)]
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _block_envelope_sums(group, _block_rng(5, 0), n)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 2.1 * n * m * 8

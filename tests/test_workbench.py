@@ -562,6 +562,23 @@ class TestCli:
                 2,
                 ["scenario.budget.p_w", "scenario.budget.noise_w"],
             ),
+            # rejected for leaving float range, without a numpy warning on
+            # the way: the user-to-element distances overflow; the
+            # outdated-CSI leakage overflows (gt scales it, noise_w does not)
+            (
+                "fig2",
+                {"user.x": 1e300, "budget.xi": 1e-300},
+                ["analyze", "--no-mc"],
+                2,
+                ["panel 0: near-field loss"],
+            ),
+            (
+                "fig3",
+                {"budget.p_w": 1e300, "budget.gt": 1e300},
+                ["analyze", "--no-mc"],
+                2,
+                ["scenario.budget.p_w, scenario.budget.gt, scenario.budget.gr", "leakage"],
+            ),
             # the SNR -> 0 limit of the lower bound; a variance whose
             # gamma_teff^2 and b^4 both underflow, yet which is finite
             ("fig2", {"budget.p_w": 1e-300}, ["analyze", "--no-mc"], 0, ["ec_lower_approx_bit_s_hz: 0\n"]),
