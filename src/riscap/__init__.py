@@ -78,9 +78,7 @@ from .scenario import (
     scenario_to_dict,
 )
 from .workbench import (
-    ResolvedScenario,
     RunResult,
-    SweepRow,
     SweepSpec,
     apply_sweep_value,
     resolve,

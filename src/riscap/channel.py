@@ -105,7 +105,7 @@ def outdated_correlation(fc: float, v: float, ts: float) -> float:
 _CHUNK_ELEMENTS = 32_768  # the sampler's quadrature-normal buffer: 256 KB, below L2
 
 
-def sample_rician_envelope(params: RicianParams, rng: np.random.Generator, size=None):
+def sample_rician_envelope(params: RicianParams, rng: np.random.Generator, size):
     """Envelopes of unit-power Rician samples sqrt(K/(1+K)) + scatter, the
     scatter term circular complex Gaussian with power 1/(1+K), drawn as
     in-phase then quadrature normals.  The analysis depends only on
@@ -113,8 +113,6 @@ def sample_rician_envelope(params: RicianParams, rng: np.random.Generator, size=
     normals stream through one buffer: chunked standard_normal(out=) calls
     read the bit stream as one whole draw does, so the result is the same."""
     re = rng.standard_normal(size)
-    if size is None:
-        return rician_envelope_from_normals(params, re, rng.standard_normal())
     flat = re.reshape(-1)
     buf = np.empty(min(flat.size, _CHUNK_ELEMENTS))
     for start in range(0, flat.size, _CHUNK_ELEMENTS):
@@ -142,4 +140,4 @@ def rician_envelope_from_normals(params: RicianParams, re, im):
     re *= re
     im *= im
     re += im
-    return np.sqrt(re, out=re if isinstance(re, np.ndarray) else None)
+    return np.sqrt(re, out=re)

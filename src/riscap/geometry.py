@@ -126,18 +126,16 @@ def element_centers(panel: RisPanel) -> tuple[np.ndarray, np.ndarray]:
     return x.ravel(), y.ravel()
 
 
-def _require_above_plane(point: Point3, z0: float, label: str) -> None:
+def _require_above_plane(point: Point3, z0: float, field: str) -> None:
     if point.z <= z0:
-        raise GeometryError(
-            f"{label} at z={point.z} must lie strictly above the panel plane z={z0}"
-        )
+        raise GeometryError(f"{field}={point.z} must lie strictly above the panel plane z={z0}")
 
 
 def panel_link(bs: Point3, user: Point3, panel: RisPanel) -> PanelLink:
     """Center-of-panel distances and elevation cosines."""
     z0 = panel.center.z
-    _require_above_plane(bs, z0, "BS")
-    _require_above_plane(user, z0, "user")
+    _require_above_plane(bs, z0, "scenario.bs.z")
+    _require_above_plane(user, z0, "scenario.user.z")
     d1 = bs.distance_to(panel.center)
     d2 = user.distance_to(panel.center)
     return PanelLink(

@@ -19,9 +19,10 @@ Per-block partial sums are reduced in block order with exact summation
 (math.fsum), so the result is bit-identical for any worker count.
 
 Ensembles with equal draw signatures (SnrEnsemble.draw_signature) consume
-identical draws from a block's substream, so simulate_ec_sweep draws each
-block once and evaluates every such ensemble from it; each estimate is
-bit-identical to simulating that ensemble alone.
+identical draws from a block's substream.  simulate_ec_sweep takes
+ensembles of any signatures, groups them by signature itself, and draws
+each block once per group; each estimate is bit-identical to simulating
+that ensemble alone.
 
 Memory: a worker holds two arrays of block_size x M x 8 bytes (|h|, then
 g), e.g. 328 MB at M = 10^4 with the default 2048-trial blocks.
@@ -154,24 +155,28 @@ def _block_plan(cfg: TrialConfig) -> list[tuple[int, int]]:
 def simulate_ec_sweep(
     ensembles: Sequence[SnrEnsemble], cfg: TrialConfig, workers: int = 1
 ) -> list[McEstimate]:
-    """Estimate the ergodic capacity of each ensemble from one shared set
-    of draws.  The ensembles must share one draw signature; each estimate
-    is bit-identical to simulating its ensemble alone, for any worker
-    count."""
+    """Estimate the ergodic capacity of each ensemble, in input order.
+    Ensembles that share a draw signature share every block's draws; each
+    estimate is bit-identical to simulating its ensemble alone, for any
+    worker count."""
     ensembles = tuple(ensembles)
     if not ensembles:
         raise ValueError("need at least one ensemble")
-    if len({e.draw_signature() for e in ensembles}) > 1:
-        raise ValueError("ensembles must share one draw signature")
+    groups: dict[tuple, list[int]] = {}
+    for i, ensemble in enumerate(ensembles):
+        groups.setdefault(ensemble.draw_signature(), []).append(i)
 
     def block_sums(item) -> list[tuple[float, float]]:
-        """Per ensemble, the block's sum of log2(1 + SNR) and of its square."""
+        """Per ensemble, the block's sum of log2(1 + SNR) and of its square;
+        each group draws the block from its own fresh substream."""
         index, n = item
-        zs = _block_envelope_sums(ensembles, _block_rng(cfg.seed, index), n)
-        sums = []
-        for ensemble, z in zip(ensembles, zs):
-            ec = np.log2(1.0 + ensemble.gamma_teff * z * z)
-            sums.append((float(np.sum(ec)), float(np.sum(ec * ec))))
+        sums: list[tuple[float, float]] = [(0.0, 0.0)] * len(ensembles)
+        for indices in groups.values():
+            group = [ensembles[i] for i in indices]
+            zs = _block_envelope_sums(group, _block_rng(cfg.seed, index), n)
+            for i, z in zip(indices, zs):
+                ec = np.log2(1.0 + ensembles[i].gamma_teff * z * z)
+                sums[i] = (float(np.sum(ec)), float(np.sum(ec * ec)))
         return sums
 
     plan = _block_plan(cfg)

@@ -45,9 +45,9 @@ from .units import db_to_linear, dbm_to_watts, wavelength
 from .workbench import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
-    SweepRow,
+    RunResult,
     SweepSpec,
-    _run_points,
+    _evaluate,
     apply_sweep_value,
 )
 
@@ -216,10 +216,10 @@ def run_preset(
     trials: int | None = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
-) -> tuple[list[SweepRow], str]:
-    """Rows of one preset (expanded as the module docstring says) and the
-    swept variable that labels them in rows_to_csv; trials=None skips
-    Monte Carlo."""
+) -> tuple[list[tuple[float, RunResult]], str]:
+    """(sweep_value, RunResult) rows of one preset (expanded as the module
+    docstring says) and the swept variable that labels them in
+    rows_to_csv; trials=None skips Monte Carlo."""
     scenario, sweep = preset(name)
     bases = [scenario]
     if name == "fig4":
@@ -231,4 +231,5 @@ def run_preset(
     ]
     if name == "fig8":
         points += [(float(i), case) for i, case in enumerate(fig8_distributed_cases(), 1)]
-    return _run_points(points, trials, seed, workers), sweep.variable
+    results = _evaluate([point for _, point in points], trials, seed, workers)
+    return [(value, r) for (value, _), r in zip(points, results)], sweep.variable

@@ -292,17 +292,18 @@ def parse_scenario(data: dict) -> Scenario:
     )
     tx_power = _linear_field(budget_sec, ("p_dbm", "p_w"), dbm_to_watts, positive=True)
     noise_power = _linear_field(budget_sec, ("noise_dbm", "noise_w"), dbm_to_watts, positive=True)
-    try:
-        budget = LinkBudget(
-            gt=_linear_field(budget_sec, ("gt", "gt_db"), positive=True),
-            gr=_linear_field(budget_sec, ("gr", "gr_db"), positive=True),
-            tx_power=tx_power,
-            noise_power=noise_power,
-            eta_db=budget_sec.number("eta_db"),
-            xi=budget_sec.number("xi"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"scenario.budget: {exc}") from exc
+    xi = budget_sec.number("xi")
+    if xi <= 0:
+        raise ScenarioError("scenario.budget.xi: path-loss exponent must be positive")
+    # every LinkBudget condition is checked above, at its own field
+    budget = LinkBudget(
+        gt=_linear_field(budget_sec, ("gt", "gt_db"), positive=True),
+        gr=_linear_field(budget_sec, ("gr", "gr_db"), positive=True),
+        tx_power=tx_power,
+        noise_power=noise_power,
+        eta_db=budget_sec.number("eta_db"),
+        xi=xi,
+    )
 
     setups = tuple(
         PanelSetup(panel=p, k1=k1, k2=k2, rho=rho)

@@ -1,10 +1,13 @@
 """Scenario execution: near/far resolution, the analytic pipeline, Monte
 Carlo runs, parameter sweeps, and CSV emission.
 
-Every evaluation goes through one private route, ``_evaluate``: scenarios
-in, one ``RunResult`` each out, with Monte Carlo unless trials is None.
-``run_scenario`` is its one-scenario case; ``run_sweep`` and
-``presets.run_preset`` turn (sweep_value, scenario) points into rows.
+``RunResult`` is the one record of an evaluated scenario.  ``resolve``
+builds it, analytic report included and ``mc`` None; ``_evaluate``, the
+one evaluation route, resolves every scenario and, unless trials is None,
+fills in ``mc`` from one ``simulate_ec_sweep`` call, which groups the
+scenarios that can share draws.  ``run_scenario`` is its one-scenario
+case; ``run_sweep`` and ``presets.run_preset`` return (sweep_value,
+RunResult) pairs, the rows ``rows_to_csv`` reads.
 
 Near/far decision in "auto" mode: the far-field constant-loss model is
 used only when, for every panel, both endpoint distances (BS-to-center
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import capacity as cap
 from .channel import PanelChannel, RicianParams, rician_mean_envelope
-from .errors import ScenarioError
+from .errors import GeometryError, ScenarioError
 from .geometry import (
     ELEVATION_CONVENTION_NOTE,
     Point3,
@@ -60,17 +63,6 @@ SWEEP_UNITS = {
     "K0": "dB",
 }
 SWEEP_VARIABLES = tuple(SWEEP_UNITS)
-CSV_COLUMNS = (
-    "sweep_value",
-    "ec_approx",
-    "ec_ub",
-    "ec_lb",
-    "ec_mc",
-    "mc_stderr",
-    "gamma_teff",
-    "mode",
-    "d_boundary_m",
-)
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 7_543_137
 
@@ -96,28 +88,23 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class ResolvedScenario:
-    """Scenario after geometry and channel statistics are evaluated."""
+class RunResult:
+    """One evaluated scenario: its resolved ensemble and statistics, the
+    analytic capacity report, and the Monte Carlo estimate (None when no
+    Monte Carlo ran)."""
 
     ensemble: SnrEnsemble
     moments: MomentSummary
     effective: EffectiveSnr
-    mode_used: str
-    d_boundary: float
-    notes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class RunResult:
-    """Analytic report plus optional Monte Carlo estimate for one run."""
-
     report: cap.CapacityReport
-    mc: Optional[McEstimate]
-    gamma_teff: float
     mode_used: str
     d_boundary: float
-    moments: MomentSummary
     notes: tuple[str, ...]
+    mc: Optional[McEstimate] = None
+
+    @property
+    def gamma_teff(self) -> float:
+        return self.effective.gamma_teff
 
 
 def _loss(what: str, pathloss, *args):
@@ -134,8 +121,9 @@ def _loss(what: str, pathloss, *args):
 
 # every overflow is range-checked and named below; numpy's warnings add nothing
 @np.errstate(all="ignore")
-def resolve(scenario: Scenario) -> ResolvedScenario:
-    """Wire geometry -> path loss -> envelope statistics for one scenario."""
+def resolve(scenario: Scenario) -> RunResult:
+    """Geometry -> path loss -> envelope statistics -> capacity report for
+    one scenario, with no Monte Carlo."""
     lam = wavelength(scenario.fc_hz)
     d0 = scenario.bs.distance_to(scenario.user)
     if d0 == 0:
@@ -149,9 +137,12 @@ def resolve(scenario: Scenario) -> ResolvedScenario:
 
     boundaries = []
     links = []
-    for setup in scenario.panels:
+    for i, setup in enumerate(scenario.panels):
         boundaries.append(near_field_boundary(setup.panel, lam))
-        links.append(panel_link(scenario.bs, scenario.user, setup.panel))
+        try:
+            links.append(panel_link(scenario.bs, scenario.user, setup.panel))
+        except GeometryError as exc:
+            raise GeometryError(f"panel {i}: {exc}") from None
 
     inside = [
         i
@@ -213,10 +204,11 @@ def resolve(scenario: Scenario) -> ResolvedScenario:
         k0=scenario.k0,
         gamma_teff=effective.gamma_teff,
     )
-    return ResolvedScenario(
+    return RunResult(
         ensemble=ensemble,
         moments=moments,
         effective=effective,
+        report=cap.capacity_report(moments, effective.gamma_teff),
         mode_used=mode,
         d_boundary=max(boundaries),
         notes=tuple(notes),
@@ -226,44 +218,18 @@ def resolve(scenario: Scenario) -> ResolvedScenario:
 def _evaluate(
     scenarios: Sequence[Scenario], trials: Optional[int], seed: int, workers: int
 ) -> list[RunResult]:
-    """Analytic report of every scenario, plus Monte Carlo estimates unless
-    trials is None.
-
-    Monte Carlo runs share one seed (common random numbers); scenarios
-    with equal draw signatures also share every block's draws, so each
-    block is drawn once per group and every estimate is bit-identical to
-    running its scenario alone.
-    """
+    """Resolve every scenario, then add Monte Carlo estimates unless trials
+    is None.  All estimates come from one simulate_ec_sweep call on one
+    seed (common random numbers), which decides which scenarios share
+    draws."""
     check_run_settings(trials, seed, workers)
-    resolved = []
-    reports = []
-    for scenario in scenarios:
-        point = resolve(scenario)
-        resolved.append(point)
-        reports.append(cap.capacity_report(point.moments, point.effective.gamma_teff))
-
-    mc: dict[int, McEstimate] = {}
-    if trials is not None:
-        groups: dict[tuple, list[int]] = {}
-        for i, point in enumerate(resolved):
-            groups.setdefault(point.ensemble.draw_signature(), []).append(i)
-        cfg = TrialConfig(trials=trials, seed=seed)
-        for indices in groups.values():
-            ensembles = [resolved[i].ensemble for i in indices]
-            mc.update(zip(indices, simulate_ec_sweep(ensembles, cfg, workers=workers)))
-
-    return [
-        RunResult(
-            report=report,
-            mc=mc.get(i),
-            gamma_teff=point.effective.gamma_teff,
-            mode_used=point.mode_used,
-            d_boundary=point.d_boundary,
-            moments=point.moments,
-            notes=point.notes,
-        )
-        for i, (point, report) in enumerate(zip(resolved, reports))
-    ]
+    results = [resolve(scenario) for scenario in scenarios]
+    if trials is None:
+        return results
+    estimates = simulate_ec_sweep(
+        [r.ensemble for r in results], TrialConfig(trials=trials, seed=seed), workers=workers
+    )
+    return [dataclasses.replace(r, mc=mc) for r, mc in zip(results, estimates)]
 
 
 def run_scenario(
@@ -359,57 +325,32 @@ def _replace_swept(scenario: Scenario, variable: str, value: float) -> Scenario:
     raise ScenarioError(f"unknown sweep variable {variable!r}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep point's outputs (the Monte Carlo ones None without trials)."""
-
-    sweep_value: float
-    ec_approx: float
-    ec_ub: float
-    ec_lb: float
-    ec_mc: Optional[float]
-    mc_stderr: Optional[float]
-    gamma_teff: float
-    mode: str
-    d_boundary_m: float
-
-
 def run_sweep(
     scenario: Scenario,
     sweep: SweepSpec,
     trials: Optional[int] = DEFAULT_TRIALS,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
-) -> list[SweepRow]:
-    """One row per sweep value, with Monte Carlo unless trials is None;
-    _evaluate says how Monte Carlo points share their draws."""
-    return _run_points(
-        [(v, apply_sweep_value(scenario, sweep.variable, v)) for v in sweep.values],
-        trials,
-        seed,
-        workers,
-    )
+) -> list[tuple[float, RunResult]]:
+    """One (sweep_value, RunResult) pair per sweep value, with Monte Carlo
+    unless trials is None."""
+    scenarios = [apply_sweep_value(scenario, sweep.variable, v) for v in sweep.values]
+    return list(zip(sweep.values, _evaluate(scenarios, trials, seed, workers)))
 
 
-def _run_points(
-    points: Sequence[tuple[float, Scenario]], trials: Optional[int], seed: int, workers: int
-) -> list[SweepRow]:
-    """One row per (sweep_value, scenario) point, all evaluated together."""
-    results = _evaluate([scenario for _, scenario in points], trials, seed, workers)
-    return [
-        SweepRow(
-            sweep_value=value,
-            ec_approx=result.report.ec_approx,
-            ec_ub=result.report.ec_upper,
-            ec_lb=result.report.ec_lower,
-            ec_mc=result.mc.mean_ec if result.mc else None,
-            mc_stderr=result.mc.std_error if result.mc else None,
-            gamma_teff=result.gamma_teff,
-            mode=result.mode_used,
-            d_boundary_m=result.d_boundary,
-        )
-        for (value, _), result in zip(points, results)
-    ]
+# The CSV schema: each column's name and its reader of one
+# (sweep_value, RunResult) pair; Monte Carlo columns are blank without MC.
+CSV_COLUMNS = (
+    ("sweep_value", lambda value, r: value),
+    ("ec_approx", lambda value, r: r.report.ec_approx),
+    ("ec_ub", lambda value, r: r.report.ec_upper),
+    ("ec_lb", lambda value, r: r.report.ec_lower),
+    ("ec_mc", lambda value, r: r.mc.mean_ec if r.mc else None),
+    ("mc_stderr", lambda value, r: r.mc.std_error if r.mc else None),
+    ("gamma_teff", lambda value, r: r.gamma_teff),
+    ("mode", lambda value, r: r.mode_used),
+    ("d_boundary_m", lambda value, r: r.d_boundary),
+)
 
 
 def _format(value) -> str:
@@ -420,15 +361,16 @@ def _format(value) -> str:
     return format(value, ".12g")
 
 
-def rows_to_csv(rows: Sequence[SweepRow], variable: str) -> str:
-    """Fixed-schema CSV with a unit comment line; byte-deterministic."""
+def rows_to_csv(rows: Sequence[tuple[float, RunResult]], variable: str) -> str:
+    """Fixed-schema CSV of (sweep_value, RunResult) pairs with a unit
+    comment line; byte-deterministic."""
     unit = SWEEP_UNITS.get(variable, "1")
     buf = io.StringIO()
     buf.write(
         f"# sweep_value: {unit}; ec_approx/ec_ub/ec_lb/ec_mc/mc_stderr: bit/s/Hz; "
         "gamma_teff: linear; d_boundary_m: m\n"
     )
-    buf.write(",".join(CSV_COLUMNS) + "\n")
-    for row in rows:
-        buf.write(",".join(_format(getattr(row, col)) for col in CSV_COLUMNS) + "\n")
+    buf.write(",".join(name for name, _ in CSV_COLUMNS) + "\n")
+    for value, result in rows:
+        buf.write(",".join(_format(read(value, result)) for _, read in CSV_COLUMNS) + "\n")
     return buf.getvalue()

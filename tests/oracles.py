@@ -26,7 +26,7 @@ import mpmath as mp
 import numpy as np
 
 from riscap.presets import fig8_distributed_cases, preset
-from riscap.workbench import SweepRow, apply_sweep_value, run_scenario
+from riscap.workbench import apply_sweep_value, run_scenario
 
 mp.mp.dps = 30
 
@@ -224,29 +224,13 @@ def ks_distance(sorted_samples: np.ndarray, cdf_values: np.ndarray) -> float:
 
 
 def per_point_sweep(scenario, sweep, trials, seed: int, workers: int = 1) -> list:
-    """Sweep rows with one run_scenario call per point, no shared draws;
-    trials None runs no Monte Carlo."""
+    """(sweep_value, RunResult) rows with one run_scenario call per point,
+    no shared draws; trials None runs no Monte Carlo."""
     rows = []
     for value in sweep.values:
         point = apply_sweep_value(scenario, sweep.variable, value)
-        result = run_scenario(point, trials=trials, seed=seed, workers=workers)
-        rows.append(_row(value, result))
+        rows.append((value, run_scenario(point, trials=trials, seed=seed, workers=workers)))
     return rows
-
-
-def _row(value, result) -> SweepRow:
-    report = result.report
-    return SweepRow(
-        sweep_value=value,
-        ec_approx=report.ec_approx,
-        ec_ub=report.ec_upper,
-        ec_lb=report.ec_lower,
-        ec_mc=result.mc.mean_ec if result.mc else None,
-        mc_stderr=result.mc.std_error if result.mc else None,
-        gamma_teff=result.gamma_teff,
-        mode=result.mode_used,
-        d_boundary_m=result.d_boundary,
-    )
 
 
 def per_point_preset(name: str, trials: int, seed: int, workers: int = 1) -> list:
@@ -264,7 +248,7 @@ def per_point_preset(name: str, trials: int, seed: int, workers: int = 1) -> lis
     if name == "fig8":
         for number, case in enumerate(fig8_distributed_cases(), start=1):
             result = run_scenario(case, trials=trials, seed=seed, workers=workers)
-            rows.append(_row(float(number), result))
+            rows.append((float(number), result))
     return rows
 
 

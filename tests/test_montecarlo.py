@@ -92,12 +92,21 @@ class TestSharedDraws:
             batched = simulate_ec_sweep(variants, cfg, workers=workers)
             assert batched == [simulate_ec(e, cfg) for e in variants]
 
-    def test_mixed_signatures_rejected(self):
-        cfg = TrialConfig(trials=100, seed=1)
-        with pytest.raises(ValueError, match="draw signature"):
-            simulate_ec_sweep([small_ensemble(), small_ensemble(k=3.0)], cfg)
-        with pytest.raises(ValueError, match="draw signature"):
-            simulate_ec_sweep([small_ensemble(), small_ensemble(m=7)], cfg)
+    def test_mixed_signatures_match_their_own_runs(self):
+        # three draw signatures (k and m differ), interleaved, with rho
+        # differing inside the shared-signature pairs
+        mixed = [
+            small_ensemble(),
+            small_ensemble(k=3.0),
+            small_ensemble(rho=0.4, m=7),
+            small_ensemble(rho=0.5),
+            small_ensemble(k=3.0, rho=0.7),
+        ]
+        assert len({e.draw_signature() for e in mixed}) == 3
+        cfg = TrialConfig(trials=2_500, seed=8, block_size=1000)
+        for workers in (1, 3):
+            batched = simulate_ec_sweep(mixed, cfg, workers=workers)
+            assert batched == [simulate_ec(e, cfg) for e in mixed]
 
 
 class TestDeterministicChannelLimit:

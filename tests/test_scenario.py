@@ -108,6 +108,7 @@ class TestValidationErrors:
             (lambda d: d["channel"].pop("rho0"), "scenario.channel"),
             (lambda d: d["channel"].update(rho=1.5), "scenario.channel.rho"),
             (lambda d: d["budget"].pop("xi"), "scenario.budget.xi"),
+            (lambda d: d["budget"].update(xi=0), "scenario.budget.xi: path-loss exponent"),
             (lambda d: d["budget"].update(p_w=1.0), "mutually exclusive"),
             (lambda d: d.update(extra=1), "unknown fields"),
             (lambda d: d["channel"].update(k0_db="three"), "expected a number"),

@@ -80,6 +80,16 @@ class TestPipelineConsistency:
         assert a.report == b.report
         assert a.gamma_teff == b.gamma_teff
 
+    @pytest.mark.parametrize("name", ["fig2", "fig3"])
+    def test_resolve_is_the_analytic_run_result(self, name):
+        s, _ = preset(name)
+        res = resolve(s)
+        run = run_scenario(s)
+        assert res.mc is None and run.mc is None
+        for field in dataclasses.fields(res.report):
+            assert getattr(res.report, field.name) == getattr(run.report, field.name)
+        assert res.gamma_teff == res.effective.gamma_teff == res.ensemble.gamma_teff
+
     @pytest.mark.parametrize(
         "case",
         ["synthetic_2x2", "fig2_gain_40x40", "fig2_gain_odd_7x5"],
@@ -234,13 +244,13 @@ class TestSweepCsv:
         s, _ = preset("fig2")
         sweep = SweepSpec(variable="P", values=(-20.0, -10.0, 0.0, 10.0, 20.0))
         rows = run_sweep(s, sweep, trials=None)
-        ecs = [r.ec_approx for r in rows]
+        ecs = [r.report.ec_approx for _, r in rows]
         assert all(b > a for a, b in zip(ecs, ecs[1:]))
 
     def test_rho_sweep_nonincreasing_when_descending(self):
         s, sweep = preset("fig3")
         rows = run_sweep(s, sweep, trials=None)
-        ecs = [r.ec_approx for r in rows]
+        ecs = [r.report.ec_approx for _, r in rows]
         assert all(b < a for a, b in zip(ecs, ecs[1:]))  # values run 1.0 -> 0.5
 
     def test_element_count_sweep_flattens_in_near_field(self):
@@ -248,7 +258,7 @@ class TestSweepCsv:
         # so capacity gains per added row must shrink toward zero
         s, sweep = preset("fig6")
         rows = run_sweep(s, sweep, trials=None)
-        ecs = [r.ec_approx for r in rows]
+        ecs = [r.report.ec_approx for _, r in rows]
         diffs = [b - a for a, b in zip(ecs, ecs[1:])]
         assert all(d > 0 for d in diffs)
         assert all(b < a for a, b in zip(diffs, diffs[1:]))
@@ -299,8 +309,8 @@ class TestRunPreset:
 
     def test_no_mc_blanks_mc_columns(self):
         rows, _ = run_preset("fig8", trials=None)
-        assert all(r.ec_mc is None and r.mc_stderr is None for r in rows)
-        assert all(r.ec_approx is not None for r in rows)
+        assert all(r.mc is None for _, r in rows)
+        assert all(r.report.ec_approx is not None for _, r in rows)
 
 
 # fig2 with every aging correlation 0
@@ -320,11 +330,14 @@ def doppler_triples(doppler=None, doppler0=None) -> dict:
 
 def edited_preset(name, edits) -> dict:
     """Preset `name`'s scenario file as a mapping with edits applied; edits
-    maps a dotted scenario-file field to its new value (None deletes it)."""
+    maps a dotted scenario-file field (a number indexes a list) to its new
+    value (None deletes it)."""
     data = scenario_to_dict(preset(name)[0])
     for dotted, value in edits.items():
         *parents, key = dotted.split(".")
-        target = functools.reduce(dict.__getitem__, parents, data)
+        target = functools.reduce(
+            lambda node, k: node[int(k) if isinstance(node, list) else k], parents, data
+        )
         if value is None:
             del target[key]
         else:
@@ -578,6 +591,21 @@ class TestCli:
                 ["analyze", "--no-mc"],
                 2,
                 ["scenario.budget.p_w, scenario.budget.gt, scenario.budget.gr", "leakage"],
+            ),
+            # an endpoint at or below a panel's plane names its field and the panel
+            (
+                "fig3",
+                {"deployment.panels.1.center.z": 10.5},
+                ["analyze", "--no-mc"],
+                2,
+                ["panel 1: scenario.bs.z=10.0 must lie strictly above the panel plane z=10.5"],
+            ),
+            (
+                "fig2",
+                {"user.z": 9.0},
+                ["analyze", "--no-mc"],
+                2,
+                ["panel 0: scenario.user.z=9.0 must lie strictly above the panel plane z=9.5"],
             ),
             # the SNR -> 0 limit of the lower bound; a variance whose
             # gamma_teff^2 and b^4 both underflow, yet which is finite
