@@ -17,6 +17,12 @@ makes the integrand vanish at both ends.  The same quantity has a
 closed form in terms of a Meijer G-function; the quadrature is the
 normative evaluation here and the identity is exercised in tests.
 
+The quadrature is riscap.quadpack, an in-tree port of QUADPACK's QAGP and
+QAGS whose results are bit-identical to scipy.integrate.quad's (tests
+compare the two); scipy is used only for scipy.special, which keeps
+scipy.integrate and what it imports (optimize, sparse, linalg) out of
+every CLI call.
+
 The "lower bound" is a second-order delta-method approximation of the
 Jensen harmonic-mean bound, not a true bound; reports label it
 approximate, and orderings against Monte Carlo allow a small slack.
@@ -34,8 +40,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
+from . import quadpack
 from .errors import DegenerateDistribution, NumericalFailure, QuadratureFailure
 from .moments import MomentSummary
 
@@ -80,38 +87,31 @@ def gamma_fit(moments: MomentSummary) -> GammaFit:
     return GammaFit(a=mean * mean / var, b=mean / var)
 
 
-def _survival_integral_compact(a: float, c: float):
-    """integral of Q(a, c*sqrt(gamma)) / (1+gamma) via gamma = (t/(1-t))^2.
+def _compact_quad(a: float, c: float):
+    """integral of Q(a, c*sqrt(gamma)) / (1+gamma) via gamma = (t/(1-t))^2,
+    by QAGP: (value, abserr, neval, ier)."""
 
-    Returns (value, error_message_or_None).
-    """
-
-    def integrand(t: float) -> float:
-        if t <= 0.0 or t >= 1.0:
-            return 0.0
+    def integrand(ts):
+        t = np.array(ts)
+        # nodes of narrow intervals near t = 1 round onto the endpoints,
+        # where the integrand is 0: evaluate them at 0.5 and discard that
+        inside = (t > 0.0) & (t < 1.0)
+        t = np.where(inside, t, 0.5)
         onemt = 1.0 - t
         q = special.gammaincc(a, c * t / onemt)
-        return 2.0 * t * q / (onemt * (onemt * onemt + t * t))
+        return np.where(inside, 2.0 * t * q / (onemt * (onemt * onemt + t * t)), 0.0)
 
     # The survival function transitions near c*sqrt(gamma) ~ a, i.e.
     # t ~ a/(a+c); seed the subdivision there and at gamma = 1.
     knee = a / (a + c)
-    pts = sorted({min(max(knee, 1e-12), 1.0 - 1e-12), 0.5})
-    result = integrate.quad(
-        integrand,
-        0.0,
-        1.0,
-        epsabs=QUAD_ABS_TOL,
-        epsrel=0.0,
-        limit=QUAD_LIMIT,
-        points=pts,
-        full_output=True,
-    )
-    return result[0], (result[3] if len(result) > 3 else None)
+    pts = (min(max(knee, 1e-12), 1.0 - 1e-12), 0.5)
+    return quadpack.qagp(integrand, 0.0, 1.0, pts, QUAD_ABS_TOL, 0.0, QUAD_LIMIT)
 
 
-def _survival_integral_logscale(a: float, c: float):
-    """Same integral in x = c*sqrt(gamma), then y = ln x.
+def _logscale_quad(a: float, c: float):
+    """Same integral in x = c*sqrt(gamma), then y = ln x, by QAGP with a
+    breakpoint at ln c when it falls inside the range, else QAGS:
+    (value, abserr, neval, ier).
 
     The integrand Q(a, e^y) * 2e^{2y}/(c^2 + e^{2y}) is a bounded plateau
     between ln c and ln a with no cancellation near the endpoints, which
@@ -119,27 +119,35 @@ def _survival_integral_logscale(a: float, c: float):
     conditioned where the compact substitution runs into roundoff.
     """
 
-    def integrand(y: float) -> float:
-        x = math.exp(y)
+    def integrand(ys):
+        x = np.array([math.exp(y) for y in ys])
         return special.gammaincc(a, x) * 2.0 * x * x / (c * c + x * x)
 
     log_c = math.log(c)
     lo = min(log_c, 0.0) - 45.0
     hi = max(math.log(a + 40.0 * math.sqrt(a) + 50.0), lo + 10.0)
-    pts = [log_c] if lo < log_c < hi else None
-    result = integrate.quad(
-        integrand,
-        lo,
-        hi,
-        epsabs=QUAD_ABS_TOL,
-        epsrel=1e-12,
-        limit=2 * QUAD_LIMIT,
-        points=pts,
-        full_output=True,
-    )
-    return result[0], (result[3] if len(result) > 3 else None)
+    if lo < log_c < hi:
+        return quadpack.qagp(integrand, lo, hi, (log_c,), QUAD_ABS_TOL, 1e-12, 2 * QUAD_LIMIT)
+    return quadpack.qags(integrand, lo, hi, QUAD_ABS_TOL, 1e-12, 2 * QUAD_LIMIT)
 
 
+def _outcome(value: float, abserr: float, neval: int, ier: int):
+    """(value, None) on convergence, else (value, what QUADPACK's ier means)."""
+    return value, (None if ier == 0 else f"QUADPACK ier={ier} ({quadpack.IER_MEANING[ier]})")
+
+
+def _survival_integral_compact(a: float, c: float):
+    """The compact-route survival integral as (value, problem or None)."""
+    return _outcome(*_compact_quad(a, c))
+
+
+def _survival_integral_logscale(a: float, c: float):
+    """The log-scale-route survival integral as (value, problem or None)."""
+    return _outcome(*_logscale_quad(a, c))
+
+
+# the vectorized integrands may overflow to inf where Q is already 0
+@np.errstate(over="ignore")
 def ergodic_capacity(fit: GammaFit, gamma_teff: float) -> float:
     """E[log2(1 + SNR)] by adaptive quadrature on the compactified survival
     integral, absolute tolerance QUAD_ABS_TOL.
@@ -160,8 +168,8 @@ def ergodic_capacity(fit: GammaFit, gamma_teff: float) -> float:
     if fallback_problem is None:
         return value / math.log(2.0)
     raise QuadratureFailure(
-        f"capacity integral did not converge: {problem}; "
-        f"log-scale retry: {fallback_problem}"
+        f"capacity integral did not converge: compact route {problem}; "
+        f"log-scale retry {fallback_problem}"
     )
 
 

@@ -15,6 +15,11 @@ in the library's key, draw order and block partition, so the library's
 block kernel can be compared with it block by block.  The sampling
 routes the acceptance suite needs (envelope moments, SNR samples) are
 built on it.
+
+scipy.integrate.quad is the reference for the library's in-tree QUADPACK
+port: quad_compact and quad_logscale run the two survival-integral
+routes through it with a scalar integrand, one call per node.  Only the
+tests import scipy.integrate.
 """
 
 import dataclasses
@@ -24,6 +29,7 @@ from typing import Optional
 
 import mpmath as mp
 import numpy as np
+from scipy import integrate, special
 
 from riscap.presets import fig8_distributed_cases, preset
 from riscap.workbench import apply_sweep_value, run_scenario
@@ -78,6 +84,50 @@ def mp_capacity_meijerg(a: float, b: float, gamma_teff: float) -> float:
     z = b * b / (4 * g)
     G = mp.meijerg([[0], [half, 1]], [[a / 2, (a + 1) / 2, 0, half, 0], []], z)
     return float(2 ** (a - 1) / (mp.sqrt(mp.pi) * mp.gamma(a) * mp.log(2)) * G)
+
+
+def _quad_outcome(result) -> tuple[float, float, int, bool]:
+    """(value, abserr, neval, failed) of a full_output quad result."""
+    return result[0], result[1], result[2]["neval"], len(result) > 3
+
+
+def quad_compact(a: float, c: float, abs_tol: float, limit: int):
+    """The compact-route survival integral of Q(a, c*sqrt(gamma))/(1+gamma)
+    (gamma = (t/(1-t))^2, breakpoints at the knee a/(a+c) and at 0.5) by
+    scipy.integrate.quad: (value, abserr, neval, failed)."""
+
+    def integrand(t: float) -> float:
+        if t <= 0.0 or t >= 1.0:
+            return 0.0
+        onemt = 1.0 - t
+        q = special.gammaincc(a, c * t / onemt)
+        return 2.0 * t * q / (onemt * (onemt * onemt + t * t))
+
+    knee = a / (a + c)
+    pts = sorted({min(max(knee, 1e-12), 1.0 - 1e-12), 0.5})
+    return _quad_outcome(
+        integrate.quad(integrand, 0.0, 1.0, epsabs=abs_tol, epsrel=0.0, limit=limit,
+                       points=pts, full_output=True)
+    )
+
+
+def quad_logscale(a: float, c: float, abs_tol: float, limit: int):
+    """The same integral in y = ln(c*sqrt(gamma)) over [lo, hi], with a
+    breakpoint at ln c when it lies inside, by scipy.integrate.quad:
+    (value, abserr, neval, failed)."""
+
+    def integrand(y: float) -> float:
+        x = math.exp(y)
+        return special.gammaincc(a, x) * 2.0 * x * x / (c * c + x * x)
+
+    log_c = math.log(c)
+    lo = min(log_c, 0.0) - 45.0
+    hi = max(math.log(a + 40.0 * math.sqrt(a) + 50.0), lo + 10.0)
+    pts = [log_c] if lo < log_c < hi else None
+    return _quad_outcome(
+        integrate.quad(integrand, lo, hi, epsabs=abs_tol, epsrel=1e-12, limit=limit,
+                       points=pts, full_output=True)
+    )
 
 
 def naive_envelope_moments(

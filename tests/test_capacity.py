@@ -6,8 +6,11 @@ import pytest
 from oracles import (
     mp_capacity_direct,
     mp_capacity_meijerg,
+    quad_compact,
+    quad_logscale,
     sample_gamma_log_capacity,
 )
+from riscap import capacity, quadpack
 from riscap.capacity import (
     CapacityReport,
     GammaFit,
@@ -20,7 +23,7 @@ from riscap.capacity import (
     snr_mean,
     snr_variance,
 )
-from riscap.errors import DegenerateDistribution, NumericalFailure
+from riscap.errors import DegenerateDistribution, NumericalFailure, QuadratureFailure
 from riscap.moments import MomentSummary
 
 # frozen from oracles.mp_capacity_direct(2, 1, 10) (30-digit quadrature);
@@ -108,6 +111,23 @@ class TestErgodicCapacity:
         # EC ~ 1e-11: anything below the absolute tolerance counts as zero
         assert ergodic_capacity(GammaFit(300.0, 100.0), 1e-12) < 1e-8
 
+    def test_returns_plain_float(self):
+        fit = GammaFit(np.float64(2.0), np.float64(1.0))
+        # the compact route, then the log-scale retry
+        for gamma_teff in (np.float64(10.0), 1e20):
+            assert type(ergodic_capacity(fit, gamma_teff)) is float
+
+    def test_quadrature_failure_names_each_route_ier(self, monkeypatch):
+        # three subintervals are too few for either route
+        monkeypatch.setattr(capacity, "QUAD_LIMIT", 3)
+        with pytest.raises(QuadratureFailure) as exc:
+            ergodic_capacity(GammaFit(2.0, 1.0), 10.0)
+        meaning = quadpack.IER_MEANING[1]
+        assert str(exc.value) == (
+            f"capacity integral did not converge: compact route QUADPACK ier=1 ({meaning}); "
+            f"log-scale retry QUADPACK ier=1 ({meaning})"
+        )
+
     def test_infinite_gamma_teff_rejected(self):
         with pytest.raises(ValueError):
             ergodic_capacity(GammaFit(2.0, 1.0), math.inf)
@@ -120,6 +140,62 @@ class TestErgodicCapacity:
             gt = float(10 ** rng.uniform(-2, 4))
             mean, se = sample_gamma_log_capacity(a, b, gt, n=400_000, seed=int(rng.integers(1 << 31)))
             assert abs(ergodic_capacity(GammaFit(a, b), gt) - mean) < 3.0 * se + 1e-9
+
+
+def port_and_quad(a, c):
+    """Both survival-integral routes through the QUADPACK port and through
+    scipy.integrate.quad, as (value, abserr, neval, failed) pairs."""
+    port = [
+        (value, abserr, neval, ier != 0)
+        for value, abserr, neval, ier in (capacity._compact_quad(a, c), capacity._logscale_quad(a, c))
+    ]
+    tol, limit = capacity.QUAD_ABS_TOL, capacity.QUAD_LIMIT
+    return port, [quad_compact(a, c, tol, limit), quad_logscale(a, c, tol, 2 * limit)]
+
+
+class TestQuadpackMatchesQuad:
+    """The in-tree QAGP/QAGS port equals scipy.integrate.quad exactly:
+    value, error estimate and evaluation count ==, same convergence."""
+
+    @pytest.mark.parametrize("a", np.logspace(-2, 7, 10).tolist())
+    def test_grid(self, a):
+        for c in np.logspace(-4, 8, 13).tolist():
+            port, quad = port_and_quad(a, c)
+            assert port == quad, (a, c)
+
+    # (a, c, compact fails, log-scale route, log-scale fails).  neval =
+    # 42 * intervals - 21 * initial intervals, so neval / 21 is odd when a
+    # route starts from an odd number of intervals: three on the compact
+    # route with two breakpoints and two with one; on the log-scale route
+    # two for QAGP (breakpoint ln c) and one for QAGS.
+    PINNED = {
+        # a == c puts the knee on gamma = 1: the breakpoints dedupe to one
+        "knee_at_half": (3.0, 3.0, False, "qagp", False),
+        "knee_clipped_low": (1e-6, 1e7, False, "qags", False),
+        "knee_clipped_high": (1e7, 1e-6, True, "qagp", False),
+        "compact_roundoff": (4.0, 2e-10, True, "qagp", False),
+        # bisection near t = 1 rounds nodes onto t = 1, where the
+        # integrand is 0
+        "node_on_t_one": (92515726.36262478, 8.135600913877155e-08, True, "qagp", False),
+        "logscale_qagp_fails": (709161.0703476934, 711709.3798144198, False, "qagp", True),
+        "logscale_qags_fails": (9377765.269009966, 14994071.151549088, False, "qags", True),
+        "logscale_qags": (0.012733067985327568, 1110.5788891786892, True, "qags", False),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_pinned(self, case):
+        a, c, compact_fails, logscale_route, logscale_fails = self.PINNED[case]
+        port, quad = port_and_quad(a, c)
+        assert port == quad
+        assert (port[0][3], port[1][3]) == (compact_fails, logscale_fails)
+        compact_odd, logscale_odd = (neval // 21 % 2 == 1 for _, _, neval, _ in port)
+        assert compact_odd == (case != "knee_at_half")
+        assert logscale_odd == (logscale_route == "qags")
+        knee = a / (a + c)
+        if case == "knee_clipped_low":
+            assert knee < 1e-12
+        if case == "knee_clipped_high":
+            assert knee > 1.0 - 1e-12
 
 
 class TestSnrMoments:

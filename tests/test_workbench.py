@@ -743,3 +743,26 @@ class TestCli:
         monkeypatch.setattr(cli, "run_scenario", boom)
         code = cli.main(["analyze", self.scenario_file(tmp_path), "--no-mc"])
         assert code == 3
+
+    def test_quadrature_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        from riscap import capacity, cli
+
+        # three subintervals are too few for either quadrature route
+        monkeypatch.setattr(capacity, "QUAD_LIMIT", 3)
+        code = cli.main(["analyze", self.scenario_file(tmp_path), "--no-mc"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "compact route QUADPACK ier=1" in err
+        assert "log-scale retry QUADPACK ier=1" in err
+
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        # quadrature is in-tree; scipy.integrate would pull in optimize,
+        # sparse and linalg on every CLI call
+        code = (
+            "import sys, riscap.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            "(['scipy', 'integrate'], ['scipy', 'optimize'], ['scipy', 'sparse'], ['scipy', 'linalg'])))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
