@@ -9,6 +9,7 @@ from .capacity import (
     CapacityReport,
     GammaFit,
     capacity_report,
+    capacity_reports,
     ec_lower_bound,
     ec_upper_bound,
     ergodic_capacity,
@@ -30,6 +31,7 @@ from .errors import (
     InvalidScenario,
     NegativeCorrelation,
     NumericalFailure,
+    PatternUnderflow,
     QuadratureFailure,
     RiscapError,
     ScenarioError,

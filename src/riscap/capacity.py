@@ -21,7 +21,12 @@ The quadrature is riscap.quadpack, an in-tree port of QUADPACK's QAGP and
 QAGS whose results are bit-identical to scipy.integrate.quad's (tests
 compare the two); scipy is used only for scipy.special, which keeps
 scipy.integrate and what it imports (optimize, sparse, linalg) out of
-every CLI call.
+every CLI call.  ``capacity_reports`` evaluates the cases of a whole run
+at once: their compact-route integrals run as QUADPACK drivers in
+lockstep, with one integrand call per bisection round for all of them,
+and a case that route fails is retried alone on the log scale.  Each
+case's figures equal those of a run on its own; ``capacity_report`` and
+``ergodic_capacity`` are the one-case calls.
 
 The "lower bound" is a second-order delta-method approximation of the
 Jensen harmonic-mean bound, not a true bound; reports label it
@@ -38,12 +43,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import special
 
 from . import quadpack
-from .errors import DegenerateDistribution, NumericalFailure, QuadratureFailure
+from .errors import DegenerateDistribution, NumericalFailure, QuadratureFailure, until_failure
 from .moments import MomentSummary
 
 DEGENERATE_EPS = 1e-12
@@ -87,25 +93,38 @@ def gamma_fit(moments: MomentSummary) -> GammaFit:
     return GammaFit(a=mean * mean / var, b=mean / var)
 
 
-def _compact_quad(a: float, c: float):
-    """integral of Q(a, c*sqrt(gamma)) / (1+gamma) via gamma = (t/(1-t))^2,
-    by QAGP: (value, abserr, neval, ier)."""
+def _compact_quads(points):
+    """integral of Q(a, c*sqrt(gamma)) / (1+gamma) via gamma = (t/(1-t))^2
+    for every (a, c) point, by QAGP drivers in lockstep: one (value, abserr,
+    neval, ier) per point."""
+    a_lane, c_lane = (np.array(column) for column in zip(*points))
 
-    def integrand(ts):
+    def integrand(ts, lanes):
         t = np.array(ts)
         # nodes of narrow intervals near t = 1 round onto the endpoints,
         # where the integrand is 0: evaluate them at 0.5 and discard that
         inside = (t > 0.0) & (t < 1.0)
         t = np.where(inside, t, 0.5)
         onemt = 1.0 - t
-        q = special.gammaincc(a, c * t / onemt)
+        q = special.gammaincc(a_lane[lanes], c_lane[lanes] * t / onemt)
         return np.where(inside, 2.0 * t * q / (onemt * (onemt * onemt + t * t)), 0.0)
 
     # The survival function transitions near c*sqrt(gamma) ~ a, i.e.
     # t ~ a/(a+c); seed the subdivision there and at gamma = 1.
-    knee = a / (a + c)
-    pts = (min(max(knee, 1e-12), 1.0 - 1e-12), 0.5)
-    return quadpack.qagp(integrand, 0.0, 1.0, pts, QUAD_ABS_TOL, 0.0, QUAD_LIMIT)
+    drivers = [
+        quadpack.driver(
+            0.0, 1.0, (min(max(a / (a + c), 1e-12), 1.0 - 1e-12), 0.5),
+            QUAD_ABS_TOL, 0.0, QUAD_LIMIT,
+        )
+        for a, c in points
+    ]
+    return quadpack.lockstep(integrand, drivers)
+
+
+def _compact_quad(a: float, c: float):
+    """The compact-route integral of one (a, c) point: (value, abserr,
+    neval, ier)."""
+    return _compact_quads([(a, c)])[0]
 
 
 def _logscale_quad(a: float, c: float):
@@ -119,7 +138,7 @@ def _logscale_quad(a: float, c: float):
     conditioned where the compact substitution runs into roundoff.
     """
 
-    def integrand(ys):
+    def integrand(ys, lanes):
         x = np.array([math.exp(y) for y in ys])
         return special.gammaincc(a, x) * 2.0 * x * x / (c * c + x * x)
 
@@ -136,14 +155,40 @@ def _outcome(value: float, abserr: float, neval: int, ier: int):
     return value, (None if ier == 0 else f"QUADPACK ier={ier} ({quadpack.IER_MEANING[ier]})")
 
 
-def _survival_integral_compact(a: float, c: float):
-    """The compact-route survival integral as (value, problem or None)."""
-    return _outcome(*_compact_quad(a, c))
-
-
 def _survival_integral_logscale(a: float, c: float):
     """The log-scale-route survival integral as (value, problem or None)."""
     return _outcome(*_logscale_quad(a, c))
+
+
+def _checked_snr(gamma_teff: float) -> float:
+    if gamma_teff <= 0 or not math.isfinite(gamma_teff):
+        raise ValueError("effective transmit SNR must be positive and finite")
+    return gamma_teff
+
+
+def _ergodic_capacities(cases):
+    """E[log2(1 + SNR)] of each (fit, checked gamma_teff) case, yielded in
+    input order.  The compact route of every case runs in lockstep before
+    the first value; a case it fails is retried on the log scale when it is
+    reached, and a case that fails both raises there."""
+    points = [(fit.a, fit.b / math.sqrt(gamma_teff)) for fit, gamma_teff in cases]
+    for (fit, gamma_teff), (a, c), outcome in zip(cases, points, _compact_quads(points)):
+        value, problem = _outcome(*outcome)
+        if problem is not None:
+            # the log-scale route takes ln c and divides by c^2 + x^2
+            if c * c == 0.0:
+                raise NumericalFailure(
+                    f"capacity integral did not converge: compact route {problem}; no "
+                    "log-scale retry, since c = b / sqrt(gamma_teff) squares to 0 at "
+                    f"b={fit.b:g}, gamma_teff={gamma_teff:g}"
+                )
+            value, fallback_problem = _survival_integral_logscale(a, c)
+            if fallback_problem is not None:
+                raise QuadratureFailure(
+                    f"capacity integral did not converge: compact route {problem}; "
+                    f"log-scale retry {fallback_problem}"
+                )
+        yield value / math.log(2.0)
 
 
 # the vectorized integrands may overflow to inf where Q is already 0
@@ -154,23 +199,10 @@ def ergodic_capacity(fit: GammaFit, gamma_teff: float) -> float:
 
     If the compact substitution reports roundoff trouble (it can when the
     capacity runs to many tens of bits), the same integral is retried on a
-    log scale before giving up.
+    log scale before giving up.  This is the one-case call of the batch
+    capacity_reports runs.
     """
-    if gamma_teff <= 0 or not math.isfinite(gamma_teff):
-        raise ValueError("effective transmit SNR must be positive and finite")
-    a = fit.a
-    c = fit.b / math.sqrt(gamma_teff)
-
-    value, problem = _survival_integral_compact(a, c)
-    if problem is None:
-        return value / math.log(2.0)
-    value, fallback_problem = _survival_integral_logscale(a, c)
-    if fallback_problem is None:
-        return value / math.log(2.0)
-    raise QuadratureFailure(
-        f"capacity integral did not converge: compact route {problem}; "
-        f"log-scale retry {fallback_problem}"
-    )
+    return next(_ergodic_capacities([(fit, _checked_snr(gamma_teff))]))
 
 
 def snr_mean(fit: GammaFit, gamma_teff: float) -> float:
@@ -216,13 +248,42 @@ def deterministic_capacity(mean_envelope: float, gamma_teff: float) -> float:
 # numpy-scalar moments would warn where a figure leaves float range;
 # _finite checks every figure instead
 @np.errstate(all="ignore")
+def capacity_reports(
+    cases: Sequence[tuple[MomentSummary, float]],
+) -> list[CapacityReport]:
+    """capacity_report of each (moments, gamma_teff) case, with the
+    capacity integrals of all cases run in lockstep.  A failure raises what
+    calling capacity_report case by case would have raised first."""
+
+    def prepare(case):
+        moments, gamma_teff = case
+        try:
+            return gamma_fit(moments), _checked_snr(gamma_teff)
+        except DegenerateDistribution:
+            return None, gamma_teff
+
+    prepared, failure = until_failure(prepare, cases)
+    ecs = _ergodic_capacities([(fit, g) for fit, g in prepared if fit is not None])
+    reports = [
+        _report(moments, gamma_teff, fit, ecs)
+        for (moments, _), (fit, gamma_teff) in zip(cases, prepared)
+    ]
+    if failure is not None:
+        raise failure
+    return reports
+
+
 def capacity_report(moments: MomentSummary, gamma_teff: float) -> CapacityReport:
     """Full analytic report; falls back to the deterministic-envelope value
     when the distribution is too concentrated to fit (an envelope that is
     identically 0, as under fully outdated CSI, gives 0 throughout)."""
-    try:
-        fit = gamma_fit(moments)
-    except DegenerateDistribution:
+    return capacity_reports([(moments, gamma_teff)])[0]
+
+
+def _report(moments, gamma_teff, fit, ecs) -> CapacityReport:
+    """One case's report, taking its capacity from ecs unless fit is None
+    (the degenerate fallback)."""
+    if fit is None:
         ec = deterministic_capacity(moments.mean, gamma_teff)
         mean_g = gamma_teff * moments.second_moment
         report = CapacityReport(
@@ -236,7 +297,7 @@ def capacity_report(moments: MomentSummary, gamma_teff: float) -> CapacityReport
         mean_g = snr_mean(fit, gamma_teff)
         var_g = snr_variance(fit, gamma_teff)
         report = CapacityReport(
-            ec_approx=ergodic_capacity(fit, gamma_teff),
+            ec_approx=next(ecs),
             ec_upper=ec_upper_bound(mean_g),
             ec_lower=ec_lower_bound(mean_g, var_g),
             snr_mean=mean_g,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from .errors import NumericalFailure, ValidationFailure
@@ -57,6 +58,9 @@ def _add_common(parser: argparse.ArgumentParser, with_mode: bool = True) -> None
         )
 
 
+# built once per process: main reuses it, since parse_args keeps no state
+# on the parser and building it costs ~1 ms per call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="riscap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

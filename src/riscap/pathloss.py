@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularPattern
+from .errors import PatternUnderflow, SingularPattern
 from .geometry import ElementLinks, PanelLink
 
 
@@ -80,6 +80,12 @@ def element_pathloss(
     pattern = combine_pattern(links, gt, gr)
     bad = pattern <= 0
     if bad.any():
+        if np.all((links.cos_t[bad] > 0) & (links.cos_r[bad] > 0)):
+            raise PatternUnderflow(
+                f"radiation pattern underflows to 0 at {int(bad.sum())} element(s) although "
+                f"every cosine is positive: a gain exponent (gt/2 - 1 = {gt / 2.0 - 1.0:g}, "
+                f"gr/2 - 1 = {gr / 2.0 - 1.0:g}) is too large for this geometry"
+            )
         raise SingularPattern(
             f"radiation pattern is not positive at {int(bad.sum())} element(s) "
             f"(worst {pattern.min():.4g}); check link geometry"

@@ -4,9 +4,19 @@ A port of the Fortran routines dqagpe, dqagse, dqk21, dqpsrt and dqelg
 that keeps their floating-point operations in the original order, so the
 results (value, error estimate, evaluation count and ier) equal
 scipy.integrate.quad's for the same integrand, bounds, tolerances and
-breakpoints.  The one change is that the integrand is called once per
-interval with all 21 nodes: it takes a list of floats and returns a numpy
-array of values, which the rule then sums in a scalar loop.
+breakpoints.
+
+A ``driver`` is a generator that evaluates no integrand itself: it yields
+the list of (a, b) intervals it needs ruled (all initial intervals, then
+the two halves of each bisection), receives their 21-point Gauss-Kronrod
+rules as (result, abserr, resabs, resasc) tuples, and returns (value,
+abserr, neval, ier).  ``lockstep`` advances several drivers together,
+one per lane: each round it makes one integrand call ``f(nodes, lanes)``
+on the 21 nodes of every interval any driver is waiting on, ``lanes[i]``
+being the index of the driver that asked for ``nodes[i]``, and f returns
+a numpy array of values.  Each rule is then summed in a scalar loop, so
+a driver's results do not depend on which drivers run beside it.
+``qagp`` and ``qags`` are the one-driver case.
 
 ier, as in QUADPACK: 0 converged; 1 subdivision limit reached; 2 roundoff
 prevents the tolerance; 3 bad integrand behaviour; 4 roundoff in the
@@ -56,12 +66,18 @@ WG = (
 )
 
 
-def qk21(f, a: float, b: float):
-    """21-point Gauss-Kronrod rule on [a, b]: (result, abserr, resabs, resasc)."""
+def _nodes(a: float, b: float):
+    """dqk21's 21 nodes on [a, b] (center, then centr - x, then centr + x)
+    and its half-length."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     absc = [hlgth * x for x in XGK]
-    fv = f([centr] + [centr - x for x in absc] + [centr + x for x in absc]).tolist()
+    return [centr] + [centr - x for x in absc] + [centr + x for x in absc], hlgth
+
+
+def _qk21(fv, hlgth: float):
+    """dqk21's sums over the 21 values fv at _nodes: (result, abserr,
+    resabs, resasc)."""
     fc, fv1, fv2 = fv[0], fv[1:11], fv[11:21]
     resg = 0.0
     resk = WGK[10] * fc
@@ -89,6 +105,34 @@ def qk21(f, a: float, b: float):
     if resabs > UFLOW / (50.0 * EPMACH):
         abserr = max((EPMACH * 50.0) * resabs, abserr)
     return result, abserr, resabs, resasc
+
+
+def lockstep(f, drivers):
+    """Run the drivers together, one integrand call f(nodes, lanes) per
+    round for all of them; returns each driver's (value, abserr, neval,
+    ier), in order."""
+    results = [None] * len(drivers)
+    waiting = [(lane, gen, next(gen)) for lane, gen in enumerate(drivers)]
+    while waiting:
+        nodes, lanes, hlgths = [], [], []
+        for lane, _, intervals in waiting:
+            for a, b in intervals:
+                xs, hlgth = _nodes(a, b)
+                nodes += xs
+                hlgths.append(hlgth)
+            lanes += [lane] * (21 * len(intervals))
+        fv = f(nodes, lanes).tolist()
+        still, k = [], 0
+        for lane, gen, intervals in waiting:
+            n = len(intervals)
+            rules = [_qk21(fv[21 * i : 21 * i + 21], hlgths[i]) for i in range(k, k + n)]
+            k += n
+            try:
+                still.append((lane, gen, gen.send(rules)))
+            except StopIteration as done:
+                results[lane] = done.value
+        waiting = still
+    return results
 
 
 def qpsrt(limit: int, last: int, maxerr: int, elist, iord, nrmax: int):
@@ -200,26 +244,29 @@ def qelg(n: int, epstab, res3la, nres: int):
 
 
 def qagp(f, a: float, b: float, points, epsabs: float, epsrel: float, limit: int):
-    """dqagpe on a < b with breakpoints; like quad, keeps the distinct
-    points strictly inside (a, b).  Returns (value, abserr, neval, ier)."""
-    return _adapt(f, a, b, sorted({float(p) for p in points if a < p < b}), epsabs, epsrel, limit)
+    """dqagpe of f(nodes, lanes) on a < b: (value, abserr, neval, ier)."""
+    return lockstep(f, [driver(a, b, points, epsabs, epsrel, limit)])[0]
 
 
 def qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
-    """dqagse on a < b.  Returns (value, abserr, neval, ier)."""
-    return _adapt(f, a, b, None, epsabs, epsrel, limit)
+    """dqagse of f(nodes, lanes) on a < b: (value, abserr, neval, ier)."""
+    return lockstep(f, [driver(a, b, None, epsabs, epsrel, limit)])[0]
 
 
-def _adapt(f, a, b, pts, epsabs, epsrel, limit):
-    """The bisection loop dqagpe (pts a list) and dqagse (pts None) share.
+def driver(a: float, b: float, points, epsabs: float, epsrel: float, limit: int):
+    """A driver (see the module docstring) of dqagse on a < b (points None)
+    or of dqagpe with breakpoints; like quad, dqagpe keeps the distinct
+    points strictly inside (a, b).
 
-    They differ in when the first rule already suffices, in what makes an
-    interval small enough to extrapolate over (QAGP: its bisection level;
-    QAGS: its width), in how the extrapolation table starts, and in whether
-    an extrapolated error equal to the tolerance stops the loop (QAGS only).
+    The two share this bisection loop.  They differ in when the first rule
+    already suffices, in what makes an interval small enough to
+    extrapolate over (QAGP: its bisection level; QAGS: its width), in how
+    the extrapolation table starts, and in whether an extrapolated error
+    equal to the tolerance stops the loop (QAGS only).
     """
-    qags = pts is None
-    edges = [float(a), *(pts or ()), float(b)]
+    qags = points is None
+    pts = () if qags else sorted({float(p) for p in points if a < p < b})
+    edges = [float(a), *pts, float(b)]
     nint = len(edges) - 1
     if limit < nint or (epsabs <= 0.0 and epsrel < max(50.0 * EPMACH, 5e-29)):
         raise ValueError(
@@ -227,7 +274,7 @@ def _adapt(f, a, b, pts, epsabs, epsrel, limit):
             "and epsabs > 0 or epsrel >= max(50 * machine epsilon, 5e-29)"
         )
     alist, blist = edges[:-1], edges[1:]
-    rules = [qk21(f, a1, b1) for a1, b1 in zip(alist, blist)]
+    rules = yield list(zip(alist, blist))
     rlist = [rule[0] for rule in rules]
     elist = [rule[1] for rule in rules]
     result = abserr = resabs = 0.0
@@ -296,8 +343,7 @@ def _adapt(f, a, b, pts, epsabs, epsrel, limit):
         b2 = blist[maxerr]
         levcur = level[maxerr] + 1
         erlast = errmax
-        area1, error1, _, defab1 = qk21(f, a1, b1)
-        area2, error2, _, defab2 = qk21(f, a2, b2)
+        (area1, error1, _, defab1), (area2, error2, _, defab2) = yield [(a1, b1), (a2, b2)]
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax

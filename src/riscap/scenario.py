@@ -323,10 +323,15 @@ def parse_scenario(data: dict) -> Scenario:
     )
 
 
+# libyaml's parser when PyYAML was built with it (about 7x faster), else
+# the pure-Python one; both build the same data
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_YAML_LOADER)
     except FileNotFoundError as exc:
         raise ScenarioError(f"scenario file not found: {path}") from exc
     except yaml.YAMLError as exc:

@@ -5,9 +5,13 @@ Carlo runs, parameter sweeps, and CSV emission.
 builds it, analytic report included and ``mc`` None; ``_evaluate``, the
 one evaluation route, resolves every scenario and, unless trials is None,
 fills in ``mc`` from one ``simulate_ec_sweep`` call, which groups the
-scenarios that can share draws.  ``run_scenario`` is its one-scenario
-case; ``run_sweep`` and ``presets.run_preset`` return (sweep_value,
-RunResult) pairs, the rows ``rows_to_csv`` reads.
+scenarios that can share draws.  Resolving is batched too: each
+scenario's envelope statistics come first, then one
+``capacity.capacity_reports`` call runs the capacity integrals of the
+whole run in lockstep; ``resolve`` is its one-scenario case.
+``run_scenario`` is ``_evaluate``'s one-scenario case; ``run_sweep`` and
+``presets.run_preset`` return (sweep_value, RunResult) pairs, the rows
+``rows_to_csv`` reads.
 
 Near/far decision in "auto" mode: the far-field constant-loss model is
 used only when, for every panel, both endpoint distances (BS-to-center
@@ -28,7 +32,13 @@ import numpy as np
 
 from . import capacity as cap
 from .channel import PanelChannel, RicianParams, rician_mean_envelope
-from .errors import GeometryError, ScenarioError
+from .errors import (
+    GeometryError,
+    PatternUnderflow,
+    ScenarioError,
+    SingularPattern,
+    until_failure,
+)
 from .geometry import (
     ELEVATION_CONVENTION_NOTE,
     Point3,
@@ -119,11 +129,31 @@ def _loss(what: str, pathloss, *args):
     return loss
 
 
-# every overflow is range-checked and named below; numpy's warnings add nothing
-@np.errstate(all="ignore")
 def resolve(scenario: Scenario) -> RunResult:
     """Geometry -> path loss -> envelope statistics -> capacity report for
     one scenario, with no Monte Carlo."""
+    return _resolve_all([scenario])[0]
+
+
+def _resolve_all(scenarios: Sequence[Scenario]) -> list[RunResult]:
+    """resolve() of every scenario: each one's envelope statistics in turn,
+    then one capacity_reports call, which runs all their capacity
+    integrals in lockstep.  A failure raises what resolving the scenarios
+    one by one would have raised first."""
+    staged, failure = until_failure(_statistics, scenarios)
+    reports = cap.capacity_reports(
+        [(fields["moments"], fields["effective"].gamma_teff) for fields in staged]
+    )
+    if failure is not None:
+        raise failure
+    return [RunResult(report=report, **fields) for fields, report in zip(staged, reports)]
+
+
+# every overflow is range-checked and named below; numpy's warnings add nothing
+@np.errstate(all="ignore")
+def _statistics(scenario: Scenario) -> dict:
+    """Geometry -> path loss -> envelope statistics of one scenario: the
+    RunResult fields other than the report and mc."""
     lam = wavelength(scenario.fc_hz)
     d0 = scenario.bs.distance_to(scenario.user)
     if d0 == 0:
@@ -170,13 +200,21 @@ def resolve(scenario: Scenario) -> RunResult:
             beta0_reference, gt, gr, dx, dy,
         )
         what = f"panel {i}: {mode}-field loss at d1={link.d1:g} m, d2={link.d2:g} m"
-        if mode == "near":
-            links_i = element_links(scenario.bs, scenario.user, setup.panel)
-            beta_inv = 1.0 / _loss(what, element_pathloss, links_i, b0_ref, gt, gr)
-        else:
-            beta_inv = np.full(
-                setup.panel.element_count, 1.0 / _loss(what, farfield_pathloss, link, b0_ref)
+        try:
+            if mode == "near":
+                links_i = element_links(scenario.bs, scenario.user, setup.panel)
+                beta_inv = 1.0 / _loss(what, element_pathloss, links_i, b0_ref, gt, gr)
+            else:
+                beta_inv = np.full(
+                    setup.panel.element_count, 1.0 / _loss(what, farfield_pathloss, link, b0_ref)
+                )
+        except SingularPattern as exc:
+            fields = (
+                "scenario.budget.gt, scenario.budget.gr: "
+                if isinstance(exc, PatternUnderflow)
+                else ""
             )
+            raise type(exc)(f"panel {i}: {fields}{exc}") from None
         panels.append(
             PanelChannel(beta_inv=beta_inv, rho=setup.rho, k1=setup.k1, k2=setup.k2)
         )
@@ -204,11 +242,10 @@ def resolve(scenario: Scenario) -> RunResult:
         k0=scenario.k0,
         gamma_teff=effective.gamma_teff,
     )
-    return RunResult(
+    return dict(
         ensemble=ensemble,
         moments=moments,
         effective=effective,
-        report=cap.capacity_report(moments, effective.gamma_teff),
         mode_used=mode,
         d_boundary=max(boundaries),
         notes=tuple(notes),
@@ -223,7 +260,7 @@ def _evaluate(
     seed (common random numbers), which decides which scenarios share
     draws."""
     check_run_settings(trials, seed, workers)
-    results = [resolve(scenario) for scenario in scenarios]
+    results = _resolve_all(scenarios)
     if trials is None:
         return results
     estimates = simulate_ec_sweep(

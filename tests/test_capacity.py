@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from riscap.capacity import (
     CapacityReport,
     GammaFit,
     capacity_report,
+    capacity_reports,
     deterministic_capacity,
     ec_lower_bound,
     ec_upper_bound,
@@ -128,6 +130,18 @@ class TestErgodicCapacity:
             f"log-scale retry QUADPACK ier=1 ({meaning})"
         )
 
+    @pytest.mark.parametrize("b", [1e-200, 1e-100])
+    def test_underflowing_scaled_rate_raises_numerical_failure(self, b):
+        # c = b / sqrt(gamma_teff) is 0 (b = 1e-200) or squares to 0
+        # (b = 1e-100): the compact route fails and the log-scale retry
+        # cannot run, so no math domain error or numpy warning either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalFailure) as exc:
+                ergodic_capacity(GammaFit(2.0, b), 1e300)
+        assert type(exc.value) is NumericalFailure
+        assert f"b={b:g}, gamma_teff=1e+300" in str(exc.value)
+
     def test_infinite_gamma_teff_rejected(self):
         with pytest.raises(ValueError):
             ergodic_capacity(GammaFit(2.0, 1.0), math.inf)
@@ -198,6 +212,44 @@ class TestQuadpackMatchesQuad:
             assert knee > 1.0 - 1e-12
 
 
+class TestLockstep:
+    """The compact route of many (a, c) points in one lockstep batch."""
+
+    POINTS = [
+        (a, c) for a in np.logspace(-2, 7, 10).tolist() for c in np.logspace(-4, 8, 13).tolist()
+    ] + [(a, c) for a, c, *_ in TestQuadpackMatchesQuad.PINNED.values()]
+
+    def test_batch_equals_quad(self):
+        tol, limit = capacity.QUAD_ABS_TOL, capacity.QUAD_LIMIT
+        batch = capacity._compact_quads(self.POINTS)
+        for (a, c), (value, abserr, neval, ier) in zip(self.POINTS, batch):
+            assert (value, abserr, neval, ier != 0) == quad_compact(a, c, tol, limit), (a, c)
+
+    def test_one_integrand_call_per_round(self, monkeypatch):
+        calls = []
+        lockstep = quadpack.lockstep
+
+        def counting(f, drivers):
+            def counted(nodes, lanes):
+                calls.append(len(nodes))
+                return f(nodes, lanes)
+
+            return lockstep(counted, drivers)
+
+        monkeypatch.setattr(quadpack, "lockstep", counting)
+        solo = []
+        for a, c in self.POINTS:
+            calls.clear()
+            capacity._compact_quad(a, c)
+            solo.append(len(calls))
+        calls.clear()
+        batch = capacity._compact_quads(self.POINTS)
+        # the batch takes as many rounds as its longest member takes alone,
+        # and evaluates no node that a member does not count
+        assert len(calls) == max(solo) > min(solo)
+        assert sum(calls) == sum(neval for _, _, neval, _ in batch)
+
+
 class TestSnrMoments:
     def test_exponential_factorials(self):
         fit = GammaFit(1.0, 1.0)
@@ -265,6 +317,37 @@ class TestCapacityReport:
         # gamma_teff * a(a+1) / b^2 overflows: E[SNR] is not representable
         with pytest.raises(NumericalFailure, match="snr_mean"):
             capacity_report(MomentSummary(1.0, 1.5, 0.5), 1e308)
+
+    def test_batch_equals_one_by_one(self, monkeypatch):
+        retried = []
+        logscale = capacity._survival_integral_logscale
+
+        def spy(a, c):
+            retried.append((a, c))
+            return logscale(a, c)
+
+        monkeypatch.setattr(capacity, "_survival_integral_logscale", spy)
+        # Gamma(4, 2) and Gamma(0.4, 0.1) at 1e20 need the log-scale
+        # retry; the second case is degenerate
+        cases = [
+            (summary(2.0, 1.0), 1e20),
+            (summary(2.0, 1e-15), 10.0),
+            (summary(1.5, 0.2), 25.0),
+            (summary(4.0, 40.0), 1e20),
+        ]
+        reports = capacity_reports(cases)
+        assert retried == [(4.0, 2.0 / 1e10), (0.4, 0.1 / 1e10)]
+        assert reports == [capacity_report(*case) for case in cases]
+
+    def test_batch_raises_first_failure_in_input_order(self, monkeypatch):
+        # three subintervals are too few for either quadrature route
+        monkeypatch.setattr(capacity, "QUAD_LIMIT", 3)
+        unconverged = (summary(2.0, 1.0), 10.0)
+        invalid = (summary(2.0, 1.0), math.inf)
+        with pytest.raises(QuadratureFailure):
+            capacity_reports([unconverged, invalid])
+        with pytest.raises(ValueError):
+            capacity_reports([invalid, unconverged])
 
     def test_ordering_of_fields(self):
         report = capacity_report(summary(1.5, 0.2), 25.0)

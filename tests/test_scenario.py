@@ -166,6 +166,13 @@ class TestValidationErrors:
             load_scenario(str(path))
 
 
+    def test_malformed_yaml(self, tmp_path):
+        path = tmp_path / "s.yaml"
+        path.write_text("bs: [1, 2\n")
+        with pytest.raises(ScenarioError, match="not valid YAML"):
+            load_scenario(str(path))
+
+
 class TestPresetContracts:
     def test_defaults(self):
         for name in PRESET_NAMES:
@@ -196,6 +203,16 @@ class TestRoundTrip:
     def test_presets_round_trip_exactly(self, name):
         scenario, _ = preset(name)
         assert parse_scenario(yaml.safe_load(dump_scenario(scenario))) == scenario
+
+    def test_presets_load_equal_under_both_yaml_loaders(self, tmp_path):
+        # load_scenario parses with libyaml where PyYAML was built with it
+        for name in PRESET_NAMES:
+            scenario, _ = preset(name)
+            text = dump_scenario(scenario)
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(text)
+            pure = parse_scenario(yaml.load(text, Loader=yaml.SafeLoader))
+            assert load_scenario(str(path)) == pure == scenario
 
     def test_fig8_cases_round_trip(self):
         for scenario in fig8_distributed_cases():

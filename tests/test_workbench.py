@@ -298,6 +298,21 @@ class TestBatchedSweep:
             reference = rows_to_csv(per_point_sweep(s, sweep, 2100, 17, workers), variable)
             assert batched == reference
 
+    def test_first_failing_point_decides_the_error(self, monkeypatch):
+        from riscap import capacity
+        from riscap.errors import QuadratureFailure
+
+        s, _ = preset("fig2")
+        # d1 = 1e100 passes apply_sweep_value, but resolve rejects it
+        with pytest.raises(ScenarioError):
+            resolve(apply_sweep_value(s, "d1", 1e100))
+        # three subintervals are too few for either quadrature route
+        monkeypatch.setattr(capacity, "QUAD_LIMIT", 3)
+        with pytest.raises(QuadratureFailure):
+            run_sweep(s, SweepSpec(variable="d1", values=(4.0, 1e100)), trials=None)
+        with pytest.raises(ScenarioError):
+            run_sweep(s, SweepSpec(variable="d1", values=(1e100, 4.0)), trials=None)
+
 
 class TestRunPreset:
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -592,6 +607,22 @@ class TestCli:
                 2,
                 ["scenario.budget.p_w, scenario.budget.gt, scenario.budget.gr", "leakage"],
             ),
+            # gain exponents that underflow the pattern name the gains; a
+            # pattern with a non-positive cosine names the panel
+            (
+                "fig2",
+                {"budget.gt": 1e6},
+                ["analyze", "--no-mc"],
+                2,
+                ["panel 0: scenario.budget.gt, scenario.budget.gr: radiation pattern underflows"],
+            ),
+            (
+                "fig2",
+                {"deployment.panel.dx": 1e8},
+                ["analyze", "--no-mc"],
+                2,
+                ["panel 0: endpoint-side pattern cosines must be positive"],
+            ),
             # an endpoint at or below a panel's plane names its field and the panel
             (
                 "fig3",
@@ -754,6 +785,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "compact route QUADPACK ier=1" in err
         assert "log-scale retry QUADPACK ier=1" in err
+
+    def test_successive_main_calls_share_no_state(self, tmp_path, capsys):
+        # main reuses one parser per process; a flag of one call must not
+        # reach the next
+        from riscap import cli
+
+        path = self.scenario_file(tmp_path)
+        assert cli.build_parser() is cli.build_parser()
+        with warnings.catch_warnings():
+            # fig2 lies inside the near/far boundary: forcing far warns
+            warnings.simplefilter("ignore")
+            assert cli.main(["analyze", path, "--mode", "far", "--no-mc"]) == 0
+        forced = capsys.readouterr().out
+        assert cli.main(["analyze", path, "--trials", "200"]) == 0
+        default = capsys.readouterr().out
+        assert "mode: far" in forced and "ec_mc_bit_s_hz" not in forced
+        assert "mode: near" in default and "ec_mc_bit_s_hz" in default
 
     def test_cli_import_leaves_out_scipy_integrate(self):
         # quadrature is in-tree; scipy.integrate would pull in optimize,
