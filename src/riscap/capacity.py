@@ -19,9 +19,10 @@ normative evaluation here and the identity is exercised in tests.
 
 The quadrature is riscap.quadpack, an in-tree port of QUADPACK's QAGP and
 QAGS whose results are bit-identical to scipy.integrate.quad's (tests
-compare the two); scipy is used only for scipy.special, which keeps
-scipy.integrate and what it imports (optimize, sparse, linalg) out of
-every CLI call.  ``capacity_reports`` evaluates the cases of a whole run
+compare the two), which keeps scipy.integrate and what it imports
+(optimize, sparse, linalg) out of every CLI call.  Q is scipy.special's
+compiled gammaincc ufunc, loaded by riscap.special without scipy.special's
+package __init__.  ``capacity_reports`` evaluates the cases of a whole run
 at once: their compact-route integrals run as QUADPACK drivers in
 lockstep, with one integrand call per bisection round for all of them,
 and a case that route fails is retried alone on the log scale.  Each
@@ -46,9 +47,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
-from . import quadpack
+from . import quadpack, special
 from .errors import DegenerateDistribution, NumericalFailure, QuadratureFailure, until_failure
 from .moments import MomentSummary
 

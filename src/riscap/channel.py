@@ -12,6 +12,9 @@ naive e^{x/2}*I(.) product would underflow near K ~ 1400).
 CSI aging follows the classic isotropic-scattering autocorrelation:
 rho = J0(2*pi*f_d*T_s) with f_d the maximum Doppler shift.
 
+i0e, i1e and J0 are scipy.special's compiled ufuncs, loaded by
+riscap.special without scipy.special's package __init__.
+
 The envelope sampler takes the line-of-sight term real: the co-phased
 analysis depends only on envelopes, whose law does not depend on that
 phase.  CSI-error variances are 1 - Omega(K)^2, formed where they are used.
@@ -23,8 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from . import special
 from .errors import NegativeCorrelation
 from .units import SPEED_OF_LIGHT
 

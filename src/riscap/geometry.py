@@ -46,6 +46,15 @@ class Point3:
         return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
 
 
+class PanelError(ValueError):
+    """A RisPanel field value out of range; `fields` names the fields at
+    fault."""
+
+    def __init__(self, fields: tuple[str, ...], message: str):
+        super().__init__(message)
+        self.fields = fields
+
+
 @dataclass(frozen=True)
 class RisPanel:
     """One reflecting surface: center, element grid counts, element size.
@@ -61,16 +70,23 @@ class RisPanel:
     dy: float
 
     def __post_init__(self):
-        if self.mx < 1 or self.my < 1:
-            raise ValueError("element counts must be >= 1")
-        if self.dx <= 0 or self.dy <= 0:
-            raise ValueError("element dimensions must be positive")
+        for name in ("mx", "my"):
+            if getattr(self, name) < 1:
+                raise PanelError((name,), "element counts must be >= 1")
+        for name in ("dx", "dy"):
+            if getattr(self, name) <= 0:
+                raise PanelError((name,), "element dimensions must be positive")
         if self.mx * self.my > MAX_PANEL_ELEMENTS:
-            raise ValueError(f"element count mx*my exceeds the limit of {MAX_PANEL_ELEMENTS}")
+            raise PanelError(
+                ("mx", "my"), f"element count mx*my exceeds the limit of {MAX_PANEL_ELEMENTS}"
+            )
         # the path-loss reference constant divides by dx^2 * dy^2
-        sq = (self.dx * self.dx, self.dy * self.dy)
-        if not all(0.0 < v < math.inf for v in (*sq, sq[0] * sq[1])):
-            raise ValueError(f"element size {self.dx:g} x {self.dy:g} m is out of float range")
+        sx, sy = self.dx * self.dx, self.dy * self.dy
+        for fields, square in ((("dx",), sx), (("dy",), sy), (("dx", "dy"), sx * sy)):
+            if not 0.0 < square < math.inf:
+                raise PanelError(
+                    fields, f"element size {self.dx:g} x {self.dy:g} m is out of float range"
+                )
 
     @property
     def element_count(self) -> int:

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: import it here, not inside the first run
 
 from .channel import (
     PanelChannel,

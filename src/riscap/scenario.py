@@ -19,7 +19,7 @@ import yaml
 
 from .channel import outdated_correlation
 from .errors import NegativeCorrelation, ScenarioError
-from .geometry import Point3, RisPanel
+from .geometry import PanelError, Point3, RisPanel
 from .pathloss import LinkBudget
 from .units import db_to_linear, dbm_to_watts
 
@@ -139,8 +139,9 @@ def _panel(section: _Section) -> RisPanel:
             dx=section.number("dx"),
             dy=section.number("dy"),
         )
-    except ValueError as exc:
-        raise ScenarioError(f"{section.path}: {exc}") from exc
+    except PanelError as exc:
+        fields = ", ".join(f"{section.path}.{name}" for name in exc.fields)
+        raise ScenarioError(f"{fields}: {exc}") from exc
 
 
 def _to_linear(number: float, path: str, convert=db_to_linear) -> float:

@@ -160,7 +160,8 @@ def _statistics(scenario: Scenario) -> dict:
         raise ScenarioError("scenario.bs, scenario.user: the endpoints coincide")
     budget = scenario.budget
     beta0_inv = 1.0 / _loss(
-        f"scenario.budget: direct link at eta_db={budget.eta_db:g}, xi={budget.xi:g} "
+        "scenario.bs, scenario.user, scenario.budget.eta_db, scenario.budget.xi: direct link "
+        f"at eta_db={budget.eta_db:g}, xi={budget.xi:g} "
         f"over the {d0:g} m bs-user distance",
         direct_pathloss, d0, budget.eta_db, budget.xi,
     )

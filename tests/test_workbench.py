@@ -569,6 +569,40 @@ class TestCli:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
+        "leaf, value, field",
+        [
+            *(
+                (f"deployment.panel.{key}", value, f"scenario.deployment.panel.{key}:")
+                for key in ("mx", "my")
+                for value in (0, -1)
+            ),
+            *(
+                (f"deployment.panel.{key}", value, f"scenario.deployment.panel.{key}:")
+                for key in ("dx", "dy")
+                for value in (0, -1, 1e-300, -1e-300, 1e300, -1e300)
+            ),
+            *(
+                (f"deployment.panel.{key}", 10**8, f"scenario.deployment.panel.{key}")
+                for key in ("mx", "my")
+            ),
+            *(
+                (f"{end}.{axis}", value, f"scenario.{end}")
+                for end in ("bs", "user")
+                for axis in ("x", "y", "z")
+                for value in (1e300, -1e300)
+            ),
+        ],
+    )
+    def test_bad_leaf_is_named(self, tmp_path, capsys, leaf, value, field):
+        # a panel field out of range, or endpoints so far apart that the
+        # direct-link loss leaves float range, name the edited field
+        from riscap import cli
+
+        path = edited_preset_file(tmp_path, "fig2", {leaf: value})
+        assert cli.main(["analyze", path, "--no-mc"]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "name, edits, argv, code, expected",
         [
             # fully outdated CSI: Z is identically 0, so every capacity is 0
@@ -803,6 +837,14 @@ class TestCli:
         assert "mode: far" in forced and "ec_mc_bit_s_hz" not in forced
         assert "mode: near" in default and "ec_mc_bit_s_hz" in default
 
+    @staticmethod
+    def python(*argv):
+        """Stripped stdout of `python -c code args` in a fresh interpreter,
+        which must exit 0."""
+        proc = subprocess.run([sys.executable, "-c", *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
     def test_cli_import_leaves_out_scipy_integrate(self):
         # quadrature is in-tree; scipy.integrate would pull in optimize,
         # sparse and linalg on every CLI call
@@ -811,6 +853,31 @@ class TestCli:
             "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
             "(['scipy', 'integrate'], ['scipy', 'optimize'], ['scipy', 'sparse'], ['scipy', 'linalg'])))"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert self.python(code) == "[]"
+
+    def test_cli_import_leaves_out_scipy_special_init(self):
+        # the special functions come from scipy.special's compiled ufuncs;
+        # the package __init__ would load its array-API layer, which pulls
+        # in numpy.testing, numpy.f2py and numpy.ma on every CLI call
+        code = (
+            "import sys, riscap.cli; "
+            "print(sorted(m for m in ('scipy._lib._array_api', 'numpy.testing', 'numpy.f2py', "
+            "'numpy.ma') if m in sys.modules))"
+        )
+        assert self.python(code) == "[]"
+
+    def test_cli_runs_import_nothing(self, tmp_path):
+        # every module a run needs is loaded with riscap.cli, so none is
+        # loaded (and timed) inside the first run of a process
+        code = (
+            "import contextlib, io, sys, warnings\n"
+            "import riscap.cli as cli\n"
+            "loaded = set(sys.modules)\n"
+            "for argv in (['preset', 'fig2', '--trials', '64', '--workers', '2'], "
+            "['preset', 'fig4', '--no-mc'], ['analyze', sys.argv[1], '--no-mc']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():\n"
+            "        warnings.simplefilter('ignore')\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print(sorted(set(sys.modules) - loaded))"
+        )
+        assert self.python(code, self.scenario_file(tmp_path)) == "[]"
