@@ -25,9 +25,9 @@ compiled gammaincc ufunc, loaded by riscap.special without scipy.special's
 package __init__.  ``capacity_reports`` evaluates the cases of a whole run
 at once: their compact-route integrals run as QUADPACK drivers in
 lockstep, with one integrand call per bisection round for all of them,
-and a case that route fails is retried alone on the log scale.  Each
-case's figures equal those of a run on its own; ``capacity_report`` and
-``ergodic_capacity`` are the one-case calls.
+and a case that route fails is retried alone on the log scale, as a
+one-driver lockstep.  Each case's figures equal those of a run on its
+own; ``capacity_report`` and ``ergodic_capacity`` are the one-case calls.
 
 The "lower bound" is a second-order delta-method approximation of the
 Jensen harmonic-mean bound, not a true bound; reports label it
@@ -121,13 +121,7 @@ def _compact_quads(points):
     return quadpack.lockstep(integrand, drivers)
 
 
-def _compact_quad(a: float, c: float):
-    """The compact-route integral of one (a, c) point: (value, abserr,
-    neval, ier)."""
-    return _compact_quads([(a, c)])[0]
-
-
-def _logscale_quad(a: float, c: float):
+def _survival_integral_logscale(a: float, c: float):
     """Same integral in x = c*sqrt(gamma), then y = ln x, by QAGP with a
     breakpoint at ln c when it falls inside the range, else QAGS:
     (value, abserr, neval, ier).
@@ -135,7 +129,8 @@ def _logscale_quad(a: float, c: float):
     The integrand Q(a, e^y) * 2e^{2y}/(c^2 + e^{2y}) is a bounded plateau
     between ln c and ln a with no cancellation near the endpoints, which
     keeps very large gamma_teff (plateaus spanning many decades) well
-    conditioned where the compact substitution runs into roundoff.
+    conditioned where the compact substitution runs into roundoff.  Each
+    retry looks this name up in the module, so a spy set there sees it.
     """
 
     def integrand(ys, lanes):
@@ -145,19 +140,13 @@ def _logscale_quad(a: float, c: float):
     log_c = math.log(c)
     lo = min(log_c, 0.0) - 45.0
     hi = max(math.log(a + 40.0 * math.sqrt(a) + 50.0), lo + 10.0)
-    if lo < log_c < hi:
-        return quadpack.qagp(integrand, lo, hi, (log_c,), QUAD_ABS_TOL, 1e-12, 2 * QUAD_LIMIT)
-    return quadpack.qags(integrand, lo, hi, QUAD_ABS_TOL, 1e-12, 2 * QUAD_LIMIT)
+    points = (log_c,) if lo < log_c < hi else None
+    drivers = [quadpack.driver(lo, hi, points, QUAD_ABS_TOL, 1e-12, 2 * QUAD_LIMIT)]
+    return quadpack.lockstep(integrand, drivers)[0]
 
 
-def _outcome(value: float, abserr: float, neval: int, ier: int):
-    """(value, None) on convergence, else (value, what QUADPACK's ier means)."""
-    return value, (None if ier == 0 else f"QUADPACK ier={ier} ({quadpack.IER_MEANING[ier]})")
-
-
-def _survival_integral_logscale(a: float, c: float):
-    """The log-scale-route survival integral as (value, problem or None)."""
-    return _outcome(*_logscale_quad(a, c))
+def _ier_text(ier: int) -> str:
+    return f"QUADPACK ier={ier} ({quadpack.IER_MEANING[ier]})"
 
 
 def _checked_snr(gamma_teff: float) -> float:
@@ -172,21 +161,21 @@ def _ergodic_capacities(cases):
     the first value; a case it fails is retried on the log scale when it is
     reached, and a case that fails both raises there."""
     points = [(fit.a, fit.b / math.sqrt(gamma_teff)) for fit, gamma_teff in cases]
-    for (fit, gamma_teff), (a, c), outcome in zip(cases, points, _compact_quads(points)):
-        value, problem = _outcome(*outcome)
-        if problem is not None:
+    outcomes = _compact_quads(points)
+    for (fit, gamma_teff), (a, c), (value, _, _, ier) in zip(cases, points, outcomes):
+        if ier != 0:
             # the log-scale route takes ln c and divides by c^2 + x^2
             if c * c == 0.0:
                 raise NumericalFailure(
-                    f"capacity integral did not converge: compact route {problem}; no "
+                    f"capacity integral did not converge: compact route {_ier_text(ier)}; no "
                     "log-scale retry, since c = b / sqrt(gamma_teff) squares to 0 at "
                     f"b={fit.b:g}, gamma_teff={gamma_teff:g}"
                 )
-            value, fallback_problem = _survival_integral_logscale(a, c)
-            if fallback_problem is not None:
+            value, _, _, retry_ier = _survival_integral_logscale(a, c)
+            if retry_ier != 0:
                 raise QuadratureFailure(
-                    f"capacity integral did not converge: compact route {problem}; "
-                    f"log-scale retry {fallback_problem}"
+                    f"capacity integral did not converge: compact route {_ier_text(ier)}; "
+                    f"log-scale retry {_ier_text(retry_ier)}"
                 )
         yield value / math.log(2.0)
 

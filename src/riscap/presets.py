@@ -19,8 +19,7 @@ Documented defaults where the source material under-specifies:
   preset exists to expose.  The d1 sweep repositions the panel center
   along y = 0 at fixed z, on the user side of the BS.
 * fig7 shape comparison keeps the total element count at 576 and places
-  the panel at the near-field default; the far-field variant moves it to
-  x = 0 (mid-link).
+  the panel at the near-field default.
 * fig8 distributed cases use two 16x18 panels 0.5 m apart; the panel
   nearest an endpoint always sits at the standard 0.5 m x-offset
   (x = -49.5 near the BS, x = +49.5 near the user) so all three layouts
@@ -57,7 +56,6 @@ CELL = LAMBDA / 8.0
 BS = Point3(-50.0, 0.0, 10.0)
 USER = Point3(50.0, 0.0, 10.0)
 NEAR_PANEL_CENTER = Point3(-49.5, 0.0, 9.5)
-MIDLINK_PANEL_CENTER = Point3(0.0, 0.0, 9.5)
 K_DEFAULT = db_to_linear(3.0)
 RHO0_DEFAULT = 0.95
 RHO_PANEL_DEFAULT = 0.9
@@ -74,9 +72,9 @@ def _budget(p_dbm: float) -> LinkBudget:
     )
 
 
-def _panel(center: Point3, mx: int, my: int, cell: float = CELL) -> PanelSetup:
+def _panel(center: Point3, mx: int, my: int) -> PanelSetup:
     return PanelSetup(
-        panel=RisPanel(center=center, mx=mx, my=my, dx=cell, dy=cell),
+        panel=RisPanel(center=center, mx=mx, my=my, dx=CELL, dy=CELL),
         k1=K_DEFAULT,
         k2=K_DEFAULT,
         rho=RHO_PANEL_DEFAULT,

@@ -16,7 +16,7 @@ on the 21 nodes of every interval any driver is waiting on, ``lanes[i]``
 being the index of the driver that asked for ``nodes[i]``, and f returns
 a numpy array of values.  Each rule is then summed in a scalar loop, so
 a driver's results do not depend on which drivers run beside it.
-``qagp`` and ``qags`` are the one-driver case.
+``lockstep`` is the only runner: a single integral is a one-driver call.
 
 ier, as in QUADPACK: 0 converged; 1 subdivision limit reached; 2 roundoff
 prevents the tolerance; 3 bad integrand behaviour; 4 roundoff in the
@@ -241,16 +241,6 @@ def qelg(n: int, epstab, res3la, nres: int):
         abserr = abs(result - res3la[2]) + abs(result - res3la[1]) + abs(result - res3la[0])
         res3la[:] = [res3la[1], res3la[2], result]
     return n, nres, result, max(abserr, 5.0 * EPMACH * abs(result))
-
-
-def qagp(f, a: float, b: float, points, epsabs: float, epsrel: float, limit: int):
-    """dqagpe of f(nodes, lanes) on a < b: (value, abserr, neval, ier)."""
-    return lockstep(f, [driver(a, b, points, epsabs, epsrel, limit)])[0]
-
-
-def qags(f, a: float, b: float, epsabs: float, epsrel: float, limit: int):
-    """dqagse of f(nodes, lanes) on a < b: (value, abserr, neval, ier)."""
-    return lockstep(f, [driver(a, b, None, epsabs, epsrel, limit)])[0]
 
 
 def driver(a: float, b: float, points, epsabs: float, epsrel: float, limit: int):

@@ -78,7 +78,6 @@ class _Section:
             raise ScenarioError(f"{path}: expected a mapping, got {type(data).__name__}")
         self.data = data
         self.path = path
-        self.seen: set[str] = set()
 
     def child(self, key: str) -> "_Section":
         return _Section(self.require(key), f"{self.path}.{key}")
@@ -86,11 +85,9 @@ class _Section:
     def require(self, key: str):
         if key not in self.data:
             raise ScenarioError(f"{self.path}.{key}: required field is missing")
-        self.seen.add(key)
         return self.data[key]
 
     def optional(self, key: str, default=None):
-        self.seen.add(key)
         return self.data.get(key, default)
 
     def number(self, key: str) -> float:

@@ -197,10 +197,15 @@ def _statistics(scenario: Scenario) -> dict:
     for i, (setup, link) in enumerate(zip(scenario.panels, links)):
         dx, dy = setup.panel.dx, setup.panel.dy
         b0_ref = _loss(
-            f"scenario.budget: reference constant at gt={gt:g}, gr={gr:g}, {dx:g} x {dy:g} m",
+            "scenario.budget.gt, scenario.budget.gr: reference constant at "
+            f"gt={gt:g}, gr={gr:g}, {dx:g} x {dy:g} m",
             beta0_reference, gt, gr, dx, dy,
         )
-        what = f"panel {i}: {mode}-field loss at d1={link.d1:g} m, d2={link.d2:g} m"
+        section = "panel" if scenario.kind == "centralized" else f"panels[{i}]"
+        what = (
+            f"panel {i}: {mode}-field loss at d1={link.d1:g} m, d2={link.d2:g} m "
+            f"from scenario.deployment.{section}.center to scenario.bs, scenario.user"
+        )
         try:
             if mode == "near":
                 links_i = element_links(scenario.bs, scenario.user, setup.panel)

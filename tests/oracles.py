@@ -86,7 +86,7 @@ def mp_capacity_meijerg(a: float, b: float, gamma_teff: float) -> float:
     return float(2 ** (a - 1) / (mp.sqrt(mp.pi) * mp.gamma(a) * mp.log(2)) * G)
 
 
-def _quad_outcome(result) -> tuple[float, float, int, bool]:
+def _quad_result(result) -> tuple[float, float, int, bool]:
     """(value, abserr, neval, failed) of a full_output quad result."""
     return result[0], result[1], result[2]["neval"], len(result) > 3
 
@@ -105,7 +105,7 @@ def quad_compact(a: float, c: float, abs_tol: float, limit: int):
 
     knee = a / (a + c)
     pts = sorted({min(max(knee, 1e-12), 1.0 - 1e-12), 0.5})
-    return _quad_outcome(
+    return _quad_result(
         integrate.quad(integrand, 0.0, 1.0, epsabs=abs_tol, epsrel=0.0, limit=limit,
                        points=pts, full_output=True)
     )
@@ -124,7 +124,7 @@ def quad_logscale(a: float, c: float, abs_tol: float, limit: int):
     lo = min(log_c, 0.0) - 45.0
     hi = max(math.log(a + 40.0 * math.sqrt(a) + 50.0), lo + 10.0)
     pts = [log_c] if lo < log_c < hi else None
-    return _quad_outcome(
+    return _quad_result(
         integrate.quad(integrand, lo, hi, epsabs=abs_tol, epsrel=1e-12, limit=limit,
                        points=pts, full_output=True)
     )

@@ -161,7 +161,10 @@ def port_and_quad(a, c):
     scipy.integrate.quad, as (value, abserr, neval, failed) pairs."""
     port = [
         (value, abserr, neval, ier != 0)
-        for value, abserr, neval, ier in (capacity._compact_quad(a, c), capacity._logscale_quad(a, c))
+        for value, abserr, neval, ier in (
+            capacity._compact_quads([(a, c)])[0],
+            capacity._survival_integral_logscale(a, c),
+        )
     ]
     tol, limit = capacity.QUAD_ABS_TOL, capacity.QUAD_LIMIT
     return port, [quad_compact(a, c, tol, limit), quad_logscale(a, c, tol, 2 * limit)]
@@ -240,7 +243,7 @@ class TestLockstep:
         solo = []
         for a, c in self.POINTS:
             calls.clear()
-            capacity._compact_quad(a, c)
+            capacity._compact_quads([(a, c)])
             solo.append(len(calls))
         calls.clear()
         batch = capacity._compact_quads(self.POINTS)

@@ -317,10 +317,17 @@ class TestBatchedSweep:
 class TestRunPreset:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_csv_equals_per_point_cli_route(self, name):
-        for workers in (1, 2):
-            rows, variable = run_preset(name, trials=600, seed=3, workers=workers)
-            reference = per_point_preset(name, trials=600, seed=3, workers=workers)
-            assert rows_to_csv(rows, variable) == rows_to_csv(reference, variable)
+        # fig4's far rows force the far-field formula inside the boundary
+        expected = (
+            pytest.warns(UserWarning, match="boundary")
+            if name == "fig4"
+            else contextlib.nullcontext()
+        )
+        with expected:
+            for workers in (1, 2):
+                rows, variable = run_preset(name, trials=600, seed=3, workers=workers)
+                reference = per_point_preset(name, trials=600, seed=3, workers=workers)
+                assert rows_to_csv(rows, variable) == rows_to_csv(reference, variable)
 
     def test_no_mc_blanks_mc_columns(self):
         rows, _ = run_preset("fig8", trials=None)
@@ -591,14 +598,34 @@ class TestCli:
                 for axis in ("x", "y", "z")
                 for value in (1e300, -1e300)
             ),
+            *(
+                (f"budget.{key}", 1e-300, f"scenario.budget.{key}")
+                for key in ("gt", "gr")
+            ),
+            *(
+                (f"deployment.panel.center.{axis}", value, "scenario.deployment.panel.center")
+                for axis, value in (("x", 1e300), ("y", 1e300), ("z", -1e300))
+            ),
+            *(
+                (
+                    f"deployment.panels.{i}.center.{axis}",
+                    value,
+                    f"scenario.deployment.panels[{i}].center",
+                )
+                for i in (0, 1)
+                for axis, value in (("x", 1e300), ("y", 1e300), ("z", -1e300))
+            ),
         ],
     )
     def test_bad_leaf_is_named(self, tmp_path, capsys, leaf, value, field):
-        # a panel field out of range, or endpoints so far apart that the
-        # direct-link loss leaves float range, name the edited field
+        # a panel field out of range, or a field that takes a loss factor
+        # (direct link, reference constant, panel) out of float range,
+        # names the edited field; panels[i] leaves edit the two-panel
+        # fig3, the others fig2
         from riscap import cli
 
-        path = edited_preset_file(tmp_path, "fig2", {leaf: value})
+        name = "fig3" if leaf.startswith("deployment.panels.") else "fig2"
+        path = edited_preset_file(tmp_path, name, {leaf: value})
         assert cli.main(["analyze", path, "--no-mc"]) == 2
         assert field in capsys.readouterr().err
 
