@@ -8,7 +8,6 @@ bounds, and an independent Monte Carlo oracle.
 from .capacity import (
     CapacityReport,
     GammaFit,
-    capacity_report,
     capacity_reports,
     ec_lower_bound,
     ec_upper_bound,
@@ -53,7 +52,6 @@ from .moments import (
     MomentSummary,
     distributed_moments,
     distributed_noise_variance,
-    saturation_gamma_teff,
 )
 from .montecarlo import (
     McEstimate,
@@ -83,7 +81,6 @@ from .workbench import (
     RunResult,
     SweepSpec,
     apply_sweep_value,
-    resolve,
     rows_to_csv,
     run_scenario,
     run_sweep,

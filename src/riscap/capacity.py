@@ -27,7 +27,7 @@ at once: their compact-route integrals run as QUADPACK drivers in
 lockstep, with one integrand call per bisection round for all of them,
 and a case that route fails is retried alone on the log scale, as a
 one-driver lockstep.  Each case's figures equal those of a run on its
-own; ``capacity_report`` and ``ergodic_capacity`` are the one-case calls.
+own; ``ergodic_capacity`` is the one-case call that takes a ``GammaFit``.
 
 The "lower bound" is a second-order delta-method approximation of the
 Jensen harmonic-mean bound, not a true bound; reports label it
@@ -240,9 +240,11 @@ def deterministic_capacity(mean_envelope: float, gamma_teff: float) -> float:
 def capacity_reports(
     cases: Sequence[tuple[MomentSummary, float]],
 ) -> list[CapacityReport]:
-    """capacity_report of each (moments, gamma_teff) case, with the
-    capacity integrals of all cases run in lockstep.  A failure raises what
-    calling capacity_report case by case would have raised first."""
+    """Full analytic report of each (moments, gamma_teff) case, with the
+    capacity integrals of all cases run in lockstep; a case too concentrated
+    to fit falls back to the deterministic-envelope value (an envelope that
+    is identically 0, as under fully outdated CSI, gives 0 throughout).  A
+    failure raises what evaluating the cases one by one would raise first."""
 
     def prepare(case):
         moments, gamma_teff = case
@@ -260,13 +262,6 @@ def capacity_reports(
     if failure is not None:
         raise failure
     return reports
-
-
-def capacity_report(moments: MomentSummary, gamma_teff: float) -> CapacityReport:
-    """Full analytic report; falls back to the deterministic-envelope value
-    when the distribution is too concentrated to fit (an envelope that is
-    identically 0, as under fully outdated CSI, gives 0 throughout)."""
-    return capacity_reports([(moments, gamma_teff)])[0]
 
 
 def _report(moments, gamma_teff, fit, ecs) -> CapacityReport:

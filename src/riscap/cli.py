@@ -15,10 +15,11 @@ import sys
 
 from .errors import NumericalFailure, ValidationFailure
 from .presets import PRESET_NAMES, run_preset
-from .scenario import load_scenario
+from .scenario import MODES, load_scenario
 from .workbench import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    SWEEP_VARIABLES,
     SweepSpec,
     rows_to_csv,
     run_scenario,
@@ -52,7 +53,7 @@ def _add_common(parser: argparse.ArgumentParser, with_mode: bool = True) -> None
     if with_mode:
         parser.add_argument(
             "--mode",
-            choices=("auto", "near", "far"),
+            choices=MODES,
             default=None,
             help="override the scenario's propagation-model selection",
         )
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sweep one variable, emit CSV")
     p_sweep.add_argument("scenario")
-    p_sweep.add_argument("--var", required=True, help="P | rho | rho0 | My | d1 | cell_size | K0")
+    p_sweep.add_argument("--var", required=True, help=" | ".join(SWEEP_VARIABLES))
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p_sweep.add_argument("--no-mc", action="store_true")

@@ -92,11 +92,6 @@ class RisPanel:
     def element_count(self) -> int:
         return self.mx * self.my
 
-    @property
-    def diagonal(self) -> float:
-        """Maximum panel dimension: the diagonal of the mx*dx by my*dy face."""
-        return math.hypot(self.mx * self.dx, self.my * self.dy)
-
 
 @dataclass(frozen=True)
 class ElementLinks:

@@ -89,30 +89,6 @@ def distributed_moments(
     return MomentSummary(mean=mean, second_moment=second, variance=max(second - mean * mean, 0.0))
 
 
-def _leakage(
-    tx_power: float,
-    per_panel: Sequence[PanelChannel],
-    rho0: float,
-    omega0: float,
-    beta0_direct_inv: float,
-) -> float:
-    """Outdated-CSI leakage power.
-
-    Each panel leaks P*(1-rho^2)*(1-omega2^2)*sum(beta^-1); the direct link
-    leaks P*(1-rho0^2)*(1-omega0^2)*beta0^-1.
-    """
-    panel_terms = []
-    for p in per_panel:
-        omega2 = rician_mean_envelope(RicianParams(p.k2))
-        panel_terms.append(
-            tx_power * (1.0 - p.rho * p.rho) * (1.0 - omega2 * omega2) * float(np.sum(p.beta_inv))
-        )
-    direct_term = (
-        tx_power * (1.0 - rho0 * rho0) * (1.0 - omega0 * omega0) * beta0_direct_inv
-    )
-    return math.fsum(panel_terms) + direct_term
-
-
 def distributed_noise_variance(
     tx_power: float,
     per_panel: Sequence[PanelChannel],
@@ -121,26 +97,19 @@ def distributed_noise_variance(
     beta0_direct_inv: float,
     noise_power: float,
 ) -> EffectiveSnr:
-    """Effective-noise variance: outdated-CSI leakage plus thermal noise."""
+    """Effective-noise variance: outdated-CSI leakage plus thermal noise.
+    Each panel leaks P*(1-rho^2)*(1-omega2^2)*sum(beta^-1); the direct link
+    leaks P*(1-rho0^2)*(1-omega0^2)*beta0^-1."""
     if tx_power <= 0:
         raise ValueError("transmit power must be positive")
     if noise_power <= 0:
         raise ValueError("noise power must be positive")
-    variance = _leakage(tx_power, per_panel, rho0, omega0, beta0_direct_inv) + noise_power
+    panel_terms = []
+    for p in per_panel:
+        omega2 = rician_mean_envelope(RicianParams(p.k2))
+        panel_terms.append(
+            tx_power * (1.0 - p.rho * p.rho) * (1.0 - omega2 * omega2) * float(np.sum(p.beta_inv))
+        )
+    direct_term = tx_power * (1.0 - rho0 * rho0) * (1.0 - omega0 * omega0) * beta0_direct_inv
+    variance = math.fsum(panel_terms) + direct_term + noise_power
     return EffectiveSnr(gamma_teff=tx_power / variance, noise_variance=variance)
-
-
-def saturation_gamma_teff(
-    per_panel: Sequence[PanelChannel],
-    rho0: float,
-    omega0: float,
-    beta0_direct_inv: float,
-) -> float:
-    """Large-power limit of gamma_teff (thermal noise becomes negligible).
-
-    Infinite when every aging coefficient is 1 (no CSI leakage at all).
-    """
-    leak = _leakage(1.0, per_panel, rho0, omega0, beta0_direct_inv)
-    if leak <= 0:
-        return math.inf
-    return 1.0 / leak

@@ -227,7 +227,10 @@ def run_preset(
         for base in bases
         for value in sweep.values
     ]
+    labels = [f"sweep {sweep.variable}={value}" for value, _ in points]
     if name == "fig8":
-        points += [(float(i), case) for i, case in enumerate(fig8_distributed_cases(), 1)]
-    results = _evaluate([point for _, point in points], trials, seed, workers)
+        cases = fig8_distributed_cases()
+        points += [(float(i), case) for i, case in enumerate(cases, 1)]
+        labels += [None] * len(cases)
+    results = _evaluate([point for _, point in points], trials, seed, workers, labels)
     return [(value, r) for (value, _), r in zip(points, results)], sweep.variable

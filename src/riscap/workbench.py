@@ -1,17 +1,16 @@
 """Scenario execution: near/far resolution, the analytic pipeline, Monte
 Carlo runs, parameter sweeps, and CSV emission.
 
-``RunResult`` is the one record of an evaluated scenario.  ``resolve``
-builds it, analytic report included and ``mc`` None; ``_evaluate``, the
-one evaluation route, resolves every scenario and, unless trials is None,
-fills in ``mc`` from one ``simulate_ec_sweep`` call, which groups the
-scenarios that can share draws.  Resolving is batched too: each
-scenario's envelope statistics come first, then one
+``RunResult`` is the one record of an evaluated scenario.  ``_evaluate``
+is the one evaluation route: ``_statistics`` takes each scenario through
+geometry, path loss and envelope statistics in turn, then one
 ``capacity.capacity_reports`` call runs the capacity integrals of the
-whole run in lockstep; ``resolve`` is its one-scenario case.
-``run_scenario`` is ``_evaluate``'s one-scenario case; ``run_sweep`` and
-``presets.run_preset`` return (sweep_value, RunResult) pairs, the rows
-``rows_to_csv`` reads.
+whole run in lockstep, and unless trials is None one
+``simulate_ec_sweep`` call, which groups the scenarios that can share
+draws, fills in ``mc``.  ``run_scenario`` is its one-scenario case, and
+``run_scenario(scenario)`` (trials None) the analytic-only call;
+``run_sweep`` and ``presets.run_preset`` return (sweep_value, RunResult)
+pairs, the rows ``rows_to_csv`` reads.
 
 Near/far decision in "auto" mode: the far-field constant-loss model is
 used only when, for every panel, both endpoint distances (BS-to-center
@@ -37,6 +36,7 @@ from .errors import (
     PatternUnderflow,
     ScenarioError,
     SingularPattern,
+    ValidationFailure,
     until_failure,
 )
 from .geometry import (
@@ -46,12 +46,7 @@ from .geometry import (
     near_field_boundary,
     panel_link,
 )
-from .moments import (
-    EffectiveSnr,
-    MomentSummary,
-    distributed_moments,
-    distributed_noise_variance,
-)
+from .moments import MomentSummary, distributed_moments, distributed_noise_variance
 from .montecarlo import (
     McEstimate,
     SnrEnsemble,
@@ -105,7 +100,6 @@ class RunResult:
 
     ensemble: SnrEnsemble
     moments: MomentSummary
-    effective: EffectiveSnr
     report: cap.CapacityReport
     mode_used: str
     d_boundary: float
@@ -114,7 +108,7 @@ class RunResult:
 
     @property
     def gamma_teff(self) -> float:
-        return self.effective.gamma_teff
+        return self.ensemble.gamma_teff
 
 
 def _loss(what: str, pathloss, *args):
@@ -127,26 +121,6 @@ def _loss(what: str, pathloss, *args):
     if not np.all((loss > 0) & (loss < math.inf)):
         raise ScenarioError(f"{what}: loss factor is out of float range")
     return loss
-
-
-def resolve(scenario: Scenario) -> RunResult:
-    """Geometry -> path loss -> envelope statistics -> capacity report for
-    one scenario, with no Monte Carlo."""
-    return _resolve_all([scenario])[0]
-
-
-def _resolve_all(scenarios: Sequence[Scenario]) -> list[RunResult]:
-    """resolve() of every scenario: each one's envelope statistics in turn,
-    then one capacity_reports call, which runs all their capacity
-    integrals in lockstep.  A failure raises what resolving the scenarios
-    one by one would have raised first."""
-    staged, failure = until_failure(_statistics, scenarios)
-    reports = cap.capacity_reports(
-        [(fields["moments"], fields["effective"].gamma_teff) for fields in staged]
-    )
-    if failure is not None:
-        raise failure
-    return [RunResult(report=report, **fields) for fields, report in zip(staged, reports)]
 
 
 # every overflow is range-checked and named below; numpy's warnings add nothing
@@ -166,6 +140,10 @@ def _statistics(scenario: Scenario) -> dict:
         direct_pathloss, d0, budget.eta_db, budget.xi,
     )
 
+    sections = [
+        "scenario.deployment." + ("panel" if scenario.kind == "centralized" else f"panels[{i}]")
+        for i in range(len(scenario.panels))
+    ]
     boundaries = []
     links = []
     for i, setup in enumerate(scenario.panels):
@@ -173,7 +151,7 @@ def _statistics(scenario: Scenario) -> dict:
         try:
             links.append(panel_link(scenario.bs, scenario.user, setup.panel))
         except GeometryError as exc:
-            raise GeometryError(f"panel {i}: {exc}") from None
+            raise GeometryError(f"panel {i}: {exc}, set by {sections[i]}.center.z") from None
 
     inside = [
         i
@@ -201,10 +179,9 @@ def _statistics(scenario: Scenario) -> dict:
             f"gt={gt:g}, gr={gr:g}, {dx:g} x {dy:g} m",
             beta0_reference, gt, gr, dx, dy,
         )
-        section = "panel" if scenario.kind == "centralized" else f"panels[{i}]"
         what = (
             f"panel {i}: {mode}-field loss at d1={link.d1:g} m, d2={link.d2:g} m "
-            f"from scenario.deployment.{section}.center to scenario.bs, scenario.user"
+            f"from {sections[i]}.center to scenario.bs, scenario.user"
         )
         try:
             if mode == "near":
@@ -214,13 +191,14 @@ def _statistics(scenario: Scenario) -> dict:
                 beta_inv = np.full(
                     setup.panel.element_count, 1.0 / _loss(what, farfield_pathloss, link, b0_ref)
                 )
+        except PatternUnderflow as exc:
+            message = f"panel {i}: scenario.budget.gt, scenario.budget.gr: {exc}"
+            raise PatternUnderflow(message) from None
         except SingularPattern as exc:
-            fields = (
-                "scenario.budget.gt, scenario.budget.gr: "
-                if isinstance(exc, PatternUnderflow)
-                else ""
-            )
-            raise type(exc)(f"panel {i}: {fields}{exc}") from None
+            # a cosine's sign follows from the element grid and the endpoints
+            grid = ", ".join(f"{sections[i]}.{key}" for key in ("mx", "my", "dx", "dy"))
+            message = f"panel {i}: {exc}, set by {grid}, scenario.bs, scenario.user"
+            raise SingularPattern(message) from None
         panels.append(
             PanelChannel(beta_inv=beta_inv, rho=setup.rho, k1=setup.k1, k2=setup.k2)
         )
@@ -251,7 +229,6 @@ def _statistics(scenario: Scenario) -> dict:
     return dict(
         ensemble=ensemble,
         moments=moments,
-        effective=effective,
         mode_used=mode,
         d_boundary=max(boundaries),
         notes=tuple(notes),
@@ -259,14 +236,30 @@ def _statistics(scenario: Scenario) -> dict:
 
 
 def _evaluate(
-    scenarios: Sequence[Scenario], trials: Optional[int], seed: int, workers: int
+    scenarios: Sequence[Scenario],
+    trials: Optional[int],
+    seed: int,
+    workers: int,
+    labels: Optional[Sequence[Optional[str]]] = None,
 ) -> list[RunResult]:
-    """Resolve every scenario, then add Monte Carlo estimates unless trials
-    is None.  All estimates come from one simulate_ec_sweep call on one
-    seed (common random numbers), which decides which scenarios share
-    draws."""
+    """Each scenario's envelope statistics, one capacity_reports call that
+    runs all their capacity integrals in lockstep, then, unless trials is
+    None, Monte Carlo estimates from one simulate_ec_sweep call on one seed
+    (common random numbers), which decides which scenarios share draws.
+    A failure raises what evaluating the scenarios one by one would raise
+    first; given labels (one message prefix or None per scenario, such as
+    its sweep point), a ValidationFailure carries its scenario's prefix."""
     check_run_settings(trials, seed, workers)
-    results = _resolve_all(scenarios)
+    staged, failure = until_failure(_statistics, scenarios)
+    reports = cap.capacity_reports(
+        [(fields["moments"], fields["ensemble"].gamma_teff) for fields in staged]
+    )
+    if failure is not None:
+        label = labels[len(staged)] if labels else None
+        if label is not None and isinstance(failure, ValidationFailure):
+            raise type(failure)(f"{label}: {failure}") from None
+        raise failure
+    results = [RunResult(report=report, **fields) for fields, report in zip(staged, reports)]
     if trials is None:
         return results
     estimates = simulate_ec_sweep(
@@ -378,7 +371,8 @@ def run_sweep(
     """One (sweep_value, RunResult) pair per sweep value, with Monte Carlo
     unless trials is None."""
     scenarios = [apply_sweep_value(scenario, sweep.variable, v) for v in sweep.values]
-    return list(zip(sweep.values, _evaluate(scenarios, trials, seed, workers)))
+    labels = [f"sweep {sweep.variable}={v}" for v in sweep.values]
+    return list(zip(sweep.values, _evaluate(scenarios, trials, seed, workers, labels)))
 
 
 # The CSV schema: each column's name and its reader of one

@@ -59,6 +59,18 @@ def mp_rician_mean(k: float) -> float:
     return float(mp.quad(integrand, [0, mp.inf]))
 
 
+def saturation_gamma_teff(per_panel, rho0: float, omega0: float, beta0_inv: float) -> float:
+    """Large-power limit of gamma_teff, where thermal noise is negligible:
+    1 over the outdated-CSI leakage per watt, with each panel's omega2 from
+    mp_rician_mean.  Infinite when every aging coefficient is 1 (no
+    leakage at all)."""
+    leak = math.fsum(
+        (1.0 - p.rho * p.rho) * (1.0 - mp_rician_mean(p.k2) ** 2) * math.fsum(p.beta_inv)
+        for p in per_panel
+    ) + (1.0 - rho0 * rho0) * (1.0 - omega0 * omega0) * beta0_inv
+    return math.inf if leak <= 0 else 1.0 / leak
+
+
 def mp_j0(x: float) -> float:
     return float(mp.besselj(0, mp.mpf(x)))
 

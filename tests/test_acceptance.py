@@ -15,16 +15,15 @@ import numpy as np
 import pytest
 from scipy import special
 
-from oracles import ks_distance, simulate_ec, simulate_envelope_moments
+from oracles import ks_distance, saturation_gamma_teff, simulate_ec, simulate_envelope_moments
 from riscap.capacity import gamma_fit
 from riscap.geometry import Point3, RisPanel, near_field_boundary
-from riscap.moments import saturation_gamma_teff
 from riscap.montecarlo import TrialConfig
 from riscap.channel import RicianParams, rician_mean_envelope
 from riscap.pathloss import LinkBudget
 from riscap.presets import fig8_distributed_cases, preset
 from riscap.scenario import PanelSetup, Scenario, dump_scenario
-from riscap.workbench import apply_sweep_value, resolve, run_scenario
+from riscap.workbench import apply_sweep_value, run_scenario
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -80,7 +79,7 @@ def test_criterion_02_boundary_values():
 @pytest.mark.filterwarnings("ignore:far-field formula")
 def test_criterion_03_near_far_crossover():
     s, sweep = preset("fig4")
-    boundary = resolve(s).d_boundary
+    boundary = run_scenario(s).d_boundary
     assert boundary == pytest.approx(6.0, rel=1e-12)
     gaps = {}
     for d1 in sweep.values:
@@ -171,12 +170,12 @@ def test_criterion_06_power_saturation():
     delta = ec60 - ec40
 
     big = dataclasses.replace(s, budget=dataclasses.replace(s.budget, tx_power=1e6))
-    res = resolve(big)
+    res = run_scenario(big)
     omega0 = rician_mean_envelope(RicianParams(big.k0))
     limit = saturation_gamma_teff(
         res.ensemble.panels, res.ensemble.rho0, omega0, res.ensemble.beta0_inv
     )
-    rel = abs(res.effective.gamma_teff - limit) / limit
+    rel = abs(res.gamma_teff - limit) / limit
     ok = delta < 0.05 and rel < 1e-9
     report(
         6,
@@ -261,7 +260,7 @@ def test_criterion_08_moment_oracle():
     worst_z = 0.0
     for i in range(20):
         s = _fuzz_scenario(rng)
-        res = resolve(s)
+        res = run_scenario(s)
         est = simulate_envelope_moments(
             res.ensemble, TrialConfig(trials=1_000_000, seed=9000 + i)
         )
@@ -275,14 +274,14 @@ def test_criterion_08_moment_oracle():
 
 def test_criterion_09_snr_distribution_ks():
     s = fig2_scenario()
-    res = resolve(s)
+    res = run_scenario(s)
     est = simulate_ec(
         res.ensemble, TrialConfig(trials=100_000, seed=31337), keep_samples=True
     )
     samples = np.sort(est.snr_samples)
     fit = gamma_fit(res.moments)
     cdf = 1.0 - special.gammaincc(
-        fit.a, fit.b * np.sqrt(samples / res.effective.gamma_teff)
+        fit.a, fit.b * np.sqrt(samples / res.gamma_teff)
     )
     ks = ks_distance(samples, cdf)
     ok = ks < 0.02

@@ -15,7 +15,6 @@ from riscap import capacity, quadpack
 from riscap.capacity import (
     CapacityReport,
     GammaFit,
-    capacity_report,
     capacity_reports,
     deterministic_capacity,
     ec_lower_bound,
@@ -279,12 +278,12 @@ class TestSnrMoments:
         # fit-based E[SNR] equals gamma_teff times the raw envelope second
         # moment on the reference 576-element scenario
         from riscap.presets import preset
-        from riscap.workbench import resolve
+        from riscap.workbench import run_scenario
 
         scenario, _ = preset("fig2")
-        res = resolve(scenario)
+        res = run_scenario(scenario)
         fit = gamma_fit(res.moments)
-        gt = res.effective.gamma_teff
+        gt = res.gamma_teff
         assert snr_mean(fit, gt) == pytest.approx(
             gt * res.moments.second_moment, rel=1e-10
         )
@@ -310,7 +309,7 @@ class TestBounds:
 
 class TestCapacityReport:
     def test_degenerate_falls_back_to_deterministic(self):
-        report = capacity_report(summary(2.0, 1e-15), 10.0)
+        (report,) = capacity_reports([(summary(2.0, 1e-15), 10.0)])
         assert isinstance(report, CapacityReport)
         assert report.ec_approx == pytest.approx(math.log2(1.0 + 10.0 * 4.0), rel=1e-12)
         assert report.snr_variance == 0.0
@@ -319,7 +318,7 @@ class TestCapacityReport:
     def test_figure_out_of_float_range_raises(self):
         # gamma_teff * a(a+1) / b^2 overflows: E[SNR] is not representable
         with pytest.raises(NumericalFailure, match="snr_mean"):
-            capacity_report(MomentSummary(1.0, 1.5, 0.5), 1e308)
+            capacity_reports([(MomentSummary(1.0, 1.5, 0.5), 1e308)])
 
     def test_batch_equals_one_by_one(self, monkeypatch):
         retried = []
@@ -340,7 +339,7 @@ class TestCapacityReport:
         ]
         reports = capacity_reports(cases)
         assert retried == [(4.0, 2.0 / 1e10), (0.4, 0.1 / 1e10)]
-        assert reports == [capacity_report(*case) for case in cases]
+        assert reports == [capacity_reports([case])[0] for case in cases]
 
     def test_batch_raises_first_failure_in_input_order(self, monkeypatch):
         # three subintervals are too few for either quadrature route
@@ -353,6 +352,6 @@ class TestCapacityReport:
             capacity_reports([invalid, unconverged])
 
     def test_ordering_of_fields(self):
-        report = capacity_report(summary(1.5, 0.2), 25.0)
+        (report,) = capacity_reports([(summary(1.5, 0.2), 25.0)])
         assert report.ec_lower <= report.ec_approx + 0.05
         assert report.ec_approx <= report.ec_upper + 1e-9

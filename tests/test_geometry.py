@@ -151,7 +151,7 @@ class TestElementLinks:
         # routes then agree to a few ulps in every quantity.
         c = Point3(*center)
         p = panel(mx, my, dx=dx, dy=dy, center=c)
-        hb, hu = (h * p.diagonal for h in heights)
+        hb, hu = (h * math.hypot(mx * dx, my * dy) for h in heights)
         bs = Point3(c.x + bs_xy[0], c.y + bs_xy[1], c.z + hb)
         user = Point3(c.x + user_xy[0], c.y + user_xy[1], c.z + hu)
         links = element_links(bs, user, p)

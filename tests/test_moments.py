@@ -5,13 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import farfield_closed_form_moments, naive_envelope_moments
+from oracles import farfield_closed_form_moments, naive_envelope_moments, saturation_gamma_teff
 from riscap.channel import PanelChannel, RicianParams, rician_mean_envelope
-from riscap.moments import (
-    distributed_moments,
-    distributed_noise_variance,
-    saturation_gamma_teff,
-)
+from riscap.moments import distributed_moments, distributed_noise_variance
 
 
 def omega(k):

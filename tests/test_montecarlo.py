@@ -160,10 +160,10 @@ class TestFigureScenarioMoments:
     def test_two_panel_split_matches_sampling(self):
         # the two-panel 2x288 layout: sampled H moments vs the analytic ones
         from riscap.presets import preset
-        from riscap.workbench import resolve
+        from riscap.workbench import run_scenario
 
         scenario, _ = preset("fig3")
-        res = resolve(scenario)
+        res = run_scenario(scenario)
         est = oracles.simulate_envelope_moments(res.ensemble, TrialConfig(trials=100_000, seed=88))
         assert abs(est.mean - res.moments.mean) < 3.0 * est.se_mean
         assert abs(est.second_moment - res.moments.second_moment) < 3.0 * est.se_second_moment

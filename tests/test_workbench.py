@@ -24,7 +24,6 @@ from riscap.workbench import (
     SWEEP_VARIABLES,
     SweepSpec,
     apply_sweep_value,
-    resolve,
     rows_to_csv,
     run_scenario,
     run_sweep,
@@ -52,21 +51,21 @@ def synthetic_scenario(d1=4.0, d2=50.0, mode="auto"):
 
 class TestAutoMode:
     def test_boundary_tie_stays_near(self):
-        res = resolve(synthetic_scenario(d1=4.0))
+        res = run_scenario(synthetic_scenario(d1=4.0))
         assert res.d_boundary == 4.0
         assert res.mode_used == "near"
 
     def test_beyond_boundary_goes_far(self):
-        res = resolve(synthetic_scenario(d1=4.5, d2=50.0))
+        res = run_scenario(synthetic_scenario(d1=4.5, d2=50.0))
         assert res.mode_used == "far"
 
     def test_user_side_counts_too(self):
-        res = resolve(synthetic_scenario(d1=40.0, d2=3.0))
+        res = run_scenario(synthetic_scenario(d1=40.0, d2=3.0))
         assert res.mode_used == "near"
 
     def test_forced_far_inside_boundary_warns_but_runs(self):
         with pytest.warns(UserWarning, match="boundary"):
-            res = resolve(synthetic_scenario(d1=2.0, mode="far"))
+            res = run_scenario(synthetic_scenario(d1=2.0, mode="far"))
         assert res.mode_used == "far"
         assert any("boundary" in note for note in res.notes)
 
@@ -81,14 +80,14 @@ class TestPipelineConsistency:
         assert a.gamma_teff == b.gamma_teff
 
     @pytest.mark.parametrize("name", ["fig2", "fig3"])
-    def test_resolve_is_the_analytic_run_result(self, name):
+    def test_analytic_run_equals_the_monte_carlo_run_without_mc(self, name):
         s, _ = preset(name)
-        res = resolve(s)
-        run = run_scenario(s)
-        assert res.mc is None and run.mc is None
+        res = run_scenario(s)
+        run = run_scenario(s, trials=1000)
+        assert res.mc is None and run.mc is not None
         for field in dataclasses.fields(res.report):
             assert getattr(res.report, field.name) == getattr(run.report, field.name)
-        assert res.gamma_teff == res.effective.gamma_teff == res.ensemble.gamma_teff
+        assert res.gamma_teff == run.gamma_teff == res.ensemble.gamma_teff
 
     @pytest.mark.parametrize(
         "case",
@@ -105,7 +104,7 @@ class TestPipelineConsistency:
             s = dataclasses.replace(
                 s, panels=(dataclasses.replace(setup, panel=panel),), mode="near"
             )
-        res = resolve(s)
+        res = run_scenario(s)
         assert res.mode_used == "near"
         panel = s.panels[0].panel
         expected = brute_force_beta_inv(s.bs, s.user, panel, s.budget.gt, s.budget.gr)
@@ -303,15 +302,27 @@ class TestBatchedSweep:
         from riscap.errors import QuadratureFailure
 
         s, _ = preset("fig2")
-        # d1 = 1e100 passes apply_sweep_value, but resolve rejects it
+        # d1 = 1e100 passes apply_sweep_value, but evaluating it fails
         with pytest.raises(ScenarioError):
-            resolve(apply_sweep_value(s, "d1", 1e100))
+            run_scenario(apply_sweep_value(s, "d1", 1e100))
         # three subintervals are too few for either quadrature route
         monkeypatch.setattr(capacity, "QUAD_LIMIT", 3)
         with pytest.raises(QuadratureFailure):
             run_sweep(s, SweepSpec(variable="d1", values=(4.0, 1e100)), trials=None)
         with pytest.raises(ScenarioError):
             run_sweep(s, SweepSpec(variable="d1", values=(1e100, 4.0)), trials=None)
+
+    def test_failing_point_names_the_sweep_value(self):
+        from riscap.errors import SingularPattern
+
+        s, _ = preset("fig2")
+        # the same error, prefixed only when it comes from a swept point
+        with pytest.raises(SingularPattern, match=r"^panel 0: endpoint-side"):
+            run_scenario(apply_sweep_value(s, "cell_size", 1e8))
+        with pytest.raises(
+            SingularPattern, match=r"^sweep cell_size=100000000\.0: panel 0: endpoint-side"
+        ):
+            run_sweep(s, SweepSpec(variable="cell_size", values=(0.01, 1e8)), trials=None)
 
 
 class TestRunPreset:
@@ -328,6 +339,14 @@ class TestRunPreset:
                 rows, variable = run_preset(name, trials=600, seed=3, workers=workers)
                 reference = per_point_preset(name, trials=600, seed=3, workers=workers)
                 assert rows_to_csv(rows, variable) == rows_to_csv(reference, variable)
+
+    def test_failing_row_names_the_sweep_value(self, monkeypatch):
+        from riscap import presets
+
+        s, _ = preset("fig2")
+        monkeypatch.setattr(presets, "preset", lambda name: (s, SweepSpec("d1", (20.0, 1e100))))
+        with pytest.raises(ScenarioError, match=r"^sweep d1=1e\+100: panel 0: far-field loss"):
+            run_preset("fig2", trials=None)
 
     def test_no_mc_blanks_mc_columns(self):
         rows, _ = run_preset("fig8", trials=None)
@@ -518,8 +537,15 @@ class TestCli:
                 {"deployment.panel.mx": 10**5, "deployment.panel.my": 10**5},
                 "scenario.deployment.panel",
             ),
-            # loss factors that leave float range inside resolve
+            # loss factors that leave float range while a scenario is evaluated
             (["sweep", "--var", "d1", "--values=1e100"], {}, "d1="),
+            # the file is fine there: the swept value moves the panel out of range
+            (["sweep", "--var", "d1", "--values=1e100"], {}, "sweep d1=1e+100: panel 0: far-field"),
+            (
+                ["sweep", "--var", "cell_size", "--values=1e8"],
+                {},
+                "sweep cell_size=100000000.0: panel 0: endpoint-side",
+            ),
             (["analyze"], {"budget.eta_db": 1e300}, "eta_db="),
             (["analyze"], {"budget.eta_db": -1e300}, "eta_db="),
             (["analyze"], {"budget.xi": 1e300}, "xi="),
@@ -614,6 +640,32 @@ class TestCli:
                 )
                 for i in (0, 1)
                 for axis, value in (("x", 1e300), ("y", 1e300), ("z", -1e300))
+            ),
+            # a panel plane raised above the endpoints names the centre
+            *(
+                ("deployment.panel.center.z", value, "scenario.deployment.panel.center.z")
+                for value in (1e300, 1e8)
+            ),
+            *(
+                (
+                    f"deployment.panels.{i}.center.z",
+                    value,
+                    f"scenario.deployment.panels[{i}].center.z",
+                )
+                for i in (0, 1)
+                for value in (1e300, 1e8)
+            ),
+            # elements so large that an endpoint sees some from behind name
+            # the element grid and the endpoints
+            *(
+                (
+                    f"deployment.panel.{key}",
+                    1e8,
+                    "scenario.deployment.panel.mx, scenario.deployment.panel.my, "
+                    "scenario.deployment.panel.dx, scenario.deployment.panel.dy, "
+                    "scenario.bs, scenario.user",
+                )
+                for key in ("dx", "dy")
             ),
         ],
     )
