@@ -42,7 +42,6 @@ from .geometry import (
     PanelLink,
     Point3,
     RisPanel,
-    element_centers,
     element_links,
     near_field_boundary,
     panel_link,

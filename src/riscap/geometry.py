@@ -3,8 +3,11 @@
 Panels are rectangular grids of reflecting elements lying in a plane
 parallel to the xy-plane.  All distances are Euclidean, in meters.
 Per-element quantities are numpy arrays with one entry per element,
-row-major over (y, x): ``element_centers`` gives the coordinate arrays and
-``element_links`` one ``ElementLinks`` record of distance and cosine arrays.
+row-major over (y, x).  ``element_links`` gives one ``ElementLinks`` record
+of distance and cosine arrays for a tile of the panel (a block of its rows
+and columns; by default the whole panel), and ``panel_tiles`` splits a
+panel into tiles of at most ``TILE_ELEMENTS`` elements, so a per-element
+evaluation can hold one tile's links at a time whatever the panel size.
 
 Convention note: the elevation cosine from an element toward the user
 (``cos_r``) is computed from the *receiver* height.  Output metadata of
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -27,6 +31,9 @@ ELEVATION_CONVENTION_NOTE = (
 # Per-panel element bound, so every per-element array stays allocatable
 # (100x the largest panel the benchmark runs, 316 x 316).
 MAX_PANEL_ELEMENTS = 10**7
+# Elements per tile of panel_tiles: one tile's links (seven arrays and
+# their temporaries) then stay within a few hundred KiB.
+TILE_ELEMENTS = 2**13
 
 
 @dataclass(frozen=True)
@@ -97,8 +104,8 @@ class RisPanel:
 class ElementLinks:
     """Per-element link quantities for one BS -> element -> user hop.
 
-    Each field is an array with one entry per element, row-major over
-    (y, x) like ``element_centers``.
+    Each field is an array with one entry per element of a tile, row-major
+    over (y, x).
     """
 
     r_t: np.ndarray  # BS to element
@@ -123,20 +130,6 @@ class PanelLink:
     cos_theta_r: float
 
 
-def element_centers(panel: RisPanel) -> tuple[np.ndarray, np.ndarray]:
-    """Element-center x and y coordinates, row-major over (y, x).
-
-    Offsets along each axis are (i - (n-1)/2) * spacing for i = 0..n-1, so
-    the grid is symmetric about the panel center and the centroid of the
-    returned points is the center itself.  Every element lies at z =
-    panel.center.z.
-    """
-    xs = panel.center.x + (np.arange(panel.mx) - (panel.mx - 1) / 2.0) * panel.dx
-    ys = panel.center.y + (np.arange(panel.my) - (panel.my - 1) / 2.0) * panel.dy
-    x, y = np.meshgrid(xs, ys)
-    return x.ravel(), y.ravel()
-
-
 def _require_above_plane(point: Point3, z0: float, field: str) -> None:
     if point.z <= z0:
         raise GeometryError(f"{field}={point.z} must lie strictly above the panel plane z={z0}")
@@ -157,25 +150,57 @@ def panel_link(bs: Point3, user: Point3, panel: RisPanel) -> PanelLink:
     )
 
 
-def _distances(point: Point3, x: np.ndarray, y: np.ndarray, z0: float) -> np.ndarray:
-    dx, dy, dz = x - point.x, y - point.y, z0 - point.z
-    return np.sqrt(dx * dx + dy * dy + dz * dz)
+def panel_tiles(panel: RisPanel) -> Iterator[tuple[range, range]]:
+    """(rows, cols) index ranges of rectangular tiles of at most
+    TILE_ELEMENTS elements that cover the panel once, row-major; a row
+    longer than a tile is split into several tiles."""
+    width = min(panel.mx, TILE_ELEMENTS)
+    height = TILE_ELEMENTS // width
+    for r in range(0, panel.my, height):
+        for c in range(0, panel.mx, width):
+            yield range(r, min(r + height, panel.my)), range(c, min(c + width, panel.mx))
 
 
-def element_links(bs: Point3, user: Point3, panel: RisPanel) -> ElementLinks:
-    """Per-element distances and elevation cosines.
+def _distances(point: Point3, xs: np.ndarray, ys: np.ndarray, z0: float) -> np.ndarray:
+    """Distances from point to the grid of element centres (xs[i], ys[j], z0),
+    row-major over (j, i), summed from per-axis offsets."""
+    dx, dy, dz = xs - point.x, ys - point.y, z0 - point.z
+    squares = (dx * dx)[None, :] + (dy * dy)[:, None]
+    squares += dz * dz
+    return np.sqrt(squares, out=squares).ravel()
 
+
+def element_links(
+    bs: Point3,
+    user: Point3,
+    panel: RisPanel,
+    rows: Optional[range] = None,
+    cols: Optional[range] = None,
+) -> ElementLinks:
+    """Per-element distances and elevation cosines of the tile of rows
+    (y indices) and cols (x indices) of the panel, the whole panel by
+    default.
+
+    Element (i, j) sits at offset ((i - (mx-1)/2) * dx, (j - (my-1)/2) * dy)
+    from the panel center, so the grid is symmetric about the center.
     cos_tx / cos_rx follow the law of cosines in the triangle formed by the
     endpoint, the element, and the panel center; cos_t / cos_r are height
     over slant range.
     """
+    rows = range(panel.my) if rows is None else rows
+    cols = range(panel.mx) if cols is None else cols
+    for name, span, count in (("rows", rows, panel.my), ("cols", cols, panel.mx)):
+        if span.step != 1 or not 0 <= span.start < span.stop <= count:
+            raise ValueError(f"{name} must be a non-empty unit-step range within 0..{count}")
     link = panel_link(bs, user, panel)
     d1, d2 = link.d1, link.d2
-    x, y = element_centers(panel)
-    z0 = panel.center.z
-    r_t = _distances(bs, x, y, z0)
-    r_r = _distances(user, x, y, z0)
-    d_m = _distances(panel.center, x, y, z0)
+    c = panel.center
+    xs = c.x + (np.arange(cols.start, cols.stop) - (panel.mx - 1) / 2.0) * panel.dx
+    ys = c.y + (np.arange(rows.start, rows.stop) - (panel.my - 1) / 2.0) * panel.dy
+    z0 = c.z
+    r_t = _distances(bs, xs, ys, z0)
+    r_r = _distances(user, xs, ys, z0)
+    d_m = _distances(c, xs, ys, z0)
     d_m2 = d_m * d_m
     return ElementLinks(
         r_t=r_t,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -51,6 +52,68 @@ def beta0_reference(gt: float, gr: float, dx: float, dy: float) -> float:
     return 16.0 * math.pi**2 / (gt * gr * dx**2 * dy**2)
 
 
+@dataclass
+class PatternFaults:
+    """The non-positive pattern factors of one panel, recorded tile by tile.
+
+    ``element_pathloss`` records each tile's faults here; ``check`` then
+    raises what one call on the whole panel raises: non-positive endpoint
+    cosines first, then a pattern that underflows or is not positive, each
+    with the whole panel's element count and worst value.
+    """
+
+    endpoint_count: int = 0
+    endpoint_worst: float = math.inf
+    pattern_count: int = 0
+    pattern_worst: float = math.inf
+    underflow: bool = True  # every non-positive pattern has positive cos_t and cos_r
+
+    def pattern(self, links: ElementLinks, gt: float, gr: float) -> np.ndarray:
+        """The joint pattern of one tile, its faults recorded."""
+        endpoint_cos = np.minimum(links.cos_tx, links.cos_rx)
+        self.endpoint_count += int(np.count_nonzero(endpoint_cos <= 0))
+        # a reduction from the worst so far: a nan propagates as in one call
+        self.endpoint_worst = endpoint_cos.min(initial=self.endpoint_worst)
+        # a non-positive endpoint cosine to a fractional power is nan, and
+        # check() reports that cosine instead
+        with np.errstate(invalid="ignore", divide="ignore"):
+            pattern = (
+                links.cos_tx ** (gt / 2.0 - 1.0)
+                * links.cos_t
+                * links.cos_r
+                * links.cos_rx ** (gr / 2.0 - 1.0)
+            )
+        bad = pattern <= 0
+        count = int(np.count_nonzero(bad))
+        if count:
+            self.pattern_count += count
+            self.underflow = self.underflow and bool(
+                np.all((links.cos_t[bad] > 0) & (links.cos_r[bad] > 0))
+            )
+        self.pattern_worst = pattern.min(initial=self.pattern_worst)
+        return pattern
+
+    def check(self, gt: float, gr: float) -> None:
+        """Raise the panel's first fault, if it has one."""
+        if self.endpoint_count:
+            raise SingularPattern(
+                f"endpoint-side pattern cosines must be positive; {self.endpoint_count} "
+                f"element(s) are not (worst {self.endpoint_worst:.4g})"
+            )
+        if not self.pattern_count:
+            return
+        if self.underflow:
+            raise PatternUnderflow(
+                f"radiation pattern underflows to 0 at {self.pattern_count} element(s) although "
+                f"every cosine is positive: a gain exponent (gt/2 - 1 = {gt / 2.0 - 1.0:g}, "
+                f"gr/2 - 1 = {gr / 2.0 - 1.0:g}) is too large for this geometry"
+            )
+        raise SingularPattern(
+            f"radiation pattern is not positive at {self.pattern_count} element(s) "
+            f"(worst {self.pattern_worst:.4g}); check link geometry"
+        )
+
+
 def combine_pattern(links: ElementLinks, gt: float, gr: float) -> np.ndarray:
     """Joint normalized power radiation pattern, one entry per element.
 
@@ -58,38 +121,32 @@ def combine_pattern(links: ElementLinks, gt: float, gr: float) -> np.ndarray:
     exponents, so they must be positive; an endpoint sitting past the
     perpendicular of an element has no defined pattern.
     """
-    endpoint_cos = np.minimum(links.cos_tx, links.cos_rx)
-    bad = endpoint_cos <= 0
-    if bad.any():
-        raise SingularPattern(
-            f"endpoint-side pattern cosines must be positive; {int(bad.sum())} "
-            f"element(s) are not (worst {endpoint_cos.min():.4g})"
-        )
-    return (
-        links.cos_tx ** (gt / 2.0 - 1.0)
-        * links.cos_t
-        * links.cos_r
-        * links.cos_rx ** (gr / 2.0 - 1.0)
-    )
+    faults = PatternFaults()
+    pattern = faults.pattern(links, gt, gr)
+    if faults.endpoint_count:
+        faults.check(gt, gr)
+    return pattern
 
 
 def element_pathloss(
-    links: ElementLinks, beta0_ref: float, gt: float, gr: float
+    links: ElementLinks,
+    beta0_ref: float,
+    gt: float,
+    gr: float,
+    faults: Optional[PatternFaults] = None,
 ) -> np.ndarray:
-    """Near-field loss factor per element: beta0_ref*(r_t*r_r)^2/pattern."""
-    pattern = combine_pattern(links, gt, gr)
-    bad = pattern <= 0
-    if bad.any():
-        if np.all((links.cos_t[bad] > 0) & (links.cos_r[bad] > 0)):
-            raise PatternUnderflow(
-                f"radiation pattern underflows to 0 at {int(bad.sum())} element(s) although "
-                f"every cosine is positive: a gain exponent (gt/2 - 1 = {gt / 2.0 - 1.0:g}, "
-                f"gr/2 - 1 = {gr / 2.0 - 1.0:g}) is too large for this geometry"
-            )
-        raise SingularPattern(
-            f"radiation pattern is not positive at {int(bad.sum())} element(s) "
-            f"(worst {pattern.min():.4g}); check link geometry"
-        )
+    """Near-field loss factor per element: beta0_ref*(r_t*r_r)^2/pattern.
+
+    A pattern factor that is not positive raises SingularPattern (or
+    PatternUnderflow).  Given the faults record of the panel the links are
+    a tile of, it is recorded there instead, and the loss of that element
+    is not a loss factor.
+    """
+    check = faults is None
+    faults = PatternFaults() if check else faults
+    pattern = faults.pattern(links, gt, gr)
+    if check:
+        faults.check(gt, gr)
     return beta0_ref * (links.r_t * links.r_r) ** 2 / pattern
 
 

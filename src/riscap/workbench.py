@@ -3,7 +3,9 @@ Carlo runs, parameter sweeps, and CSV emission.
 
 ``RunResult`` is the one record of an evaluated scenario.  ``_evaluate``
 is the one evaluation route: ``_statistics`` takes each scenario through
-geometry, path loss and envelope statistics in turn, then one
+geometry, path loss and envelope statistics in turn (a near-field panel's
+inverse losses one ``panel_tiles`` tile at a time, so a run holds them and
+one tile's links, not whole-panel links), then one
 ``capacity.capacity_reports`` call runs the capacity integrals of the
 whole run in lockstep, and unless trials is None one
 ``simulate_ec_sweep`` call, which groups the scenarios that can share
@@ -42,9 +44,11 @@ from .errors import (
 from .geometry import (
     ELEVATION_CONVENTION_NOTE,
     Point3,
+    RisPanel,
     element_links,
     near_field_boundary,
     panel_link,
+    panel_tiles,
 )
 from .moments import MomentSummary, distributed_moments, distributed_noise_variance
 from .montecarlo import (
@@ -54,7 +58,13 @@ from .montecarlo import (
     check_run_settings,
     simulate_ec_sweep,
 )
-from .pathloss import beta0_reference, direct_pathloss, element_pathloss, farfield_pathloss
+from .pathloss import (
+    PatternFaults,
+    beta0_reference,
+    direct_pathloss,
+    element_pathloss,
+    farfield_pathloss,
+)
 from .scenario import Scenario
 from .units import dbm_to_watts, db_to_linear, wavelength
 
@@ -111,16 +121,46 @@ class RunResult:
         return self.ensemble.gamma_teff
 
 
+def _check_inverse(what: str, beta_inv) -> None:
+    """Raise ScenarioError naming `what` unless every inverse loss factor
+    lies in (0, inf), which holds exactly when its loss factor does and
+    has a finite inverse."""
+    if not (np.min(beta_inv) > 0 and np.max(beta_inv) < math.inf):
+        raise ScenarioError(f"{what}: loss factor or its inverse is out of float range")
+
+
 def _loss(what: str, pathloss, *args):
-    """pathloss(*args), a loss factor (or array) that must be finite and
-    positive: out of float range it raises ScenarioError naming `what`."""
+    """pathloss(*args), a loss factor that must be finite and positive and
+    have a finite inverse: out of float range it raises ScenarioError
+    naming `what`."""
     try:
         loss = pathloss(*args)
     except (OverflowError, ZeroDivisionError):
         loss = math.inf
-    if not np.all((loss > 0) & (loss < math.inf)):
-        raise ScenarioError(f"{what}: loss factor is out of float range")
+    _check_inverse(what, np.divide(1.0, loss))
     return loss
+
+
+def _element_beta_inv(
+    what: str, scenario: Scenario, panel: RisPanel, b0_ref: float
+) -> np.ndarray:
+    """1/element_pathloss of every element of the panel, row-major,
+    computed one panel_tiles tile at a time: only the result and one
+    tile's links are held.  It raises what checking the whole panel at
+    once raises: its pattern faults, then an inverse loss out of range,
+    naming `what`."""
+    gt, gr = scenario.budget.gt, scenario.budget.gr
+    beta_inv = np.empty(panel.element_count)
+    grid = beta_inv.reshape(panel.my, panel.mx)
+    faults = PatternFaults()
+    for rows, cols in panel_tiles(panel):
+        links = element_links(scenario.bs, scenario.user, panel, rows, cols)
+        loss = element_pathloss(links, b0_ref, gt, gr, faults)
+        tile = grid[rows.start : rows.stop, cols.start : cols.stop]
+        np.divide(1.0, loss.reshape(tile.shape), out=tile)
+    faults.check(gt, gr)
+    _check_inverse(what, beta_inv)
+    return beta_inv
 
 
 # every overflow is range-checked and named below; numpy's warnings add nothing
@@ -180,13 +220,13 @@ def _statistics(scenario: Scenario) -> dict:
             beta0_reference, gt, gr, dx, dy,
         )
         what = (
-            f"panel {i}: {mode}-field loss at d1={link.d1:g} m, d2={link.d2:g} m "
-            f"from {sections[i]}.center to scenario.bs, scenario.user"
+            f"panel {i}: {mode}-field loss at d1={link.d1:g} m, d2={link.d2:g} m, set by "
+            + ", ".join(f"{sections[i]}.{key}" for key in ("center", "dx", "dy"))
+            + ", scenario.budget.gt, scenario.budget.gr, scenario.bs, scenario.user"
         )
         try:
             if mode == "near":
-                links_i = element_links(scenario.bs, scenario.user, setup.panel)
-                beta_inv = 1.0 / _loss(what, element_pathloss, links_i, b0_ref, gt, gr)
+                beta_inv = _element_beta_inv(what, scenario, setup.panel, b0_ref)
             else:
                 beta_inv = np.full(
                     setup.panel.element_count, 1.0 / _loss(what, farfield_pathloss, link, b0_ref)

@@ -9,12 +9,13 @@ from oracles import brute_force_element_links
 from riscap.errors import GeometryError
 from riscap.geometry import (
     MAX_PANEL_ELEMENTS,
+    TILE_ELEMENTS,
     Point3,
     RisPanel,
-    element_centers,
     element_links,
     near_field_boundary,
     panel_link,
+    panel_tiles,
 )
 
 LAMBDA = 0.06
@@ -40,30 +41,35 @@ class TestRisPanelLimits:
 
 
 class TestElementCenters:
+    """The element grid, read off element_links' element-to-centre
+    distances d_m and endpoint distances r_t."""
+
     def test_single_element_sits_on_panel_center(self):
         c = Point3(1.0, -2.0, 3.0)
-        x, y = element_centers(panel(1, 1, dx=0.37, dy=0.11, center=c))
-        assert x.tolist() == [c.x] and y.tolist() == [c.y]
+        p = panel(1, 1, dx=0.37, dy=0.11, center=c)
+        links = element_links(Point3(0.0, 0.0, 5.0), Point3(4.0, 0.0, 5.0), p)
+        assert links.d_m.tolist() == [0.0]
 
     def test_two_by_one_offsets(self):
-        x, y = element_centers(panel(2, 1, dx=1.0, dy=1.0))
-        assert sorted(x.tolist()) == [-0.5, 0.5]
-        assert y.tolist() == [0.0, 0.0]
+        links = element_links(Point3(-5.0, 0.0, 1.0), Point3(5.0, 0.0, 1.0), panel(2, 1, 1.0, 1.0))
+        assert links.d_m.tolist() == [0.5, 0.5]
+        assert links.r_t.tolist() == pytest.approx([math.hypot(4.5, 1.0), math.hypot(5.5, 1.0)])
 
     def test_max_offset_24_grid(self):
         # direct enumeration: farthest center is (23/2) cells out per axis
-        x, y = element_centers(panel(24, 24))
-        got = max(math.hypot(px, py) for px, py in zip(x, y))
-        assert got == pytest.approx(math.sqrt(2.0) * 11.5 * CELL, rel=1e-12)
+        links = element_links(Point3(-5.0, 0.0, 1.0), Point3(5.0, 0.0, 1.0), panel(24, 24))
+        assert links.d_m.max() == pytest.approx(math.sqrt(2.0) * 11.5 * CELL, rel=1e-12)
 
     def test_row_major_order(self):
-        x, y = element_centers(panel(2, 2, dx=1.0, dy=1.0))
-        assert list(zip(x.tolist(), y.tolist())) == [
-            (-0.5, -0.5),
-            (0.5, -0.5),
-            (-0.5, 0.5),
-            (0.5, 0.5),
+        # the BS is a different distance from each element, so r_t fixes
+        # their order: (-x, -y), (+x, -y), (-x, +y), (+x, +y)
+        bs, user = Point3(3.0, 7.0, 1.0), Point3(-5.0, 0.0, 1.0)
+        links = element_links(bs, user, panel(2, 2, dx=1.0, dy=1.0))
+        expected = [
+            math.dist((bs.x, bs.y, bs.z), (x, y, 0.0))
+            for x, y in ((-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5), (0.5, 0.5))
         ]
+        np.testing.assert_allclose(links.r_t, expected, rtol=1e-15, atol=0)
 
     @given(
         mx=st.integers(1, 9),
@@ -75,11 +81,73 @@ class TestElementCenters:
     )
     @settings(max_examples=50, deadline=None)
     def test_centroid_is_panel_center(self, mx, my, dx, dy, cx, cy):
-        p = panel(mx, my, dx=dx, dy=dy, center=Point3(cx, cy, 0.0))
-        x, y = element_centers(p)
+        # element (i, j) and element (mx-1-i, my-1-j) lie equally far from
+        # the centre, which is then the centroid of the grid
+        c = Point3(cx, cy, 0.0)
+        p = panel(mx, my, dx=dx, dy=dy, center=c)
+        links = element_links(Point3(cx, cy, 1.0), Point3(cx + 1.0, cy, 1.0), p)
+        expected = brute_force_element_links(Point3(cx, cy, 1.0), Point3(cx + 1.0, cy, 1.0), p)
         scale = max(abs(cx), abs(cy), mx * dx, my * dy)
-        assert sum(x) / len(x) == pytest.approx(cx, abs=1e-12 * scale)
-        assert sum(y) / len(y) == pytest.approx(cy, abs=1e-12 * scale)
+        grid = links.d_m.reshape(my, mx)
+        np.testing.assert_allclose(grid, grid[::-1, ::-1], rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(links.d_m, expected["d_m"], rtol=0, atol=1e-12 * scale)
+
+
+class TestPanelTiles:
+    @pytest.mark.parametrize(
+        "mx, my",
+        [
+            (1, 1),
+            (24, 24),
+            (316, 316),
+            (317, 101),
+            (1, 10**5),
+            (12000, 1),
+            (TILE_ELEMENTS, 3),
+            (TILE_ELEMENTS + 1, 2),
+        ],
+    )
+    def test_tiles_cover_the_panel_once_row_major(self, mx, my):
+        p = panel(mx, my)
+        covered = np.zeros((my, mx), dtype=int)
+        order = np.empty(0, dtype=int)
+        index = np.arange(mx * my).reshape(my, mx)
+        for rows, cols in panel_tiles(p):
+            assert 0 < len(rows) * len(cols) <= TILE_ELEMENTS
+            covered[rows.start : rows.stop, cols.start : cols.stop] += 1
+            order = np.append(order, index[rows.start, cols.start])
+        assert np.all(covered == 1)
+        assert np.all(np.diff(order) > 0)
+
+    def test_long_row_is_split(self):
+        assert len(list(panel_tiles(panel(12000, 1)))) == 2
+
+    @pytest.mark.parametrize("mx, my", [(1, 1), (7, 5), (317, 101), (12000, 1), (1, 10**4)])
+    def test_tiles_equal_whole_panel_links(self, mx, my):
+        # the same operations per element, whatever the tile
+        bs, user = Point3(-50.0, 0.0, 10.0), Point3(50.0, 0.0, 10.0)
+        p = panel(mx, my, center=Point3(0.0, 0.0, 9.5))
+        whole = element_links(bs, user, p)
+        for rows, cols in panel_tiles(p):
+            tile = element_links(bs, user, p, rows, cols)
+            for name in ("r_t", "r_r", "d_m", "cos_tx", "cos_rx", "cos_t", "cos_r"):
+                grid = getattr(whole, name).reshape(my, mx)
+                want = grid[rows.start : rows.stop, cols.start : cols.stop].ravel()
+                assert np.array_equal(getattr(tile, name), want), name
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            (range(0, 0), range(2)),
+            (range(3), range(2)),
+            (range(2), range(0, 3)),
+            (range(0, 2, 2), range(2)),
+            (range(-1, 1), range(2)),
+        ],
+    )
+    def test_rejects_tile_outside_the_panel(self, rows, cols):
+        with pytest.raises(ValueError, match="range"):
+            element_links(Point3(0.0, 0.0, 1.0), Point3(1.0, 0.0, 1.0), panel(2, 2), rows, cols)
 
 
 class TestElementLinks:

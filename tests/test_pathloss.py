@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from riscap.errors import SingularPattern
 from riscap.geometry import ElementLinks, PanelLink, Point3, RisPanel, element_links, panel_link
 from riscap.pathloss import (
+    PatternFaults,
     beta0_reference,
     combine_pattern,
     direct_pathloss,
@@ -143,6 +145,54 @@ class TestElementPathloss:
             worst.append(max(abs(b / ff - 1.0) for b in betas))
         assert worst[0] < 0.01
         assert worst[2] < worst[1] < worst[0]
+
+
+class TestPatternFaults:
+    """Faults recorded tile by tile raise what one whole-panel call raises."""
+
+    # per element: cos_tx, cos_rx, cos_t; gt = 4000 takes 0.5 ** 1999 to 0
+    CASES = {
+        "clean": [(1.0, 0.9, 0.8)] * 8,
+        "endpoint_in_last_tile": [(1.0, 1.0, 1.0)] * 5
+        + [(-0.2, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 1.0)],
+        "endpoint_beats_earlier_underflow": [(0.5, 1.0, 1.0)] * 3
+        + [(1.0, 1.0, 1.0)] * 4
+        + [(-0.4, 1.0, 1.0)],
+        "underflow_across_tiles": [(0.5, 1.0, 1.0), (1.0, 1.0, 1.0)] * 4,
+        "non_positive_beats_underflow": [(0.5, 1.0, 1.0)] * 4
+        + [(1.0, 1.0, -0.3), (1.0, 1.0, 1.0), (1.0, 1.0, -0.1), (1.0, 1.0, 1.0)],
+        "nan_worst_from_a_clean_tile": [(math.nan, 1.0, 1.0)]
+        + [(1.0, 1.0, 1.0)] * 6
+        + [(-0.5, 1.0, 1.0)],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("bounds", [(3, 5), (1, 7), (2, 6)])
+    def test_tiles_raise_what_one_call_raises(self, case, bounds):
+        cos_tx, cos_rx, cos_t = (np.array(v) for v in zip(*self.CASES[case]))
+        ones = np.ones(len(cos_tx))
+        links = ElementLinks(ones, ones, ones, cos_tx, cos_rx, cos_t, ones)
+        gt, gr = 4000.0, 1.0
+        try:
+            whole = element_pathloss(links, 1.0, gt, gr)
+        except SingularPattern as exc:
+            whole = exc
+        faults = PatternFaults()
+        start = 0
+        with np.errstate(all="ignore"):
+            for stop in (*bounds, len(ones)):
+                tile = ElementLinks(*(getattr(links, f.name)[start:stop] for f in fields(links)))
+                loss = element_pathloss(tile, 1.0, gt, gr, faults)
+                if not isinstance(whole, Exception):
+                    assert np.array_equal(loss, whole[start:stop])
+                start = stop
+        if isinstance(whole, Exception):
+            with pytest.raises(SingularPattern) as tiled:
+                faults.check(gt, gr)
+            assert type(tiled.value) is type(whole)
+            assert str(tiled.value) == str(whole)
+        else:
+            faults.check(gt, gr)
 
 
 class TestFarfieldPathloss:

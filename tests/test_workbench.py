@@ -5,6 +5,7 @@ import functools
 import io
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,9 +14,9 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riscap.errors import ScenarioError
-from riscap.geometry import Point3, RisPanel
-from riscap.pathloss import LinkBudget
+from riscap.errors import PatternUnderflow, ScenarioError, SingularPattern
+from riscap.geometry import Point3, RisPanel, element_links, panel_tiles
+from riscap.pathloss import LinkBudget, beta0_reference, combine_pattern, element_pathloss
 from riscap.presets import PRESET_NAMES, preset, run_preset
 from riscap.scenario import PanelSetup, Scenario, dump_scenario, scenario_to_dict
 
@@ -143,6 +144,91 @@ class TestPipelineConsistency:
         ec_mid = run_scenario(apply_sweep_value(s, "P", 60.0)).report.ec_approx
         ec_high = run_scenario(apply_sweep_value(s, "P", 90.0)).report.ec_approx
         assert ec_high - ec_mid < 1e-3
+
+
+def midlink_fig2(mx, my, **budget) -> Scenario:
+    """fig2 in near mode with an mx x my panel centred between the
+    endpoints, 0.5 m below them; budget fields replace fig2's."""
+    s, _ = preset("fig2")
+    setup = s.panels[0]
+    panel = dataclasses.replace(setup.panel, center=Point3(0.0, 0.0, 9.5), mx=mx, my=my)
+    return dataclasses.replace(
+        s,
+        panels=(dataclasses.replace(setup, panel=panel),),
+        budget=dataclasses.replace(s.budget, **budget),
+        mode="near",
+    )
+
+
+class TestTiledNearField:
+    """_statistics computes a near-field panel's inverse losses one
+    panel_tiles tile at a time."""
+
+    @pytest.mark.parametrize("mx, my", [(316, 316), (317, 101), (1, 10**5), (12000, 1)])
+    def test_tiled_beta_inv_equals_one_whole_panel_call(self, mx, my):
+        # shapes the tile does not divide; the 12000-element row is split
+        s = midlink_fig2(mx, my)
+        panel = s.panels[0].panel
+        assert len(list(panel_tiles(panel))) > 1
+        gt, gr = s.budget.gt, s.budget.gr
+        b0 = beta0_reference(gt, gr, panel.dx, panel.dy)
+        beta_inv = run_scenario(s).ensemble.panels[0].beta_inv
+        whole = 1.0 / element_pathloss(element_links(s.bs, s.user, panel), b0, gt, gr)
+        assert np.array_equal(beta_inv, whole)
+        expected = brute_force_beta_inv(s.bs, s.user, panel, gt, gr)
+        np.testing.assert_allclose(beta_inv, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mx, my", [(1000, 1000), (1, 10**6)])
+    def test_peak_memory_is_under_three_floats_per_element(self, mx, my):
+        # beta_inv, the moments' sqrt temporary and one tile: whole-panel
+        # links would take ~10 floats per element
+        s = midlink_fig2(mx, my, gt=1.0)
+        tracemalloc.start()
+        try:
+            run_scenario(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * mx * my
+
+    def test_endpoint_fault_in_a_later_tile_counts_the_whole_panel(self):
+        # a 12000-element row reaching 5 m past the user: only elements of
+        # its second tile lie past the user's perpendicular
+        s = midlink_fig2(12000, 1)
+        setup = s.panels[0]
+        panel = dataclasses.replace(setup.panel, center=Point3(10.0, 0.0, 9.5))
+        s = dataclasses.replace(s, panels=(dataclasses.replace(setup, panel=panel),))
+        links = element_links(s.bs, s.user, panel)
+        endpoint_cos = np.minimum(links.cos_tx, links.cos_rx)
+        (_, cols), *_ = panel_tiles(panel)
+        assert np.all(endpoint_cos[cols.start : cols.stop] > 0)
+        assert np.count_nonzero(endpoint_cos <= 0) == 666
+        with pytest.raises(SingularPattern) as whole:
+            combine_pattern(links, s.budget.gt, s.budget.gr)
+        assert "666 element(s) are not (worst -0.9937)" in str(whole.value)
+        grid = ", ".join(f"scenario.deployment.panel.{key}" for key in ("mx", "my", "dx", "dy"))
+        expected = f"panel 0: {whole.value}, set by {grid}, scenario.bs, scenario.user"
+        with pytest.raises(SingularPattern) as tiled:
+            run_scenario(s)
+        assert type(tiled.value) is SingularPattern
+        assert str(tiled.value) == expected
+
+    def test_pattern_underflow_in_two_tiles_counts_the_whole_panel(self):
+        # huge gain exponents: the pattern underflows at both ends of a
+        # 12000-element row, one end in each of its two tiles
+        s = midlink_fig2(12000, 1, gt=1e6, gr=1e6)
+        panel = s.panels[0].panel
+        links = element_links(s.bs, s.user, panel)
+        gt, gr = s.budget.gt, s.budget.gr
+        underflow = combine_pattern(links, gt, gr) <= 0
+        for _, cols in panel_tiles(panel):
+            assert underflow[cols.start : cols.stop].any()
+        with pytest.raises(PatternUnderflow) as whole:
+            element_pathloss(links, beta0_reference(gt, gr, panel.dx, panel.dy), gt, gr)
+        assert f"at {np.count_nonzero(underflow)} element(s)" in str(whole.value)
+        with pytest.raises(PatternUnderflow) as tiled:
+            run_scenario(s)
+        assert str(tiled.value) == f"panel 0: scenario.budget.gt, scenario.budget.gr: {whole.value}"
 
 
 class TestApplySweepValue:
@@ -356,6 +442,19 @@ class TestRunPreset:
 
 # fig2 with every aging correlation 0
 OUTDATED = {"channel.rho": [0.0], "channel.rho0": 0.0}
+# fig2 with a 1 m element 1 mm below both endpoints and huge gains: the
+# loss factor is subnormal, so its inverse overflows
+TINY_LINK = {
+    "deployment.panel.mx": 1,
+    "deployment.panel.my": 1,
+    "deployment.panel.dx": 1,
+    "deployment.panel.dy": 1,
+    "deployment.panel.center": {"x": 0, "y": 0, "z": 0},
+    "bs": {"x": 0, "y": 0, "z": 1e-3},
+    "user": {"x": 1e-3, "y": 0, "z": 1e-3},
+    "budget.gt": 1e150,
+    "budget.gr": 1e150,
+}
 
 
 def doppler_triples(doppler=None, doppler0=None) -> dict:
@@ -719,6 +818,29 @@ class TestCli:
                 ["analyze", "--no-mc"],
                 2,
                 ["scenario.budget.p_w, scenario.budget.gt, scenario.budget.gr", "leakage"],
+            ),
+            # a loss factor whose inverse overflows names what sets it
+            *(
+                (
+                    "fig2",
+                    {**TINY_LINK, "mode": mode},
+                    ["analyze", "--no-mc"],
+                    2,
+                    [
+                        f"panel 0: {mode}-field loss",
+                        "scenario.deployment.panel.center, scenario.deployment.panel.dx, "
+                        "scenario.deployment.panel.dy, scenario.budget.gt, scenario.budget.gr, "
+                        "scenario.bs, scenario.user",
+                    ],
+                )
+                for mode in ("near", "far")
+            ),
+            (
+                "fig2",
+                {"budget.eta_db": 3200},
+                ["analyze", "--no-mc"],
+                2,
+                ["scenario.budget.eta_db", "direct link at eta_db=3200"],
             ),
             # gain exponents that underflow the pattern name the gains; a
             # pattern with a non-positive cosine names the panel
