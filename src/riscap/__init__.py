@@ -61,7 +61,6 @@ from .montecarlo import (
 from .pathloss import (
     LinkBudget,
     beta0_reference,
-    combine_pattern,
     direct_pathloss,
     element_pathloss,
     farfield_pathloss,

@@ -5,9 +5,9 @@ parallel to the xy-plane.  All distances are Euclidean, in meters.
 Per-element quantities are numpy arrays with one entry per element,
 row-major over (y, x).  ``element_links`` gives one ``ElementLinks`` record
 of distance and cosine arrays for a tile of the panel (a block of its rows
-and columns; by default the whole panel), and ``panel_tiles`` splits a
-panel into tiles of at most ``TILE_ELEMENTS`` elements, so a per-element
-evaluation can hold one tile's links at a time whatever the panel size.
+and columns), and ``panel_tiles`` splits a panel into tiles of at most
+``TILE_ELEMENTS`` elements, so a per-element evaluation holds one tile's
+links at a time whatever the panel size.
 
 Convention note: the elevation cosine from an element toward the user
 (``cos_r``) is computed from the *receiver* height.  Output metadata of
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -171,15 +171,10 @@ def _distances(point: Point3, xs: np.ndarray, ys: np.ndarray, z0: float) -> np.n
 
 
 def element_links(
-    bs: Point3,
-    user: Point3,
-    panel: RisPanel,
-    rows: Optional[range] = None,
-    cols: Optional[range] = None,
+    bs: Point3, user: Point3, panel: RisPanel, rows: range, cols: range
 ) -> ElementLinks:
     """Per-element distances and elevation cosines of the tile of rows
-    (y indices) and cols (x indices) of the panel, the whole panel by
-    default.
+    (y indices) and cols (x indices) of the panel.
 
     Element (i, j) sits at offset ((i - (mx-1)/2) * dx, (j - (my-1)/2) * dy)
     from the panel center, so the grid is symmetric about the center.
@@ -187,8 +182,6 @@ def element_links(
     endpoint, the element, and the panel center; cos_t / cos_r are height
     over slant range.
     """
-    rows = range(panel.my) if rows is None else rows
-    cols = range(panel.mx) if cols is None else cols
     for name, span, count in (("rows", rows, panel.my), ("cols", cols, panel.mx)):
         if span.step != 1 or not 0 <= span.start < span.stop <= count:
             raise ValueError(f"{name} must be a non-empty unit-step range within 0..{count}")

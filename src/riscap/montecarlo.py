@@ -15,8 +15,9 @@ its standard error.
 
 Determinism contract: trials are partitioned into fixed-size blocks and
 block i draws from an independent Philox substream keyed (seed, i).
-Per-block partial sums are reduced in block order with exact summation
-(math.fsum), so the result is bit-identical for any worker count.
+Blocks always run on a pool of ``workers`` threads; per-block partial
+sums are reduced in block order with exact summation (math.fsum), so the
+result is bit-identical for any worker count.
 
 Ensembles with equal draw signatures (SnrEnsemble.draw_signature) consume
 identical draws from a block's substream.  simulate_ec_sweep takes
@@ -71,6 +72,8 @@ class TrialConfig:
     block_size: int = 2048
 
     def __post_init__(self):
+        if self.trials is None:  # "no Monte Carlo" only to the run functions
+            raise ScenarioError("trials: must be >= 1, got None")
         check_run_settings(self.trials, self.seed)
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
@@ -160,6 +163,7 @@ def simulate_ec_sweep(
     Ensembles that share a draw signature share every block's draws; each
     estimate is bit-identical to simulating its ensemble alone, for any
     worker count."""
+    check_run_settings(cfg.trials, cfg.seed, workers)
     ensembles = tuple(ensembles)
     if not ensembles:
         raise ValueError("need at least one ensemble")
@@ -180,12 +184,8 @@ def simulate_ec_sweep(
                 sums[i] = (float(np.sum(ec)), float(np.sum(ec * ec)))
         return sums
 
-    plan = _block_plan(cfg)
-    if workers <= 1:
-        blocks = [block_sums(item) for item in plan]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(block_sums, plan))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        blocks = list(pool.map(block_sums, _block_plan(cfg)))
 
     n = cfg.trials
     estimates = []

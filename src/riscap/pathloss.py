@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -56,10 +55,12 @@ def beta0_reference(gt: float, gr: float, dx: float, dy: float) -> float:
 class PatternFaults:
     """The non-positive pattern factors of one panel, recorded tile by tile.
 
-    ``element_pathloss`` records each tile's faults here; ``check`` then
-    raises what one call on the whole panel raises: non-positive endpoint
+    ``pattern`` gives a tile's joint pattern and records its faults;
+    ``check`` then raises the panel's first fault: non-positive endpoint
     cosines first, then a pattern that underflows or is not positive, each
-    with the whole panel's element count and worst value.
+    with the panel's element count and worst value.  The endpoint-side
+    cosines enter with the (possibly fractional) gain exponents, so an
+    endpoint past the perpendicular of an element has no defined pattern.
     """
 
     endpoint_count: int = 0
@@ -114,39 +115,16 @@ class PatternFaults:
         )
 
 
-def combine_pattern(links: ElementLinks, gt: float, gr: float) -> np.ndarray:
-    """Joint normalized power radiation pattern, one entry per element.
-
-    The endpoint-side cosines enter with the (possibly fractional) gain
-    exponents, so they must be positive; an endpoint sitting past the
-    perpendicular of an element has no defined pattern.
-    """
-    faults = PatternFaults()
-    pattern = faults.pattern(links, gt, gr)
-    if faults.endpoint_count:
-        faults.check(gt, gr)
-    return pattern
-
-
 def element_pathloss(
-    links: ElementLinks,
-    beta0_ref: float,
-    gt: float,
-    gr: float,
-    faults: Optional[PatternFaults] = None,
+    links: ElementLinks, beta0_ref: float, gt: float, gr: float, faults: PatternFaults
 ) -> np.ndarray:
     """Near-field loss factor per element: beta0_ref*(r_t*r_r)^2/pattern.
 
-    A pattern factor that is not positive raises SingularPattern (or
-    PatternUnderflow).  Given the faults record of the panel the links are
-    a tile of, it is recorded there instead, and the loss of that element
-    is not a loss factor.
+    A pattern factor that is not positive is recorded in faults, the
+    record of the panel the links are a tile of, and the loss of that
+    element is not a loss factor; ``faults.check`` raises it.
     """
-    check = faults is None
-    faults = PatternFaults() if check else faults
     pattern = faults.pattern(links, gt, gr)
-    if check:
-        faults.check(gt, gr)
     return beta0_ref * (links.r_t * links.r_r) ** 2 / pattern
 
 

@@ -5,10 +5,9 @@ Carlo runs, parameter sweeps, and CSV emission.
 is the one evaluation route: ``_statistics`` takes each scenario through
 geometry, path loss and envelope statistics in turn (a near-field panel's
 inverse losses one ``panel_tiles`` tile at a time, so a run holds them and
-one tile's links, not whole-panel links), then one
-``capacity.capacity_reports`` call runs the capacity integrals of the
-whole run in lockstep, and unless trials is None one
-``simulate_ec_sweep`` call, which groups the scenarios that can share
+one tile's links), then one ``capacity.capacity_reports`` call runs the
+capacity integrals of the whole run in lockstep, and unless trials is None
+one ``simulate_ec_sweep`` call, which groups the scenarios that can share
 draws, fills in ``mc``.  ``run_scenario`` is its one-scenario case, and
 ``run_scenario(scenario)`` (trials None) the analytic-only call;
 ``run_sweep`` and ``presets.run_preset`` return (sweep_value, RunResult)
@@ -146,9 +145,9 @@ def _element_beta_inv(
 ) -> np.ndarray:
     """1/element_pathloss of every element of the panel, row-major,
     computed one panel_tiles tile at a time: only the result and one
-    tile's links are held.  It raises what checking the whole panel at
-    once raises: its pattern faults, then an inverse loss out of range,
-    naming `what`."""
+    tile's links are held.  After the last tile it raises the panel's
+    first pattern fault, then an inverse loss out of range, naming
+    `what`."""
     gt, gr = scenario.budget.gt, scenario.budget.gr
     beta_inv = np.empty(panel.element_count)
     grid = beta_inv.reshape(panel.my, panel.mx)

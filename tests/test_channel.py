@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import mp_j0, mp_laguerre_half, mp_rician_mean, sample_rician
 from riscap.channel import (
     _CHUNK_ELEMENTS,
+    PanelChannel,
     RicianParams,
     laguerre_half,
     outdated_correlation,
@@ -181,3 +182,22 @@ class TestSampler:
             RicianParams(-0.5)
         with pytest.raises(ValueError):
             RicianParams(math.nan)
+
+
+class TestPanelChannel:
+    @pytest.mark.parametrize(
+        "beta_inv, rho, message",
+        [
+            ([], 0.5, "non-empty 1-D array"),
+            ([[1e-10, 2e-10]], 0.5, "non-empty 1-D array"),
+            ([1e-10, -1e-12], 0.5, "finite and >= 0"),
+            ([1e-10, math.inf], 0.5, "finite and >= 0"),
+            ([math.nan, 1e-10], 0.5, "finite and >= 0"),
+            ([1e-10], -0.1, "rho must"),
+            ([1e-10], 1.5, "rho must"),
+            ([1e-10], math.nan, "rho must"),
+        ],
+    )
+    def test_rejects(self, beta_inv, rho, message):
+        with pytest.raises(ValueError, match=message):
+            PanelChannel(beta_inv=np.array(beta_inv, dtype=float), rho=rho, k1=2.0, k2=2.0)

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from riscap.channel import _CHUNK_ELEMENTS, PanelChannel
-from riscap.errors import InvalidScenario
+from riscap.errors import InvalidScenario, ScenarioError
 from riscap.montecarlo import (
     SnrEnsemble,
     TrialConfig,
@@ -124,9 +124,34 @@ class TestDeterministicChannelLimit:
         # identically-constant samples; only summation roundoff remains
         assert out.std_error < 1e-8
 
-    def test_empty_scenario_rejected(self):
-        with pytest.raises(InvalidScenario):
-            SnrEnsemble(panels=(), beta0_inv=0.0, rho0=0.9, k0=1.0, gamma_teff=1e10)
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "changes, error, message",
+        [
+            ({"beta0_inv": -1e-12}, ValueError, "direct inverse loss"),
+            ({"rho0": -0.1}, ValueError, "rho0 must"),
+            ({"rho0": 1.5}, ValueError, "rho0 must"),
+            ({"rho0": math.nan}, ValueError, "rho0 must"),
+            ({"gamma_teff": 0.0}, ValueError, "gamma_teff must"),
+            ({"gamma_teff": -5e10}, ValueError, "gamma_teff must"),
+            ({"panels": (), "beta0_inv": 0.0}, InvalidScenario, "no reflecting elements"),
+        ],
+    )
+    def test_snr_ensemble_rejects(self, changes, error, message):
+        with pytest.raises(error, match=message):
+            dataclasses.replace(small_ensemble(), **changes)
+
+    def test_trial_config_rejects_no_trials(self):
+        # None means "no Monte Carlo" to the run functions, not to the sampler
+        with pytest.raises(ScenarioError, match="^trials: must be >= 1, got None$"):
+            TrialConfig(trials=None, seed=1)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_sweep_rejects_fewer_than_one_worker(self, workers):
+        cfg = TrialConfig(trials=64, seed=1)
+        with pytest.raises(ScenarioError, match=f"^workers: must be >= 1, got {workers}$"):
+            simulate_ec_sweep([small_ensemble()], cfg, workers=workers)
 
 
 class TestMomentAgreement:

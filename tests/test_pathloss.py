@@ -9,7 +9,6 @@ from riscap.geometry import ElementLinks, PanelLink, Point3, RisPanel, element_l
 from riscap.pathloss import (
     PatternFaults,
     beta0_reference,
-    combine_pattern,
     direct_pathloss,
     element_pathloss,
     farfield_pathloss,
@@ -52,49 +51,55 @@ class TestBeta0Reference:
         assert a == pytest.approx(b, rel=1e-12)
 
 
-class TestCombinePattern:
+class TestJointPattern:
     def test_all_unit_cosines(self):
         link = one_element(1, 1, 0, 1.0, 1.0, 1.0, 1.0)
-        assert combine_pattern(link, 20.0, 4.0)[0] == 1.0
+        assert PatternFaults().pattern(link, 20.0, 4.0)[0] == 1.0
 
     def test_exponents_vanish_at_gain_two(self):
         link = one_element(1, 1, 0, 0.3, 0.4, 0.5, 0.6)
-        assert combine_pattern(link, 2.0, 2.0)[0] == pytest.approx(0.5 * 0.6, rel=1e-15)
+        assert PatternFaults().pattern(link, 2.0, 2.0)[0] == pytest.approx(0.5 * 0.6, rel=1e-15)
 
     def test_off_center_element_against_scripted_product(self):
-        links = element_links(BS, USER, fig_panel())
+        links = element_links(BS, USER, fig_panel(), range(40), range(40))
         i = 7  # arbitrary off-center element
         cos_tx, cos_rx, cos_t, cos_r = (
             float(getattr(links, name)[i]) for name in ("cos_tx", "cos_rx", "cos_t", "cos_r")
         )
         gt, gr = 100.0, 1.0
         expected = cos_tx ** (gt / 2 - 1) * cos_t * cos_r * cos_rx ** (gr / 2 - 1)
-        assert combine_pattern(links, gt, gr)[i] == pytest.approx(expected, rel=1e-15)
+        assert PatternFaults().pattern(links, gt, gr)[i] == pytest.approx(expected, rel=1e-15)
 
 
 class TestElementPathloss:
     def test_center_element_matches_farfield_at_gain_two(self):
         p = RisPanel(center=Point3(-49.5, 0.0, 9.5), mx=1, my=1, dx=CELL, dy=CELL)
         b0 = beta0_reference(2.0, 2.0, CELL, CELL)
-        links = element_links(BS, USER, p)
+        links = element_links(BS, USER, p, range(1), range(1))
         assert len(links) == 1
         plink = panel_link(BS, USER, p)
-        assert element_pathloss(links, b0, 2.0, 2.0)[0] == pytest.approx(
+        faults = PatternFaults()
+        assert element_pathloss(links, b0, 2.0, 2.0, faults)[0] == pytest.approx(
             farfield_pathloss(plink, b0), rel=1e-12
         )
+        faults.check(2.0, 2.0)
 
     def test_distance_scaling(self):
         link = one_element(3.0, 40.0, 0.1, 0.99, 0.98, 0.6, 0.5)
         scaled = one_element(6.0, 80.0, 0.1, 0.99, 0.98, 0.6, 0.5)
         b0 = 1e9
-        assert element_pathloss(scaled, b0, 20.0, 4.0)[0] == pytest.approx(
-            16.0 * element_pathloss(link, b0, 20.0, 4.0)[0], rel=1e-12
+        faults = PatternFaults()
+        assert element_pathloss(scaled, b0, 20.0, 4.0, faults)[0] == pytest.approx(
+            16.0 * element_pathloss(link, b0, 20.0, 4.0, faults)[0], rel=1e-12
         )
+        faults.check(20.0, 4.0)
 
     def test_edge_element_lossier_than_center(self):
-        links = element_links(BS, USER, fig_panel())
+        links = element_links(BS, USER, fig_panel(), range(40), range(40))
         b0 = beta0_reference(100.0, 1.0, CELL, CELL)
-        losses = element_pathloss(links, b0, 100.0, 1.0)
+        faults = PatternFaults()
+        losses = element_pathloss(links, b0, 100.0, 1.0, faults)
+        faults.check(100.0, 1.0)
         center = np.argmin(links.d_m)
         edge = np.argmax(links.d_m)
         ratio = losses[edge] / losses[center]
@@ -102,31 +107,44 @@ class TestElementPathloss:
 
     def test_negative_pattern_rejected(self):
         link = one_element(1.0, 1.0, 0.0, 1.0, 1.0, -0.2, 0.5)
+        faults = PatternFaults()
+        element_pathloss(link, 1.0, 2.0, 2.0, faults)
         with pytest.raises(SingularPattern):
-            element_pathloss(link, 1.0, 2.0, 2.0)
+            faults.check(2.0, 2.0)
 
     def test_negative_endpoint_cosine_rejected_with_fractional_exponent(self):
         # a float power of a negative base would otherwise go complex
         link = one_element(1.0, 1.0, 0.5, -0.2, 0.9, 0.8, 0.5)
-        with pytest.raises(SingularPattern):
-            combine_pattern(link, 5.0, 1.0)
+        faults = PatternFaults()
+        assert math.isnan(faults.pattern(link, 5.0, 1.0)[0])
+        with pytest.raises(SingularPattern, match="endpoint-side"):
+            faults.check(5.0, 1.0)
 
     def test_rejection_names_count_and_worst_value(self):
         ones = np.ones(4)
         cos_rx = np.array([0.9, -0.3, 0.0, 0.5])
         links = ElementLinks(ones, ones, ones, ones, cos_rx, ones, ones)
+        faults = PatternFaults()
+        faults.pattern(links, 5.0, 1.0)
         with pytest.raises(SingularPattern, match=r"2 element\(s\).*worst -0\.3"):
-            combine_pattern(links, 5.0, 1.0)
+            faults.check(5.0, 1.0)
         cos_t = np.array([0.9, -0.5, 0.7, -0.25])
         links = ElementLinks(ones, ones, ones, ones, ones, cos_t, ones)
+        faults = PatternFaults()
+        with np.errstate(divide="ignore"):
+            element_pathloss(links, 1.0, 2.0, 2.0, faults)
         with pytest.raises(SingularPattern, match=r"2 element\(s\).*worst -0\.5"):
-            element_pathloss(links, 1.0, 2.0, 2.0)
+            faults.check(2.0, 2.0)
 
     def test_shapes_and_positivity(self):
         b0 = beta0_reference(100.0, 1.0, CELL, CELL)
         for (mx, my), size in (((4, 6), 24), ((3, 3), 9)):
             p = fig_panel(mx, my)
-            betas = element_pathloss(element_links(BS, USER, p), b0, 100.0, 1.0)
+            faults = PatternFaults()
+            betas = element_pathloss(
+                element_links(BS, USER, p, range(my), range(mx)), b0, 100.0, 1.0, faults
+            )
+            faults.check(100.0, 1.0)
             assert betas.shape == (size,)
             assert np.all(betas > 0)
             assert farfield_pathloss(panel_link(BS, USER, p), b0) > 0
@@ -141,14 +159,19 @@ class TestElementPathloss:
             bs = Point3(-d / math.sqrt(2), 0.0, d / math.sqrt(2))
             user = Point3(d / math.sqrt(2), 1.0, d / math.sqrt(2))
             ff = farfield_pathloss(panel_link(bs, user, p), b0)
-            betas = element_pathloss(element_links(bs, user, p), b0, 100.0, 1.0)
+            faults = PatternFaults()
+            betas = element_pathloss(
+                element_links(bs, user, p, range(40), range(40)), b0, 100.0, 1.0, faults
+            )
+            faults.check(100.0, 1.0)
             worst.append(max(abs(b / ff - 1.0) for b in betas))
         assert worst[0] < 0.01
         assert worst[2] < worst[1] < worst[0]
 
 
 class TestPatternFaults:
-    """Faults recorded tile by tile raise what one whole-panel call raises."""
+    """Faults recorded tile by tile raise what a one-tile record of the
+    whole panel raises."""
 
     # per element: cos_tx, cos_rx, cos_t; gt = 4000 takes 0.5 ** 1999 to 0
     CASES = {
@@ -173,24 +196,22 @@ class TestPatternFaults:
         ones = np.ones(len(cos_tx))
         links = ElementLinks(ones, ones, ones, cos_tx, cos_rx, cos_t, ones)
         gt, gr = 4000.0, 1.0
-        try:
-            whole = element_pathloss(links, 1.0, gt, gr)
-        except SingularPattern as exc:
-            whole = exc
-        faults = PatternFaults()
+        one_tile, faults = PatternFaults(), PatternFaults()
         start = 0
         with np.errstate(all="ignore"):
+            whole = element_pathloss(links, 1.0, gt, gr, one_tile)
             for stop in (*bounds, len(ones)):
                 tile = ElementLinks(*(getattr(links, f.name)[start:stop] for f in fields(links)))
                 loss = element_pathloss(tile, 1.0, gt, gr, faults)
-                if not isinstance(whole, Exception):
-                    assert np.array_equal(loss, whole[start:stop])
+                assert np.array_equal(loss, whole[start:stop], equal_nan=True)
                 start = stop
-        if isinstance(whole, Exception):
+        try:
+            one_tile.check(gt, gr)
+        except SingularPattern as exc:
             with pytest.raises(SingularPattern) as tiled:
                 faults.check(gt, gr)
-            assert type(tiled.value) is type(whole)
-            assert str(tiled.value) == str(whole)
+            assert type(tiled.value) is type(exc)
+            assert str(tiled.value) == str(exc)
         else:
             faults.check(gt, gr)
 

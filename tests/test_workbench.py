@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from riscap.errors import PatternUnderflow, ScenarioError, SingularPattern
 from riscap.geometry import Point3, RisPanel, element_links, panel_tiles
-from riscap.pathloss import LinkBudget, beta0_reference, combine_pattern, element_pathloss
+from riscap.pathloss import LinkBudget, PatternFaults, beta0_reference, element_pathloss
 from riscap.presets import PRESET_NAMES, preset, run_preset
 from riscap.scenario import PanelSetup, Scenario, dump_scenario, scenario_to_dict
 
@@ -173,7 +173,10 @@ class TestTiledNearField:
         gt, gr = s.budget.gt, s.budget.gr
         b0 = beta0_reference(gt, gr, panel.dx, panel.dy)
         beta_inv = run_scenario(s).ensemble.panels[0].beta_inv
-        whole = 1.0 / element_pathloss(element_links(s.bs, s.user, panel), b0, gt, gr)
+        links = element_links(s.bs, s.user, panel, range(my), range(mx))
+        faults = PatternFaults()
+        whole = 1.0 / element_pathloss(links, b0, gt, gr, faults)
+        faults.check(gt, gr)
         assert np.array_equal(beta_inv, whole)
         expected = brute_force_beta_inv(s.bs, s.user, panel, gt, gr)
         np.testing.assert_allclose(beta_inv, expected, rtol=1e-12, atol=0)
@@ -198,13 +201,15 @@ class TestTiledNearField:
         setup = s.panels[0]
         panel = dataclasses.replace(setup.panel, center=Point3(10.0, 0.0, 9.5))
         s = dataclasses.replace(s, panels=(dataclasses.replace(setup, panel=panel),))
-        links = element_links(s.bs, s.user, panel)
+        links = element_links(s.bs, s.user, panel, range(1), range(12000))
         endpoint_cos = np.minimum(links.cos_tx, links.cos_rx)
         (_, cols), *_ = panel_tiles(panel)
         assert np.all(endpoint_cos[cols.start : cols.stop] > 0)
         assert np.count_nonzero(endpoint_cos <= 0) == 666
+        faults = PatternFaults()
+        faults.pattern(links, s.budget.gt, s.budget.gr)
         with pytest.raises(SingularPattern) as whole:
-            combine_pattern(links, s.budget.gt, s.budget.gr)
+            faults.check(s.budget.gt, s.budget.gr)
         assert "666 element(s) are not (worst -0.9937)" in str(whole.value)
         grid = ", ".join(f"scenario.deployment.panel.{key}" for key in ("mx", "my", "dx", "dy"))
         expected = f"panel 0: {whole.value}, set by {grid}, scenario.bs, scenario.user"
@@ -218,13 +223,14 @@ class TestTiledNearField:
         # 12000-element row, one end in each of its two tiles
         s = midlink_fig2(12000, 1, gt=1e6, gr=1e6)
         panel = s.panels[0].panel
-        links = element_links(s.bs, s.user, panel)
+        links = element_links(s.bs, s.user, panel, range(1), range(12000))
         gt, gr = s.budget.gt, s.budget.gr
-        underflow = combine_pattern(links, gt, gr) <= 0
+        faults = PatternFaults()
+        underflow = faults.pattern(links, gt, gr) <= 0
         for _, cols in panel_tiles(panel):
             assert underflow[cols.start : cols.stop].any()
         with pytest.raises(PatternUnderflow) as whole:
-            element_pathloss(links, beta0_reference(gt, gr, panel.dx, panel.dy), gt, gr)
+            faults.check(gt, gr)
         assert f"at {np.count_nonzero(underflow)} element(s)" in str(whole.value)
         with pytest.raises(PatternUnderflow) as tiled:
             run_scenario(s)
