@@ -47,7 +47,6 @@ from .geometry import (
     panel_link,
 )
 from .moments import (
-    EffectiveSnr,
     MomentSummary,
     distributed_moments,
     distributed_noise_variance,

@@ -48,23 +48,26 @@ class RicianParams:
 
 @dataclass(frozen=True)
 class PanelChannel:
-    """One panel's statistics, read by the moment formulas and the Monte
-    Carlo oracle alike: each element's inverse loss factor, the aging
-    correlation of the panel-to-user estimate, and the K-factors of the
-    BS-to-panel and panel-to-user fades."""
+    """One panel as the moment formulas and the Monte Carlo oracle read it:
+    each element's amplitude sqrt(beta^-1), the power sum sum(beta^-1)
+    (+inf when it overflows, for the caller to report), the panel-to-user
+    aging correlation, and the BS-to-panel and panel-to-user K-factors."""
 
-    beta_inv: np.ndarray
+    amplitude: np.ndarray
+    power_sum: float
     rho: float
     k1: float
     k2: float
 
     def __post_init__(self):
-        beta_inv = np.asarray(self.beta_inv, dtype=float)
-        object.__setattr__(self, "beta_inv", beta_inv)
-        if beta_inv.ndim != 1 or beta_inv.size == 0:
-            raise ValueError("beta_inv must be a non-empty 1-D array")
-        if np.any(~np.isfinite(beta_inv)) or np.any(beta_inv < 0):
-            raise ValueError("inverse loss factors must be finite and >= 0")
+        amplitude = np.asarray(self.amplitude, dtype=float)
+        object.__setattr__(self, "amplitude", amplitude)
+        if amplitude.ndim != 1 or amplitude.size == 0:
+            raise ValueError("amplitude must be a non-empty 1-D array")
+        if not (np.min(amplitude) >= 0 and np.max(amplitude) < math.inf):
+            raise ValueError("amplitudes must be finite and >= 0")
+        if not self.power_sum >= 0:
+            raise ValueError("power_sum must be >= 0")
         if not (0.0 <= self.rho <= 1.0):
             raise ValueError("rho must lie in [0, 1]")
 

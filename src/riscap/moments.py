@@ -1,5 +1,5 @@
 """First and second moments of the co-phased envelope sum, and the
-effective transmit SNR.
+effective-noise variance.
 
 The end-to-end envelope variable is
 
@@ -7,10 +7,10 @@ The end-to-end envelope variable is
 
 with one panel (centralized) or several (distributed).  These operations
 take the ``channel.PanelChannel`` records the Monte Carlo oracle samples,
-so they see *path-loss vectors*, not geometry: a near-field panel carries
-its per-element losses, a far-field panel a constant vector, and the
-far-field closed forms fall out as a special case checked in tests.  Each
-panel's envelope means come from its K-factors (``rician_mean_envelope``).
+so they see each panel's amplitudes sqrt(beta_lm^-1) and power sum
+sum_m beta_lm^-1, not geometry; the far-field closed forms fall out as a
+special case checked in tests.  Each panel's envelope means come from its
+K-factors (``rician_mean_envelope``).
 
 Cross terms use the (sum a)^2 - sum a^2 factorization, O(M) instead of
 O(M^2); the naive double loop is kept as a test oracle only.
@@ -36,14 +36,6 @@ class MomentSummary:
     variance: float
 
 
-@dataclass(frozen=True)
-class EffectiveSnr:
-    """Transmit power over expected effective-noise power."""
-
-    gamma_teff: float
-    noise_variance: float
-
-
 def distributed_moments(
     per_panel: Sequence[PanelChannel],
     omega0: float,
@@ -62,13 +54,10 @@ def distributed_moments(
     for p in per_panel:
         omega1 = rician_mean_envelope(RicianParams(p.k1))
         omega2 = rician_mean_envelope(RicianParams(p.k2))
-        root_sum = float(np.sum(np.sqrt(p.beta_inv)))
-        sq_sum = float(np.sum(p.beta_inv))
+        root_sum = float(np.sum(p.amplitude))
         amp_sums.append(p.rho * omega1 * omega2 * root_sum)
-        power_sums.append(p.rho * p.rho * sq_sum)
-        within_cross.append(
-            (p.rho * omega1 * omega2) ** 2 * (root_sum * root_sum - sq_sum)
-        )
+        power_sums.append(p.rho * p.rho * p.power_sum)
+        within_cross.append((p.rho * omega1 * omega2) ** 2 * (root_sum * root_sum - p.power_sum))
 
     direct_amp = math.sqrt(beta0_direct_inv) * rho0 * omega0
     total_amp = math.fsum(amp_sums)
@@ -96,20 +85,19 @@ def distributed_noise_variance(
     omega0: float,
     beta0_direct_inv: float,
     noise_power: float,
-) -> EffectiveSnr:
+) -> float:
     """Effective-noise variance: outdated-CSI leakage plus thermal noise.
     Each panel leaks P*(1-rho^2)*(1-omega2^2)*sum(beta^-1); the direct link
-    leaks P*(1-rho0^2)*(1-omega0^2)*beta0^-1."""
-    if tx_power <= 0:
+    leaks P*(1-rho0^2)*(1-omega0^2)*beta0^-1.  gamma_teff is P over it."""
+    if not tx_power > 0:
         raise ValueError("transmit power must be positive")
-    if noise_power <= 0:
+    if not noise_power > 0:
         raise ValueError("noise power must be positive")
     panel_terms = []
     for p in per_panel:
         omega2 = rician_mean_envelope(RicianParams(p.k2))
         panel_terms.append(
-            tx_power * (1.0 - p.rho * p.rho) * (1.0 - omega2 * omega2) * float(np.sum(p.beta_inv))
+            tx_power * (1.0 - p.rho * p.rho) * (1.0 - omega2 * omega2) * p.power_sum
         )
     direct_term = tx_power * (1.0 - rho0 * rho0) * (1.0 - omega0 * omega0) * beta0_direct_inv
-    variance = math.fsum(panel_terms) + direct_term + noise_power
-    return EffectiveSnr(gamma_teff=tx_power / variance, noise_variance=variance)
+    return math.fsum(panel_terms) + direct_term + noise_power

@@ -1,7 +1,7 @@
 """Independent Monte Carlo oracle for the co-phased received SNR.
 
 Per trial the oracle draws every envelope (cascade pairs per element plus
-the direct link), forms
+the direct link), forms, with each PanelChannel's amplitudes sqrt(beta_lm^-1),
 
     Z = sum_l rho_l * sum_m sqrt(beta_lm^-1) |g_lm| |h_lm|
         + rho_0 sqrt(beta_0^-1) |h_0|,
@@ -32,6 +32,7 @@ g), e.g. 328 MB at M = 10^4 with the default 2048-trial blocks.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -48,14 +49,21 @@ from .channel import (
 from .errors import InvalidScenario, ScenarioError
 
 
+def _integer(field: str, value):
+    """value, if an integer (numpy's too, bool not); else ScenarioError naming field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ScenarioError(f"{field}: must be an integer, got {value!r}")
+    return value
+
+
 def check_run_settings(trials: Optional[int], seed: int, workers: int = 1):
-    """Reject trials below 1 (None means no Monte Carlo), a seed outside
-    [0, 2**64) and fewer than one worker, naming the field."""
-    if trials is not None and trials < 1:
+    """Reject a non-integer, trials below 1 (None means no Monte Carlo), a
+    seed outside [0, 2**64) and fewer than one worker, naming the field."""
+    if trials is not None and _integer("trials", trials) < 1:
         raise ScenarioError(f"trials: must be >= 1, got {trials}")
-    if not (0 <= seed < 2**64):
+    if not (0 <= _integer("seed", seed) < 2**64):
         raise ScenarioError(f"seed: must lie in [0, 2**64), got {seed}")
-    if workers < 1:
+    if _integer("workers", workers) < 1:
         raise ScenarioError(f"workers: must be >= 1, got {workers}")
 
 
@@ -75,7 +83,7 @@ class TrialConfig:
         if self.trials is None:  # "no Monte Carlo" only to the run functions
             raise ScenarioError("trials: must be >= 1, got None")
         check_run_settings(self.trials, self.seed)
-        if self.block_size < 1:
+        if _integer("block_size", self.block_size) < 1:
             raise ValueError("block_size must be >= 1")
 
 
@@ -89,8 +97,8 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class SnrEnsemble:
-    """Everything the oracle needs: resolved path losses, fading factors,
-    aging coefficients, and the precomputed effective transmit SNR."""
+    """Everything the oracle needs: panel amplitudes, direct inverse loss,
+    fading factors, aging coefficients, and the effective transmit SNR."""
 
     panels: tuple[PanelChannel, ...]
     beta0_inv: float
@@ -112,9 +120,9 @@ class SnrEnsemble:
     def draw_signature(self) -> tuple:
         """What fixes a trial block's draws and envelope transforms: per
         panel the element count and K-factors.  Ensembles with equal
-        signatures can share every block; path losses, correlations, k0
+        signatures can share every block; amplitudes, correlations, k0
         and gamma_teff may differ."""
-        return tuple((p.beta_inv.size, p.k1, p.k2) for p in self.panels)
+        return tuple((p.amplitude.size, p.k1, p.k2) for p in self.panels)
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -136,12 +144,12 @@ def _block_envelope_sums(
     first = ensembles[0]
     zs = [np.zeros(n) for _ in ensembles]
     for i, panel in enumerate(first.panels):
-        m = panel.beta_inv.size
+        m = panel.amplitude.size
         hg = sample_rician_envelope(RicianParams(panel.k1), rng, size=(n, m))
         hg *= sample_rician_envelope(RicianParams(panel.k2), rng, size=(n, m))
         for z, ensemble in zip(zs, ensembles):
             p = ensemble.panels[i]
-            z += p.rho * (hg @ np.sqrt(p.beta_inv))
+            z += p.rho * (hg @ p.amplitude)
     re0 = rng.standard_normal(n)
     im0 = rng.standard_normal(n)
     for z, ensemble in zip(zs, ensembles):

@@ -34,13 +34,13 @@ class LinkBudget:
     xi: float
 
     def __post_init__(self):
-        if self.gt <= 0 or self.gr <= 0:
+        if not (self.gt > 0 and self.gr > 0):
             raise ValueError("antenna gains must be positive")
-        if self.tx_power <= 0:
+        if not self.tx_power > 0:
             raise ValueError("transmit power must be positive")
-        if self.noise_power <= 0:
+        if not self.noise_power > 0:
             raise ValueError("noise power must be positive")
-        if self.xi <= 0:
+        if not self.xi > 0:
             raise ValueError("path-loss exponent must be positive")
 
 

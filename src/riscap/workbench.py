@@ -238,32 +238,33 @@ def _statistics(scenario: Scenario) -> dict:
             grid = ", ".join(f"{sections[i]}.{key}" for key in ("mx", "my", "dx", "dy"))
             message = f"panel {i}: {exc}, set by {grid}, scenario.bs, scenario.user"
             raise SingularPattern(message) from None
-        panels.append(
-            PanelChannel(beta_inv=beta_inv, rho=setup.rho, k1=setup.k1, k2=setup.k2)
-        )
+        power_sum = float(np.sum(beta_inv))  # then the same buffer holds the amplitudes
+        amplitude = np.sqrt(beta_inv, out=beta_inv)
+        panels.append(PanelChannel(amplitude, power_sum, setup.rho, setup.k1, setup.k2))
 
     rho0 = scenario.rho0
     omega0 = rician_mean_envelope(RicianParams(scenario.k0))
     moments = distributed_moments(panels, omega0, rho0, beta0_inv)
-    effective = distributed_noise_variance(
+    variance = distributed_noise_variance(
         budget.tx_power, panels, rho0, omega0, beta0_inv, budget.noise_power
     )
-    if not math.isfinite(effective.noise_variance):
+    if not math.isfinite(variance):
         raise ScenarioError(
             "scenario.budget.p_w, scenario.budget.gt, scenario.budget.gr: the outdated-CSI leakage "
             f"P * sum(beta^-1) overflowed at p_w={budget.tx_power:g} W, gt={gt:g}, gr={gr:g}"
         )
-    if not 0 < effective.gamma_teff < math.inf:
+    gamma_teff = budget.tx_power / variance
+    if not 0 < gamma_teff < math.inf:
         raise ScenarioError(
             "scenario.budget.p_w, scenario.budget.noise_w: effective transmit SNR "
-            f"{budget.tx_power:g} W / {effective.noise_variance:g} W is out of float range"
+            f"{budget.tx_power:g} W / {variance:g} W is out of float range"
         )
     ensemble = SnrEnsemble(
         panels=tuple(panels),
         beta0_inv=beta0_inv,
         rho0=rho0,
         k0=scenario.k0,
-        gamma_teff=effective.gamma_teff,
+        gamma_teff=gamma_teff,
     )
     return dict(
         ensemble=ensemble,

@@ -62,10 +62,13 @@ def mp_rician_mean(k: float) -> float:
 def saturation_gamma_teff(per_panel, rho0: float, omega0: float, beta0_inv: float) -> float:
     """Large-power limit of gamma_teff, where thermal noise is negligible:
     1 over the outdated-CSI leakage per watt, with each panel's omega2 from
-    mp_rician_mean.  Infinite when every aging coefficient is 1 (no
+    mp_rician_mean and its sum(beta^-1) re-formed from the amplitudes, not
+    read from power_sum.  Infinite when every aging coefficient is 1 (no
     leakage at all)."""
     leak = math.fsum(
-        (1.0 - p.rho * p.rho) * (1.0 - mp_rician_mean(p.k2) ** 2) * math.fsum(p.beta_inv)
+        (1.0 - p.rho * p.rho)
+        * (1.0 - mp_rician_mean(p.k2) ** 2)
+        * math.fsum(p.amplitude * p.amplitude)
         for p in per_panel
     ) + (1.0 - rho0 * rho0) * (1.0 - omega0 * omega0) * beta0_inv
     return math.inf if leak <= 0 else 1.0 / leak
@@ -355,10 +358,10 @@ def reference_block_z(ensemble, seed: int, block_index: int, n: int) -> np.ndarr
     rng = np.random.Generator(bits)
     z = np.zeros(n)
     for panel in ensemble.panels:
-        m = len(panel.beta_inv)
+        m = len(panel.amplitude)
         h = _rician_modulus(panel.k1, rng, (n, m))
         g = _rician_modulus(panel.k2, rng, (n, m))
-        z += panel.rho * np.sum(h * g * np.sqrt(panel.beta_inv), axis=1)
+        z += panel.rho * np.sum(h * g * panel.amplitude, axis=1)
     h0 = _rician_modulus(ensemble.k0, rng, n)
     return z + ensemble.rho0 * math.sqrt(ensemble.beta0_inv) * h0
 

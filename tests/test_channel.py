@@ -186,18 +186,25 @@ class TestSampler:
 
 class TestPanelChannel:
     @pytest.mark.parametrize(
-        "beta_inv, rho, message",
+        "amplitude, power_sum, rho, message",
         [
-            ([], 0.5, "non-empty 1-D array"),
-            ([[1e-10, 2e-10]], 0.5, "non-empty 1-D array"),
-            ([1e-10, -1e-12], 0.5, "finite and >= 0"),
-            ([1e-10, math.inf], 0.5, "finite and >= 0"),
-            ([math.nan, 1e-10], 0.5, "finite and >= 0"),
-            ([1e-10], -0.1, "rho must"),
-            ([1e-10], 1.5, "rho must"),
-            ([1e-10], math.nan, "rho must"),
+            ([], 0.0, 0.5, "non-empty 1-D array"),
+            ([[1e-5, 2e-5]], 5e-10, 0.5, "non-empty 1-D array"),
+            ([1e-5, -1e-6], 1e-10, 0.5, "finite and >= 0"),
+            ([1e-5, math.inf], math.inf, 0.5, "finite and >= 0"),
+            ([math.nan, 1e-5], 1e-10, 0.5, "finite and >= 0"),
+            ([1e-5], -1e-10, 0.5, "power_sum must"),
+            ([1e-5], math.nan, 0.5, "power_sum must"),
+            ([1e-5], 1e-10, -0.1, "rho must"),
+            ([1e-5], 1e-10, 1.5, "rho must"),
+            ([1e-5], 1e-10, math.nan, "rho must"),
         ],
     )
-    def test_rejects(self, beta_inv, rho, message):
+    def test_rejects(self, amplitude, power_sum, rho, message):
         with pytest.raises(ValueError, match=message):
-            PanelChannel(beta_inv=np.array(beta_inv, dtype=float), rho=rho, k1=2.0, k2=2.0)
+            PanelChannel(np.array(amplitude, dtype=float), power_sum, rho, k1=2.0, k2=2.0)
+
+    def test_takes_an_overflowed_power_sum(self):
+        # the caller reports the overflow against its inputs
+        panel = PanelChannel(np.array([1e154, 1e154]), math.inf, 0.5, k1=2.0, k2=2.0)
+        assert panel.power_sum == math.inf

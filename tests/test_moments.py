@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import farfield_closed_form_moments, naive_envelope_moments, saturation_gamma_teff
-from riscap.channel import PanelChannel, RicianParams, rician_mean_envelope
+from panels import panel_channel
+from riscap.channel import RicianParams, rician_mean_envelope
 from riscap.moments import distributed_moments, distributed_noise_variance
 
 
@@ -15,22 +16,24 @@ def omega(k):
 
 
 def random_panels(rng, n_panels, max_elements=12):
-    panels = []
+    """n_panels random panels, and the inverse losses of each."""
+    panels, beta_invs = [], []
     for _ in range(n_panels):
         m = rng.integers(1, max_elements + 1)
+        beta_invs.append(rng.uniform(1e-14, 1e-9, size=m))
         panels.append(
-            PanelChannel(
-                beta_inv=rng.uniform(1e-14, 1e-9, size=m),
+            panel_channel(
+                beta_inv=beta_invs[-1],
                 rho=rng.uniform(0.0, 1.0),
                 k1=rng.uniform(0.0, 50.0),
                 k2=rng.uniform(0.0, 50.0),
             )
         )
-    return panels
+    return panels, beta_invs
 
 
 def one_panel(beta_inv, k1, k2, rho):
-    return [PanelChannel(beta_inv=beta_inv, rho=rho, k1=k1, k2=k2)]
+    return [panel_channel(beta_inv=beta_inv, rho=rho, k1=k1, k2=k2)]
 
 
 class TestCentralizedMoments:
@@ -85,7 +88,7 @@ class TestCentralizedMoments:
     @settings(max_examples=40, deadline=None)
     def test_variance_never_negative(self, seed):
         rng = np.random.default_rng(seed)
-        panels = random_panels(rng, int(rng.integers(1, 4)))
+        panels, _ = random_panels(rng, int(rng.integers(1, 4)))
         out = distributed_moments(panels, rng.uniform(0.8863, 1.0), rng.uniform(0, 1), rng.uniform(1e-13, 1e-10))
         assert out.variance >= 0.0
         assert out.second_moment >= out.mean * out.mean - 1e-12 * out.mean * out.mean
@@ -97,8 +100,8 @@ class TestDistributedMoments:
         # nothing, so the layout reduces bitwise to the one-panel sum Z
         rng = np.random.default_rng(11)
         beta_inv = rng.uniform(1e-13, 1e-10, size=30)
-        live = PanelChannel(beta_inv=beta_inv, rho=0.88, k1=4.0, k2=6.0)
-        dead = PanelChannel(beta_inv=beta_inv[:7], rho=0.0, k1=3.0, k2=3.0)
+        live = panel_channel(beta_inv=beta_inv, rho=0.88, k1=4.0, k2=6.0)
+        dead = panel_channel(beta_inv=beta_inv[:7], rho=0.0, k1=3.0, k2=3.0)
         a = distributed_moments([live], 0.95, 0.92, 3e-11)
         b = distributed_moments([live, dead], 0.95, 0.92, 3e-11)
         assert a == b
@@ -106,13 +109,16 @@ class TestDistributedMoments:
     def test_matches_naive_double_loop_multi_panel(self):
         rng = np.random.default_rng(1234)
         for _ in range(12):
-            panels = random_panels(rng, int(rng.integers(2, 4)))
+            panels, beta_invs = random_panels(rng, int(rng.integers(2, 4)))
             o0 = rng.uniform(0.8863, 0.9999)
             rho0 = rng.uniform(0.0, 1.0)
             b0 = rng.uniform(1e-12, 1e-9)
             got = distributed_moments(panels, o0, rho0, b0)
             mean, second = naive_envelope_moments(
-                [(list(p.beta_inv), omega(p.k1), omega(p.k2), p.rho) for p in panels],
+                [
+                    (list(b), omega(p.k1), omega(p.k2), p.rho)
+                    for p, b in zip(panels, beta_invs)
+                ],
                 o0,
                 rho0,
                 b0,
@@ -121,7 +127,7 @@ class TestDistributedMoments:
             assert got.second_moment == pytest.approx(second, rel=1e-12)
 
     def test_all_correlations_zero_kills_everything(self):
-        panels = [PanelChannel(beta_inv=np.array([1e-10, 2e-10]), rho=0.0, k1=3.0, k2=3.0)]
+        panels = [panel_channel(beta_inv=np.array([1e-10, 2e-10]), rho=0.0, k1=3.0, k2=3.0)]
         out = distributed_moments(panels, 0.9, 0.0, 1e-10)
         assert out.mean == 0.0
         assert out.second_moment == 0.0
@@ -129,8 +135,8 @@ class TestDistributedMoments:
     def test_cross_panel_term_present(self):
         # two panels must beat the same panels evaluated separately, by
         # exactly the cross term 2 * s1 * s2
-        p1 = PanelChannel(beta_inv=np.array([4e-11]), rho=1.0, k1=3.0, k2=3.0)
-        p2 = PanelChannel(beta_inv=np.array([9e-11]), rho=1.0, k1=3.0, k2=3.0)
+        p1 = panel_channel(beta_inv=np.array([4e-11]), rho=1.0, k1=3.0, k2=3.0)
+        p2 = panel_channel(beta_inv=np.array([9e-11]), rho=1.0, k1=3.0, k2=3.0)
         both = distributed_moments([p1, p2], 0.9, 0.0, 1e-10)
         s1 = math.sqrt(4e-11) * omega(3.0) ** 2
         s2 = math.sqrt(9e-11) * omega(3.0) ** 2
@@ -143,20 +149,29 @@ class TestDistributedMoments:
 
 class TestNoiseVariance:
     def test_perfect_csi_leaves_thermal_noise(self):
-        panel = PanelChannel(beta_inv=np.array([1e-10] * 5), rho=1.0, k1=math.inf, k2=6.0)
-        out = distributed_noise_variance(1e-3, [panel], 1.0, 0.95, 1e-10, 1e-15)
-        assert out.noise_variance == pytest.approx(1e-15, rel=1e-15)
-        assert out.gamma_teff == pytest.approx(1e12, rel=1e-12)
+        panel = panel_channel(beta_inv=np.array([1e-10] * 5), rho=1.0, k1=math.inf, k2=6.0)
+        variance = distributed_noise_variance(1e-3, [panel], 1.0, 0.95, 1e-10, 1e-15)
+        assert variance == pytest.approx(1e-15, rel=1e-15)
+        assert 1e-3 / variance == pytest.approx(1e12, rel=1e-12)
 
     def test_large_power_limit(self):
         beta_inv = np.array([1e-11, 2e-11])
-        panel = PanelChannel(beta_inv=beta_inv, rho=0.9, k1=math.inf, k2=6.0)
+        panel = panel_channel(beta_inv=beta_inv, rho=0.9, k1=math.inf, k2=6.0)
         limit = saturation_gamma_teff([panel], 0.95, 0.96, 1e-10)
-        big = distributed_noise_variance(1e9, [panel], 0.95, 0.96, 1e-10, 1e-15)
-        assert big.gamma_teff == pytest.approx(limit, rel=1e-10)
+        variance = distributed_noise_variance(1e9, [panel], 0.95, 0.96, 1e-10, 1e-15)
+        assert 1e9 / variance == pytest.approx(limit, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "tx_power, noise_power, message",
+        [(math.nan, 1e-15, "transmit power"), (1e-3, math.nan, "noise power")],
+    )
+    def test_rejects_nan_powers(self, tx_power, noise_power, message):
+        panel = panel_channel(np.array([1e-10]), rho=0.9, k1=2.0, k2=2.0)
+        with pytest.raises(ValueError, match=f"^{message} must be positive$"):
+            distributed_noise_variance(tx_power, [panel], 0.95, 0.96, 1e-10, noise_power)
 
     def test_limit_infinite_without_leakage(self):
-        panel = PanelChannel(beta_inv=np.array([1e-11]), rho=1.0, k1=math.inf, k2=6.0)
+        panel = panel_channel(beta_inv=np.array([1e-11]), rho=1.0, k1=math.inf, k2=6.0)
         assert saturation_gamma_teff([panel], 1.0, 0.96, 1e-10) == math.inf
 
     def test_against_effective_noise_sampling(self):
@@ -195,7 +210,7 @@ class TestNoiseVariance:
         power = np.abs(noise) ** 2
         se = power.std(ddof=1) / math.sqrt(n)
 
-        panel = PanelChannel(beta_inv=beta_inv, rho=rho_c, k1=k1, k2=k2)
+        panel = panel_channel(beta_inv=beta_inv, rho=rho_c, k1=k1, k2=k2)
         omega0 = math.sqrt(1 - omega0sq_err)
-        out = distributed_noise_variance(p, [panel], rho0, omega0, b0_inv, sigma0)
-        assert abs(power.mean() - out.noise_variance) < 3.0 * se
+        variance = distributed_noise_variance(p, [panel], rho0, omega0, b0_inv, sigma0)
+        assert abs(power.mean() - variance) < 3.0 * se

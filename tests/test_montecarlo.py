@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from riscap.channel import _CHUNK_ELEMENTS, PanelChannel
+from panels import panel_channel
+from riscap.channel import _CHUNK_ELEMENTS
 from riscap.errors import InvalidScenario, ScenarioError
 from riscap.montecarlo import (
     SnrEnsemble,
@@ -23,7 +24,7 @@ def small_ensemble(rho=0.9, rho0=0.95, k=2.0, m=6):
     rng = np.random.default_rng(123)
     beta_inv = rng.uniform(1e-12, 1e-10, size=m)
     return SnrEnsemble(
-        panels=(PanelChannel(beta_inv=beta_inv, rho=rho, k1=k, k2=k),),
+        panels=(panel_channel(beta_inv=beta_inv, rho=rho, k1=k, k2=k),),
         beta0_inv=2e-10,
         rho0=rho0,
         k0=1.5,
@@ -83,7 +84,7 @@ class TestSharedDraws:
             dataclasses.replace(base, k0=0.0, gamma_teff=3e9),
             dataclasses.replace(
                 base,
-                panels=(dataclasses.replace(base.panels[0], beta_inv=np.full(6, 1e-11)),),
+                panels=(panel_channel(np.full(6, 1e-11), rho=0.9, k1=2.0, k2=2.0),),
                 beta0_inv=0.0,
             ),
         ]
@@ -147,6 +148,19 @@ class TestInputChecks:
         with pytest.raises(ScenarioError, match="^trials: must be >= 1, got None$"):
             TrialConfig(trials=None, seed=1)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", 2.5), ("trials", True), ("seed", 1.5), ("block_size", 2.5), ("block_size", True)],
+    )
+    def test_trial_config_rejects_non_integers(self, field, value):
+        settings = {"trials": 10, "seed": 1, "block_size": 4, field: value}
+        with pytest.raises(ScenarioError, match=f"^{field}: must be an integer, got {value!r}$"):
+            TrialConfig(**settings)
+
+    def test_trial_config_takes_numpy_integers(self):
+        cfg = TrialConfig(trials=np.int64(10), seed=np.uint64(1), block_size=np.int32(4))
+        assert _block_plan(cfg) == [(0, 4), (1, 4), (2, 2)]
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_sweep_rejects_fewer_than_one_worker(self, workers):
         cfg = TrialConfig(trials=64, seed=1)
@@ -165,7 +179,7 @@ class TestMomentAgreement:
             beta_inv = rng.uniform(1e-12, 1e-10, size=m)
             rho = float(rng.uniform(0.3, 1.0))
             k1, k2 = rng.uniform(0.0, 8.0, size=2)
-            panels.append(PanelChannel(beta_inv=beta_inv, rho=rho, k1=float(k1), k2=float(k2)))
+            panels.append(panel_channel(beta_inv=beta_inv, rho=rho, k1=float(k1), k2=float(k2)))
         rho0 = float(rng.uniform(0.3, 1.0))
         k0 = float(rng.uniform(0.0, 8.0))
         b0_inv = float(rng.uniform(1e-11, 1e-9))
@@ -226,7 +240,7 @@ def two_panel_ensemble(
 ):
     rng = np.random.default_rng(321)
     panels = tuple(
-        PanelChannel(
+        panel_channel(
             beta_inv=beta_scale * rng.uniform(1e-12, 1e-10, size=m),
             rho=r,
             k1=k1,

@@ -7,6 +7,7 @@ import pytest
 from riscap.errors import SingularPattern
 from riscap.geometry import ElementLinks, PanelLink, Point3, RisPanel, element_links, panel_link
 from riscap.pathloss import (
+    LinkBudget,
     PatternFaults,
     beta0_reference,
     direct_pathloss,
@@ -28,6 +29,24 @@ def one_element(r_t, r_r, d_m, cos_tx, cos_rx, cos_t, cos_r):
     return ElementLinks(
         *(np.array([v], dtype=float) for v in (r_t, r_r, d_m, cos_tx, cos_rx, cos_t, cos_r))
     )
+
+
+class TestLinkBudget:
+    FIELDS = dict(gt=100.0, gr=1.0, tx_power=1e-3, noise_power=1e-15, eta_db=-30.0, xi=3.5)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("gt", "antenna gains"),
+            ("gr", "antenna gains"),
+            ("tx_power", "transmit power"),
+            ("noise_power", "noise power"),
+            ("xi", "path-loss exponent"),
+        ],
+    )
+    def test_rejects_nan(self, field, message):
+        with pytest.raises(ValueError, match=f"^{message} must be positive$"):
+            LinkBudget(**{**self.FIELDS, field: math.nan})
 
 
 class TestBeta0Reference:

@@ -107,11 +107,11 @@ class TestPipelineConsistency:
             )
         res = run_scenario(s)
         assert res.mode_used == "near"
-        panel = s.panels[0].panel
-        expected = brute_force_beta_inv(s.bs, s.user, panel, s.budget.gt, s.budget.gr)
-        np.testing.assert_allclose(
-            res.ensemble.panels[0].beta_inv, expected, rtol=1e-12, atol=0
-        )
+        whole = one_tile_beta_inv(s)
+        assert np.array_equal(res.ensemble.panels[0].amplitude, np.sqrt(whole))
+        assert res.ensemble.panels[0].power_sum == float(np.sum(whole))
+        expected = brute_force_beta_inv(s.bs, s.user, s.panels[0].panel, s.budget.gt, s.budget.gr)
+        np.testing.assert_allclose(whole, expected, rtol=1e-12, atol=0)
 
     def test_monotone_in_power_rho_and_k(self):
         s, _ = preset("fig2")
@@ -146,6 +146,19 @@ class TestPipelineConsistency:
         assert ec_high - ec_mid < 1e-3
 
 
+def one_tile_beta_inv(s: Scenario) -> np.ndarray:
+    """1/element_pathloss of the first panel's elements from one
+    element_links call over the whole panel, row-major."""
+    panel = s.panels[0].panel
+    gt, gr = s.budget.gt, s.budget.gr
+    b0 = beta0_reference(gt, gr, panel.dx, panel.dy)
+    links = element_links(s.bs, s.user, panel, range(panel.my), range(panel.mx))
+    faults = PatternFaults()
+    beta_inv = 1.0 / element_pathloss(links, b0, gt, gr, faults)
+    faults.check(gt, gr)
+    return beta_inv
+
+
 def midlink_fig2(mx, my, **budget) -> Scenario:
     """fig2 in near mode with an mx x my panel centred between the
     endpoints, 0.5 m below them; budget fields replace fig2's."""
@@ -170,21 +183,16 @@ class TestTiledNearField:
         s = midlink_fig2(mx, my)
         panel = s.panels[0].panel
         assert len(list(panel_tiles(panel))) > 1
-        gt, gr = s.budget.gt, s.budget.gr
-        b0 = beta0_reference(gt, gr, panel.dx, panel.dy)
-        beta_inv = run_scenario(s).ensemble.panels[0].beta_inv
-        links = element_links(s.bs, s.user, panel, range(my), range(mx))
-        faults = PatternFaults()
-        whole = 1.0 / element_pathloss(links, b0, gt, gr, faults)
-        faults.check(gt, gr)
-        assert np.array_equal(beta_inv, whole)
-        expected = brute_force_beta_inv(s.bs, s.user, panel, gt, gr)
-        np.testing.assert_allclose(beta_inv, expected, rtol=1e-12, atol=0)
+        channel = run_scenario(s).ensemble.panels[0]
+        whole = one_tile_beta_inv(s)
+        assert np.array_equal(channel.amplitude, np.sqrt(whole))
+        assert channel.power_sum == float(np.sum(whole))
+        expected = brute_force_beta_inv(s.bs, s.user, panel, s.budget.gt, s.budget.gr)
+        np.testing.assert_allclose(whole, expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("mx, my", [(1000, 1000), (1, 10**6)])
     def test_peak_memory_is_under_three_floats_per_element(self, mx, my):
-        # beta_inv, the moments' sqrt temporary and one tile: whole-panel
-        # links would take ~10 floats per element
+        # whole-panel links would take ~10 floats per element
         s = midlink_fig2(mx, my, gt=1.0)
         tracemalloc.start()
         try:
@@ -193,6 +201,19 @@ class TestTiledNearField:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 8 * mx * my
+
+    @pytest.mark.parametrize("mx, my", [(1000, 1000), (1, 10**6)])
+    def test_peak_memory_is_one_panel_vector_and_a_tile(self, mx, my):
+        # the inverse losses, reduced in place to the amplitudes, plus one
+        # tile's links; a second per-element vector would reach 2.0
+        s = midlink_fig2(mx, my, gt=1.0)
+        tracemalloc.start()
+        try:
+            run_scenario(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * mx * my
 
     def test_endpoint_fault_in_a_later_tile_counts_the_whole_panel(self):
         # a 12000-element row reaching 5 m past the user: only elements of
@@ -290,6 +311,10 @@ class TestRunSettings:
         ("seed", -1),
         ("seed", 2**64),
         ("workers", 0),
+        ("trials", 2.5),
+        ("seed", 1.5),
+        ("workers", 1.5),
+        ("workers", True),
     ]
 
     @pytest.mark.parametrize("field, value", BAD)
@@ -297,6 +322,12 @@ class TestRunSettings:
         s, _ = preset("fig2")
         with pytest.raises(ScenarioError, match=f"^{field}: "):
             run_scenario(s, **{field: value})
+
+    def test_numpy_integers_pass(self):
+        s, _ = preset("fig2")
+        plain = run_scenario(s, trials=64, seed=3, workers=1)
+        numpy = run_scenario(s, trials=np.int64(64), seed=np.uint64(3), workers=np.int32(2))
+        assert numpy.mc == plain.mc
 
     @pytest.mark.parametrize("field, value", BAD)
     def test_run_preset_rejects(self, field, value):
