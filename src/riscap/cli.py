@@ -101,9 +101,12 @@ def _override_mode(scenario, mode):
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValidationFailure(f"--out: cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _cmd_analyze(args) -> None:

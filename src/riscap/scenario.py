@@ -1,9 +1,13 @@
 """Scenario files: schema, validation, serialization.
 
 The on-disk format is YAML with nested sections (see README for the full
-grammar).  dB/dBm spellings are accepted for powers, gains, and K-factors
-and converted here, and a Doppler triple (doppler, doppler0) is resolved
-here to its aging correlation J0(2 pi f_d T_s); the in-memory model is
+grammar).  A field with more than one spelling (a K-factor in linear units
+or dB, a power in watts or dBm, a gain linear or in dB, a correlation
+given directly or as a Doppler triple) is read by one reader, ``_field``:
+it takes whichever spelling is present, converts dB/dBm to linear units,
+resolves a Doppler triple to its aging correlation J0(2 pi f_d T_s),
+repeats a scalar for every panel or reads a per-panel list, and checks
+each value under the path of the key as written.  The in-memory model is
 strictly linear and holds plain correlations.  Serializing always emits
 the linear spellings (rho, rho0 for a triple) so that serialize -> parse
 round-trips to an identical in-memory scenario.
@@ -11,6 +15,7 @@ round-trips to an identical in-memory scenario.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -114,7 +119,9 @@ class _Section:
         unknown = set(self.data) - known
         if unknown:
             raise ScenarioError(
-                f"{self.path}: unknown fields {sorted(unknown)}; known fields are {sorted(known)}"
+                # key=str: YAML keys may be numbers, booleans or null too
+                f"{self.path}: unknown fields {sorted(unknown, key=str)}; "
+                f"known fields are {sorted(known)}"
             )
 
 
@@ -141,54 +148,12 @@ def _panel(section: _Section) -> RisPanel:
         raise ScenarioError(f"{fields}: {exc}") from exc
 
 
-def _to_linear(number: float, path: str, convert=db_to_linear) -> float:
-    """A dB (or, with dbm_to_watts, dBm) number of field `path` in linear
-    units."""
-    try:
-        return convert(number)
-    except OverflowError:
-        raise ScenarioError(f"{path}: {number!r} is out of float range in linear units") from None
-
-
-def _linear_field(
-    section: _Section, keys: tuple[str, str], convert=db_to_linear, positive: bool = False
-) -> float:
-    """Read whichever of keys is present, in linear units: the one ending in
-    _db or _dbm is converted by `convert`.  With positive, a value that is
-    not positive in linear units (a dB value that underflows to 0 among
-    them) is rejected under its own field path."""
-    key, value = section.one_of(*keys)
-    path = f"{section.path}.{key}"
-    number = _as_number(value, path)
-    linear = _to_linear(number, path, convert) if key.endswith(("_db", "_dbm")) else number
-    if positive and not linear > 0:
-        raise ScenarioError(f"{path}: must be positive in linear units, got {number!r}")
-    return linear
-
-
-def _broadcast(section: _Section, key: str, value, n: int) -> list:
-    """A scalar repeated for n panels, or a per-panel list of n values."""
-    raw = value if isinstance(value, list) else [value] * n
-    if len(raw) != n:
-        raise ScenarioError(f"{section.path}.{key}: expected {n} per-panel values, got {len(raw)}")
-    return raw
-
-
-def _correlation(rho: float, path: str) -> float:
-    if not (0.0 <= rho <= 1.0):
-        raise ScenarioError(f"{path}: correlation must lie in [0, 1], got {rho!r}")
-    return rho
-
-
-def _per_panel_values(section: _Section, base: str, n: int) -> list[float]:
-    """Scalar (broadcast) or per-panel list, linear or dB spelling."""
-    key, value = section.one_of(base, f"{base}_db")
-    out = []
-    for i, v in enumerate(_broadcast(section, key, value, n)):
-        path = f"{section.path}.{key}[{i}]"
-        number = _as_number(v, path)
-        out.append(_to_linear(number, path) if key.endswith("_db") else number)
-    return out
+# per-value checks of _field: the test a value in linear units must pass,
+# and the message it fails with under the path of the key as written
+# ({!r} is the number as written)
+_K_FACTOR = (lambda v: v >= 0, "K-factor must be >= 0")
+_CORRELATION = (lambda v: 0.0 <= v <= 1.0, "correlation must lie in [0, 1], got {!r}")
+_POSITIVE = (lambda v: v > 0, "must be positive in linear units, got {!r}")
 
 
 def _doppler(section: _Section, default_fc: float) -> float:
@@ -197,29 +162,46 @@ def _doppler(section: _Section, default_fc: float) -> float:
     section.reject_unknown({"fc_hz", "v_mps", "ts_s"})
     fc = _as_number(section.optional("fc_hz", default_fc), f"{section.path}.fc_hz")
     try:
-        rho = outdated_correlation(fc, section.number("v_mps"), section.number("ts_s"))
+        return outdated_correlation(fc, section.number("v_mps"), section.number("ts_s"))
     except (ValueError, NegativeCorrelation) as exc:
         raise ScenarioError(f"{section.path}: {exc}") from None
-    return _correlation(rho, section.path)
 
 
-def _rho0(section: _Section, default_fc: float) -> float:
-    key, value = section.one_of("rho0", "doppler0")
-    if key == "doppler0":
-        return _doppler(section.child(key), default_fc)
-    path = f"{section.path}.rho0"
-    return _correlation(_as_number(value, path), path)
-
-
-def _per_panel_rho(section: _Section, n: int, default_fc: float) -> list[float]:
-    key, value = section.one_of("rho", "doppler")
-    if key == "doppler":
-        return [_doppler(section.child(key), default_fc)] * n
+def _field(section: _Section, keys: tuple[str, ...], check, n: Optional[int] = None, fc_hz=None):
+    """The one field spelled by whichever of keys is present, in linear
+    units: a number, or given n panels a list of n numbers (a scalar is
+    repeated for every panel).  A key ending in _db or _dbm is converted
+    from dB or dBm, and a doppler key's triple resolves to its correlation
+    at default carrier fc_hz.  Every value must pass check, else a
+    ScenarioError names the key as written (and the value's index)."""
+    key, value = section.one_of(*keys)
+    path = f"{section.path}.{key}"
+    if key.startswith("doppler"):
+        # one triple for every panel
+        numbers = [(path, _doppler(section.child(key), fc_hz))] * (n or 1)
+    else:
+        if n is None:
+            written = [(path, value)]
+        else:
+            values = value if isinstance(value, list) else [value] * n
+            if len(values) != n:
+                raise ScenarioError(f"{path}: expected {n} per-panel values, got {len(values)}")
+            written = [(f"{path}[{i}]", v) for i, v in enumerate(values)]
+        numbers = [(where, _as_number(v, where)) for where, v in written]
+    convert = (
+        dbm_to_watts if key.endswith("_dbm") else db_to_linear if key.endswith("_db") else None
+    )
+    test, message = check
     out = []
-    for i, v in enumerate(_broadcast(section, key, value, n)):
-        path = f"{section.path}.rho[{i}]"
-        out.append(_correlation(_as_number(v, path), path))
-    return out
+    for where, number in numbers:
+        try:
+            linear = convert(number) if convert else number
+        except OverflowError:
+            raise ScenarioError(f"{where}: {number!r} is out of float range in linear units") from None
+        if not test(linear):
+            raise ScenarioError(f"{where}: " + message.format(number))
+        out.append(linear)
+    return out[0] if n is None else out
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -272,31 +254,26 @@ def parse_scenario(data: dict) -> Scenario:
     channel.reject_unknown(
         {"k0", "k0_db", "k1", "k1_db", "k2", "k2_db", "rho0", "doppler0", "rho", "doppler"}
     )
-    k0 = _linear_field(channel, ("k0", "k0_db"))
-    if k0 < 0:
-        raise ScenarioError("scenario.channel.k0: K-factor must be >= 0")
-    k1s = _per_panel_values(channel, "k1", len(panels))
-    k2s = _per_panel_values(channel, "k2", len(panels))
-    for name, values in (("k1", k1s), ("k2", k2s)):
-        for i, v in enumerate(values):
-            if v < 0:
-                raise ScenarioError(f"scenario.channel.{name}[{i}]: K-factor must be >= 0")
-    rho0 = _rho0(channel, fc_hz)
-    rhos = _per_panel_rho(channel, len(panels), fc_hz)
+    n = len(panels)
+    k0 = _field(channel, ("k0", "k0_db"), _K_FACTOR)
+    k1s = _field(channel, ("k1", "k1_db"), _K_FACTOR, n)
+    k2s = _field(channel, ("k2", "k2_db"), _K_FACTOR, n)
+    rho0 = _field(channel, ("rho0", "doppler0"), _CORRELATION, fc_hz=fc_hz)
+    rhos = _field(channel, ("rho", "doppler"), _CORRELATION, n, fc_hz)
 
     budget_sec = root.child("budget")
     budget_sec.reject_unknown(
         {"p_dbm", "p_w", "noise_dbm", "noise_w", "gt", "gt_db", "gr", "gr_db", "eta_db", "xi"}
     )
-    tx_power = _linear_field(budget_sec, ("p_dbm", "p_w"), dbm_to_watts, positive=True)
-    noise_power = _linear_field(budget_sec, ("noise_dbm", "noise_w"), dbm_to_watts, positive=True)
+    tx_power = _field(budget_sec, ("p_dbm", "p_w"), _POSITIVE)
+    noise_power = _field(budget_sec, ("noise_dbm", "noise_w"), _POSITIVE)
     xi = budget_sec.number("xi")
     if xi <= 0:
         raise ScenarioError("scenario.budget.xi: path-loss exponent must be positive")
     # every LinkBudget condition is checked above, at its own field
     budget = LinkBudget(
-        gt=_linear_field(budget_sec, ("gt", "gt_db"), positive=True),
-        gr=_linear_field(budget_sec, ("gr", "gr_db"), positive=True),
+        gt=_field(budget_sec, ("gt", "gt_db"), _POSITIVE),
+        gr=_field(budget_sec, ("gr", "gr_db"), _POSITIVE),
         tx_power=tx_power,
         noise_power=noise_power,
         eta_db=budget_sec.number("eta_db"),
@@ -332,6 +309,10 @@ def load_scenario(path: str) -> Scenario:
             data = yaml.load(fh, Loader=_YAML_LOADER)
     except FileNotFoundError as exc:
         raise ScenarioError(f"scenario file not found: {path}") from exc
+    except OSError as exc:
+        raise ScenarioError(f"scenario file cannot be read: {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file is not UTF-8 text: {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario file is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
@@ -339,29 +320,14 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(data)
 
 
-def _point_dict(p: Point3) -> dict:
-    return {"x": p.x, "y": p.y, "z": p.z}
-
-
-def _panel_dict(p: RisPanel) -> dict:
-    return {
-        "center": _point_dict(p.center),
-        "mx": p.mx,
-        "my": p.my,
-        "dx": p.dx,
-        "dy": p.dy,
-    }
-
-
 def scenario_to_dict(s: Scenario) -> dict:
-    """Canonical (all-linear) mapping; parse(scenario_to_dict(s)) == s."""
+    """Canonical (all-linear) mapping; parse(scenario_to_dict(s)) == s.
+    Point3 and RisPanel list their fields in the schema's key order."""
+    panels = [dataclasses.asdict(ps.panel) for ps in s.panels]
     if s.kind == "centralized":
-        deployment = {"kind": "centralized", "panel": _panel_dict(s.panels[0].panel)}
+        deployment = {"kind": "centralized", "panel": panels[0]}
     else:
-        deployment = {
-            "kind": "distributed",
-            "panels": [_panel_dict(ps.panel) for ps in s.panels],
-        }
+        deployment = {"kind": "distributed", "panels": panels}
     if s.fixed_total_elements is not None:
         deployment["fixed_total_elements"] = s.fixed_total_elements
 
@@ -376,8 +342,8 @@ def scenario_to_dict(s: Scenario) -> dict:
     return {
         "fc_hz": s.fc_hz,
         "mode": s.mode,
-        "bs": _point_dict(s.bs),
-        "user": _point_dict(s.user),
+        "bs": dataclasses.asdict(s.bs),
+        "user": dataclasses.asdict(s.user),
         "deployment": deployment,
         "channel": channel,
         "budget": {

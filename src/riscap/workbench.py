@@ -259,6 +259,15 @@ def _statistics(scenario: Scenario) -> dict:
             "scenario.budget.p_w, scenario.budget.noise_w: effective transmit SNR "
             f"{budget.tx_power:g} W / {variance:g} W is out of float range"
         )
+    if not (math.isfinite(moments.mean) and math.isfinite(moments.second_moment)):
+        grids = ", ".join(
+            f"{section}.{key}" for section in sections for key in ("center", "mx", "my", "dx", "dy")
+        )
+        raise ScenarioError(
+            f"scenario.budget.gt, scenario.budget.gr, {grids}, scenario.bs, scenario.user: "
+            f"the envelope moments overflowed (mean {moments.mean:g}, second moment "
+            f"{moments.second_moment:g}) at gt={gt:g}, gr={gr:g}"
+        )
     ensemble = SnrEnsemble(
         panels=tuple(panels),
         beta0_inv=beta0_inv,

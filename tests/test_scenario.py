@@ -1,5 +1,6 @@
 import re
 
+import mpmath
 import pytest
 import yaml
 
@@ -111,6 +112,12 @@ class TestValidationErrors:
             (lambda d: d["budget"].update(xi=0), "scenario.budget.xi: path-loss exponent"),
             (lambda d: d["budget"].update(p_w=1.0), "mutually exclusive"),
             (lambda d: d.update(extra=1), "unknown fields"),
+            # YAML keys that are numbers, booleans or null
+            (lambda d: d.update({1: 2, "zz": 3}), re.escape("scenario: unknown fields [1, 'zz'];")),
+            (
+                lambda d: d["budget"].update({True: 1, None: 2}),
+                re.escape("scenario.budget: unknown fields [None, True];"),
+            ),
             (lambda d: d["channel"].update(k0_db="three"), "expected a number"),
         ],
     )
@@ -165,12 +172,111 @@ class TestValidationErrors:
         with pytest.raises(ScenarioError, match="top level"):
             load_scenario(str(path))
 
-
     def test_malformed_yaml(self, tmp_path):
         path = tmp_path / "s.yaml"
         path.write_text("bs: [1, 2\n")
         with pytest.raises(ScenarioError, match="not valid YAML"):
             load_scenario(str(path))
+
+    def test_directory_path(self, tmp_path):
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(str(tmp_path))
+        assert str(exc.value).startswith(f"scenario file cannot be read: {tmp_path}: ")
+
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "s.yaml"
+        path.write_bytes(b"\xff\xfe" + MINIMAL.encode())
+        with pytest.raises(ScenarioError, match=re.escape(f"scenario file is not UTF-8 text: {path}: ")):
+            load_scenario(str(path))
+
+
+# the spellings of each field the scenario reader takes, by section
+SPELLINGS = {
+    "channel": [("k0", "k0_db"), ("k1", "k1_db"), ("k2", "k2_db"), ("rho0", "doppler0"), ("rho", "doppler")],
+    "budget": [("p_dbm", "p_w"), ("noise_dbm", "noise_w"), ("gt", "gt_db"), ("gr", "gr_db")],
+}
+
+
+def two_panels_with(key, value):
+    """MINIMAL on two panels, with field `key` in place of whichever
+    spelling of its field MINIMAL has."""
+
+    def mutate(d):
+        panel = d["deployment"].pop("panel")
+        p2 = yaml.safe_load(yaml.safe_dump(panel))
+        p2["center"]["x"] = 49.0
+        d["deployment"].update(kind="distributed", panels=[panel, p2])
+        for section, families in SPELLINGS.items():
+            for family in families:
+                if key in family:
+                    for spelling in family:
+                        d[section].pop(spelling, None)
+                    d[section][key] = value
+
+    return edited(mutate)
+
+
+def j0(fc, v, ts):
+    return float(mpmath.besselj(0, 2 * mpmath.pi * (mpmath.mpf(fc) * v / 3.0e8) * ts))
+
+
+def per_panel(name):
+    return lambda s: [getattr(ps, name) for ps in s.panels]
+
+
+class TestFieldReader:
+    """Every two-spelling field, in each spelling, as a scalar and (where
+    the schema allows) a per-panel list, against a hand conversion."""
+
+    @pytest.mark.parametrize(
+        "key, value, parsed, expected",
+        [
+            ("k1", 2.0, per_panel("k1"), [2.0, 2.0]),
+            ("k1", [2.0, 4.0], per_panel("k1"), [2.0, 4.0]),
+            ("k1_db", 3.0, per_panel("k1"), [10 ** 0.3] * 2),
+            ("k2", [0.0, 5.0], per_panel("k2"), [0.0, 5.0]),
+            ("k2_db", [-10.0, 10.0], per_panel("k2"), [0.1, 10.0]),
+            ("rho0", 0.5, lambda s: s.rho0, 0.5),
+            ("doppler0", {"v_mps": 2.0, "ts_s": 1.0e-3}, lambda s: s.rho0, j0(5.0e9, 2.0, 1.0e-3)),
+            ("rho", 0.7, per_panel("rho"), [0.7, 0.7]),
+            (
+                "doppler",
+                {"fc_hz": 2.0e9, "v_mps": 3.0, "ts_s": 2.0e-3},
+                per_panel("rho"),
+                [j0(2.0e9, 3.0, 2.0e-3)] * 2,
+            ),
+            ("p_w", 0.5, lambda s: s.budget.tx_power, 0.5),
+            ("noise_w", 1.0e-13, lambda s: s.budget.noise_power, 1.0e-13),
+            ("gt", 50.0, lambda s: s.budget.gt, 50.0),
+            ("gr", 2.0, lambda s: s.budget.gr, 2.0),
+            ("gr_db", 3.0, lambda s: s.budget.gr, 10 ** 0.3),
+        ],
+    )
+    def test_spelling_reads_as_hand_conversion(self, key, value, parsed, expected):
+        assert parsed(parse_scenario(two_panels_with(key, value))) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("k0", -1, "scenario.channel.k0: K-factor must be >= 0"),
+            ("k0", [1.0], "scenario.channel.k0: expected a number, got [1.0]"),
+            ("k1_db", [3, "x"], "scenario.channel.k1_db[1]: expected a number, got 'x'"),
+            ("k1", [2.0, -1.0], "scenario.channel.k1[1]: K-factor must be >= 0"),
+            ("k1_db", [3, 3, 3], "scenario.channel.k1_db: expected 2 per-panel values, got 3"),
+            ("k2_db", 1e300, "scenario.channel.k2_db[0]: 1e+300 is out of float range in linear units"),
+            ("rho0", -0.1, "scenario.channel.rho0: correlation must lie in [0, 1], got -0.1"),
+            ("rho", [0.9, 1.5], "scenario.channel.rho[1]: correlation must lie in [0, 1], got 1.5"),
+            ("doppler", 0.5, "scenario.channel.doppler: expected a mapping, got float"),
+            ("p_w", 0, "scenario.budget.p_w: must be positive in linear units, got 0.0"),
+            ("noise_w", -1e-13, "scenario.budget.noise_w: must be positive in linear units, got -1e-13"),
+            ("gt", -1, "scenario.budget.gt: must be positive in linear units, got -1.0"),
+            ("gr_db", "x", "scenario.budget.gr_db: expected a number, got 'x'"),
+        ],
+    )
+    def test_bad_value_names_key_as_written(self, key, value, message):
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(two_panels_with(key, value))
+        assert str(exc.value) == message
 
 
 class TestPresetContracts:
