@@ -99,8 +99,7 @@ def _compact_quads(points):
     neval, ier) per point."""
     a_lane, c_lane = (np.array(column) for column in zip(*points))
 
-    def integrand(ts, lanes):
-        t = np.array(ts)
+    def integrand(t, lanes):
         # nodes of narrow intervals near t = 1 round onto the endpoints,
         # where the integrand is 0: evaluate them at 0.5 and discard that
         inside = (t > 0.0) & (t < 1.0)
@@ -134,7 +133,7 @@ def _survival_integral_logscale(a: float, c: float):
     """
 
     def integrand(ys, lanes):
-        x = np.array([math.exp(y) for y in ys])
+        x = np.array([math.exp(y) for y in ys.tolist()])
         return special.gammaincc(a, x) * 2.0 * x * x / (c * c + x * x)
 
     log_c = math.log(c)

@@ -9,8 +9,10 @@ a value list, CSV out), preset (figure-reproduction runs, CSV out), mc
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
+import os
 import sys
 
 from .errors import NumericalFailure, ValidationFailure
@@ -98,6 +100,33 @@ def _override_mode(scenario, mode):
     return dataclasses.replace(scenario, mode=mode)
 
 
+def _cannot_write(out: str, exc: OSError) -> ValidationFailure:
+    return ValidationFailure(f"--out: cannot write {out}: {exc.strerror or exc}")
+
+
+@contextlib.contextmanager
+def _output(out: str | None):
+    """Check before a run that the --out path can be written (None is
+    stdout): opening it to append creates it if absent and changes no
+    existing file.  If the run or the write then fails, a file the check
+    created is removed."""
+    if out is None:
+        yield
+        return
+    created = not os.path.lexists(out)
+    try:
+        open(out, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise _cannot_write(out, exc) from None
+    try:
+        yield
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(out)
+        raise
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -106,7 +135,7 @@ def _emit(text: str, out: str | None) -> None:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ValidationFailure(f"--out: cannot write {out}: {exc.strerror or exc}") from None
+        raise _cannot_write(out, exc) from None
 
 
 def _cmd_analyze(args) -> None:
@@ -143,17 +172,19 @@ def _parse_values(raw: str) -> tuple[float, ...]:
 def _cmd_sweep(args) -> None:
     scenario = _override_mode(load_scenario(args.scenario), args.mode)
     sweep = SweepSpec(variable=args.var, values=_parse_values(args.values))
-    rows = run_sweep(
-        scenario, sweep, None if args.no_mc else args.trials, args.seed, args.workers
-    )
-    _emit(rows_to_csv(rows, sweep.variable), args.out)
+    with _output(args.out):
+        rows = run_sweep(
+            scenario, sweep, None if args.no_mc else args.trials, args.seed, args.workers
+        )
+        _emit(rows_to_csv(rows, sweep.variable), args.out)
 
 
 def _cmd_preset(args) -> None:
-    rows, variable = run_preset(
-        args.name, None if args.no_mc else args.trials, args.seed, args.workers
-    )
-    _emit(rows_to_csv(rows, variable), args.out)
+    with _output(args.out):
+        rows, variable = run_preset(
+            args.name, None if args.no_mc else args.trials, args.seed, args.workers
+        )
+        _emit(rows_to_csv(rows, variable), args.out)
 
 
 def _cmd_mc(args) -> None:

@@ -5,9 +5,9 @@ parallel to the xy-plane.  All distances are Euclidean, in meters.
 Per-element quantities are numpy arrays with one entry per element,
 row-major over (y, x).  ``element_links`` gives one ``ElementLinks`` record
 of distance and cosine arrays for a tile of the panel (a block of its rows
-and columns), and ``panel_tiles`` splits a panel into tiles of at most
-``TILE_ELEMENTS`` elements, so a per-element evaluation holds one tile's
-links at a time whatever the panel size.
+and columns) from the panel's ``panel_link``, and ``panel_tiles`` splits a
+panel into tiles of at most ``TILE_ELEMENTS`` elements, so a per-element
+evaluation holds one tile's links at a time whatever the panel size.
 
 Convention note: the elevation cosine from an element toward the user
 (``cos_r``) is computed from the *receiver* height.  Output metadata of
@@ -171,10 +171,11 @@ def _distances(point: Point3, xs: np.ndarray, ys: np.ndarray, z0: float) -> np.n
 
 
 def element_links(
-    bs: Point3, user: Point3, panel: RisPanel, rows: range, cols: range
+    bs: Point3, user: Point3, panel: RisPanel, link: PanelLink, rows: range, cols: range
 ) -> ElementLinks:
     """Per-element distances and elevation cosines of the tile of rows
-    (y indices) and cols (x indices) of the panel.
+    (y indices) and cols (x indices) of the panel; link is
+    panel_link(bs, user, panel), computed once for all of a panel's tiles.
 
     Element (i, j) sits at offset ((i - (mx-1)/2) * dx, (j - (my-1)/2) * dy)
     from the panel center, so the grid is symmetric about the center.
@@ -185,7 +186,6 @@ def element_links(
     for name, span, count in (("rows", rows, panel.my), ("cols", cols, panel.mx)):
         if span.step != 1 or not 0 <= span.start < span.stop <= count:
             raise ValueError(f"{name} must be a non-empty unit-step range within 0..{count}")
-    link = panel_link(bs, user, panel)
     d1, d2 = link.d1, link.d2
     c = panel.center
     xs = c.x + (np.arange(cols.start, cols.stop) - (panel.mx - 1) / 2.0) * panel.dx

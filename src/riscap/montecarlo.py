@@ -22,8 +22,11 @@ result is bit-identical for any worker count.
 Ensembles with equal draw signatures (SnrEnsemble.draw_signature) consume
 identical draws from a block's substream.  simulate_ec_sweep takes
 ensembles of any signatures, groups them by signature itself, and draws
-each block once per group; each estimate is bit-identical to simulating
-that ensemble alone.
+each block once per group; within a group, the panels that hold one
+amplitude array (the workbench hands geometry-equal sweep points the
+same read-only array) share each block's product of draws and
+amplitudes.  Each estimate is bit-identical to simulating that ensemble
+alone.
 
 Memory: a worker holds two arrays of block_size x M x 8 bytes (|h|, then
 g), e.g. 328 MB at M = 10^4 with the default 2048-trial blocks.
@@ -135,7 +138,8 @@ def _block_envelope_sums(
     ensembles: Sequence[SnrEnsemble], rng, n: int
 ) -> list[np.ndarray]:
     """Draw n trials once and return the co-phased envelope sum Z of each
-    ensemble (all sharing one draw signature).
+    ensemble (all sharing one draw signature).  Ensembles whose panels
+    hold the same amplitude array share its product with the draws.
 
     Draw order is fixed (panels in order, BS-side fade then user-side fade,
     direct link's in-phase then quadrature normals last) so a block's
@@ -147,9 +151,13 @@ def _block_envelope_sums(
         m = panel.amplitude.size
         hg = sample_rician_envelope(RicianParams(panel.k1), rng, size=(n, m))
         hg *= sample_rician_envelope(RicianParams(panel.k2), rng, size=(n, m))
+        products = {}  # hg @ amplitude, once per amplitude array the ensembles share
         for z, ensemble in zip(zs, ensembles):
             p = ensemble.panels[i]
-            z += p.rho * (hg @ p.amplitude)
+            key = id(p.amplitude)
+            if key not in products:
+                products[key] = hg @ p.amplitude
+            z += p.rho * products[key]
     re0 = rng.standard_normal(n)
     im0 = rng.standard_normal(n)
     for z, ensemble in zip(zs, ensembles):

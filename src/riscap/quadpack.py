@@ -14,8 +14,11 @@ abserr, neval, ier).  ``lockstep`` advances several drivers together,
 one per lane: each round it makes one integrand call ``f(nodes, lanes)``
 on the 21 nodes of every interval any driver is waiting on, ``lanes[i]``
 being the index of the driver that asked for ``nodes[i]``, and f returns
-a numpy array of values.  Each rule is then summed in a scalar loop, so
-a driver's results do not depend on which drivers run beside it.
+a numpy array of values.  nodes and lanes are numpy arrays built with a
+few whole-round operations, which are dqk21's IEEE operations applied
+elementwise, so every node is bit-identical to dqk21's.  Each rule is
+then summed in a scalar loop, so a driver's results do not depend on
+which drivers run beside it.
 ``lockstep`` is the only runner: a single integral is a one-driver call.
 
 ier, as in QUADPACK: 0 converged; 1 subdivision limit reached; 2 roundoff
@@ -28,6 +31,8 @@ from __future__ import annotations
 
 import math
 import sys
+
+import numpy as np
 
 EPMACH = sys.float_info.epsilon
 UFLOW = sys.float_info.min
@@ -64,20 +69,16 @@ WG = (
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
-
-
-def _nodes(a: float, b: float):
-    """dqk21's 21 nodes on [a, b] (center, then centr - x, then centr + x)
-    and its half-length."""
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    absc = [hlgth * x for x in XGK]
-    return [centr] + [centr - x for x in absc] + [centr + x for x in absc], hlgth
+# the 20 non-central nodes' offsets from the centre per unit half-length:
+# -XGK, then +XGK (negation is exact, and IEEE subtraction is the addition
+# of the negated operand, so centr + hlgth * -x is dqk21's centr - hlgth * x)
+_OFFSETS = np.concatenate((np.negative(XGK), XGK))
 
 
 def _qk21(fv, hlgth: float):
-    """dqk21's sums over the 21 values fv at _nodes: (result, abserr,
-    resabs, resasc)."""
+    """dqk21's sums over the 21 values fv at the nodes lockstep places
+    (center, then centr - hlgth * XGK, then centr + hlgth * XGK): (result,
+    abserr, resabs, resasc)."""
     fc, fv1, fv2 = fv[0], fv[1:11], fv[11:21]
     resg = 0.0
     resk = WGK[10] * fc
@@ -114,14 +115,16 @@ def lockstep(f, drivers):
     results = [None] * len(drivers)
     waiting = [(lane, gen, next(gen)) for lane, gen in enumerate(drivers)]
     while waiting:
-        nodes, lanes, hlgths = [], [], []
-        for lane, _, intervals in waiting:
-            for a, b in intervals:
-                xs, hlgth = _nodes(a, b)
-                nodes += xs
-                hlgths.append(hlgth)
-            lanes += [lane] * (21 * len(intervals))
+        # dqk21's nodes on every interval [a, b] of the round, a row each
+        # (centr, then centr - hlgth * XGK, then centr + hlgth * XGK)
+        ends = np.array([x for _, _, intervals in waiting for ab in intervals for x in ab])
+        a, b = ends[0::2], ends[1::2]
+        centr = (0.5 * (a + b))[:, None]
+        hlgth = 0.5 * (b - a)
+        nodes = np.concatenate((centr, centr + hlgth[:, None] * _OFFSETS), axis=1).ravel()
+        lanes = np.repeat([lane for lane, _, intervals in waiting for _ in intervals], 21)
         fv = f(nodes, lanes).tolist()
+        hlgths = hlgth.tolist()
         still, k = [], 0
         for lane, gen, intervals in waiting:
             n = len(intervals)

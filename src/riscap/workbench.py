@@ -5,13 +5,16 @@ Carlo runs, parameter sweeps, and CSV emission.
 is the one evaluation route: ``_statistics`` takes each scenario through
 geometry, path loss and envelope statistics in turn (a near-field panel's
 inverse losses one ``panel_tiles`` tile at a time, so a run holds them and
-one tile's links), then one ``capacity.capacity_reports`` call runs the
-capacity integrals of the whole run in lockstep, and unless trials is None
-one ``simulate_ec_sweep`` call, which groups the scenarios that can share
-draws, fills in ``mc``.  ``run_scenario`` is its one-scenario case, and
-``run_scenario(scenario)`` (trials None) the analytic-only call;
-``run_sweep`` and ``presets.run_preset`` return (sweep_value, RunResult)
-pairs, the rows ``rows_to_csv`` reads.
+one tile's links; a panel whose endpoints, geometry, gains and resolved
+mode an earlier scenario of the run already had reuses that panel's
+read-only amplitudes and power sum, so a sweep over P, rho, rho0 or K0
+reduces its panels once), then one ``capacity.capacity_reports`` call
+runs the capacity integrals of the whole run in lockstep, and unless
+trials is None one ``simulate_ec_sweep`` call, which groups the scenarios
+that can share draws, fills in ``mc``.  ``run_scenario`` is its
+one-scenario case, and ``run_scenario(scenario)`` (trials None) the
+analytic-only call; ``run_sweep`` and ``presets.run_preset`` return
+(sweep_value, RunResult) pairs, the rows ``rows_to_csv`` reads.
 
 Near/far decision in "auto" mode: the far-field constant-loss model is
 used only when, for every panel, both endpoint distances (BS-to-center
@@ -42,6 +45,7 @@ from .errors import (
 )
 from .geometry import (
     ELEVATION_CONVENTION_NOTE,
+    PanelLink,
     Point3,
     RisPanel,
     element_links,
@@ -134,26 +138,28 @@ def _loss(what: str, pathloss, *args):
     naming `what`."""
     try:
         loss = pathloss(*args)
+        in_range = 0.0 < 1.0 / loss < math.inf
     except (OverflowError, ZeroDivisionError):
-        loss = math.inf
-    _check_inverse(what, np.divide(1.0, loss))
+        in_range = False
+    if not in_range:
+        raise ScenarioError(f"{what}: loss factor or its inverse is out of float range")
     return loss
 
 
 def _element_beta_inv(
-    what: str, scenario: Scenario, panel: RisPanel, b0_ref: float
+    what: str, scenario: Scenario, panel: RisPanel, link: PanelLink, b0_ref: float
 ) -> np.ndarray:
     """1/element_pathloss of every element of the panel, row-major,
-    computed one panel_tiles tile at a time: only the result and one
-    tile's links are held.  After the last tile it raises the panel's
-    first pattern fault, then an inverse loss out of range, naming
-    `what`."""
+    computed one panel_tiles tile at a time from the panel's link: only
+    the result and one tile's links are held.  After the last tile it
+    raises the panel's first pattern fault, then an inverse loss out of
+    range, naming `what`."""
     gt, gr = scenario.budget.gt, scenario.budget.gr
     beta_inv = np.empty(panel.element_count)
     grid = beta_inv.reshape(panel.my, panel.mx)
     faults = PatternFaults()
     for rows, cols in panel_tiles(panel):
-        links = element_links(scenario.bs, scenario.user, panel, rows, cols)
+        links = element_links(scenario.bs, scenario.user, panel, link, rows, cols)
         loss = element_pathloss(links, b0_ref, gt, gr, faults)
         tile = grid[rows.start : rows.stop, cols.start : cols.stop]
         np.divide(1.0, loss.reshape(tile.shape), out=tile)
@@ -162,11 +168,54 @@ def _element_beta_inv(
     return beta_inv
 
 
+def _panel_losses(
+    scenario: Scenario, i: int, section: str, link: PanelLink, mode: str
+) -> tuple[np.ndarray, float]:
+    """Panel i's amplitudes sqrt(beta^-1), read-only, and power sum
+    sum(beta^-1) under the resolved mode; a loss out of range or a pattern
+    fault raises naming the fields that set it."""
+    setup = scenario.panels[i]
+    gt, gr = scenario.budget.gt, scenario.budget.gr
+    dx, dy = setup.panel.dx, setup.panel.dy
+    b0_ref = _loss(
+        "scenario.budget.gt, scenario.budget.gr: reference constant at "
+        f"gt={gt:g}, gr={gr:g}, {dx:g} x {dy:g} m",
+        beta0_reference, gt, gr, dx, dy,
+    )
+    what = (
+        f"panel {i}: {mode}-field loss at d1={link.d1:g} m, d2={link.d2:g} m, set by "
+        + ", ".join(f"{section}.{key}" for key in ("center", "dx", "dy"))
+        + ", scenario.budget.gt, scenario.budget.gr, scenario.bs, scenario.user"
+    )
+    try:
+        if mode == "near":
+            beta_inv = _element_beta_inv(what, scenario, setup.panel, link, b0_ref)
+        else:
+            beta_inv = np.full(
+                setup.panel.element_count, 1.0 / _loss(what, farfield_pathloss, link, b0_ref)
+            )
+    except PatternUnderflow as exc:
+        message = f"panel {i}: scenario.budget.gt, scenario.budget.gr: {exc}"
+        raise PatternUnderflow(message) from None
+    except SingularPattern as exc:
+        # a cosine's sign follows from the element grid and the endpoints
+        grid = ", ".join(f"{section}.{key}" for key in ("mx", "my", "dx", "dy"))
+        message = f"panel {i}: {exc}, set by {grid}, scenario.bs, scenario.user"
+        raise SingularPattern(message) from None
+    power_sum = float(np.sum(beta_inv))  # then the same buffer holds the amplitudes
+    amplitude = np.sqrt(beta_inv, out=beta_inv)
+    amplitude.flags.writeable = False
+    return amplitude, power_sum
+
+
 # every overflow is range-checked and named below; numpy's warnings add nothing
 @np.errstate(all="ignore")
-def _statistics(scenario: Scenario) -> dict:
+def _statistics(scenario: Scenario, shared: dict) -> dict:
     """Geometry -> path loss -> envelope statistics of one scenario: the
-    RunResult fields other than the report and mc."""
+    RunResult fields other than the report and mc.  shared maps what a
+    panel's inverse losses depend on to the (amplitude, power_sum) of a
+    panel evaluated earlier in the run; a panel not in it is evaluated
+    and added, so geometry-equal points of a sweep reduce it once."""
     lam = wavelength(scenario.fc_hz)
     d0 = scenario.bs.distance_to(scenario.user)
     if d0 == 0:
@@ -212,34 +261,11 @@ def _statistics(scenario: Scenario) -> dict:
     gt, gr = budget.gt, budget.gr
     panels = []
     for i, (setup, link) in enumerate(zip(scenario.panels, links)):
-        dx, dy = setup.panel.dx, setup.panel.dy
-        b0_ref = _loss(
-            "scenario.budget.gt, scenario.budget.gr: reference constant at "
-            f"gt={gt:g}, gr={gr:g}, {dx:g} x {dy:g} m",
-            beta0_reference, gt, gr, dx, dy,
-        )
-        what = (
-            f"panel {i}: {mode}-field loss at d1={link.d1:g} m, d2={link.d2:g} m, set by "
-            + ", ".join(f"{sections[i]}.{key}" for key in ("center", "dx", "dy"))
-            + ", scenario.budget.gt, scenario.budget.gr, scenario.bs, scenario.user"
-        )
-        try:
-            if mode == "near":
-                beta_inv = _element_beta_inv(what, scenario, setup.panel, b0_ref)
-            else:
-                beta_inv = np.full(
-                    setup.panel.element_count, 1.0 / _loss(what, farfield_pathloss, link, b0_ref)
-                )
-        except PatternUnderflow as exc:
-            message = f"panel {i}: scenario.budget.gt, scenario.budget.gr: {exc}"
-            raise PatternUnderflow(message) from None
-        except SingularPattern as exc:
-            # a cosine's sign follows from the element grid and the endpoints
-            grid = ", ".join(f"{sections[i]}.{key}" for key in ("mx", "my", "dx", "dy"))
-            message = f"panel {i}: {exc}, set by {grid}, scenario.bs, scenario.user"
-            raise SingularPattern(message) from None
-        power_sum = float(np.sum(beta_inv))  # then the same buffer holds the amplitudes
-        amplitude = np.sqrt(beta_inv, out=beta_inv)
+        # a panel's inverse losses are a function of these fields alone
+        key = (scenario.bs, scenario.user, setup.panel, gt, gr, mode)
+        if key not in shared:
+            shared[key] = _panel_losses(scenario, i, sections[i], link, mode)
+        amplitude, power_sum = shared[key]
         panels.append(PanelChannel(amplitude, power_sum, setup.rho, setup.k1, setup.k2))
 
     rho0 = scenario.rho0
@@ -299,7 +325,8 @@ def _evaluate(
     first; given labels (one message prefix or None per scenario, such as
     its sweep point), a ValidationFailure carries its scenario's prefix."""
     check_run_settings(trials, seed, workers)
-    staged, failure = until_failure(_statistics, scenarios)
+    shared: dict = {}
+    staged, failure = until_failure(lambda s: _statistics(s, shared), scenarios)
     reports = cap.capacity_reports(
         [(fields["moments"], fields["ensemble"].gamma_teff) for fields in staged]
     )

@@ -19,7 +19,9 @@ built on it.
 scipy.integrate.quad is the reference for the library's in-tree QUADPACK
 port: quad_compact and quad_logscale run the two survival-integral
 routes through it with a scalar integrand, one call per node.  Only the
-tests import scipy.integrate.
+tests import scipy.integrate.  dqk21_nodes places one interval's
+Gauss-Kronrod nodes scalar by scalar, the reference for the node arrays
+the port builds a whole round at a time.
 """
 
 import dataclasses
@@ -104,6 +106,28 @@ def mp_capacity_meijerg(a: float, b: float, gamma_teff: float) -> float:
 def _quad_result(result) -> tuple[float, float, int, bool]:
     """(value, abserr, neval, failed) of a full_output quad result."""
     return result[0], result[1], result[2]["neval"], len(result) > 3
+
+
+# QUADPACK dqk21's Kronrod abscissae xgk(1..10), descending (the table of
+# the Fortran source)
+DQK21_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+
+
+def dqk21_nodes(a: float, b: float) -> list[float]:
+    """dqk21's 21 nodes on [a, b], placed one scalar operation at a time as
+    the Fortran places them: the centre centr = 0.5*(a+b), then
+    centr - hlgth*xgk(j) for j = 1..10, then centr + hlgth*xgk(j), with
+    hlgth = 0.5*(b-a)."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    absc = [hlgth * x for x in DQK21_XGK]
+    return [centr] + [centr - x for x in absc] + [centr + x for x in absc]
 
 
 def quad_compact(a: float, c: float, abs_tol: float, limit: int):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    dqk21_nodes,
     mp_capacity_direct,
     mp_capacity_meijerg,
     quad_compact,
@@ -250,6 +251,94 @@ class TestLockstep:
         # and evaluates no node that a member does not count
         assert len(calls) == max(solo) > min(solo)
         assert sum(calls) == sum(neval for _, _, neval, _ in batch)
+
+
+def recording(driver, asked: list):
+    """The driver, appending each interval list it yields to asked."""
+    intervals = next(driver)
+    while True:
+        asked.append(intervals)
+        rules = yield intervals
+        try:
+            intervals = driver.send(rules)
+        except StopIteration as done:
+            return done.value
+
+
+class TestLockstepNodes:
+    """Each round's nodes are, lane by lane and interval by interval,
+    dqk21's scalar node placement, bit for bit, and lanes name the driver
+    of every node."""
+
+    @staticmethod
+    def check_rounds(lockstep, f, drivers):
+        """lockstep(f, drivers), asserting on every round: (its results,
+        the interval lists each driver asked for, round by round)."""
+        asked = [[] for _ in drivers]
+        rounds = []
+
+        def spy(nodes, lanes):
+            rounds.append((np.array(nodes), np.array(lanes)))
+            return f(nodes, lanes)
+
+        results = lockstep(spy, [recording(d, log) for d, log in zip(drivers, asked)])
+        assert len(rounds) == max(len(log) for log in asked)
+        for r, (nodes, lanes) in enumerate(rounds):
+            want_nodes, want_lanes = [], []
+            for lane, log in enumerate(asked):
+                for a, b in log[r] if r < len(log) else ():
+                    want_nodes += dqk21_nodes(a, b)
+                    want_lanes += [lane] * 21
+            assert nodes.dtype == np.float64
+            assert np.array_equal(nodes.view(np.int64), np.array(want_nodes).view(np.int64)), r
+            assert lanes.tolist() == want_lanes, r
+        return results, asked
+
+    def test_random_intervals(self):
+        rng = np.random.default_rng(19)
+        eps = np.finfo(float).eps
+
+        def interval():
+            kind = rng.integers(4)
+            if kind == 0:  # anywhere in [0, 1]
+                a, b = sorted(rng.uniform(0.0, 1.0, 2).tolist())
+            elif kind == 1:  # a few ulps wide, next to t = 1
+                a = 1.0 - int(rng.integers(1, 64)) * eps / 2
+                b = min(a + int(rng.integers(1, 8)) * eps / 2, 1.0)
+            elif kind == 2:  # narrow, anywhere
+                a = float(rng.uniform(0.0, 1.0))
+                b = a + float(10.0 ** rng.uniform(-300, -8))
+            else:  # the log-scale route's range
+                a, b = sorted(rng.uniform(-60.0, 60.0, 2).tolist())
+            return a, b
+
+        def scripted(n_rounds):
+            for _ in range(n_rounds):
+                yield [interval() for _ in range(int(rng.integers(1, 4)))]
+
+        def zeros(nodes, lanes):
+            return np.zeros(len(nodes))
+
+        drivers = [scripted(int(rng.integers(1, 12))) for _ in range(9)]
+        _, asked = self.check_rounds(quadpack.lockstep, zeros, drivers)
+        near_one = [(a, b) for log in asked for ivs in log for a, b in ivs if 0.99 < a < b <= 1.0]
+        assert any(b - a < 1e-12 for a, b in near_one)
+
+    def test_compact_route_intervals(self, monkeypatch):
+        # the intervals the compact route's drivers ask for, tiny ones
+        # next to t = 1 among them
+        lockstep = quadpack.lockstep
+        asked = []
+
+        def checked(f, drivers):
+            results, log = self.check_rounds(lockstep, f, drivers)
+            asked.extend(log)
+            return results
+
+        monkeypatch.setattr(quadpack, "lockstep", checked)
+        capacity._compact_quads(TestLockstep.POINTS)
+        widths = [b - a for log in asked for ivs in log for a, b in ivs if a > 0.99]
+        assert min(widths) < 1e-9
 
 
 class TestSnrMoments:

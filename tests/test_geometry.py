@@ -47,26 +47,30 @@ class TestElementCenters:
     def test_single_element_sits_on_panel_center(self):
         c = Point3(1.0, -2.0, 3.0)
         p = panel(1, 1, dx=0.37, dy=0.11, center=c)
-        links = element_links(Point3(0.0, 0.0, 5.0), Point3(4.0, 0.0, 5.0), p, range(1), range(1))
+        bs, user = Point3(0.0, 0.0, 5.0), Point3(4.0, 0.0, 5.0)
+        links = element_links(bs, user, p, panel_link(bs, user, p), range(1), range(1))
         assert links.d_m.tolist() == [0.0]
 
     def test_two_by_one_offsets(self):
         bs, user = Point3(-5.0, 0.0, 1.0), Point3(5.0, 0.0, 1.0)
-        links = element_links(bs, user, panel(2, 1, 1.0, 1.0), range(1), range(2))
+        p = panel(2, 1, 1.0, 1.0)
+        links = element_links(bs, user, p, panel_link(bs, user, p), range(1), range(2))
         assert links.d_m.tolist() == [0.5, 0.5]
         assert links.r_t.tolist() == pytest.approx([math.hypot(4.5, 1.0), math.hypot(5.5, 1.0)])
 
     def test_max_offset_24_grid(self):
         # direct enumeration: farthest center is (23/2) cells out per axis
         bs, user = Point3(-5.0, 0.0, 1.0), Point3(5.0, 0.0, 1.0)
-        links = element_links(bs, user, panel(24, 24), range(24), range(24))
+        p = panel(24, 24)
+        links = element_links(bs, user, p, panel_link(bs, user, p), range(24), range(24))
         assert links.d_m.max() == pytest.approx(math.sqrt(2.0) * 11.5 * CELL, rel=1e-12)
 
     def test_row_major_order(self):
         # the BS is a different distance from each element, so r_t fixes
         # their order: (-x, -y), (+x, -y), (-x, +y), (+x, +y)
         bs, user = Point3(3.0, 7.0, 1.0), Point3(-5.0, 0.0, 1.0)
-        links = element_links(bs, user, panel(2, 2, dx=1.0, dy=1.0), range(2), range(2))
+        p = panel(2, 2, dx=1.0, dy=1.0)
+        links = element_links(bs, user, p, panel_link(bs, user, p), range(2), range(2))
         expected = [
             math.dist((bs.x, bs.y, bs.z), (x, y, 0.0))
             for x, y in ((-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5), (0.5, 0.5))
@@ -88,7 +92,7 @@ class TestElementCenters:
         c = Point3(cx, cy, 0.0)
         p = panel(mx, my, dx=dx, dy=dy, center=c)
         bs, user = Point3(cx, cy, 1.0), Point3(cx + 1.0, cy, 1.0)
-        links = element_links(bs, user, p, range(my), range(mx))
+        links = element_links(bs, user, p, panel_link(bs, user, p), range(my), range(mx))
         expected = brute_force_element_links(bs, user, p)
         scale = max(abs(cx), abs(cy), mx * dx, my * dy)
         grid = links.d_m.reshape(my, mx)
@@ -130,9 +134,10 @@ class TestPanelTiles:
         # the same operations per element, whatever the tile
         bs, user = Point3(-50.0, 0.0, 10.0), Point3(50.0, 0.0, 10.0)
         p = panel(mx, my, center=Point3(0.0, 0.0, 9.5))
-        whole = element_links(bs, user, p, range(my), range(mx))
+        link = panel_link(bs, user, p)
+        whole = element_links(bs, user, p, link, range(my), range(mx))
         for rows, cols in panel_tiles(p):
-            tile = element_links(bs, user, p, rows, cols)
+            tile = element_links(bs, user, p, link, rows, cols)
             for name in ("r_t", "r_r", "d_m", "cos_tx", "cos_rx", "cos_t", "cos_r"):
                 grid = getattr(whole, name).reshape(my, mx)
                 want = grid[rows.start : rows.stop, cols.start : cols.stop].ravel()
@@ -149,8 +154,10 @@ class TestPanelTiles:
         ],
     )
     def test_rejects_tile_outside_the_panel(self, rows, cols):
+        bs, user, p = Point3(0.0, 0.0, 1.0), Point3(1.0, 0.0, 1.0), panel(2, 2)
+        link = panel_link(bs, user, p)
         with pytest.raises(ValueError, match="range"):
-            element_links(Point3(0.0, 0.0, 1.0), Point3(1.0, 0.0, 1.0), panel(2, 2), rows, cols)
+            element_links(bs, user, p, link, rows, cols)
 
 
 class TestElementLinks:
@@ -165,7 +172,8 @@ class TestElementLinks:
     def test_center_element_law_of_cosines_degenerates(self):
         # an odd grid has one element exactly at the panel center (d_m = 0)
         p = panel(3, 3, center=Point3(-49.5, 0.0, 9.5))
-        links = element_links(self.BS, self.USER, p, range(p.my), range(p.mx))
+        link = panel_link(self.BS, self.USER, p)
+        links = element_links(self.BS, self.USER, p, link, range(p.my), range(p.mx))
         center = np.argmin(links.d_m)
         assert links.d_m[center] == 0.0
         assert links.cos_tx[center] == pytest.approx(1.0, rel=1e-12)
@@ -173,21 +181,25 @@ class TestElementLinks:
 
     def test_bs_above_center_gives_unit_elevation(self):
         p = panel(3, 3, center=Point3(0.0, 0.0, 0.0))
-        links = element_links(Point3(0.0, 0.0, 7.0), Point3(30.0, 0.0, 5.0), p, range(3), range(3))
+        bs, user = Point3(0.0, 0.0, 7.0), Point3(30.0, 0.0, 5.0)
+        links = element_links(bs, user, p, panel_link(bs, user, p), range(3), range(3))
         center = np.argmin(links.d_m)
         assert links.cos_t[center] == pytest.approx(1.0, rel=1e-12)
 
     def test_rejects_endpoint_in_panel_plane(self):
+        # element_links takes the panel link, which rejects the endpoint
         p = panel(2, 2)
-        with pytest.raises(GeometryError):
-            element_links(Point3(-5.0, 0.0, 0.0), Point3(5.0, 0.0, 1.0), p, range(2), range(2))
-        with pytest.raises(GeometryError):
-            element_links(Point3(-5.0, 0.0, 1.0), Point3(5.0, 0.0, -0.2), p, range(2), range(2))
+        for bs, user in (
+            (Point3(-5.0, 0.0, 0.0), Point3(5.0, 0.0, 1.0)),
+            (Point3(-5.0, 0.0, 1.0), Point3(5.0, 0.0, -0.2)),
+        ):
+            with pytest.raises(GeometryError):
+                element_links(bs, user, p, panel_link(bs, user, p), range(2), range(2))
 
     def test_triangle_inequality_against_panel_center(self):
         p = panel(8, 6, center=Point3(-49.5, 0.0, 9.5))
         link = panel_link(self.BS, self.USER, p)
-        links = element_links(self.BS, self.USER, p, range(p.my), range(p.mx))
+        links = element_links(self.BS, self.USER, p, link, range(p.my), range(p.mx))
         assert len(links) == 48
         assert np.all(np.abs(links.r_t - link.d1) <= links.d_m + 1e-12)
         assert np.all(np.abs(links.r_r - link.d2) <= links.d_m + 1e-12)
@@ -198,7 +210,8 @@ class TestElementLinks:
         worst = []
         for d in (2.0, 4.0, 8.0, 16.0, 32.0, 64.0):
             bs = Point3(-d, 0.0, d)  # recede along a fixed oblique direction
-            links = element_links(bs, user, p, range(p.my), range(p.mx))
+            link = panel_link(bs, user, p)
+            links = element_links(bs, user, p, link, range(p.my), range(p.mx))
             worst.append(np.max(np.abs(links.cos_tx - 1.0)))
         assert all(b < a for a, b in zip(worst, worst[1:]))
         assert worst[-1] < 1e-4
@@ -225,7 +238,8 @@ class TestElementLinks:
         hb, hu = (h * math.hypot(mx * dx, my * dy) for h in heights)
         bs = Point3(c.x + bs_xy[0], c.y + bs_xy[1], c.z + hb)
         user = Point3(c.x + user_xy[0], c.y + user_xy[1], c.z + hu)
-        links = element_links(bs, user, p, range(p.my), range(p.mx))
+        link = panel_link(bs, user, p)
+        links = element_links(bs, user, p, link, range(p.my), range(p.mx))
         expected = brute_force_element_links(bs, user, p)
         assert len(links) == mx * my
         for name, want in expected.items():

@@ -110,6 +110,30 @@ class TestSharedDraws:
             assert batched == [simulate_ec(e, cfg) for e in mixed]
 
 
+    def test_shared_amplitude_array_equals_separate_copies(self):
+        # ensembles that hold one amplitude array share its product with
+        # each block's draws; equal-valued copies each form their own
+        base = small_ensemble()
+        shared = base.panels[0].amplitude
+
+        def variants(amplitude):
+            return [
+                dataclasses.replace(
+                    base,
+                    panels=(dataclasses.replace(base.panels[0], amplitude=amplitude(), rho=rho),),
+                    gamma_teff=gamma_teff,
+                )
+                for rho, gamma_teff in ((0.9, 5e10), (0.4, 5e10), (0.9, 3e9), (1.0, 1e12))
+            ]
+
+        one, copies = variants(lambda: shared), variants(shared.copy)
+        assert len({id(e.panels[0].amplitude) for e in one}) == 1
+        assert len({id(e.panels[0].amplitude) for e in copies}) == 4
+        cfg = TrialConfig(trials=2_500, seed=8, block_size=1000)
+        for workers in (1, 3):
+            assert simulate_ec_sweep(one, cfg, workers) == simulate_ec_sweep(copies, cfg, workers)
+
+
 class TestDeterministicChannelLimit:
     def test_direct_only_infinite_k(self):
         ens = SnrEnsemble(

@@ -80,7 +80,8 @@ class TestJointPattern:
         assert PatternFaults().pattern(link, 2.0, 2.0)[0] == pytest.approx(0.5 * 0.6, rel=1e-15)
 
     def test_off_center_element_against_scripted_product(self):
-        links = element_links(BS, USER, fig_panel(), range(40), range(40))
+        p = fig_panel()
+        links = element_links(BS, USER, p, panel_link(BS, USER, p), range(40), range(40))
         i = 7  # arbitrary off-center element
         cos_tx, cos_rx, cos_t, cos_r = (
             float(getattr(links, name)[i]) for name in ("cos_tx", "cos_rx", "cos_t", "cos_r")
@@ -94,9 +95,9 @@ class TestElementPathloss:
     def test_center_element_matches_farfield_at_gain_two(self):
         p = RisPanel(center=Point3(-49.5, 0.0, 9.5), mx=1, my=1, dx=CELL, dy=CELL)
         b0 = beta0_reference(2.0, 2.0, CELL, CELL)
-        links = element_links(BS, USER, p, range(1), range(1))
-        assert len(links) == 1
         plink = panel_link(BS, USER, p)
+        links = element_links(BS, USER, p, plink, range(1), range(1))
+        assert len(links) == 1
         faults = PatternFaults()
         assert element_pathloss(links, b0, 2.0, 2.0, faults)[0] == pytest.approx(
             farfield_pathloss(plink, b0), rel=1e-12
@@ -114,7 +115,8 @@ class TestElementPathloss:
         faults.check(20.0, 4.0)
 
     def test_edge_element_lossier_than_center(self):
-        links = element_links(BS, USER, fig_panel(), range(40), range(40))
+        p = fig_panel()
+        links = element_links(BS, USER, p, panel_link(BS, USER, p), range(40), range(40))
         b0 = beta0_reference(100.0, 1.0, CELL, CELL)
         faults = PatternFaults()
         losses = element_pathloss(links, b0, 100.0, 1.0, faults)
@@ -160,9 +162,8 @@ class TestElementPathloss:
         for (mx, my), size in (((4, 6), 24), ((3, 3), 9)):
             p = fig_panel(mx, my)
             faults = PatternFaults()
-            betas = element_pathloss(
-                element_links(BS, USER, p, range(my), range(mx)), b0, 100.0, 1.0, faults
-            )
+            links = element_links(BS, USER, p, panel_link(BS, USER, p), range(my), range(mx))
+            betas = element_pathloss(links, b0, 100.0, 1.0, faults)
             faults.check(100.0, 1.0)
             assert betas.shape == (size,)
             assert np.all(betas > 0)
@@ -177,11 +178,11 @@ class TestElementPathloss:
         for d in (60.0, 120.0, 240.0):
             bs = Point3(-d / math.sqrt(2), 0.0, d / math.sqrt(2))
             user = Point3(d / math.sqrt(2), 1.0, d / math.sqrt(2))
-            ff = farfield_pathloss(panel_link(bs, user, p), b0)
+            link = panel_link(bs, user, p)
+            ff = farfield_pathloss(link, b0)
             faults = PatternFaults()
-            betas = element_pathloss(
-                element_links(bs, user, p, range(40), range(40)), b0, 100.0, 1.0, faults
-            )
+            links = element_links(bs, user, p, link, range(40), range(40))
+            betas = element_pathloss(links, b0, 100.0, 1.0, faults)
             faults.check(100.0, 1.0)
             worst.append(max(abs(b / ff - 1.0) for b in betas))
         assert worst[0] < 0.01

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from riscap.errors import PatternUnderflow, ScenarioError, SingularPattern
-from riscap.geometry import Point3, RisPanel, element_links, panel_tiles
+from riscap.geometry import Point3, RisPanel, element_links, panel_link, panel_tiles
 from riscap.pathloss import LinkBudget, PatternFaults, beta0_reference, element_pathloss
 from riscap.presets import PRESET_NAMES, preset, run_preset
 from riscap.scenario import (
@@ -166,7 +166,8 @@ def one_tile_beta_inv(s: Scenario) -> np.ndarray:
     panel = s.panels[0].panel
     gt, gr = s.budget.gt, s.budget.gr
     b0 = beta0_reference(gt, gr, panel.dx, panel.dy)
-    links = element_links(s.bs, s.user, panel, range(panel.my), range(panel.mx))
+    link = panel_link(s.bs, s.user, panel)
+    links = element_links(s.bs, s.user, panel, link, range(panel.my), range(panel.mx))
     faults = PatternFaults()
     beta_inv = 1.0 / element_pathloss(links, b0, gt, gr, faults)
     faults.check(gt, gr)
@@ -225,7 +226,8 @@ class TestTiledNearField:
         setup = s.panels[0]
         panel = dataclasses.replace(setup.panel, center=Point3(10.0, 0.0, 9.5))
         s = dataclasses.replace(s, panels=(dataclasses.replace(setup, panel=panel),))
-        links = element_links(s.bs, s.user, panel, range(1), range(12000))
+        link = panel_link(s.bs, s.user, panel)
+        links = element_links(s.bs, s.user, panel, link, range(1), range(12000))
         endpoint_cos = np.minimum(links.cos_tx, links.cos_rx)
         (_, cols), *_ = panel_tiles(panel)
         assert np.all(endpoint_cos[cols.start : cols.stop] > 0)
@@ -247,7 +249,8 @@ class TestTiledNearField:
         # 12000-element row, one end in each of its two tiles
         s = midlink_fig2(12000, 1, gt=1e6, gr=1e6)
         panel = s.panels[0].panel
-        links = element_links(s.bs, s.user, panel, range(1), range(12000))
+        link = panel_link(s.bs, s.user, panel)
+        links = element_links(s.bs, s.user, panel, link, range(1), range(12000))
         gt, gr = s.budget.gt, s.budget.gr
         faults = PatternFaults()
         underflow = faults.pattern(links, gt, gr) <= 0
@@ -478,6 +481,77 @@ class TestRunPreset:
         rows, _ = run_preset("fig8", trials=None)
         assert all(r.mc is None for _, r in rows)
         assert all(r.report.ec_approx is not None for _, r in rows)
+
+
+class TestSharedPanels:
+    """A run evaluates each panel geometry once: its points share one
+    read-only amplitude array and power sum."""
+
+    @pytest.mark.parametrize("name, geometries", [("fig2", 1), ("fig5", 6)])
+    def test_each_panel_geometry_is_reduced_once(self, monkeypatch, name, geometries):
+        # fig2 sweeps P over one panel; fig5 sweeps the element size
+        from riscap import workbench
+
+        calls = []
+        reduce = workbench._element_beta_inv
+
+        def counted(*args):
+            calls.append(args)
+            return reduce(*args)
+
+        monkeypatch.setattr(workbench, "_element_beta_inv", counted)
+        rows, _ = run_preset(name, trials=None)
+        assert len(calls) == geometries
+        amplitudes = {id(r.ensemble.panels[0].amplitude): r.ensemble.panels[0] for _, r in rows}
+        assert len(amplitudes) == geometries
+        assert not any(p.amplitude.flags.writeable for p in amplitudes.values())
+
+    def test_points_differing_in_one_key_field_do_not_share(self):
+        # each field a panel's losses depend on, changed alone in one run
+        from riscap.workbench import _evaluate
+
+        s, _ = preset("fig2")
+        setup = s.panels[0]
+        moved = dataclasses.replace(setup.panel, center=Point3(-49.0, 0.0, 9.5))
+        points = [
+            s,
+            dataclasses.replace(s, bs=Point3(-50.0, 0.5, 10.0)),
+            dataclasses.replace(s, user=Point3(50.0, 0.5, 10.0)),
+            dataclasses.replace(s, panels=(dataclasses.replace(setup, panel=moved),)),
+            dataclasses.replace(s, budget=dataclasses.replace(s.budget, gt=50.0)),
+            dataclasses.replace(s, budget=dataclasses.replace(s.budget, gr=2.0)),
+            dataclasses.replace(s, mode="far"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # forced far field
+            together = _evaluate(points, None, 0, 1)
+            alone = [run_scenario(point) for point in points]
+        amplitudes = [r.ensemble.panels[0].amplitude for r in together]
+        assert len({id(a) for a in amplitudes}) == len(points)
+        for got, want in zip(together, alone):
+            (panel,), (solo,) = got.ensemble.panels, want.ensemble.panels
+            assert np.array_equal(panel.amplitude, solo.amplitude)
+            assert got.report == want.report
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3"])
+    def test_rows_equal_points_run_alone(self, name):
+        scenario, sweep = preset(name)
+        rows, _ = run_preset(name, trials=4096, seed=11, workers=2)
+        assert len(rows) == len(sweep.values)
+        for (value, batched), want in zip(rows, sweep.values):
+            assert value == want
+            alone = run_scenario(
+                apply_sweep_value(scenario, sweep.variable, value), trials=4096, seed=11
+            )
+            for field in ("moments", "report", "mc", "mode_used", "d_boundary", "notes"):
+                assert getattr(batched, field) == getattr(alone, field), (value, field)
+            for field in ("beta0_inv", "rho0", "k0", "gamma_teff"):
+                assert getattr(batched.ensemble, field) == getattr(alone.ensemble, field)
+            for got, solo in zip(batched.ensemble.panels, alone.ensemble.panels):
+                assert np.array_equal(got.amplitude, solo.amplitude)
+                assert (got.power_sum, got.rho, got.k1, got.k2) == (
+                    solo.power_sum, solo.rho, solo.k1, solo.k2
+                )
 
 
 # fig2 with every aging correlation 0
@@ -1052,6 +1126,31 @@ class TestCli:
             argv += ["--out", target]
         assert cli.main(argv) == 2
         assert f"error: --out: cannot write {target}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", [".", "missing/dir/x.csv"])
+    def test_unwritable_out_fails_before_monte_carlo(self, tmp_path, monkeypatch, capsys, out):
+        from riscap import cli, montecarlo
+
+        def no_block(*args):
+            raise AssertionError("a Monte Carlo block ran")
+
+        monkeypatch.setattr(montecarlo, "_block_envelope_sums", no_block)
+        target = str(tmp_path / out)
+        assert cli.main(["preset", "fig2", "--trials", "20000", "--out", target]) == 2
+        assert f"error: --out: cannot write {target}: " in capsys.readouterr().err
+
+    def test_failed_run_leaves_no_out_file(self, tmp_path, capsys):
+        from riscap import cli
+
+        scenario = self.scenario_file(tmp_path)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("kept\n")
+        for target in (new, old):
+            argv = ["sweep", scenario, "--var", "rho", "--values=0.5,2", "--no-mc"]
+            assert cli.main(argv + ["--out", str(target)]) == 2
+            assert "sweep rho=2.0: correlation must lie in [0, 1]" in capsys.readouterr().err
+        assert not new.exists()
+        assert old.read_text() == "kept\n"
 
     def test_preset_runs(self, tmp_path):
         csv_path = tmp_path / "fig7.csv"
