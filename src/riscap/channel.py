@@ -18,12 +18,19 @@ riscap.special without scipy.special's package __init__.
 The envelope sampler takes the line-of-sight term real: the co-phased
 analysis depends only on envelopes, whose law does not depend on that
 phase.  CSI-error variances are 1 - Omega(K)^2, formed where they are used.
+
+``PanelChannel`` is the one per-panel record: the element count, the
+root sum sum(sqrt(beta^-1)) and power sum sum(beta^-1) that the moments
+read, the aging correlation and K-factors, and the amplitudes
+sqrt(beta^-1) only where the Monte Carlo oracle is to sample the panel.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -49,23 +56,37 @@ class RicianParams:
 @dataclass(frozen=True)
 class PanelChannel:
     """One panel as the moment formulas and the Monte Carlo oracle read it:
-    each element's amplitude sqrt(beta^-1), the power sum sum(beta^-1)
-    (+inf when it overflows, for the caller to report), the panel-to-user
-    aging correlation, and the BS-to-panel and panel-to-user K-factors."""
+    its element count, the root sum sum(sqrt(beta^-1)) and the power sum
+    sum(beta^-1) (either +inf when it overflows, for the caller to report),
+    the panel-to-user aging correlation, the BS-to-panel and panel-to-user
+    K-factors, and, when the Monte Carlo oracle is to sample the panel,
+    each element's amplitude sqrt(beta^-1) (None otherwise: the moments
+    read only the two sums)."""
 
-    amplitude: np.ndarray
+    count: int
+    root_sum: float
     power_sum: float
     rho: float
     k1: float
     k2: float
+    amplitude: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        amplitude = np.asarray(self.amplitude, dtype=float)
-        object.__setattr__(self, "amplitude", amplitude)
-        if amplitude.ndim != 1 or amplitude.size == 0:
-            raise ValueError("amplitude must be a non-empty 1-D array")
-        if not (np.min(amplitude) >= 0 and np.max(amplitude) < math.inf):
-            raise ValueError("amplitudes must be finite and >= 0")
+        if self.amplitude is not None:
+            amplitude = np.asarray(self.amplitude, dtype=float)
+            object.__setattr__(self, "amplitude", amplitude)
+            if amplitude.ndim != 1 or amplitude.size == 0:
+                raise ValueError("amplitude must be a non-empty 1-D array")
+            if not (np.min(amplitude) >= 0 and np.max(amplitude) < math.inf):
+                raise ValueError("amplitudes must be finite and >= 0")
+            if amplitude.size != self.count:
+                raise ValueError(f"amplitude has {amplitude.size} entries, count is {self.count}")
+        if isinstance(self.count, bool) or not (
+            isinstance(self.count, numbers.Integral) and self.count >= 1
+        ):
+            raise ValueError("count must be an integer >= 1")
+        if not self.root_sum >= 0:
+            raise ValueError("root_sum must be >= 0")
         if not self.power_sum >= 0:
             raise ValueError("power_sum must be >= 0")
         if not (0.0 <= self.rho <= 1.0):

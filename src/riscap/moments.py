@@ -7,9 +7,9 @@ The end-to-end envelope variable is
 
 with one panel (centralized) or several (distributed).  These operations
 take the ``channel.PanelChannel`` records the Monte Carlo oracle samples,
-so they see each panel's amplitudes sqrt(beta_lm^-1) and power sum
-sum_m beta_lm^-1, not geometry; the far-field closed forms fall out as a
-special case checked in tests.  Each panel's envelope means come from its
+and read only each panel's root sum sum_m sqrt(beta_lm^-1) and power sum
+sum_m beta_lm^-1, not its amplitudes or geometry; the far-field closed
+forms fall out as a special case checked in tests.  Each panel's envelope means come from its
 K-factors (``rician_mean_envelope``).
 
 Cross terms use the (sum a)^2 - sum a^2 factorization, O(M) instead of
@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .channel import PanelChannel, RicianParams, rician_mean_envelope
 
@@ -54,10 +52,11 @@ def distributed_moments(
     for p in per_panel:
         omega1 = rician_mean_envelope(RicianParams(p.k1))
         omega2 = rician_mean_envelope(RicianParams(p.k2))
-        root_sum = float(np.sum(p.amplitude))
-        amp_sums.append(p.rho * omega1 * omega2 * root_sum)
+        amp_sums.append(p.rho * omega1 * omega2 * p.root_sum)
         power_sums.append(p.rho * p.rho * p.power_sum)
-        within_cross.append((p.rho * omega1 * omega2) ** 2 * (root_sum * root_sum - p.power_sum))
+        within_cross.append(
+            (p.rho * omega1 * omega2) ** 2 * (p.root_sum * p.root_sum - p.power_sum)
+        )
 
     direct_amp = math.sqrt(beta0_direct_inv) * rho0 * omega0
     total_amp = math.fsum(amp_sums)

@@ -1,7 +1,9 @@
 """Independent Monte Carlo oracle for the co-phased received SNR.
 
 Per trial the oracle draws every envelope (cascade pairs per element plus
-the direct link), forms, with each PanelChannel's amplitudes sqrt(beta_lm^-1),
+the direct link), forms, with each PanelChannel's amplitudes sqrt(beta_lm^-1)
+(the workbench keeps them for every panel of a run with trials; a panel
+that carries none is refused, naming it),
 
     Z = sum_l rho_l * sum_m sqrt(beta_lm^-1) |g_lm| |h_lm|
         + rho_0 sqrt(beta_0^-1) |h_0|,
@@ -125,7 +127,7 @@ class SnrEnsemble:
         panel the element count and K-factors.  Ensembles with equal
         signatures can share every block; amplitudes, correlations, k0
         and gamma_teff may differ."""
-        return tuple((p.amplitude.size, p.k1, p.k2) for p in self.panels)
+        return tuple((p.count, p.k1, p.k2) for p in self.panels)
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -148,7 +150,7 @@ def _block_envelope_sums(
     first = ensembles[0]
     zs = [np.zeros(n) for _ in ensembles]
     for i, panel in enumerate(first.panels):
-        m = panel.amplitude.size
+        m = panel.count
         hg = sample_rician_envelope(RicianParams(panel.k1), rng, size=(n, m))
         hg *= sample_rician_envelope(RicianParams(panel.k2), rng, size=(n, m))
         products = {}  # hg @ amplitude, once per amplitude array the ensembles share
@@ -178,14 +180,19 @@ def simulate_ec_sweep(
     """Estimate the ergodic capacity of each ensemble, in input order.
     Ensembles that share a draw signature share every block's draws; each
     estimate is bit-identical to simulating its ensemble alone, for any
-    worker count."""
+    worker count.  Every panel must carry its amplitudes."""
     check_run_settings(cfg.trials, cfg.seed, workers)
     ensembles = tuple(ensembles)
     if not ensembles:
         raise ValueError("need at least one ensemble")
     groups: dict[tuple, list[int]] = {}
-    for i, ensemble in enumerate(ensembles):
-        groups.setdefault(ensemble.draw_signature(), []).append(i)
+    for j, ensemble in enumerate(ensembles):
+        for i, panel in enumerate(ensemble.panels):
+            if panel.amplitude is None:
+                raise ValueError(
+                    f"ensemble {j}, panel {i}: carries no amplitudes, which the draws need"
+                )
+        groups.setdefault(ensemble.draw_signature(), []).append(j)
 
     def block_sums(item) -> list[tuple[float, float]]:
         """Per ensemble, the block's sum of log2(1 + SNR) and of its square;

@@ -3,12 +3,16 @@ Carlo runs, parameter sweeps, and CSV emission.
 
 ``RunResult`` is the one record of an evaluated scenario.  ``_evaluate``
 is the one evaluation route: ``_statistics`` takes each scenario through
-geometry, path loss and envelope statistics in turn (a near-field panel's
-inverse losses one ``panel_tiles`` tile at a time, so a run holds them and
-one tile's links; a panel whose endpoints, geometry, gains and resolved
-mode an earlier scenario of the run already had reuses that panel's
-read-only amplitudes and power sum, so a sweep over P, rho, rho0 or K0
-reduces its panels once), then one ``capacity.capacity_reports`` call
+geometry, path loss and envelope statistics in turn.  Every panel, near
+or far field, is reduced in one ``panel_tiles`` loop to its element
+count, root sum sum(sqrt(beta^-1)) and power sum sum(beta^-1), the
+``channel.PanelChannel`` the moments read; the panel's read-only
+amplitudes sqrt(beta^-1) are kept only for a run with trials (Monte Carlo
+samples them) or when the panel is one tile, so an analytic-only run holds
+one tile whatever the panel size.  A panel whose endpoints, geometry,
+gains and resolved mode an earlier scenario of the run already had reuses
+that panel's record, so a sweep over P, rho, rho0 or K0 reduces its
+panels once.  Then one ``capacity.capacity_reports`` call
 runs the capacity integrals of the whole run in lockstep, and unless
 trials is None one ``simulate_ec_sweep`` call, which groups the scenarios
 that can share draws, fills in ``mc``.  ``run_scenario`` is its
@@ -45,6 +49,7 @@ from .errors import (
 )
 from .geometry import (
     ELEVATION_CONVENTION_NOTE,
+    TILE_ELEMENTS,
     PanelLink,
     Point3,
     RisPanel,
@@ -124,14 +129,6 @@ class RunResult:
         return self.ensemble.gamma_teff
 
 
-def _check_inverse(what: str, beta_inv) -> None:
-    """Raise ScenarioError naming `what` unless every inverse loss factor
-    lies in (0, inf), which holds exactly when its loss factor does and
-    has a finite inverse."""
-    if not (np.min(beta_inv) > 0 and np.max(beta_inv) < math.inf):
-        raise ScenarioError(f"{what}: loss factor or its inverse is out of float range")
-
-
 def _loss(what: str, pathloss, *args):
     """pathloss(*args), a loss factor that must be finite and positive and
     have a finite inverse: out of float range it raises ScenarioError
@@ -146,34 +143,72 @@ def _loss(what: str, pathloss, *args):
     return loss
 
 
-def _element_beta_inv(
-    what: str, scenario: Scenario, panel: RisPanel, link: PanelLink, b0_ref: float
-) -> np.ndarray:
-    """1/element_pathloss of every element of the panel, row-major,
-    computed one panel_tiles tile at a time from the panel's link: only
-    the result and one tile's links are held.  After the last tile it
-    raises the panel's first pattern fault, then an inverse loss out of
-    range, naming `what`."""
+def _fsum(values) -> float:
+    """math.fsum of non-negative values; +inf where their sum overflows,
+    which fsum raises as OverflowError."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+def _tile_sums(
+    what: str,
+    scenario: Scenario,
+    panel: RisPanel,
+    link: PanelLink,
+    b0_ref: float,
+    mode: str,
+    keep: bool,
+) -> tuple[Optional[np.ndarray], float, float]:
+    """The panel's (amplitude, root_sum, power_sum) under the resolved
+    mode, reduced one panel_tiles tile at a time: a near-field tile is
+    1/element_pathloss of its element_links, a far-field tile the constant
+    1/farfield_pathloss.  The tiles' sums of beta^-1 and of sqrt(beta^-1)
+    are added with math.fsum in tile order.  The amplitudes sqrt(beta^-1),
+    row-major and read-only, are kept when keep is set or the panel is one
+    tile (then they are that tile), else they are None and only one tile
+    is held.  After the last tile it raises the panel's first pattern
+    fault, then an inverse loss out of range, naming `what`."""
     gt, gr = scenario.budget.gt, scenario.budget.gr
-    beta_inv = np.empty(panel.element_count)
-    grid = beta_inv.reshape(panel.my, panel.mx)
+    if mode == "far":
+        far_inv = 1.0 / _loss(what, farfield_pathloss, link, b0_ref)
+    one_tile = panel.element_count <= TILE_ELEMENTS
+    amplitude = np.empty(panel.element_count) if keep and not one_tile else None
+    grid = None if amplitude is None else amplitude.reshape(panel.my, panel.mx)
     faults = PatternFaults()
-    for rows, cols in panel_tiles(panel):
-        links = element_links(scenario.bs, scenario.user, panel, link, rows, cols)
-        loss = element_pathloss(links, b0_ref, gt, gr, faults)
-        tile = grid[rows.start : rows.stop, cols.start : cols.stop]
-        np.divide(1.0, loss.reshape(tile.shape), out=tile)
+    in_range = True
+    # per tile, sum(beta^-1) and sum(sqrt(beta^-1)): 16 bytes a tile, a
+    # quarter of what two lists of Python floats would take
+    sums = np.empty((sum(1 for _ in panel_tiles(panel)), 2))
+    for k, (rows, cols) in enumerate(panel_tiles(panel)):
+        if mode == "near":
+            links = element_links(scenario.bs, scenario.user, panel, link, rows, cols)
+            tile = 1.0 / element_pathloss(links, b0_ref, gt, gr, faults)
+        else:
+            tile = np.full(len(rows) * len(cols), far_inv)
+        # a nan fails both comparisons, so it is out of range too
+        in_range = in_range and bool(np.min(tile) > 0 and np.max(tile) < math.inf)
+        sums[k, 0] = np.sum(tile)
+        root = np.sqrt(tile, out=tile)
+        sums[k, 1] = np.sum(root)
+        if grid is not None:
+            grid[rows.start : rows.stop, cols.start : cols.stop] = root.reshape(len(rows), -1)
     faults.check(gt, gr)
-    _check_inverse(what, beta_inv)
-    return beta_inv
+    if not in_range:
+        raise ScenarioError(f"{what}: loss factor or its inverse is out of float range")
+    if one_tile:
+        amplitude = root
+    if amplitude is not None:
+        amplitude.flags.writeable = False
+    return amplitude, _fsum(sums[:, 1]), _fsum(sums[:, 0])
 
 
 def _panel_losses(
-    scenario: Scenario, i: int, section: str, link: PanelLink, mode: str
-) -> tuple[np.ndarray, float]:
-    """Panel i's amplitudes sqrt(beta^-1), read-only, and power sum
-    sum(beta^-1) under the resolved mode; a loss out of range or a pattern
-    fault raises naming the fields that set it."""
+    scenario: Scenario, i: int, section: str, link: PanelLink, mode: str, keep: bool
+) -> tuple[Optional[np.ndarray], float, float]:
+    """_tile_sums of panel i under the resolved mode; a loss out of range
+    or a pattern fault raises naming the fields that set it."""
     setup = scenario.panels[i]
     gt, gr = scenario.budget.gt, scenario.budget.gr
     dx, dy = setup.panel.dx, setup.panel.dy
@@ -188,12 +223,7 @@ def _panel_losses(
         + ", scenario.budget.gt, scenario.budget.gr, scenario.bs, scenario.user"
     )
     try:
-        if mode == "near":
-            beta_inv = _element_beta_inv(what, scenario, setup.panel, link, b0_ref)
-        else:
-            beta_inv = np.full(
-                setup.panel.element_count, 1.0 / _loss(what, farfield_pathloss, link, b0_ref)
-            )
+        return _tile_sums(what, scenario, setup.panel, link, b0_ref, mode, keep)
     except PatternUnderflow as exc:
         message = f"panel {i}: scenario.budget.gt, scenario.budget.gr: {exc}"
         raise PatternUnderflow(message) from None
@@ -202,20 +232,18 @@ def _panel_losses(
         grid = ", ".join(f"{section}.{key}" for key in ("mx", "my", "dx", "dy"))
         message = f"panel {i}: {exc}, set by {grid}, scenario.bs, scenario.user"
         raise SingularPattern(message) from None
-    power_sum = float(np.sum(beta_inv))  # then the same buffer holds the amplitudes
-    amplitude = np.sqrt(beta_inv, out=beta_inv)
-    amplitude.flags.writeable = False
-    return amplitude, power_sum
 
 
 # every overflow is range-checked and named below; numpy's warnings add nothing
 @np.errstate(all="ignore")
-def _statistics(scenario: Scenario, shared: dict) -> dict:
+def _statistics(scenario: Scenario, shared: dict, keep: bool) -> dict:
     """Geometry -> path loss -> envelope statistics of one scenario: the
     RunResult fields other than the report and mc.  shared maps what a
-    panel's inverse losses depend on to the (amplitude, power_sum) of a
-    panel evaluated earlier in the run; a panel not in it is evaluated
-    and added, so geometry-equal points of a sweep reduce it once."""
+    panel's inverse losses depend on to the (amplitude, root_sum,
+    power_sum) of a panel evaluated earlier in the run; a panel not in it
+    is evaluated and added, so geometry-equal points of a sweep reduce it
+    once.  keep asks for every panel's amplitudes (Monte Carlo reads
+    them); without it only one-tile panels carry them."""
     lam = wavelength(scenario.fc_hz)
     d0 = scenario.bs.distance_to(scenario.user)
     if d0 == 0:
@@ -264,9 +292,12 @@ def _statistics(scenario: Scenario, shared: dict) -> dict:
         # a panel's inverse losses are a function of these fields alone
         key = (scenario.bs, scenario.user, setup.panel, gt, gr, mode)
         if key not in shared:
-            shared[key] = _panel_losses(scenario, i, sections[i], link, mode)
-        amplitude, power_sum = shared[key]
-        panels.append(PanelChannel(amplitude, power_sum, setup.rho, setup.k1, setup.k2))
+            shared[key] = _panel_losses(scenario, i, sections[i], link, mode, keep)
+        amplitude, root_sum, power_sum = shared[key]
+        count = setup.panel.element_count
+        panels.append(
+            PanelChannel(count, root_sum, power_sum, setup.rho, setup.k1, setup.k2, amplitude)
+        )
 
     rho0 = scenario.rho0
     omega0 = rician_mean_envelope(RicianParams(scenario.k0))
@@ -326,7 +357,8 @@ def _evaluate(
     its sweep point), a ValidationFailure carries its scenario's prefix."""
     check_run_settings(trials, seed, workers)
     shared: dict = {}
-    staged, failure = until_failure(lambda s: _statistics(s, shared), scenarios)
+    keep = trials is not None
+    staged, failure = until_failure(lambda s: _statistics(s, shared, keep), scenarios)
     reports = cap.capacity_reports(
         [(fields["moments"], fields["ensemble"].gamma_teff) for fields in staged]
     )

@@ -201,10 +201,34 @@ class TestPanelChannel:
         ],
     )
     def test_rejects(self, amplitude, power_sum, rho, message):
+        amplitude = np.array(amplitude, dtype=float)
         with pytest.raises(ValueError, match=message):
-            PanelChannel(np.array(amplitude, dtype=float), power_sum, rho, k1=2.0, k2=2.0)
+            PanelChannel(
+                amplitude.size, 1e-5, power_sum, rho, k1=2.0, k2=2.0, amplitude=amplitude
+            )
+
+    @pytest.mark.parametrize(
+        "count, root_sum, amplitude, message",
+        [
+            (0, 0.0, None, "count must"),
+            (2.5, 1e-5, None, "count must"),
+            (True, 1e-5, None, "count must"),
+            (3, 1e-5, [1e-5, 2e-5], "2 entries, count is 3"),
+            (1, -1e-5, None, "root_sum must"),
+            (1, math.nan, None, "root_sum must"),
+        ],
+    )
+    def test_rejects_counts_and_root_sums(self, count, root_sum, amplitude, message):
+        with pytest.raises(ValueError, match=message):
+            PanelChannel(count, root_sum, 1e-10, 0.5, k1=2.0, k2=2.0, amplitude=amplitude)
 
     def test_takes_an_overflowed_power_sum(self):
         # the caller reports the overflow against its inputs
-        panel = PanelChannel(np.array([1e154, 1e154]), math.inf, 0.5, k1=2.0, k2=2.0)
+        panel = PanelChannel(
+            2, 2e154, math.inf, 0.5, k1=2.0, k2=2.0, amplitude=np.array([1e154, 1e154])
+        )
         assert panel.power_sum == math.inf
+
+    def test_takes_an_overflowed_root_sum_without_amplitudes(self):
+        panel = PanelChannel(10**7, math.inf, math.inf, 0.5, k1=2.0, k2=2.0)
+        assert panel.root_sum == math.inf and panel.amplitude is None

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import farfield_closed_form_moments, naive_envelope_moments, saturation_gamma_teff
 from panels import panel_channel
-from riscap.channel import RicianParams, rician_mean_envelope
+from riscap.channel import PanelChannel, RicianParams, rician_mean_envelope
 from riscap.moments import distributed_moments, distributed_noise_variance
 
 
@@ -125,6 +125,24 @@ class TestDistributedMoments:
             )
             assert got.mean == pytest.approx(mean, rel=1e-12)
             assert got.second_moment == pytest.approx(second, rel=1e-12)
+
+    def test_amplitude_less_records_equal_panel_channel_records(self):
+        # the moments and the leakage read a panel's count and sums only
+        rng = np.random.default_rng(77)
+        for _ in range(12):
+            panels, beta_invs = random_panels(rng, int(rng.integers(1, 4)))
+            bare = [
+                PanelChannel(b.size, float(np.sum(np.sqrt(b))), float(np.sum(b)), p.rho, p.k1, p.k2)
+                for p, b in zip(panels, beta_invs)
+            ]
+            assert all(p.amplitude is None for p in bare)
+            o0, rho0, b0 = rng.uniform(0.8863, 0.9999), rng.uniform(0.0, 1.0), 3e-11
+            assert distributed_moments(bare, o0, rho0, b0) == distributed_moments(
+                panels, o0, rho0, b0
+            )
+            assert distributed_noise_variance(
+                1e-3, bare, rho0, o0, b0, 1e-15
+            ) == distributed_noise_variance(1e-3, panels, rho0, o0, b0, 1e-15)
 
     def test_all_correlations_zero_kills_everything(self):
         panels = [panel_channel(beta_inv=np.array([1e-10, 2e-10]), rho=0.0, k1=3.0, k2=3.0)]

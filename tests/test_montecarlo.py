@@ -191,6 +191,16 @@ class TestInputChecks:
         with pytest.raises(ScenarioError, match=f"^workers: must be >= 1, got {workers}$"):
             simulate_ec_sweep([small_ensemble()], cfg, workers=workers)
 
+    def test_panel_without_amplitudes_is_named(self):
+        # an analytic run keeps only a large panel's sums; Monte Carlo
+        # cannot sample such a record
+        base = small_ensemble()
+        bare = dataclasses.replace(base.panels[0], amplitude=None)
+        ensemble = dataclasses.replace(base, panels=(base.panels[0], bare))
+        cfg = TrialConfig(trials=10, seed=1)
+        with pytest.raises(ValueError, match="^ensemble 1, panel 1: carries no amplitudes"):
+            simulate_ec_sweep([base, ensemble], cfg)
+
 
 class TestMomentAgreement:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -217,6 +227,27 @@ class TestMomentAgreement:
         est = oracles.simulate_envelope_moments(ens, TrialConfig(trials=300_000, seed=seed + 50))
         assert abs(est.mean - analytic.mean) < 3.0 * est.se_mean
         assert abs(est.second_moment - analytic.second_moment) < 3.0 * est.se_second_moment
+
+
+    def test_pooled_oracle_equals_its_blocks_reduced_in_order(self):
+        # the oracle's thread pool changes nothing: each block's sums, taken
+        # one block at a time and reduced in block order with math.fsum
+        ens = small_ensemble(m=9)
+        cfg = TrialConfig(trials=20_000, seed=5, block_size=1000)
+        s1, s2, s4 = [], [], []
+        for index, n in oracles.block_partition(cfg):
+            z = oracles.reference_block_z(ens, cfg.seed, index, n)
+            z2 = z * z
+            s1.append(float(np.sum(z)))
+            s2.append(float(np.sum(z2)))
+            s4.append(float(np.sum(z2 * z2)))
+        est = oracles.simulate_envelope_moments(ens, cfg)
+        assert est.mean == math.fsum(s1) / cfg.trials
+        assert est.second_moment == math.fsum(s2) / cfg.trials
+        n = cfg.trials
+        assert est.se_second_moment == math.sqrt(
+            max(math.fsum(s4) - n * (math.fsum(s2) / n) ** 2, 0.0) / (n - 1) / n
+        )
 
 
 class TestFigureScenarioMoments:

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import functools
 import io
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -15,8 +16,22 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from riscap.errors import PatternUnderflow, ScenarioError, SingularPattern
-from riscap.geometry import Point3, RisPanel, element_links, panel_link, panel_tiles
-from riscap.pathloss import LinkBudget, PatternFaults, beta0_reference, element_pathloss
+from riscap.geometry import (
+    TILE_ELEMENTS,
+    Point3,
+    RisPanel,
+    element_links,
+    panel_link,
+    panel_tiles,
+)
+from riscap.montecarlo import TrialConfig, simulate_ec_sweep
+from riscap.pathloss import (
+    LinkBudget,
+    PatternFaults,
+    beta0_reference,
+    element_pathloss,
+    farfield_pathloss,
+)
 from riscap.presets import PRESET_NAMES, preset, run_preset
 from riscap.scenario import (
     PanelSetup,
@@ -116,6 +131,7 @@ class TestPipelineConsistency:
         whole = one_tile_beta_inv(s)
         assert np.array_equal(res.ensemble.panels[0].amplitude, np.sqrt(whole))
         assert res.ensemble.panels[0].power_sum == float(np.sum(whole))
+        assert res.ensemble.panels[0].root_sum == float(np.sum(np.sqrt(whole)))
         expected = brute_force_beta_inv(s.bs, s.user, s.panels[0].panel, s.budget.gt, s.budget.gr)
         np.testing.assert_allclose(whole, expected, rtol=1e-12, atol=0)
 
@@ -174,6 +190,16 @@ def one_tile_beta_inv(s: Scenario) -> np.ndarray:
     return beta_inv
 
 
+def reference_tiles(beta_inv: np.ndarray, panel: RisPanel) -> list[np.ndarray]:
+    """The panel_tiles tiles of a row-major per-element vector, each a
+    contiguous row-major copy as the workbench forms it."""
+    grid = beta_inv.reshape(panel.my, panel.mx)
+    return [
+        np.ascontiguousarray(grid[rows.start : rows.stop, cols.start : cols.stop]).ravel()
+        for rows, cols in panel_tiles(panel)
+    ]
+
+
 def midlink_fig2(mx, my, **budget) -> Scenario:
     """fig2 in near mode with an mx x my panel centred between the
     endpoints, 0.5 m below them; budget fields replace fig2's."""
@@ -189,8 +215,8 @@ def midlink_fig2(mx, my, **budget) -> Scenario:
 
 
 class TestTiledNearField:
-    """_statistics computes a near-field panel's inverse losses one
-    panel_tiles tile at a time."""
+    """_statistics reduces a panel one panel_tiles tile at a time; an
+    analytic run keeps a panel's amplitudes only when it is one tile."""
 
     @pytest.mark.parametrize("mx, my", [(316, 316), (317, 101), (1, 10**5), (12000, 1)])
     def test_tiled_beta_inv_equals_one_whole_panel_call(self, mx, my):
@@ -198,18 +224,67 @@ class TestTiledNearField:
         s = midlink_fig2(mx, my)
         panel = s.panels[0].panel
         assert len(list(panel_tiles(panel))) > 1
-        channel = run_scenario(s).ensemble.panels[0]
         whole = one_tile_beta_inv(s)
-        assert np.array_equal(channel.amplitude, np.sqrt(whole))
-        assert channel.power_sum == float(np.sum(whole))
+        # the analytic run: each tile's sums, added in tile order
+        channel = run_scenario(s).ensemble.panels[0]
+        assert channel.amplitude is None and channel.count == mx * my
+        tiles = reference_tiles(whole, panel)
+        assert channel.power_sum == math.fsum(float(np.sum(t)) for t in tiles)
+        assert channel.root_sum == math.fsum(float(np.sum(np.sqrt(t))) for t in tiles)
+        # a run with trials fills every amplitude from the same tiles
+        sampled = run_scenario(s, trials=1).ensemble.panels[0]
+        assert np.array_equal(sampled.amplitude, np.sqrt(whole))
+        assert not sampled.amplitude.flags.writeable
+        assert (sampled.root_sum, sampled.power_sum) == (channel.root_sum, channel.power_sum)
         expected = brute_force_beta_inv(s.bs, s.user, panel, s.budget.gt, s.budget.gr)
         np.testing.assert_allclose(whole, expected, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("mode", ["near", "far"])
+    def test_analytic_peak_memory_does_not_grow_with_the_panel(self, mode):
+        # 10^6 and 10^7 elements: the larger panel peaks no higher than
+        # the smaller one plus one tile-sized vector (its 3162-element rows
+        # make 6324-element tiles, the 1000-element rows 8000-element ones,
+        # so it may peak lower); one panel vector would add 72 MB
+        peaks = []
+        for side in (1000, 3162):
+            s = dataclasses.replace(midlink_fig2(side, side, gt=1.0), mode=mode)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # forced far field
+                tracemalloc.start()
+                try:
+                    channel = run_scenario(s).ensemble.panels[0]
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            assert channel.amplitude is None and channel.count == side * side
+            peaks.append(peak)
+        assert peaks[1] <= peaks[0] + 8 * TILE_ELEMENTS
+
+    @pytest.mark.parametrize("mode", ["near", "far"])
+    @pytest.mark.parametrize("mx, my", [(1, 1), (91, 90), (8192, 1), (1, 8192)])
+    def test_a_one_tile_panel_keeps_its_amplitudes(self, mode, mx, my):
+        assert mx * my <= TILE_ELEMENTS
+        s = dataclasses.replace(midlink_fig2(mx, my), mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # forced far field
+            channel = run_scenario(s).ensemble.panels[0]
+            sampled = run_scenario(s, trials=1).ensemble.panels[0]
+        assert channel.amplitude.shape == (mx * my,)
+        assert not channel.amplitude.flags.writeable
+        assert channel.root_sum == float(np.sum(channel.amplitude))
+        assert np.array_equal(channel.amplitude, sampled.amplitude)
+        assert (channel.root_sum, channel.power_sum) == (sampled.root_sum, sampled.power_sum)
+
+    def test_monte_carlo_refuses_an_analytic_multi_tile_ensemble(self):
+        ensemble = run_scenario(midlink_fig2(317, 101)).ensemble
+        with pytest.raises(ValueError, match="^ensemble 0, panel 0: carries no amplitudes"):
+            simulate_ec_sweep([ensemble], TrialConfig(trials=1, seed=1))
+
     @pytest.mark.parametrize("mx, my", [(1000, 1000), (1, 10**6)])
     def test_peak_memory_is_one_panel_vector_and_a_tile(self, mx, my):
-        # the inverse losses, reduced in place to the amplitudes, plus one
-        # tile's links; a second per-element vector would reach 2.0, and
-        # whole-panel links ~10
+        # an upper bound: the analytic run holds one tile's links and
+        # inverse losses, no per-element vector; a second per-element
+        # vector would reach 2.0, and whole-panel links ~10
         s = midlink_fig2(mx, my, gt=1.0)
         tracemalloc.start()
         try:
@@ -262,6 +337,60 @@ class TestTiledNearField:
         with pytest.raises(PatternUnderflow) as tiled:
             run_scenario(s)
         assert str(tiled.value) == f"panel 0: scenario.budget.gt, scenario.budget.gr: {whole.value}"
+
+
+    @pytest.mark.parametrize("bad_tile", [0, 1])
+    def test_nan_inverse_loss_in_any_tile_is_out_of_range(self, monkeypatch, bad_tile):
+        # a nan loss passes the pattern checks; the range verdict folded
+        # over the tiles must still see it, before or after an in-range tile
+        from riscap import workbench
+
+        calls = []
+
+        def with_nan(*args):
+            loss = element_pathloss(*args)
+            if len(calls) == bad_tile:
+                loss[-1] = math.nan
+            calls.append(loss.size)
+            return loss
+
+        monkeypatch.setattr(workbench, "element_pathloss", with_nan)
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario(midlink_fig2(12000, 1))
+        assert len(calls) == 2
+        assert str(exc.value).startswith("panel 0: near-field loss at ")
+        assert str(exc.value).endswith(": loss factor or its inverse is out of float range")
+
+    def test_leakage_overflow_across_tiles_is_named(self):
+        # six far-field tiles whose power sums are finite while their total
+        # overflows, which math.fsum raises as OverflowError
+        edits = {**MOMENT_OVERFLOW, "deployment.panel.mx": 8192, "deployment.panel.my": 6}
+        s = parse_scenario(edited_preset("fig2", edits))
+        panel = s.panels[0].panel
+        assert len(list(panel_tiles(panel))) == 6
+        b0 = beta0_reference(s.budget.gt, s.budget.gr, panel.dx, panel.dy)
+        beta_inv = 1.0 / farfield_pathloss(panel_link(s.bs, s.user, panel), b0)
+        tile_sum = float(np.sum(np.full(8192, beta_inv)))
+        assert math.isfinite(tile_sum)
+        with pytest.raises(OverflowError):
+            math.fsum([tile_sum] * 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # forced far field
+            with pytest.raises(ScenarioError, match="outdated-CSI leakage P \\* sum"):
+                run_scenario(s)
+
+    def test_moment_overflow_across_tiles_is_named(self):
+        # two far-field tiles: finite sums and leakage, while the squared
+        # root sum overflows
+        edits = {**MOMENT_OVERFLOW, "deployment.panel.mx": 8192, "deployment.panel.my": 2}
+        edits.update({"budget.gt": 1e152, "budget.gr": 1e152})
+        s = parse_scenario(edited_preset("fig2", edits))
+        assert len(list(panel_tiles(s.panels[0].panel))) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # forced far field
+            with pytest.raises(ScenarioError, match="envelope moments overflowed") as exc:
+                run_scenario(s)
+        assert MOMENT_OVERFLOW_FIELDS in str(exc.value)
 
 
 class TestApplySweepValue:
@@ -493,13 +622,13 @@ class TestSharedPanels:
         from riscap import workbench
 
         calls = []
-        reduce = workbench._element_beta_inv
+        reduce = workbench._tile_sums
 
         def counted(*args):
             calls.append(args)
             return reduce(*args)
 
-        monkeypatch.setattr(workbench, "_element_beta_inv", counted)
+        monkeypatch.setattr(workbench, "_tile_sums", counted)
         rows, _ = run_preset(name, trials=None)
         assert len(calls) == geometries
         amplitudes = {id(r.ensemble.panels[0].amplitude): r.ensemble.panels[0] for _, r in rows}
