@@ -127,10 +127,7 @@ class _Section:
 
 def _point(section: _Section) -> Point3:
     section.reject_unknown({"x", "y", "z"})
-    try:
-        return Point3(section.number("x"), section.number("y"), section.number("z"))
-    except ValueError as exc:
-        raise ScenarioError(f"{section.path}: {exc}") from exc
+    return Point3(section.number("x"), section.number("y"), section.number("z"))
 
 
 def _panel(section: _Section) -> RisPanel:

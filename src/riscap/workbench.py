@@ -418,6 +418,9 @@ def _replace_swept(scenario: Scenario, variable: str, value: float) -> Scenario:
         panels = tuple(dataclasses.replace(ps, rho=value) for ps in scenario.panels)
         return dataclasses.replace(scenario, panels=panels)
     if variable == "K0":
+        # +-inf dB is a Rayleigh or a deterministic link; NaN is no K-factor
+        if math.isnan(value):
+            raise ScenarioError(f"sweep K0={value}: K-factor must be >= 0")
         return dataclasses.replace(scenario, k0=db_to_linear(value))
     if variable == "cell_size":
         if value <= 0:

@@ -392,6 +392,20 @@ def reference_block_z(ensemble, seed: int, block_index: int, n: int) -> np.ndarr
     return z + ensemble.rho0 * math.sqrt(ensemble.beta0_inv) * h0
 
 
+def _map_blocks(fn, ensemble, cfg) -> list:
+    """fn(z) for the envelope sums z of each of cfg's blocks, in block
+    order.  The blocks are drawn on up to four threads (numpy's draws and
+    array arithmetic release the interpreter lock; each thread holds a few
+    block x M arrays), so results reduced in this order do not depend on
+    the thread count."""
+
+    def block(index_n):
+        return fn(reference_block_z(ensemble, cfg.seed, *index_n))
+
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
+        return list(pool.map(block, block_partition(cfg)))
+
+
 def _blockwise_mean(sums, sums_sq, n: int) -> tuple[float, float]:
     """Sample mean and its standard error from per-block sums."""
     mean = math.fsum(sums) / n
@@ -410,20 +424,13 @@ class EnvelopeMomentEstimate:
 
 
 def simulate_envelope_moments(ensemble, cfg) -> EnvelopeMomentEstimate:
-    """Sample moments of the envelope sum Z over cfg's blocks.  The blocks
-    are drawn on up to four threads (numpy's draws and array arithmetic
-    release the interpreter lock; each thread holds a few block x M
-    arrays) and their sums reduced in block order, so the result does not
-    depend on the thread count."""
+    """Sample moments of the envelope sum Z over cfg's blocks."""
 
-    def block_sums(block) -> tuple[float, float, float]:
-        index, n = block
-        z = reference_block_z(ensemble, cfg.seed, index, n)
+    def block_sums(z) -> tuple[float, float, float]:
         z2 = z * z
         return float(np.sum(z)), float(np.sum(z2)), float(np.sum(z2 * z2))
 
-    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
-        s1, s2, s4 = zip(*pool.map(block_sums, block_partition(cfg)))
+    s1, s2, s4 = zip(*_map_blocks(block_sums, ensemble, cfg))
     mean, se_mean = _blockwise_mean(s1, s2, cfg.trials)
     second, se_second = _blockwise_mean(s2, s4, cfg.trials)
     return EnvelopeMomentEstimate(mean, second, se_mean, se_second)
@@ -441,13 +448,12 @@ class SampledCapacity:
 
 def simulate_ec(ensemble, cfg, keep_samples: bool = False) -> SampledCapacity:
     """Sampled E[log2(1 + gamma_teff Z^2)] over cfg's blocks."""
-    sums, sums_sq, samples = [], [], []
-    for index, n in block_partition(cfg):
-        z = reference_block_z(ensemble, cfg.seed, index, n)
+
+    def block_sums(z) -> tuple[float, float, Optional[np.ndarray]]:
         snr = ensemble.gamma_teff * z * z
         ec = np.log2(1.0 + snr)
-        sums.append(float(np.sum(ec)))
-        sums_sq.append(float(np.sum(ec * ec)))
-        samples.append(snr)
+        return float(np.sum(ec)), float(np.sum(ec * ec)), snr if keep_samples else None
+
+    sums, sums_sq, samples = zip(*_map_blocks(block_sums, ensemble, cfg))
     mean, stderr = _blockwise_mean(sums, sums_sq, cfg.trials)
     return SampledCapacity(mean, stderr, np.concatenate(samples) if keep_samples else None)

@@ -15,7 +15,8 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riscap.errors import PatternUnderflow, ScenarioError, SingularPattern
+from riscap import capacity, cli, montecarlo
+from riscap.errors import PatternUnderflow, QuadratureFailure, ScenarioError, SingularPattern
 from riscap.geometry import (
     TILE_ELEMENTS,
     Point3,
@@ -434,6 +435,14 @@ class TestApplySweepValue:
         out = apply_sweep_value(s, "rho", 0.6)
         assert all(ps.rho == 0.6 for ps in out.panels)
 
+    def test_k0_nan_rejected_infinities_kept(self):
+        s, _ = preset("fig2")
+        with pytest.raises(ScenarioError, match=r"^sweep K0=nan: "):
+            apply_sweep_value(s, "K0", math.nan)
+        # a Rayleigh and a deterministic direct link
+        assert apply_sweep_value(s, "K0", -math.inf).k0 == 0.0
+        assert apply_sweep_value(s, "K0", math.inf).k0 == math.inf
+
     def test_unknown_variable(self):
         with pytest.raises(ScenarioError):
             SweepSpec(variable="bananas", values=(1.0,))
@@ -556,9 +565,6 @@ class TestBatchedSweep:
             assert batched == reference
 
     def test_first_failing_point_decides_the_error(self, monkeypatch):
-        from riscap import capacity
-        from riscap.errors import QuadratureFailure
-
         s, _ = preset("fig2")
         # d1 = 1e100 passes apply_sweep_value, but evaluating it fails
         with pytest.raises(ScenarioError):
@@ -792,16 +798,22 @@ def cli_cases(draw):
     return data, ["sweep", "--var", variable, f"--values={values}", *argv]
 
 
-class TestCli:
-    def run_cli(self, *argv, expect=0):
-        proc = subprocess.run(
-            [sys.executable, "-m", "riscap.cli", *argv],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == expect, proc.stderr
-        return proc
+def run_cli(*argv):
+    """(exit code, stdout, stderr) of `riscap argv` run in this process:
+    argparse's SystemExit becomes its code, and any other exception
+    escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
+
+class TestCli:
+    # Each subcommand runs once as `python -m riscap.cli`, the process a
+    # user starts; every other case runs the CLI in process through run_cli.
     def scenario_file(self, tmp_path):
         s, _ = preset("fig2")
         path = tmp_path / "fig2.yaml"
@@ -809,27 +821,30 @@ class TestCli:
         return str(path)
 
     def test_analyze_no_mc(self, tmp_path):
-        out = self.run_cli("analyze", self.scenario_file(tmp_path), "--no-mc").stdout
+        out = self.python("-m", "riscap.cli", "analyze", self.scenario_file(tmp_path), "--no-mc")
         assert "ec_approx_bit_s_hz:" in out
         assert "mode: near" in out
         assert "ec_mc_bit_s_hz" not in out
 
     def test_analyze_with_mc(self, tmp_path):
-        out = self.run_cli(
+        code, out, err = run_cli(
             "analyze", self.scenario_file(tmp_path), "--trials", "500", "--seed", "4"
-        ).stdout
+        )
+        assert code == 0, err
         assert "ec_mc_bit_s_hz:" in out
 
     def test_mc_subcommand(self, tmp_path):
-        out = self.run_cli(
-            "mc", self.scenario_file(tmp_path), "--trials", "500", "--seed", "4"
-        ).stdout
+        out = self.python(
+            "-m", "riscap.cli", "mc", self.scenario_file(tmp_path), "--trials", "500", "--seed", "4"
+        )
         assert "ec_mc_bit_s_hz:" in out
         assert "seed: 4" in out
 
     def test_sweep_writes_csv(self, tmp_path):
         csv_path = tmp_path / "out.csv"
-        self.run_cli(
+        self.python(
+            "-m",
+            "riscap.cli",
             "sweep",
             self.scenario_file(tmp_path),
             "--var",
@@ -848,8 +863,10 @@ class TestCli:
         data = yaml.safe_load(dump_scenario(preset("fig2")[0]))
         del data["budget"]["xi"]
         bad.write_text(yaml.safe_dump(data))
-        proc = self.run_cli("analyze", str(bad), "--no-mc", expect=2)
-        assert "scenario.budget.xi" in proc.stderr
+        for argv in (["analyze", str(bad), "--no-mc"], ["mc", str(bad)]):
+            code, _, err = run_cli(*argv)
+            assert code == 2, err
+            assert "scenario.budget.xi" in err
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -862,24 +879,19 @@ class TestCli:
             (["preset", "fig2", "--workers", "0"], "--workers"),
         ],
     )
-    def test_bad_mc_flag_exit_code(self, tmp_path, capsys, argv, flag):
-        from riscap import cli
-
+    def test_bad_mc_flag_exit_code(self, tmp_path, argv, flag):
         path = self.scenario_file(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            cli.main([arg.replace("{s}", path) for arg in argv])
-        assert exc.value.code == 2
-        assert f"argument {flag}:" in capsys.readouterr().err
+        code, _, err = run_cli(*(arg.replace("{s}", path) for arg in argv))
+        assert code == 2
+        assert f"argument {flag}:" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("variable", ["P", "K0", "d1", "cell_size", "My"])
-    def test_non_finite_sweep_value_exit_code(self, tmp_path, capsys, variable, value):
-        from riscap import cli
-
+    def test_non_finite_sweep_value_exit_code(self, tmp_path, variable, value):
         path = self.scenario_file(tmp_path)
-        code = cli.main(["sweep", path, "--var", variable, f"--values={value}", "--no-mc"])
+        code, _, err = run_cli("sweep", path, "--var", variable, f"--values={value}", "--no-mc")
         assert code == 2
-        assert "sweep.values" in capsys.readouterr().err
+        assert "sweep.values" in err
 
     @pytest.mark.parametrize(
         "argv, edits, field",
@@ -957,9 +969,10 @@ class TestCli:
     )
     def test_extreme_finite_input_exit_code(self, tmp_path, argv, edits, field):
         path = edited_preset_file(tmp_path, "fig2", edits)
-        proc = self.run_cli(argv[0], path, *argv[1:], "--no-mc", expect=2)
-        assert field in proc.stderr
-        assert "Traceback" not in proc.stderr
+        code, _, err = run_cli(argv[0], path, *argv[1:], "--no-mc")
+        assert code == 2, err
+        assert field in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "leaf, value, field",
@@ -1029,17 +1042,16 @@ class TestCli:
             ),
         ],
     )
-    def test_bad_leaf_is_named(self, tmp_path, capsys, leaf, value, field):
+    def test_bad_leaf_is_named(self, tmp_path, leaf, value, field):
         # a panel field out of range, or a field that takes a loss factor
         # (direct link, reference constant, panel) out of float range,
         # names the edited field; panels[i] leaves edit the two-panel
         # fig3, the others fig2
-        from riscap import cli
-
         name = "fig3" if leaf.startswith("deployment.panels.") else "fig2"
         path = edited_preset_file(tmp_path, name, {leaf: value})
-        assert cli.main(["analyze", path, "--no-mc"]) == 2
-        assert field in capsys.readouterr().err
+        code, _, err = run_cli("analyze", path, "--no-mc")
+        assert code == 2
+        assert field in err
 
     @pytest.mark.parametrize(
         "name, edits, argv, code, expected",
@@ -1148,14 +1160,12 @@ class TestCli:
             ("fig2", MOMENT_OVERFLOW, ["analyze", "--no-mc"], 2, [MOMENT_OVERFLOW_FIELDS]),
         ],
     )
-    def test_degenerate_input_exit_code(self, tmp_path, capsys, name, edits, argv, code, expected):
-        from riscap import cli
-
+    def test_degenerate_input_exit_code(self, tmp_path, name, edits, argv, code, expected):
         path = edited_preset_file(tmp_path, name, edits)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert cli.main([argv[0], path, *argv[1:]]) == code
-        out, err = capsys.readouterr()
+            status, out, err = run_cli(argv[0], path, *argv[1:])
+        assert status == code
         for text in expected:
             assert text in (out if code == 0 else err)
         if code == 0:
@@ -1170,7 +1180,8 @@ class TestCli:
         data["channel"]["k0_db"] = -1e300
         path = tmp_path / "rayleigh.yaml"
         path.write_text(yaml.safe_dump(data))
-        self.run_cli("analyze", str(path), "--no-mc")
+        code, _, err = run_cli("analyze", str(path), "--no-mc")
+        assert code == 0, err
 
     @pytest.mark.parametrize(
         "name, edits, leaves",
@@ -1183,8 +1194,6 @@ class TestCli:
     def test_no_scenario_leaf_ends_in_traceback(self, tmp_path, name, edits, leaves):
         # every leaf of the scenario file but mode at every extreme value:
         # the CLI returns 0, 2 or 3 and no exception escapes it
-        from riscap import cli
-
         base = edited_preset(name, edits)
         path = tmp_path / "leaf.yaml"
         escaped = []
@@ -1196,11 +1205,9 @@ class TestCli:
                 path.write_text(yaml.safe_dump(data))
                 cases += 1
                 try:
-                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
-                        io.StringIO()
-                    ), warnings.catch_warnings():
+                    with warnings.catch_warnings():
                         warnings.simplefilter("ignore")
-                        code = cli.main(["analyze", str(path), "--no-mc"])
+                        code, _, _ = run_cli("analyze", str(path), "--no-mc")
                 except Exception as exc:
                     escaped.append((leaf, value, repr(exc)))
                     continue
@@ -1220,76 +1227,67 @@ class TestCli:
     def test_leaf_pairs_and_flag_strings_exit_cleanly(self, tmp_path, case):
         # two extreme leaves at once, plus free-form flag strings: the CLI
         # exits 0, 2 or 3, nothing escapes it, and success prints no nan
-        from riscap import cli
-
         data, argv = case
         path = tmp_path / "pair.yaml"
         path.write_text(yaml.safe_dump(data))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(
-            io.StringIO()
-        ), warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            try:
-                code = cli.main([argv[0], str(path), *argv[1:]])
-            except SystemExit as exc:  # argparse rejects a flag
-                code = exc.code
+            code, out, _ = run_cli(argv[0], str(path), *argv[1:])
         assert code in (0, 2, 3), (argv, code)
         if code == 0:
-            assert "nan" not in out.getvalue(), (argv, out.getvalue())
+            assert "nan" not in out, (argv, out)
 
     def test_missing_file_exit_code(self):
-        self.run_cli("analyze", "does-not-exist.yaml", expect=2)
+        code, _, err = run_cli("analyze", "does-not-exist.yaml")
+        assert code == 2, err
 
     @pytest.mark.parametrize("out", [".", "missing/dir/x.csv"])
     @pytest.mark.parametrize("command", ["preset", "sweep"])
-    def test_unwritable_out_exit_code(self, tmp_path, capsys, command, out):
+    def test_unwritable_out_exit_code(self, tmp_path, command, out):
         # a directory, or a file in a directory that does not exist
-        from riscap import cli
-
         target = str(tmp_path / out)
         if command == "preset":
             argv = ["preset", "fig2", "--no-mc", "--out", target]
         else:
             argv = ["sweep", self.scenario_file(tmp_path), "--var", "P", "--values=0", "--no-mc"]
             argv += ["--out", target]
-        assert cli.main(argv) == 2
-        assert f"error: --out: cannot write {target}: " in capsys.readouterr().err
+        code, _, err = run_cli(*argv)
+        assert code == 2
+        assert f"error: --out: cannot write {target}: " in err
 
     @pytest.mark.parametrize("out", [".", "missing/dir/x.csv"])
-    def test_unwritable_out_fails_before_monte_carlo(self, tmp_path, monkeypatch, capsys, out):
-        from riscap import cli, montecarlo
-
+    def test_unwritable_out_fails_before_monte_carlo(self, tmp_path, monkeypatch, out):
         def no_block(*args):
             raise AssertionError("a Monte Carlo block ran")
 
         monkeypatch.setattr(montecarlo, "_block_envelope_sums", no_block)
         target = str(tmp_path / out)
-        assert cli.main(["preset", "fig2", "--trials", "20000", "--out", target]) == 2
-        assert f"error: --out: cannot write {target}: " in capsys.readouterr().err
+        code, _, err = run_cli("preset", "fig2", "--trials", "20000", "--out", target)
+        assert code == 2
+        assert f"error: --out: cannot write {target}: " in err
 
-    def test_failed_run_leaves_no_out_file(self, tmp_path, capsys):
-        from riscap import cli
-
+    def test_failed_run_leaves_no_out_file(self, tmp_path):
         scenario = self.scenario_file(tmp_path)
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         old.write_text("kept\n")
         for target in (new, old):
             argv = ["sweep", scenario, "--var", "rho", "--values=0.5,2", "--no-mc"]
-            assert cli.main(argv + ["--out", str(target)]) == 2
-            assert "sweep rho=2.0: correlation must lie in [0, 1]" in capsys.readouterr().err
+            code, _, err = run_cli(*argv, "--out", str(target))
+            assert code == 2
+            assert "sweep rho=2.0: correlation must lie in [0, 1]" in err
         assert not new.exists()
         assert old.read_text() == "kept\n"
 
     def test_preset_runs(self, tmp_path):
         csv_path = tmp_path / "fig7.csv"
-        self.run_cli("preset", "fig7", "--no-mc", "--out", str(csv_path))
+        self.python("-m", "riscap.cli", "preset", "fig7", "--no-mc", "--out", str(csv_path))
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 5  # comment + header + three shapes
 
     def test_preset_fig8_appends_distributed_cases(self, tmp_path):
         csv_path = tmp_path / "fig8.csv"
-        self.run_cli("preset", "fig8", "--no-mc", "--out", str(csv_path))
+        code, _, err = run_cli("preset", "fig8", "--no-mc", "--out", str(csv_path))
+        assert code == 0, err
         rows = [line.split(",") for line in csv_path.read_text().splitlines()[2:]]
         _, sweep = preset("fig8")
         assert len(rows) == len(sweep.values) + 3
@@ -1297,55 +1295,50 @@ class TestCli:
 
     def test_preset_fig4_emits_both_modes(self, tmp_path):
         csv_path = tmp_path / "fig4.csv"
-        self.run_cli("preset", "fig4", "--no-mc", "--out", str(csv_path))
+        # its far rows force the far-field formula inside the boundary
+        with pytest.warns(UserWarning, match="boundary"):
+            code, _, err = run_cli("preset", "fig4", "--no-mc", "--out", str(csv_path))
+        assert code == 0, err
         lines = csv_path.read_text().splitlines()[2:]
         modes = [line.split(",")[7] for line in lines]
         assert "near" in modes and "far" in modes
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
-        from riscap import cli
-        from riscap.errors import QuadratureFailure
-
         def boom(*args, **kwargs):
             raise QuadratureFailure("synthetic")
 
         monkeypatch.setattr(cli, "run_scenario", boom)
-        code = cli.main(["analyze", self.scenario_file(tmp_path), "--no-mc"])
+        code, _, _ = run_cli("analyze", self.scenario_file(tmp_path), "--no-mc")
         assert code == 3
 
-    def test_quadrature_failure_exit_code(self, tmp_path, monkeypatch, capsys):
-        from riscap import capacity, cli
-
+    def test_quadrature_failure_exit_code(self, tmp_path, monkeypatch):
         # three subintervals are too few for either quadrature route
         monkeypatch.setattr(capacity, "QUAD_LIMIT", 3)
-        code = cli.main(["analyze", self.scenario_file(tmp_path), "--no-mc"])
+        code, _, err = run_cli("analyze", self.scenario_file(tmp_path), "--no-mc")
         assert code == 3
-        err = capsys.readouterr().err
         assert "compact route QUADPACK ier=1" in err
         assert "log-scale retry QUADPACK ier=1" in err
 
-    def test_successive_main_calls_share_no_state(self, tmp_path, capsys):
+    def test_successive_main_calls_share_no_state(self, tmp_path):
         # main reuses one parser per process; a flag of one call must not
         # reach the next
-        from riscap import cli
-
         path = self.scenario_file(tmp_path)
         assert cli.build_parser() is cli.build_parser()
         with warnings.catch_warnings():
             # fig2 lies inside the near/far boundary: forcing far warns
             warnings.simplefilter("ignore")
-            assert cli.main(["analyze", path, "--mode", "far", "--no-mc"]) == 0
-        forced = capsys.readouterr().out
-        assert cli.main(["analyze", path, "--trials", "200"]) == 0
-        default = capsys.readouterr().out
+            code, forced, _ = run_cli("analyze", path, "--mode", "far", "--no-mc")
+        assert code == 0
+        code, default, _ = run_cli("analyze", path, "--trials", "200")
+        assert code == 0
         assert "mode: far" in forced and "ec_mc_bit_s_hz" not in forced
         assert "mode: near" in default and "ec_mc_bit_s_hz" in default
 
     @staticmethod
     def python(*argv):
-        """Stripped stdout of `python -c code args` in a fresh interpreter,
-        which must exit 0."""
-        proc = subprocess.run([sys.executable, "-c", *argv], capture_output=True, text=True)
+        """Stripped stdout of `python argv` in a fresh interpreter, which
+        must exit 0."""
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip()
 
@@ -1357,7 +1350,7 @@ class TestCli:
             "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
             "(['scipy', 'integrate'], ['scipy', 'optimize'], ['scipy', 'sparse'], ['scipy', 'linalg'])))"
         )
-        assert self.python(code) == "[]"
+        assert self.python("-c", code) == "[]"
 
     def test_cli_import_leaves_out_scipy_special_init(self):
         # the special functions come from scipy.special's compiled ufuncs;
@@ -1368,7 +1361,7 @@ class TestCli:
             "print(sorted(m for m in ('scipy._lib._array_api', 'numpy.testing', 'numpy.f2py', "
             "'numpy.ma') if m in sys.modules))"
         )
-        assert self.python(code) == "[]"
+        assert self.python("-c", code) == "[]"
 
     def test_cli_runs_import_nothing(self, tmp_path):
         # every module a run needs is loaded with riscap.cli, so none is
@@ -1384,4 +1377,4 @@ class TestCli:
             "        assert cli.main(argv) == 0, argv\n"
             "print(sorted(set(sys.modules) - loaded))"
         )
-        assert self.python(code, self.scenario_file(tmp_path)) == "[]"
+        assert self.python("-c", code, self.scenario_file(tmp_path)) == "[]"
