@@ -38,11 +38,9 @@ from .errors import (
     ValidationFailure,
 )
 from .geometry import (
-    ElementLinks,
     PanelLink,
     Point3,
     RisPanel,
-    element_links,
     near_field_boundary,
     panel_link,
 )
@@ -59,9 +57,9 @@ from .montecarlo import (
 )
 from .pathloss import (
     LinkBudget,
+    NearFieldTiles,
     beta0_reference,
     direct_pathloss,
-    element_pathloss,
     farfield_pathloss,
 )
 from .presets import PRESET_NAMES, fig8_distributed_cases, preset, run_preset

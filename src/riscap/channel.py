@@ -27,6 +27,7 @@ sqrt(beta^-1) only where the Monte Carlo oracle is to sample the panel.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -105,6 +106,7 @@ def laguerre_half(x: float) -> float:
     return (1.0 - x) * special.i0e(z) - x * special.i1e(z)
 
 
+@functools.lru_cache(maxsize=256)  # a run asks per panel and scenario, on a few K-factors
 def rician_mean_envelope(params: RicianParams) -> float:
     """Mean of the unit-power Rician envelope; in [sqrt(pi)/2, 1]."""
     k = params.k

@@ -1,16 +1,19 @@
-"""Panel geometry: element positions, link distances, elevation cosines.
+"""Panel geometry: element positions, tiles, panel-center links, boundary.
 
 Panels are rectangular grids of reflecting elements lying in a plane
 parallel to the xy-plane.  All distances are Euclidean, in meters.
-Per-element quantities are numpy arrays with one entry per element,
-row-major over (y, x).  ``element_links`` gives one ``ElementLinks`` record
-of distance and cosine arrays for a tile of the panel (a block of its rows
-and columns) from the panel's ``panel_link``, and ``panel_tiles`` splits a
-panel into tiles of at most ``TILE_ELEMENTS`` elements, so a per-element
-evaluation holds one tile's links at a time whatever the panel size.
+Element (i, j) sits at offset ((i - (mx-1)/2) * dx, (j - (my-1)/2) * dy)
+from the panel center, so the grid is symmetric about the center;
+``RisPanel.element_x`` and ``element_y`` give the coordinates of a range
+of its columns and rows.  ``panel_tiles`` splits a panel into tiles (a
+block of its rows and columns) of at most ``TILE_ELEMENTS`` elements, so
+a per-element evaluation (``pathloss.NearFieldTiles``) holds one tile at
+a time whatever the panel size; per-element arrays are row-major over
+(y, x).
 
 Convention note: the elevation cosine from an element toward the user
-(``cos_r``) is computed from the *receiver* height.  Output metadata of
+(``cos_r``, formed per element by ``pathloss.NearFieldTiles``) is computed
+from the *receiver* height.  Output metadata of
 the workbench repeats this note so downstream consumers see the choice.
 """
 
@@ -31,8 +34,8 @@ ELEVATION_CONVENTION_NOTE = (
 # Per-panel element bound, so every per-element array stays allocatable
 # (100x the largest panel the benchmark runs, 316 x 316).
 MAX_PANEL_ELEMENTS = 10**7
-# Elements per tile of panel_tiles: one tile's links (seven arrays and
-# their temporaries) then stay within a few hundred KiB.
+# Elements per tile of panel_tiles: one near-field tile's five arrays
+# then stay within a few hundred KiB.
 TILE_ELEMENTS = 2**13
 
 
@@ -99,25 +102,20 @@ class RisPanel:
     def element_count(self) -> int:
         return self.mx * self.my
 
+    def element_x(self, cols: range) -> np.ndarray:
+        """x coordinates of the columns cols, a unit-step range in 0..mx."""
+        return _axis("cols", cols, self.mx, self.center.x, self.dx)
 
-@dataclass(frozen=True)
-class ElementLinks:
-    """Per-element link quantities for one BS -> element -> user hop.
+    def element_y(self, rows: range) -> np.ndarray:
+        """y coordinates of the rows rows, a unit-step range in 0..my."""
+        return _axis("rows", rows, self.my, self.center.y, self.dy)
 
-    Each field is an array with one entry per element of a tile, row-major
-    over (y, x).
-    """
 
-    r_t: np.ndarray  # BS to element
-    r_r: np.ndarray  # element to user
-    d_m: np.ndarray  # element to panel center
-    cos_tx: np.ndarray
-    cos_rx: np.ndarray
-    cos_t: np.ndarray
-    cos_r: np.ndarray
-
-    def __len__(self) -> int:
-        return self.r_t.size
+def _axis(name: str, span: range, count: int, center: float, spacing: float) -> np.ndarray:
+    """Element i of count sits at center + (i - (count-1)/2) * spacing."""
+    if span.step != 1 or not 0 <= span.start < span.stop <= count:
+        raise ValueError(f"{name} must be a non-empty unit-step range within 0..{count}")
+    return center + (np.arange(span.start, span.stop) - (count - 1) / 2.0) * spacing
 
 
 @dataclass(frozen=True)
@@ -159,51 +157,6 @@ def panel_tiles(panel: RisPanel) -> Iterator[tuple[range, range]]:
     for r in range(0, panel.my, height):
         for c in range(0, panel.mx, width):
             yield range(r, min(r + height, panel.my)), range(c, min(c + width, panel.mx))
-
-
-def _distances(point: Point3, xs: np.ndarray, ys: np.ndarray, z0: float) -> np.ndarray:
-    """Distances from point to the grid of element centres (xs[i], ys[j], z0),
-    row-major over (j, i), summed from per-axis offsets."""
-    dx, dy, dz = xs - point.x, ys - point.y, z0 - point.z
-    squares = (dx * dx)[None, :] + (dy * dy)[:, None]
-    squares += dz * dz
-    return np.sqrt(squares, out=squares).ravel()
-
-
-def element_links(
-    bs: Point3, user: Point3, panel: RisPanel, link: PanelLink, rows: range, cols: range
-) -> ElementLinks:
-    """Per-element distances and elevation cosines of the tile of rows
-    (y indices) and cols (x indices) of the panel; link is
-    panel_link(bs, user, panel), computed once for all of a panel's tiles.
-
-    Element (i, j) sits at offset ((i - (mx-1)/2) * dx, (j - (my-1)/2) * dy)
-    from the panel center, so the grid is symmetric about the center.
-    cos_tx / cos_rx follow the law of cosines in the triangle formed by the
-    endpoint, the element, and the panel center; cos_t / cos_r are height
-    over slant range.
-    """
-    for name, span, count in (("rows", rows, panel.my), ("cols", cols, panel.mx)):
-        if span.step != 1 or not 0 <= span.start < span.stop <= count:
-            raise ValueError(f"{name} must be a non-empty unit-step range within 0..{count}")
-    d1, d2 = link.d1, link.d2
-    c = panel.center
-    xs = c.x + (np.arange(cols.start, cols.stop) - (panel.mx - 1) / 2.0) * panel.dx
-    ys = c.y + (np.arange(rows.start, rows.stop) - (panel.my - 1) / 2.0) * panel.dy
-    z0 = c.z
-    r_t = _distances(bs, xs, ys, z0)
-    r_r = _distances(user, xs, ys, z0)
-    d_m = _distances(c, xs, ys, z0)
-    d_m2 = d_m * d_m
-    return ElementLinks(
-        r_t=r_t,
-        r_r=r_r,
-        d_m=d_m,
-        cos_tx=(d1 * d1 + r_t * r_t - d_m2) / (2.0 * d1 * r_t),
-        cos_rx=(d2 * d2 + r_r * r_r - d_m2) / (2.0 * d2 * r_r),
-        cos_t=(bs.z - z0) / r_t,
-        cos_r=(user.z - z0) / r_r,
-    )
 
 
 def near_field_boundary(panel: RisPanel, wavelength: float) -> float:

@@ -31,13 +31,17 @@ amplitudes.  Each estimate is bit-identical to simulating that ensemble
 alone.
 
 Memory: a worker holds two arrays of block_size x M x 8 bytes (|h|, then
-g), e.g. 328 MB at M = 10^4 with the default 2048-trial blocks.
+g), e.g. 328 MB at M = 10^4 with the default 2048-trial blocks.  A block
+whose two arrays exceed physical memory is a ScenarioError naming trials,
+the block size and the element count; so is a block whose allocation
+fails, which also names the worker count.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -130,6 +134,14 @@ class SnrEnsemble:
         return tuple((p.count, p.k1, p.k2) for p in self.panels)
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory, or 2**63 where the system does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return 2**63
+
+
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     """Philox substream for one block; keys (seed, index) never collide."""
     key = np.array([seed, block_index], dtype=np.uint64)
@@ -194,6 +206,15 @@ def simulate_ec_sweep(
                 )
         groups.setdefault(ensemble.draw_signature(), []).append(j)
 
+    block = min(cfg.block_size, cfg.trials)
+    largest = max((p.count for e in ensembles for p in e.panels), default=0)
+    if 16 * block * largest > physical_memory():
+        raise ScenarioError(
+            f"trials: a Monte Carlo block of {block} trials needs two {block} x {largest} float64 "
+            f"arrays ({16 * block * largest / 2**30:.3g} GiB) for a panel of {largest} elements, "
+            "more memory than this machine has"
+        )
+
     def block_sums(item) -> list[tuple[float, float]]:
         """Per ensemble, the block's sum of log2(1 + SNR) and of its square;
         each group draws the block from its own fresh substream."""
@@ -207,8 +228,14 @@ def simulate_ec_sweep(
                 sums[i] = (float(np.sum(ec)), float(np.sum(ec * ec)))
         return sums
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        blocks = list(pool.map(block_sums, _block_plan(cfg)))
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(block_sums, _block_plan(cfg)))
+    except MemoryError:
+        raise ScenarioError(
+            f"trials: allocating a Monte Carlo block of {block} trials for a panel of {largest} "
+            f"elements with {workers} worker(s) failed; use fewer trials per block or fewer workers"
+        ) from None
 
     n = cfg.trials
     estimates = []

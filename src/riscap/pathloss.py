@@ -4,6 +4,9 @@ All outputs are *loss factors*: received power scales as 1/beta, and the
 SNR formulas downstream consume beta^-1.  The reference constant
 ``beta0_reference`` (an element-aperture term) and the direct-link
 ``direct_pathloss`` are distinct quantities and are never aliased.
+``NearFieldTiles`` gives a panel's per-element near-field losses one tile
+at a time and records its pattern faults; ``farfield_pathloss`` is the one
+loss every element of a far-field panel shares.
 
 Antenna gains are linear here; dB conversion happens at the scenario
 boundary.  The transmit and receive antennas are assumed pointed at the
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PatternUnderflow, SingularPattern
-from .geometry import ElementLinks, PanelLink
+from .geometry import PanelLink, Point3, RisPanel
 
 
 @dataclass(frozen=True)
@@ -51,51 +54,103 @@ def beta0_reference(gt: float, gr: float, dx: float, dy: float) -> float:
     return 16.0 * math.pi**2 / (gt * gr * dx**2 * dy**2)
 
 
-@dataclass
-class PatternFaults:
-    """The non-positive pattern factors of one panel, recorded tile by tile.
+class NearFieldTiles:
+    """One panel's near-field inverse loss factors, tile by tile, and its
+    pattern faults.  ``links(rows, cols)`` gives a tile's distances r_t,
+    r_r and endpoint cosines cos_tx, cos_rx; ``inverse_losses(rows, cols)``
+    gives its beta^-1, row-major, of beta = beta0_ref * (r_t * r_r)^2 /
+    pattern with the joint pattern cos_tx^(gt/2-1) * cos_t * cos_r *
+    cos_rx^(gr/2-1).  From an endpoint at height h and distance d from the
+    center, cos_tx / cos_rx is (r^2 + d^2 - d_m^2) / (2 d r) (law of
+    cosines) and cos_t / cos_r is h / r; r^2 and d_m^2 (element to center)
+    are outer sums of per-column and per-row squares, read before r is
+    taken.  ``check`` then raises the panel's first fault: non-positive
+    endpoint cosines (an endpoint past an element's perpendicular, which
+    the fractional gain exponents cannot take), then a pattern that
+    underflows or is not positive, each with the panel's element count and
+    worst value."""
 
-    ``pattern`` gives a tile's joint pattern and records its faults;
-    ``check`` then raises the panel's first fault: non-positive endpoint
-    cosines first, then a pattern that underflows or is not positive, each
-    with the panel's element count and worst value.  The endpoint-side
-    cosines enter with the (possibly fractional) gain exponents, so an
-    endpoint past the perpendicular of an element has no defined pattern.
-    """
+    def __init__(
+        self,
+        bs: Point3,
+        user: Point3,
+        panel: RisPanel,
+        link: PanelLink,
+        beta0_ref: float,
+        gt: float,
+        gr: float,
+    ):
+        z0 = panel.center.z
+        # per endpoint: its point, height over the plane, distance to the center
+        self.ends = ((bs, bs.z - z0, link.d1), (user, user.z - z0, link.d2))
+        self.panel, self.beta0_ref, self.gt, self.gr = panel, beta0_ref, gt, gr
+        self.endpoint_count, self.endpoint_worst = 0, math.inf
+        self.pattern_count, self.pattern_worst = 0, math.inf
+        self.underflow = True  # every non-positive pattern has positive cos_t and cos_r
 
-    endpoint_count: int = 0
-    endpoint_worst: float = math.inf
-    pattern_count: int = 0
-    pattern_worst: float = math.inf
-    underflow: bool = True  # every non-positive pattern has positive cos_t and cos_r
+    @np.errstate(all="ignore")  # a nan or overflow is recorded or range-checked downstream
+    def links(self, rows: range, cols: range) -> tuple[np.ndarray, ...]:
+        """(r_t, r_r, cos_tx, cos_rx) of the tile of rows (y indices) and
+        cols (x indices), each of shape (len(rows), len(cols))."""
+        (bs, hb, d1), (user, hu, d2) = self.ends
+        c = self.panel.center
+        x = self.panel.element_x(cols)
+        y = self.panel.element_y(rows)[:, None]
+        # squared distances to the center, the BS and the user
+        d_m2 = np.square(x - c.x) + np.square(y - c.y)
+        r_t = (np.square(x - bs.x) + hb * hb) + np.square(y - bs.y)
+        r_r = (np.square(x - user.x) + hu * hu) + np.square(y - user.y)
+        cos_tx = r_t + d1 * d1
+        cos_tx -= d_m2
+        cos_rx = r_r + d2 * d2
+        cos_rx -= d_m2
+        np.sqrt(r_t, out=r_t)
+        np.sqrt(r_r, out=r_r)
+        scratch = d_m2  # the numerators have read it
+        cos_tx /= np.multiply(r_t, 2.0 * d1, out=scratch)
+        cos_rx /= np.multiply(r_r, 2.0 * d2, out=scratch)
+        return r_t, r_r, cos_tx, cos_rx
 
-    def pattern(self, links: ElementLinks, gt: float, gr: float) -> np.ndarray:
-        """The joint pattern of one tile, its faults recorded."""
-        endpoint_cos = np.minimum(links.cos_tx, links.cos_rx)
-        self.endpoint_count += int(np.count_nonzero(endpoint_cos <= 0))
-        # a reduction from the worst so far: a nan propagates as in one call
-        self.endpoint_worst = endpoint_cos.min(initial=self.endpoint_worst)
+    @np.errstate(all="ignore")  # a nan or overflow is recorded here or range-checked by the caller
+    def inverse_losses(self, rows: range, cols: range) -> np.ndarray:
+        """beta^-1 of the tile of rows (y indices) and cols (x indices),
+        row-major; its pattern faults are recorded for check."""
+        r_t, r_r, cos_tx, cos_rx = self.links(rows, cols)
+        (_, hb, _), (_, hu, _) = self.ends
+        # a tile's minima show whether it has a fault (or a nan) to record
+        if not (cos_tx.min() > 0 and cos_rx.min() > 0):
+            endpoint_cos = np.minimum(cos_tx, cos_rx)
+            self.endpoint_count += int(np.count_nonzero(endpoint_cos <= 0))
+            # a reduction from the worst so far: a nan propagates as in one call
+            self.endpoint_worst = endpoint_cos.min(initial=self.endpoint_worst)
         # a non-positive endpoint cosine to a fractional power is nan, and
-        # check() reports that cosine instead
-        with np.errstate(invalid="ignore", divide="ignore"):
-            pattern = (
-                links.cos_tx ** (gt / 2.0 - 1.0)
-                * links.cos_t
-                * links.cos_r
-                * links.cos_rx ** (gr / 2.0 - 1.0)
-            )
-        bad = pattern <= 0
-        count = int(np.count_nonzero(bad))
-        if count:
-            self.pattern_count += count
-            self.underflow = self.underflow and bool(
-                np.all((links.cos_t[bad] > 0) & (links.cos_r[bad] > 0))
-            )
-        self.pattern_worst = pattern.min(initial=self.pattern_worst)
-        return pattern
+        # check() reports that cosine instead; cos ** 0 is 1, even at nan
+        scratch = np.empty_like(r_t)
+        cos_tx **= self.gt / 2.0 - 1.0
+        pattern = cos_tx
+        pattern *= np.divide(hb, r_t, out=scratch)
+        pattern *= np.divide(hu, r_r, out=scratch)
+        cos_rx **= self.gr / 2.0 - 1.0
+        pattern *= cos_rx
+        if not pattern.min() > 0:
+            bad = pattern <= 0
+            count = int(np.count_nonzero(bad))
+            if count:
+                self.pattern_count += count
+                self.underflow = self.underflow and bool(
+                    np.all((hb / r_t[bad] > 0) & (hu / r_r[bad] > 0))
+                )
+            self.pattern_worst = pattern.min(initial=self.pattern_worst)
+        loss = r_t  # beta0_ref * (r_t * r_r)^2 / pattern, then its inverse
+        loss *= r_r
+        loss *= loss
+        loss *= self.beta0_ref
+        loss /= pattern
+        return np.divide(1.0, loss, out=loss).ravel()
 
-    def check(self, gt: float, gr: float) -> None:
+    def check(self) -> None:
         """Raise the panel's first fault, if it has one."""
+        gt, gr = self.gt, self.gr
         if self.endpoint_count:
             raise SingularPattern(
                 f"endpoint-side pattern cosines must be positive; {self.endpoint_count} "
@@ -113,19 +168,6 @@ class PatternFaults:
             f"radiation pattern is not positive at {self.pattern_count} element(s) "
             f"(worst {self.pattern_worst:.4g}); check link geometry"
         )
-
-
-def element_pathloss(
-    links: ElementLinks, beta0_ref: float, gt: float, gr: float, faults: PatternFaults
-) -> np.ndarray:
-    """Near-field loss factor per element: beta0_ref*(r_t*r_r)^2/pattern.
-
-    A pattern factor that is not positive is recorded in faults, the
-    record of the panel the links are a tile of, and the loss of that
-    element is not a loss factor; ``faults.check`` raises it.
-    """
-    pattern = faults.pattern(links, gt, gr)
-    return beta0_ref * (links.r_t * links.r_r) ** 2 / pattern
 
 
 def farfield_pathloss(link: PanelLink, beta0_ref: float) -> float:

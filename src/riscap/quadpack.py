@@ -17,8 +17,8 @@ being the index of the driver that asked for ``nodes[i]``, and f returns
 a numpy array of values.  nodes and lanes are numpy arrays built with a
 few whole-round operations, which are dqk21's IEEE operations applied
 elementwise, so every node is bit-identical to dqk21's.  Each rule is
-then summed in a scalar loop, so a driver's results do not depend on
-which drivers run beside it.
+then summed in scalar Python arithmetic, so a driver's results do not
+depend on which drivers run beside it.
 ``lockstep`` is the only runner: a single integral is a one-driver call.
 
 ier, as in QUADPACK: 0 converged; 1 subdivision limit reached; 2 roundoff
@@ -75,27 +75,40 @@ WG = (
 _OFFSETS = np.concatenate((np.negative(XGK), XGK))
 
 
+_W0, _W1, _W2, _W3, _W4, _W5, _W6, _W7, _W8, _W9, _W10 = WGK
+_G1, _G3, _G5, _G7, _G9 = WG  # the Gauss weights of Kronrod nodes 1, 3, 5, 7, 9
+
+
 def _qk21(fv, hlgth: float):
     """dqk21's sums over the 21 values fv at the nodes lockstep places
     (center, then centr - hlgth * XGK, then centr + hlgth * XGK): (result,
-    abserr, resabs, resasc)."""
-    fc, fv1, fv2 = fv[0], fv[1:11], fv[11:21]
-    resg = 0.0
-    resk = WGK[10] * fc
-    resabs = abs(resk)
-    for j in (1, 3, 5, 7, 9):
-        fsum = fv1[j] + fv2[j]
-        resg = resg + WG[j // 2] * fsum
-        resk = resk + WGK[j] * fsum
-        resabs = resabs + WGK[j] * (abs(fv1[j]) + abs(fv2[j]))
-    for j in (0, 2, 4, 6, 8):
-        fsum = fv1[j] + fv2[j]
-        resk = resk + WGK[j] * fsum
-        resabs = resabs + WGK[j] * (abs(fv1[j]) + abs(fv2[j]))
-    reskh = resk * 0.5
-    resasc = WGK[10] * abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    abserr, resabs, resasc).  Each sum is one left-to-right expression that
+    adds its terms in dqk21's order: the Gauss nodes 1, 3, 5, 7, 9, then
+    nodes 0, 2, 4, 6, 8 (resasc: nodes 0 to 9)."""
+    fc, f0, f1, f2, f3, f4, f5, f6, f7, f8, f9, g0, g1, g2, g3, g4, g5, g6, g7, g8, g9 = fv
+    s0, s1, s2, s3, s4, s5, s6, s7, s8, s9 = (
+        f0 + g0, f1 + g1, f2 + g2, f3 + g3, f4 + g4, f5 + g5, f6 + g6, f7 + g7, f8 + g8, f9 + g9
+    )
+    # dqk21 adds these terms to a resg of 0.0, which can change only the
+    # sign of a zero, and resg is read only through |resk - resg|
+    resg = _G1 * s1 + _G3 * s3 + _G5 * s5 + _G7 * s7 + _G9 * s9
+    resk = _W10 * fc
+    resabs = (
+        abs(resk) + _W1 * (abs(f1) + abs(g1)) + _W3 * (abs(f3) + abs(g3))
+        + _W5 * (abs(f5) + abs(g5)) + _W7 * (abs(f7) + abs(g7)) + _W9 * (abs(f9) + abs(g9))
+        + _W0 * (abs(f0) + abs(g0)) + _W2 * (abs(f2) + abs(g2)) + _W4 * (abs(f4) + abs(g4))
+        + _W6 * (abs(f6) + abs(g6)) + _W8 * (abs(f8) + abs(g8))
+    )
+    resk = resk + _W1 * s1 + _W3 * s3 + _W5 * s5 + _W7 * s7 + _W9 * s9 + _W0 * s0 + _W2 * s2
+    resk = resk + _W4 * s4 + _W6 * s6 + _W8 * s8
+    h = resk * 0.5
+    resasc = (
+        _W10 * abs(fc - h) + _W0 * (abs(f0 - h) + abs(g0 - h)) + _W1 * (abs(f1 - h) + abs(g1 - h))
+        + _W2 * (abs(f2 - h) + abs(g2 - h)) + _W3 * (abs(f3 - h) + abs(g3 - h))
+        + _W4 * (abs(f4 - h) + abs(g4 - h)) + _W5 * (abs(f5 - h) + abs(g5 - h))
+        + _W6 * (abs(f6 - h) + abs(g6 - h)) + _W7 * (abs(f7 - h) + abs(g7 - h))
+        + _W8 * (abs(f8 - h) + abs(g8 - h)) + _W9 * (abs(f9 - h) + abs(g9 - h))
+    )
     dhlgth = abs(hlgth)
     result = resk * hlgth
     resabs = resabs * dhlgth

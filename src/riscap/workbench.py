@@ -53,7 +53,6 @@ from .geometry import (
     PanelLink,
     Point3,
     RisPanel,
-    element_links,
     near_field_boundary,
     panel_link,
     panel_tiles,
@@ -67,10 +66,9 @@ from .montecarlo import (
     simulate_ec_sweep,
 )
 from .pathloss import (
-    PatternFaults,
+    NearFieldTiles,
     beta0_reference,
     direct_pathloss,
-    element_pathloss,
     farfield_pathloss,
 )
 from .scenario import Scenario
@@ -163,38 +161,40 @@ def _tile_sums(
 ) -> tuple[Optional[np.ndarray], float, float]:
     """The panel's (amplitude, root_sum, power_sum) under the resolved
     mode, reduced one panel_tiles tile at a time: a near-field tile is
-    1/element_pathloss of its element_links, a far-field tile the constant
-    1/farfield_pathloss.  The tiles' sums of beta^-1 and of sqrt(beta^-1)
-    are added with math.fsum in tile order.  The amplitudes sqrt(beta^-1),
-    row-major and read-only, are kept when keep is set or the panel is one
-    tile (then they are that tile), else they are None and only one tile
-    is held.  After the last tile it raises the panel's first pattern
-    fault, then an inverse loss out of range, naming `what`."""
-    gt, gr = scenario.budget.gt, scenario.budget.gr
-    if mode == "far":
+    NearFieldTiles.inverse_losses of its rows and columns, a far-field
+    tile the constant 1/farfield_pathloss.  The tiles' sums of beta^-1 and
+    of sqrt(beta^-1) are added with math.fsum in tile order.  The
+    amplitudes sqrt(beta^-1), row-major and read-only, are kept when keep
+    is set or the panel is one tile (then they are that tile), else they
+    are None and only one tile is held.  After the last tile it raises the
+    panel's first pattern fault, then an inverse loss out of range, naming
+    `what`."""
+    if mode == "near":
+        budget = scenario.budget
+        near = NearFieldTiles(scenario.bs, scenario.user, panel, link, b0_ref, budget.gt, budget.gr)
+    else:
         far_inv = 1.0 / _loss(what, farfield_pathloss, link, b0_ref)
     one_tile = panel.element_count <= TILE_ELEMENTS
     amplitude = np.empty(panel.element_count) if keep and not one_tile else None
     grid = None if amplitude is None else amplitude.reshape(panel.my, panel.mx)
-    faults = PatternFaults()
     in_range = True
     # per tile, sum(beta^-1) and sum(sqrt(beta^-1)): 16 bytes a tile, a
     # quarter of what two lists of Python floats would take
     sums = np.empty((sum(1 for _ in panel_tiles(panel)), 2))
     for k, (rows, cols) in enumerate(panel_tiles(panel)):
         if mode == "near":
-            links = element_links(scenario.bs, scenario.user, panel, link, rows, cols)
-            tile = 1.0 / element_pathloss(links, b0_ref, gt, gr, faults)
+            tile = near.inverse_losses(rows, cols)
         else:
             tile = np.full(len(rows) * len(cols), far_inv)
         # a nan fails both comparisons, so it is out of range too
-        in_range = in_range and bool(np.min(tile) > 0 and np.max(tile) < math.inf)
-        sums[k, 0] = np.sum(tile)
+        in_range = in_range and bool(tile.min() > 0 and tile.max() < math.inf)
+        sums[k, 0] = tile.sum()
         root = np.sqrt(tile, out=tile)
-        sums[k, 1] = np.sum(root)
+        sums[k, 1] = root.sum()
         if grid is not None:
             grid[rows.start : rows.stop, cols.start : cols.stop] = root.reshape(len(rows), -1)
-    faults.check(gt, gr)
+    if mode == "near":
+        near.check()
     if not in_range:
         raise ScenarioError(f"{what}: loss factor or its inverse is out of float range")
     if one_tile:

@@ -21,12 +21,14 @@ port: quad_compact and quad_logscale run the two survival-integral
 routes through it with a scalar integrand, one call per node.  Only the
 tests import scipy.integrate.  dqk21_nodes places one interval's
 Gauss-Kronrod nodes scalar by scalar, the reference for the node arrays
-the port builds a whole round at a time.
+the port builds a whole round at a time, and dqk21_sums sums a rule in
+the Fortran's loops, the reference for the port's straight-line sums.
 """
 
 import dataclasses
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -130,6 +132,58 @@ def dqk21_nodes(a: float, b: float) -> list[float]:
     hlgth = 0.5 * (b - a)
     absc = [hlgth * x for x in DQK21_XGK]
     return [centr] + [centr - x for x in absc] + [centr + x for x in absc]
+
+
+# dqk21's Kronrod weights wgk(1..11) (the last at the centre) and the
+# 10-point Gauss weights wg(1..5) of Kronrod nodes 2, 4, 6, 8, 10
+DQK21_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+DQK21_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+
+def dqk21_sums(fv, hlgth: float) -> tuple[float, float, float, float]:
+    """dqk21's (result, abserr, resabs, resasc) from the 21 values fv at
+    dqk21_nodes' nodes, summed in the Fortran's loops: the centre, the
+    Gauss nodes (j = 2, 4, ..., 10 in Fortran), the other Kronrod nodes,
+    then resasc over j = 1..10."""
+    fc, fv1, fv2 = fv[0], fv[1:11], fv[11:21]
+    resg = 0.0
+    resk = DQK21_WGK[10] * fc
+    resabs = abs(resk)
+    for j in (1, 3, 5, 7, 9):
+        fsum = fv1[j] + fv2[j]
+        resg = resg + DQK21_WG[j // 2] * fsum
+        resk = resk + DQK21_WGK[j] * fsum
+        resabs = resabs + DQK21_WGK[j] * (abs(fv1[j]) + abs(fv2[j]))
+    for j in (0, 2, 4, 6, 8):
+        fsum = fv1[j] + fv2[j]
+        resk = resk + DQK21_WGK[j] * fsum
+        resabs = resabs + DQK21_WGK[j] * (abs(fv1[j]) + abs(fv2[j]))
+    reskh = resk * 0.5
+    resasc = DQK21_WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + DQK21_WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    dhlgth = abs(hlgth)
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    eps = sys.float_info.epsilon
+    if resabs > sys.float_info.min / (50.0 * eps):
+        abserr = max((eps * 50.0) * resabs, abserr)
+    return result, abserr, resabs, resasc
 
 
 def quad_compact(a: float, c: float, abs_tol: float, limit: int):

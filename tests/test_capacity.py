@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     dqk21_nodes,
+    dqk21_sums,
     mp_capacity_direct,
     mp_capacity_meijerg,
     quad_compact,
@@ -339,6 +340,37 @@ class TestLockstepNodes:
         capacity._compact_quads(TestLockstep.POINTS)
         widths = [b - a for log in asked for ivs in log for a, b in ivs if a > 0.99]
         assert min(widths) < 1e-9
+
+
+class TestQk21Sums:
+    """The straight-line rule sums are dqk21's loops, bit for bit."""
+
+    @staticmethod
+    def bits(values) -> list[int]:
+        return np.array(values, dtype=float).view(np.int64).tolist()
+
+    def test_random_rules(self):
+        rng = np.random.default_rng(23)
+        tiny = np.finfo(float).smallest_subnormal
+        for _ in range(2000):
+            kind = rng.integers(4)
+            if kind == 0:  # mixed signs, wide magnitudes
+                fv = rng.standard_normal(21) * 10.0 ** rng.uniform(-300, 300, 21)
+            elif kind == 1:  # positive, as a survival integrand's values
+                fv = rng.uniform(0.0, 1.0, 21)
+            elif kind == 2:  # subnormal, some of them zero
+                fv = rng.integers(-40, 40, 21) * tiny
+            else:  # zeros of both signs among ordinary values
+                fv = rng.standard_normal(21)
+                fv[rng.random(21) < 0.5] = 0.0
+                fv[rng.random(21) < 0.2] = -0.0
+            fv = fv.tolist()
+            hlgth = float(rng.choice([0.5, -0.25, 1e-300, 3.7, 5e-324]))
+            got, want = quadpack._qk21(fv, hlgth), dqk21_sums(fv, hlgth)
+            assert self.bits(got) == self.bits(want), (fv, hlgth)
+
+    def test_all_zero_rule(self):
+        assert self.bits(quadpack._qk21([0.0] * 21, 0.5)) == self.bits(dqk21_sums([0.0] * 21, 0.5))
 
 
 class TestSnrMoments:

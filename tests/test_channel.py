@@ -17,6 +17,7 @@ from riscap.channel import (
     sample_rician_envelope,
 )
 from riscap.errors import NegativeCorrelation
+from riscap.units import db_to_linear
 
 # frozen from the quadrature oracle in oracles.mp_rician_mean (30 digits)
 OMEGA_5 = 0.95993011075201893576
@@ -81,6 +82,16 @@ class TestRicianMeanEnvelope:
         ks = [0.0, 0.3, 1.0, 2.0, 5.0, 10.0, 50.0, 300.0]
         omegas = [rician_mean_envelope(RicianParams(k)) for k in ks]
         assert all(b > a for a, b in zip(omegas, omegas[1:]))
+
+
+    @pytest.mark.parametrize("k_db", [-math.inf, math.inf, -30.0, -3.0, 0.0, 7.5, 40.0])
+    def test_cached_equals_uncached(self, k_db):
+        # one evaluation per K-factor: the cached value is the computed one
+        params = RicianParams(db_to_linear(k_db))
+        uncached = rician_mean_envelope.__wrapped__(params)
+        for _ in range(2):  # the first call may fill the cache, the second reads it
+            assert rician_mean_envelope(params) == uncached
+            assert rician_mean_envelope(RicianParams(params.k)) == uncached
 
 
 class TestOutdatedCorrelation:

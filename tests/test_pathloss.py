@@ -1,17 +1,16 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from riscap.errors import SingularPattern
-from riscap.geometry import ElementLinks, PanelLink, Point3, RisPanel, element_links, panel_link
+from oracles import brute_force_element_links
+from riscap.errors import PatternUnderflow, SingularPattern
+from riscap.geometry import PanelLink, Point3, RisPanel, panel_link
 from riscap.pathloss import (
     LinkBudget,
-    PatternFaults,
+    NearFieldTiles,
     beta0_reference,
     direct_pathloss,
-    element_pathloss,
     farfield_pathloss,
 )
 
@@ -24,11 +23,17 @@ def fig_panel(mx=40, my=40):
     return RisPanel(center=Point3(-49.5, 0.0, 9.5), mx=mx, my=my, dx=CELL, dy=CELL)
 
 
-def one_element(r_t, r_r, d_m, cos_tx, cos_rx, cos_t, cos_r):
-    """An ElementLinks record holding a single element."""
-    return ElementLinks(
-        *(np.array([v], dtype=float) for v in (r_t, r_r, d_m, cos_tx, cos_rx, cos_t, cos_r))
-    )
+def near(bs, user, p, gt, gr, b0=1.0) -> NearFieldTiles:
+    return NearFieldTiles(bs, user, p, panel_link(bs, user, p), b0, gt, gr)
+
+
+def whole_panel(bs, user, p, gt, gr, b0=1.0) -> np.ndarray:
+    """beta^-1 of every element from one inverse_losses call; raises the
+    panel's pattern fault, if any."""
+    kernel = near(bs, user, p, gt, gr, b0)
+    beta_inv = kernel.inverse_losses(range(p.my), range(p.mx))
+    kernel.check()
+    return beta_inv
 
 
 class TestLinkBudget:
@@ -71,102 +76,107 @@ class TestBeta0Reference:
 
 
 class TestJointPattern:
+    """The joint pattern cos_tx^(gt/2-1) cos_t cos_r cos_rx^(gr/2-1), read
+    off beta^-1 = pattern / (b0 (r_t r_r)^2) with b0 = 1."""
+
     def test_all_unit_cosines(self):
-        link = one_element(1, 1, 0, 1.0, 1.0, 1.0, 1.0)
-        assert PatternFaults().pattern(link, 20.0, 4.0)[0] == 1.0
+        # both endpoints above a one-element panel: every cosine is 1, so
+        # beta^-1 is 1 / (r_t r_r)^2 exactly
+        p = RisPanel(Point3(0.0, 0.0, 0.0), 1, 1, 1.0, 1.0)
+        beta_inv = whole_panel(Point3(0.0, 0.0, 2.0), Point3(0.0, 0.0, 4.0), p, 20.0, 4.0)
+        assert beta_inv.tolist() == [1.0 / 64.0]
 
     def test_exponents_vanish_at_gain_two(self):
-        link = one_element(1, 1, 0, 0.3, 0.4, 0.5, 0.6)
-        assert PatternFaults().pattern(link, 2.0, 2.0)[0] == pytest.approx(0.5 * 0.6, rel=1e-15)
+        # off-axis endpoints: cos_tx, cos_rx < 1 drop out at gt = gr = 2
+        p = RisPanel(Point3(0.3, -0.2, 0.0), 1, 1, 1.0, 1.0)
+        bs, user = Point3(1.0, 2.0, 3.0), Point3(-4.0, 5.0, 6.0)
+        link = panel_link(bs, user, p)
+        expected = link.cos_theta_t * link.cos_theta_r / (link.d1 * link.d2) ** 2
+        assert whole_panel(bs, user, p, 2.0, 2.0)[0] == pytest.approx(expected, rel=1e-15)
 
     def test_off_center_element_against_scripted_product(self):
-        p = fig_panel()
-        links = element_links(BS, USER, p, panel_link(BS, USER, p), range(40), range(40))
-        i = 7  # arbitrary off-center element
-        cos_tx, cos_rx, cos_t, cos_r = (
-            float(getattr(links, name)[i]) for name in ("cos_tx", "cos_rx", "cos_t", "cos_r")
-        )
+        # both endpoints on the normal of the element 12 m off-center, at
+        # heights 5 and 9: r_t = 5, r_r = 9, cos_t = cos_r = 1, and the
+        # 5-12-13 and 9-12-15 triangles give cos_tx = 5/13, cos_rx = 9/15,
+        # every one formed exactly or correctly rounded
+        p = RisPanel(Point3(0.0, 0.0, 0.0), 3, 1, 12.0, 1.0)
+        bs, user = Point3(12.0, 0.0, 5.0), Point3(12.0, 0.0, 9.0)
         gt, gr = 100.0, 1.0
-        expected = cos_tx ** (gt / 2 - 1) * cos_t * cos_r * cos_rx ** (gr / 2 - 1)
-        assert PatternFaults().pattern(links, gt, gr)[i] == pytest.approx(expected, rel=1e-15)
+        pattern = (5.0 / 13.0) ** (gt / 2 - 1) * 1.0 * 1.0 * (9.0 / 15.0) ** (gr / 2 - 1)
+        expected = pattern / (5.0 * 9.0) ** 2
+        assert whole_panel(bs, user, p, gt, gr)[2] == pytest.approx(expected, rel=1e-15)
 
 
 class TestElementPathloss:
     def test_center_element_matches_farfield_at_gain_two(self):
         p = RisPanel(center=Point3(-49.5, 0.0, 9.5), mx=1, my=1, dx=CELL, dy=CELL)
         b0 = beta0_reference(2.0, 2.0, CELL, CELL)
-        plink = panel_link(BS, USER, p)
-        links = element_links(BS, USER, p, plink, range(1), range(1))
-        assert len(links) == 1
-        faults = PatternFaults()
-        assert element_pathloss(links, b0, 2.0, 2.0, faults)[0] == pytest.approx(
-            farfield_pathloss(plink, b0), rel=1e-12
+        beta_inv = whole_panel(BS, USER, p, 2.0, 2.0, b0)
+        assert beta_inv.shape == (1,)
+        assert 1.0 / beta_inv[0] == pytest.approx(
+            farfield_pathloss(panel_link(BS, USER, p), b0), rel=1e-12
         )
-        faults.check(2.0, 2.0)
 
     def test_distance_scaling(self):
-        link = one_element(3.0, 40.0, 0.1, 0.99, 0.98, 0.6, 0.5)
-        scaled = one_element(6.0, 80.0, 0.1, 0.99, 0.98, 0.6, 0.5)
-        b0 = 1e9
-        faults = PatternFaults()
-        assert element_pathloss(scaled, b0, 20.0, 4.0, faults)[0] == pytest.approx(
-            16.0 * element_pathloss(link, b0, 20.0, 4.0, faults)[0], rel=1e-12
-        )
-        faults.check(20.0, 4.0)
+        # the geometry scaled by 2 keeps every cosine: the loss grows 16-fold
+        def scaled(k):
+            p = RisPanel(Point3(0.3 * k, -0.2 * k, 0.1 * k), 3, 2, 0.2 * k, 0.1 * k)
+            bs, user = Point3(-3.0 * k, 1.0 * k, 2.0 * k), Point3(40.0 * k, 2.0 * k, 5.0 * k)
+            return whole_panel(bs, user, p, 20.0, 4.0, b0=1e9)
+
+        np.testing.assert_allclose(scaled(1.0), 16.0 * scaled(2.0), rtol=1e-12, atol=0)
 
     def test_edge_element_lossier_than_center(self):
         p = fig_panel()
-        links = element_links(BS, USER, p, panel_link(BS, USER, p), range(40), range(40))
         b0 = beta0_reference(100.0, 1.0, CELL, CELL)
-        faults = PatternFaults()
-        losses = element_pathloss(links, b0, 100.0, 1.0, faults)
-        faults.check(100.0, 1.0)
-        center = np.argmin(links.d_m)
-        edge = np.argmax(links.d_m)
-        ratio = losses[edge] / losses[center]
+        beta_inv = whole_panel(BS, USER, p, 100.0, 1.0, b0)
+        x = p.element_x(range(p.mx)) - p.center.x
+        y = p.element_y(range(p.my)) - p.center.y
+        d_m = np.hypot(x[None, :], y[:, None]).ravel()
+        ratio = beta_inv[np.argmin(d_m)] / beta_inv[np.argmax(d_m)]
         assert ratio > 1.0
 
     def test_negative_pattern_rejected(self):
-        link = one_element(1.0, 1.0, 0.0, 1.0, 1.0, -0.2, 0.5)
-        faults = PatternFaults()
-        element_pathloss(link, 1.0, 2.0, 2.0, faults)
-        with pytest.raises(SingularPattern):
-            faults.check(2.0, 2.0)
+        # the BS 1e-300 m over the plane and ~1e24 m away: cos_t = h / r_t
+        # underflows to 0, a pattern of 0 that no gain exponent caused
+        p = RisPanel(Point3(0.0, 0.0, 0.0), 2, 1, 1e23, 1.0)
+        bs, user = Point3(-1e24, 0.0, 1e-300), Point3(0.0, 0.0, 1e23)
+        with pytest.raises(SingularPattern, match="radiation pattern is not positive") as exc:
+            whole_panel(bs, user, p, 2.0, 2.0)
+        assert type(exc.value) is SingularPattern
 
     def test_negative_endpoint_cosine_rejected_with_fractional_exponent(self):
-        # a float power of a negative base would otherwise go complex
-        link = one_element(1.0, 1.0, 0.5, -0.2, 0.9, 0.8, 0.5)
-        faults = PatternFaults()
-        assert math.isnan(faults.pattern(link, 5.0, 1.0)[0])
+        # element x = -0.5 lies past the BS's perpendicular: a float power
+        # of its negative cos_tx would otherwise go complex
+        p = RisPanel(Point3(0.0, 0.0, 0.0), 2, 1, 1.0, 1.0)
+        kernel = near(Point3(-0.3, 0.0, 0.1), Point3(5.0, 0.0, 5.0), p, 5.0, 1.0)
+        beta_inv = kernel.inverse_losses(range(1), range(2))
+        assert math.isnan(beta_inv[0]) and beta_inv[1] > 0
         with pytest.raises(SingularPattern, match="endpoint-side"):
-            faults.check(5.0, 1.0)
+            kernel.check()
 
     def test_rejection_names_count_and_worst_value(self):
-        ones = np.ones(4)
-        cos_rx = np.array([0.9, -0.3, 0.0, 0.5])
-        links = ElementLinks(ones, ones, ones, ones, cos_rx, ones, ones)
-        faults = PatternFaults()
-        faults.pattern(links, 5.0, 1.0)
-        with pytest.raises(SingularPattern, match=r"2 element\(s\).*worst -0\.3"):
-            faults.check(5.0, 1.0)
-        cos_t = np.array([0.9, -0.5, 0.7, -0.25])
-        links = ElementLinks(ones, ones, ones, ones, ones, cos_t, ones)
-        faults = PatternFaults()
-        with np.errstate(divide="ignore"):
-            element_pathloss(links, 1.0, 2.0, 2.0, faults)
-        with pytest.raises(SingularPattern, match=r"2 element\(s\).*worst -0\.5"):
-            faults.check(2.0, 2.0)
+        p = RisPanel(Point3(0.0, 0.0, 0.0), 8, 1, 1.0, 1.0)
+        bs, user = Point3(-10.0, 0.0, 10.0), Point3(1.0, 0.0, 0.5)
+        links = brute_force_element_links(bs, user, p)
+        endpoint = np.minimum(links["cos_tx"], links["cos_rx"])
+        assert np.count_nonzero(endpoint <= 0) == 3
+        worst = f"{endpoint.min():.4g}"
+        with pytest.raises(SingularPattern, match=rf"3 element\(s\).*worst {worst}\)"):
+            whole_panel(bs, user, p, 5.0, 1.0)
+        # cos_t = 1e-300 / r_t underflows to 0 at the three elements
+        p = RisPanel(Point3(0.0, 0.0, 0.0), 3, 1, 1e24, 1.0)
+        bs, user = Point3(-1.5e24, 0.0, 1e-300), Point3(0.0, 0.0, 1e24)
+        with pytest.raises(SingularPattern, match=r"not positive at 3 element\(s\) \(worst 0\)"):
+            whole_panel(bs, user, p, 2.0, 2.0)
 
     def test_shapes_and_positivity(self):
         b0 = beta0_reference(100.0, 1.0, CELL, CELL)
         for (mx, my), size in (((4, 6), 24), ((3, 3), 9)):
             p = fig_panel(mx, my)
-            faults = PatternFaults()
-            links = element_links(BS, USER, p, panel_link(BS, USER, p), range(my), range(mx))
-            betas = element_pathloss(links, b0, 100.0, 1.0, faults)
-            faults.check(100.0, 1.0)
-            assert betas.shape == (size,)
-            assert np.all(betas > 0)
+            beta_inv = whole_panel(BS, USER, p, 100.0, 1.0, b0)
+            assert beta_inv.shape == (size,)
+            assert np.all(beta_inv > 0)
             assert farfield_pathloss(panel_link(BS, USER, p), b0) > 0
 
     def test_farfield_convergence_with_distance(self):
@@ -178,62 +188,72 @@ class TestElementPathloss:
         for d in (60.0, 120.0, 240.0):
             bs = Point3(-d / math.sqrt(2), 0.0, d / math.sqrt(2))
             user = Point3(d / math.sqrt(2), 1.0, d / math.sqrt(2))
-            link = panel_link(bs, user, p)
-            ff = farfield_pathloss(link, b0)
-            faults = PatternFaults()
-            links = element_links(bs, user, p, link, range(40), range(40))
-            betas = element_pathloss(links, b0, 100.0, 1.0, faults)
-            faults.check(100.0, 1.0)
-            worst.append(max(abs(b / ff - 1.0) for b in betas))
+            ff = farfield_pathloss(panel_link(bs, user, p), b0)
+            beta_inv = whole_panel(bs, user, p, 100.0, 1.0, b0)
+            worst.append(max(abs(1.0 / (b * ff) - 1.0) for b in beta_inv))
         assert worst[0] < 0.01
         assert worst[2] < worst[1] < worst[0]
 
 
 class TestPatternFaults:
-    """Faults recorded tile by tile raise what a one-tile record of the
-    whole panel raises."""
+    """Faults recorded tile by tile raise what one call over the whole
+    panel raises, and every tile's beta^-1 is that call's.  Each case is an
+    8 x 1 panel with unit cells (or wider ones, to reach the float range's
+    edges), centered at the origin, and one error text or none."""
 
-    # per element: cos_tx, cos_rx, cos_t; gt = 4000 takes 0.5 ** 1999 to 0
     CASES = {
-        "clean": [(1.0, 0.9, 0.8)] * 8,
-        "endpoint_in_last_tile": [(1.0, 1.0, 1.0)] * 5
-        + [(-0.2, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 1.0)],
-        "endpoint_beats_earlier_underflow": [(0.5, 1.0, 1.0)] * 3
-        + [(1.0, 1.0, 1.0)] * 4
-        + [(-0.4, 1.0, 1.0)],
-        "underflow_across_tiles": [(0.5, 1.0, 1.0), (1.0, 1.0, 1.0)] * 4,
-        "non_positive_beats_underflow": [(0.5, 1.0, 1.0)] * 4
-        + [(1.0, 1.0, -0.3), (1.0, 1.0, 1.0), (1.0, 1.0, -0.1), (1.0, 1.0, 1.0)],
-        "nan_worst_from_a_clean_tile": [(math.nan, 1.0, 1.0)]
-        + [(1.0, 1.0, 1.0)] * 6
-        + [(-0.5, 1.0, 1.0)],
+        "clean": (Point3(-10, 0, 10), Point3(10, 0, 10), 4000.0, 1.0, 1.0, None),
+        # the last three elements lie past the user's perpendicular
+        "endpoint_in_last_tile": (
+            Point3(-10, 0, 10), Point3(1, 0, 0.5), 4000.0, 1.0, 1.0,
+            (SingularPattern, r"3 element\(s\) are not \(worst -0\.7894\)"),
+        ),
+        # cos_tx^1999 underflows at the first two elements, and the last
+        # lies past the user's perpendicular
+        "endpoint_beats_earlier_underflow": (
+            Point3(-2, 0, 2), Point3(2, 0, 1.1), 4000.0, 1.0, 1.0,
+            (SingularPattern, r"1 element\(s\) are not \(worst -0\.4216\)"),
+        ),
+        # the BS 1 m above the center: cos_tx^1999 underflows at both ends
+        "underflow_across_tiles": (
+            Point3(0, 0, 1), Point3(20, 0, 10), 4000.0, 1.0, 1.0,
+            (PatternUnderflow, r"underflows to 0 at 6 element\(s\)"),
+        ),
+        # cos_t = 1e-300 / r_t is positive at the first two elements, 0 at
+        # the rest, and every pattern is 0
+        "non_positive_beats_underflow": (
+            Point3(-8e23, 0, 1e-300), Point3(0, 0, 1e23), 2.0, 4000.0, 2e23,
+            (SingularPattern, r"not positive at 8 element\(s\) \(worst 0\)"),
+        ),
+        # the first element's squared distances overflow, so its cosines
+        # are nan; the last three lie behind the in-plane endpoints
+        "nan_worst_from_a_clean_tile": (
+            Point3(0.3e154, 0, 1), Point3(0.3e154, 0, 2), 4000.0, 1.0, 4e153,
+            (SingularPattern, r"3 element\(s\) are not \(worst nan\)"),
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("bounds", [(3, 5), (1, 7), (2, 6)])
     def test_tiles_raise_what_one_call_raises(self, case, bounds):
-        cos_tx, cos_rx, cos_t = (np.array(v) for v in zip(*self.CASES[case]))
-        ones = np.ones(len(cos_tx))
-        links = ElementLinks(ones, ones, ones, cos_tx, cos_rx, cos_t, ones)
-        gt, gr = 4000.0, 1.0
-        one_tile, faults = PatternFaults(), PatternFaults()
-        start = 0
-        with np.errstate(all="ignore"):
-            whole = element_pathloss(links, 1.0, gt, gr, one_tile)
-            for stop in (*bounds, len(ones)):
-                tile = ElementLinks(*(getattr(links, f.name)[start:stop] for f in fields(links)))
-                loss = element_pathloss(tile, 1.0, gt, gr, faults)
-                assert np.array_equal(loss, whole[start:stop], equal_nan=True)
-                start = stop
-        try:
-            one_tile.check(gt, gr)
-        except SingularPattern as exc:
-            with pytest.raises(SingularPattern) as tiled:
-                faults.check(gt, gr)
-            assert type(tiled.value) is type(exc)
-            assert str(tiled.value) == str(exc)
-        else:
-            faults.check(gt, gr)
+        bs, user, gt, gr, dx, raises = self.CASES[case]
+        p = RisPanel(Point3(0.0, 0.0, 0.0), 8, 1, dx, 1.0)
+        one_tile, tiled = near(bs, user, p, gt, gr), near(bs, user, p, gt, gr)
+        whole, start = one_tile.inverse_losses(range(1), range(8)), 0
+        for stop in (*bounds, 8):
+            tile = tiled.inverse_losses(range(1), range(start, stop))
+            assert np.array_equal(tile, whole[start:stop], equal_nan=True)
+            start = stop
+        if raises is None:
+            one_tile.check()
+            tiled.check()
+            return
+        with pytest.raises(raises[0], match=raises[1]) as exc:
+            one_tile.check()
+        with pytest.raises(SingularPattern) as by_tile:
+            tiled.check()
+        assert type(by_tile.value) is type(exc.value)
+        assert str(by_tile.value) == str(exc.value)
 
 
 class TestFarfieldPathloss:

@@ -17,22 +17,9 @@ from hypothesis import strategies as st
 
 from riscap import capacity, cli, montecarlo
 from riscap.errors import PatternUnderflow, QuadratureFailure, ScenarioError, SingularPattern
-from riscap.geometry import (
-    TILE_ELEMENTS,
-    Point3,
-    RisPanel,
-    element_links,
-    panel_link,
-    panel_tiles,
-)
+from riscap.geometry import TILE_ELEMENTS, Point3, RisPanel, panel_link, panel_tiles
 from riscap.montecarlo import TrialConfig, simulate_ec_sweep
-from riscap.pathloss import (
-    LinkBudget,
-    PatternFaults,
-    beta0_reference,
-    element_pathloss,
-    farfield_pathloss,
-)
+from riscap.pathloss import LinkBudget, NearFieldTiles, beta0_reference, farfield_pathloss
 from riscap.presets import PRESET_NAMES, preset, run_preset
 from riscap.scenario import (
     PanelSetup,
@@ -177,17 +164,21 @@ class TestPipelineConsistency:
         assert ec_high - ec_mid < 1e-3
 
 
-def one_tile_beta_inv(s: Scenario) -> np.ndarray:
-    """1/element_pathloss of the first panel's elements from one
-    element_links call over the whole panel, row-major."""
+def near_field(s: Scenario) -> NearFieldTiles:
+    """The near-field kernel of the scenario's first panel."""
     panel = s.panels[0].panel
-    gt, gr = s.budget.gt, s.budget.gr
-    b0 = beta0_reference(gt, gr, panel.dx, panel.dy)
+    b0 = beta0_reference(s.budget.gt, s.budget.gr, panel.dx, panel.dy)
     link = panel_link(s.bs, s.user, panel)
-    links = element_links(s.bs, s.user, panel, link, range(panel.my), range(panel.mx))
-    faults = PatternFaults()
-    beta_inv = 1.0 / element_pathloss(links, b0, gt, gr, faults)
-    faults.check(gt, gr)
+    return NearFieldTiles(s.bs, s.user, panel, link, b0, s.budget.gt, s.budget.gr)
+
+
+def one_tile_beta_inv(s: Scenario) -> np.ndarray:
+    """beta^-1 of the first panel's elements from one inverse_losses call
+    over the whole panel, row-major."""
+    near = near_field(s)
+    panel = near.panel
+    beta_inv = near.inverse_losses(range(panel.my), range(panel.mx))
+    near.check()
     return beta_inv
 
 
@@ -302,17 +293,20 @@ class TestTiledNearField:
         setup = s.panels[0]
         panel = dataclasses.replace(setup.panel, center=Point3(10.0, 0.0, 9.5))
         s = dataclasses.replace(s, panels=(dataclasses.replace(setup, panel=panel),))
-        link = panel_link(s.bs, s.user, panel)
-        links = element_links(s.bs, s.user, panel, link, range(1), range(12000))
-        endpoint_cos = np.minimum(links.cos_tx, links.cos_rx)
-        (_, cols), *_ = panel_tiles(panel)
-        assert np.all(endpoint_cos[cols.start : cols.stop] > 0)
-        assert np.count_nonzero(endpoint_cos <= 0) == 666
-        faults = PatternFaults()
-        faults.pattern(links, s.budget.gt, s.budget.gr)
+        by_tile = near_field(s)
+        (rows, cols), (rest_rows, rest_cols) = panel_tiles(panel)
+        by_tile.inverse_losses(rows, cols)
+        assert by_tile.endpoint_count == 0
+        by_tile.inverse_losses(rest_rows, rest_cols)
+        assert by_tile.endpoint_count == 666
+        one_call = near_field(s)
+        one_call.inverse_losses(range(1), range(12000))
         with pytest.raises(SingularPattern) as whole:
-            faults.check(s.budget.gt, s.budget.gr)
+            one_call.check()
         assert "666 element(s) are not (worst -0.9937)" in str(whole.value)
+        with pytest.raises(SingularPattern) as tiles:
+            by_tile.check()
+        assert str(tiles.value) == str(whole.value)
         grid = ", ".join(f"scenario.deployment.panel.{key}" for key in ("mx", "my", "dx", "dy"))
         expected = f"panel 0: {whole.value}, set by {grid}, scenario.bs, scenario.user"
         with pytest.raises(SingularPattern) as tiled:
@@ -324,17 +318,14 @@ class TestTiledNearField:
         # huge gain exponents: the pattern underflows at both ends of a
         # 12000-element row, one end in each of its two tiles
         s = midlink_fig2(12000, 1, gt=1e6, gr=1e6)
-        panel = s.panels[0].panel
-        link = panel_link(s.bs, s.user, panel)
-        links = element_links(s.bs, s.user, panel, link, range(1), range(12000))
-        gt, gr = s.budget.gt, s.budget.gr
-        faults = PatternFaults()
-        underflow = faults.pattern(links, gt, gr) <= 0
-        for _, cols in panel_tiles(panel):
-            assert underflow[cols.start : cols.stop].any()
+        by_tile, counts = near_field(s), []
+        for rows, cols in panel_tiles(s.panels[0].panel):
+            by_tile.inverse_losses(rows, cols)
+            counts.append(by_tile.pattern_count)
+        assert 0 < counts[0] < counts[1]
         with pytest.raises(PatternUnderflow) as whole:
-            faults.check(gt, gr)
-        assert f"at {np.count_nonzero(underflow)} element(s)" in str(whole.value)
+            one_tile_beta_inv(s)
+        assert f"at {counts[1]} element(s)" in str(whole.value)
         with pytest.raises(PatternUnderflow) as tiled:
             run_scenario(s)
         assert str(tiled.value) == f"panel 0: scenario.budget.gt, scenario.budget.gr: {whole.value}"
@@ -342,20 +333,22 @@ class TestTiledNearField:
 
     @pytest.mark.parametrize("bad_tile", [0, 1])
     def test_nan_inverse_loss_in_any_tile_is_out_of_range(self, monkeypatch, bad_tile):
-        # a nan loss passes the pattern checks; the range verdict folded
-        # over the tiles must still see it, before or after an in-range tile
+        # a nan inverse loss passes the pattern checks; the range verdict
+        # folded over the tiles must still see it, before or after an
+        # in-range tile
         from riscap import workbench
 
         calls = []
 
-        def with_nan(*args):
-            loss = element_pathloss(*args)
-            if len(calls) == bad_tile:
-                loss[-1] = math.nan
-            calls.append(loss.size)
-            return loss
+        class WithNan(NearFieldTiles):
+            def inverse_losses(self, rows, cols):
+                beta_inv = super().inverse_losses(rows, cols)
+                if len(calls) == bad_tile:
+                    beta_inv[-1] = math.nan
+                calls.append(beta_inv.size)
+                return beta_inv
 
-        monkeypatch.setattr(workbench, "element_pathloss", with_nan)
+        monkeypatch.setattr(workbench, "NearFieldTiles", WithNan)
         with pytest.raises(ScenarioError) as exc:
             run_scenario(midlink_fig2(12000, 1))
         assert len(calls) == 2
@@ -1318,6 +1311,32 @@ class TestCli:
         assert code == 3
         assert "compact route QUADPACK ier=1" in err
         assert "log-scale retry QUADPACK ier=1" in err
+
+    def test_monte_carlo_block_beyond_memory_exit_code(self, tmp_path, monkeypatch):
+        # fig2's block of 2048 trials needs 16 B x 2048 x M: one byte more
+        # than the memory reader reports, and nothing is drawn
+        m = preset("fig2")[0].panels[0].panel.element_count
+        monkeypatch.setattr(montecarlo, "physical_memory", lambda: 16 * 2048 * m - 1)
+        monkeypatch.setattr(montecarlo, "sample_rician_envelope", None)
+        code, out, err = run_cli("analyze", self.scenario_file(tmp_path), "--trials", "4096")
+        assert (code, out) == (2, "")
+        assert f"trials: a Monte Carlo block of 2048 trials needs two 2048 x {m} float64" in err
+        assert f"for a panel of {m} elements" in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_memory_error_in_a_block_exit_code(self, tmp_path, monkeypatch, workers):
+        def sampler(*args, **kwargs):
+            raise MemoryError
+
+        m = preset("fig2")[0].panels[0].panel.element_count
+        monkeypatch.setattr(montecarlo, "sample_rician_envelope", sampler)
+        argv = ("analyze", self.scenario_file(tmp_path), "--trials", "3000", "--workers", workers)
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert (
+            f"trials: allocating a Monte Carlo block of 2048 trials for a panel of {m} elements "
+            f"with {workers} worker(s) failed; use fewer trials per block or fewer workers"
+        ) in err
 
     def test_successive_main_calls_share_no_state(self, tmp_path):
         # main reuses one parser per process; a flag of one call must not
