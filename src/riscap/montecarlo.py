@@ -31,10 +31,12 @@ amplitudes.  Each estimate is bit-identical to simulating that ensemble
 alone.
 
 Memory: a worker holds two arrays of block_size x M x 8 bytes (|h|, then
-g), e.g. 328 MB at M = 10^4 with the default 2048-trial blocks.  A block
-whose two arrays exceed physical memory is a ScenarioError naming trials,
-the block size and the element count; so is a block whose allocation
-fails, which also names the worker count.
+g), e.g. 328 MB at M = 10^4 with the default 2048-trial blocks, and up to
+min(workers, block count) blocks run at once.  Blocks whose arrays
+together exceed physical memory are a ScenarioError naming trials, the
+block size and the element count, and the worker count where more than
+one block runs at once; so is a block whose allocation fails, which also
+names the worker count.
 """
 
 from __future__ import annotations
@@ -206,12 +208,20 @@ def simulate_ec_sweep(
                 )
         groups.setdefault(ensemble.draw_signature(), []).append(j)
 
+    plan = _block_plan(cfg)
     block = min(cfg.block_size, cfg.trials)
     largest = max((p.count for e in ensembles for p in e.panels), default=0)
-    if 16 * block * largest > physical_memory():
+    running = min(workers, len(plan))  # blocks held at once, one per busy worker
+    need = running * 16 * block * largest
+    if need > physical_memory():
+        held = f"a Monte Carlo block of {block} trials needs two {block} x {largest} float64 arrays"
+        if running > 1:
+            held = (
+                f"{running} Monte Carlo blocks of {block} trials, run at once on {workers} workers, "
+                f"need two {block} x {largest} float64 arrays each"
+            )
         raise ScenarioError(
-            f"trials: a Monte Carlo block of {block} trials needs two {block} x {largest} float64 "
-            f"arrays ({16 * block * largest / 2**30:.3g} GiB) for a panel of {largest} elements, "
+            f"trials: {held} ({need / 2**30:.3g} GiB) for a panel of {largest} elements, "
             "more memory than this machine has"
         )
 
@@ -230,7 +240,7 @@ def simulate_ec_sweep(
 
     try:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(block_sums, _block_plan(cfg)))
+            blocks = list(pool.map(block_sums, plan))
     except MemoryError:
         raise ScenarioError(
             f"trials: allocating a Monte Carlo block of {block} trials for a panel of {largest} "

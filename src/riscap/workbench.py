@@ -7,18 +7,19 @@ geometry, path loss and envelope statistics in turn.  Every panel, near
 or far field, is reduced in one ``panel_tiles`` loop to its element
 count, root sum sum(sqrt(beta^-1)) and power sum sum(beta^-1), the
 ``channel.PanelChannel`` the moments read; the panel's read-only
-amplitudes sqrt(beta^-1) are kept only for a run with trials (Monte Carlo
-samples them) or when the panel is one tile, so an analytic-only run holds
-one tile whatever the panel size.  A panel whose endpoints, geometry,
-gains and resolved mode an earlier scenario of the run already had reuses
-that panel's record, so a sweep over P, rho, rho0 or K0 reduces its
-panels once.  Then one ``capacity.capacity_reports`` call
-runs the capacity integrals of the whole run in lockstep, and unless
-trials is None one ``simulate_ec_sweep`` call, which groups the scenarios
-that can share draws, fills in ``mc``.  ``run_scenario`` is its
-one-scenario case, and ``run_scenario(scenario)`` (trials None) the
-analytic-only call; ``run_sweep`` and ``presets.run_preset`` return
-(sweep_value, RunResult) pairs, the rows ``rows_to_csv`` reads.
+amplitudes sqrt(beta^-1) are one vector, filled tile by tile, kept only
+for a run with trials (Monte Carlo samples them) or when the panel is one
+tile, so an analytic-only run holds one tile whatever the panel size.  A
+panel whose endpoints, geometry, gains and resolved mode an earlier
+scenario of the run already had reuses that panel's record, so a sweep
+over P, rho, rho0 or K0 reduces its panels once.  Then one
+``capacity.capacity_reports`` call runs the capacity integrals of the
+whole run in lockstep, and unless trials is None one ``simulate_ec_sweep``
+call, which groups the scenarios that can share draws, fills in ``mc``.
+``run_scenario`` is its one-scenario case, and ``run_scenario(scenario)``
+(trials None) the analytic-only call; ``run_sweep`` and
+``presets.run_preset`` return (sweep_value, RunResult) pairs, the rows
+``rows_to_csv`` reads.
 
 Near/far decision in "auto" mode: the far-field constant-loss model is
 used only when, for every panel, both endpoint distances (BS-to-center
@@ -52,7 +53,6 @@ from .geometry import (
     TILE_ELEMENTS,
     PanelLink,
     Point3,
-    RisPanel,
     near_field_boundary,
     panel_link,
     panel_tiles,
@@ -150,88 +150,71 @@ def _fsum(values) -> float:
         return math.inf
 
 
-def _tile_sums(
-    what: str,
-    scenario: Scenario,
-    panel: RisPanel,
-    link: PanelLink,
-    b0_ref: float,
-    mode: str,
-    keep: bool,
+def _panel_sums(
+    scenario: Scenario, i: int, section: str, link: PanelLink, mode: str, keep: bool
 ) -> tuple[Optional[np.ndarray], float, float]:
-    """The panel's (amplitude, root_sum, power_sum) under the resolved
-    mode, reduced one panel_tiles tile at a time: a near-field tile is
+    """Panel i's (amplitude, root_sum, power_sum) under the resolved mode,
+    reduced one panel_tiles tile at a time: a near-field tile is
     NearFieldTiles.inverse_losses of its rows and columns, a far-field
     tile the constant 1/farfield_pathloss.  The tiles' sums of beta^-1 and
     of sqrt(beta^-1) are added with math.fsum in tile order.  The
-    amplitudes sqrt(beta^-1), row-major and read-only, are kept when keep
-    is set or the panel is one tile (then they are that tile), else they
-    are None and only one tile is held.  After the last tile it raises the
-    panel's first pattern fault, then an inverse loss out of range, naming
-    `what`."""
-    if mode == "near":
-        budget = scenario.budget
-        near = NearFieldTiles(scenario.bs, scenario.user, panel, link, b0_ref, budget.gt, budget.gr)
-    else:
-        far_inv = 1.0 / _loss(what, farfield_pathloss, link, b0_ref)
-    one_tile = panel.element_count <= TILE_ELEMENTS
-    amplitude = np.empty(panel.element_count) if keep and not one_tile else None
-    grid = None if amplitude is None else amplitude.reshape(panel.my, panel.mx)
-    in_range = True
-    # per tile, sum(beta^-1) and sum(sqrt(beta^-1)): 16 bytes a tile, a
-    # quarter of what two lists of Python floats would take
-    sums = np.empty((sum(1 for _ in panel_tiles(panel)), 2))
-    for k, (rows, cols) in enumerate(panel_tiles(panel)):
-        if mode == "near":
-            tile = near.inverse_losses(rows, cols)
-        else:
-            tile = np.full(len(rows) * len(cols), far_inv)
-        # a nan fails both comparisons, so it is out of range too
-        in_range = in_range and bool(tile.min() > 0 and tile.max() < math.inf)
-        sums[k, 0] = tile.sum()
-        root = np.sqrt(tile, out=tile)
-        sums[k, 1] = root.sum()
-        if grid is not None:
-            grid[rows.start : rows.stop, cols.start : cols.stop] = root.reshape(len(rows), -1)
-    if mode == "near":
-        near.check()
-    if not in_range:
-        raise ScenarioError(f"{what}: loss factor or its inverse is out of float range")
-    if one_tile:
-        amplitude = root
-    if amplitude is not None:
-        amplitude.flags.writeable = False
-    return amplitude, _fsum(sums[:, 1]), _fsum(sums[:, 0])
-
-
-def _panel_losses(
-    scenario: Scenario, i: int, section: str, link: PanelLink, mode: str, keep: bool
-) -> tuple[Optional[np.ndarray], float, float]:
-    """_tile_sums of panel i under the resolved mode; a loss out of range
-    or a pattern fault raises naming the fields that set it."""
-    setup = scenario.panels[i]
+    amplitudes sqrt(beta^-1), row-major and read-only, are filled tile by
+    tile when keep is set or the panel is one tile, else they are None
+    and only one tile is held.  After the last tile it raises the panel's
+    first pattern fault, then an inverse loss out of range, each naming
+    the fields that set it."""
+    panel = scenario.panels[i].panel
     gt, gr = scenario.budget.gt, scenario.budget.gr
-    dx, dy = setup.panel.dx, setup.panel.dy
     b0_ref = _loss(
         "scenario.budget.gt, scenario.budget.gr: reference constant at "
-        f"gt={gt:g}, gr={gr:g}, {dx:g} x {dy:g} m",
-        beta0_reference, gt, gr, dx, dy,
+        f"gt={gt:g}, gr={gr:g}, {panel.dx:g} x {panel.dy:g} m",
+        beta0_reference, gt, gr, panel.dx, panel.dy,
     )
     what = (
         f"panel {i}: {mode}-field loss at d1={link.d1:g} m, d2={link.d2:g} m, set by "
         + ", ".join(f"{section}.{key}" for key in ("center", "dx", "dy"))
         + ", scenario.budget.gt, scenario.budget.gr, scenario.bs, scenario.user"
     )
+    amplitude = grid = None
+    if keep or panel.element_count <= TILE_ELEMENTS:
+        amplitude = np.empty(panel.element_count)
+        grid = amplitude.reshape(panel.my, panel.mx)
+    in_range = True
+    # per tile, sum(beta^-1) and sum(sqrt(beta^-1)): 16 bytes a tile, a
+    # quarter of what two lists of Python floats would take
+    sums = np.empty((sum(1 for _ in panel_tiles(panel)), 2))
     try:
-        return _tile_sums(what, scenario, setup.panel, link, b0_ref, mode, keep)
+        if mode == "near":
+            near = NearFieldTiles(scenario.bs, scenario.user, panel, link, b0_ref, gt, gr)
+        else:
+            far_inv = 1.0 / _loss(what, farfield_pathloss, link, b0_ref)
+        for k, (rows, cols) in enumerate(panel_tiles(panel)):
+            if mode == "near":
+                tile = near.inverse_losses(rows, cols)
+            else:
+                tile = np.full(len(rows) * len(cols), far_inv)
+            # a nan fails both comparisons, so it is out of range too
+            in_range = in_range and bool(tile.min() > 0 and tile.max() < math.inf)
+            sums[k, 0] = tile.sum()
+            root = np.sqrt(tile, out=tile)
+            sums[k, 1] = root.sum()
+            if grid is not None:
+                grid[rows.start : rows.stop, cols.start : cols.stop] = root.reshape(len(rows), -1)
+        if mode == "near":
+            near.check()
     except PatternUnderflow as exc:
         message = f"panel {i}: scenario.budget.gt, scenario.budget.gr: {exc}"
         raise PatternUnderflow(message) from None
     except SingularPattern as exc:
         # a cosine's sign follows from the element grid and the endpoints
-        grid = ", ".join(f"{section}.{key}" for key in ("mx", "my", "dx", "dy"))
-        message = f"panel {i}: {exc}, set by {grid}, scenario.bs, scenario.user"
+        fields = ", ".join(f"{section}.{key}" for key in ("mx", "my", "dx", "dy"))
+        message = f"panel {i}: {exc}, set by {fields}, scenario.bs, scenario.user"
         raise SingularPattern(message) from None
+    if not in_range:
+        raise ScenarioError(f"{what}: loss factor or its inverse is out of float range")
+    if amplitude is not None:
+        amplitude.flags.writeable = False
+    return amplitude, _fsum(sums[:, 1]), _fsum(sums[:, 0])
 
 
 # every overflow is range-checked and named below; numpy's warnings add nothing
@@ -292,7 +275,7 @@ def _statistics(scenario: Scenario, shared: dict, keep: bool) -> dict:
         # a panel's inverse losses are a function of these fields alone
         key = (scenario.bs, scenario.user, setup.panel, gt, gr, mode)
         if key not in shared:
-            shared[key] = _panel_losses(scenario, i, sections[i], link, mode, keep)
+            shared[key] = _panel_sums(scenario, i, sections[i], link, mode, keep)
         amplitude, root_sum, power_sum = shared[key]
         count = setup.panel.element_count
         panels.append(

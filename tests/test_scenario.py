@@ -119,6 +119,18 @@ class TestValidationErrors:
                 re.escape("scenario.budget: unknown fields [None, True];"),
             ),
             (lambda d: d["channel"].update(k0_db="three"), "expected a number"),
+            (lambda d: d.update(mode="sideways"), "scenario.mode: must be one of"),
+            (
+                lambda d: d.update(deployment={"kind": "distributed", "panels": []}),
+                re.escape("scenario.deployment.panels: expected a non-empty list"),
+            ),
+            *(
+                (
+                    lambda d, v=value: d["deployment"].update(fixed_total_elements=v),
+                    "scenario.deployment.fixed_total_elements: expected a positive integer",
+                )
+                for value in (0, True, 2.5)
+            ),
         ],
     )
     def test_field_path_in_message(self, mutate, fragment):

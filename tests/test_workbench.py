@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import io
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -440,6 +441,19 @@ class TestApplySweepValue:
         with pytest.raises(ScenarioError):
             SweepSpec(variable="bananas", values=(1.0,))
 
+    @pytest.mark.parametrize(
+        "name, variable, value, message",
+        [
+            ("fig3", "My", 20, "sweep My: only supported for single-panel scenarios"),
+            ("fig2", "bananas", 1.0, "unknown sweep variable 'bananas'"),
+        ],
+    )
+    def test_rejected_sweep_names_the_variable(self, name, variable, value, message):
+        s, _ = preset(name)
+        with pytest.raises(ScenarioError) as exc:
+            apply_sweep_value(s, variable, value)
+        assert str(exc.value) == message
+
 
 class TestRunSettings:
     BAD = [
@@ -621,13 +635,13 @@ class TestSharedPanels:
         from riscap import workbench
 
         calls = []
-        reduce = workbench._tile_sums
+        reduce = workbench._panel_sums
 
         def counted(*args):
             calls.append(args)
             return reduce(*args)
 
-        monkeypatch.setattr(workbench, "_tile_sums", counted)
+        monkeypatch.setattr(workbench, "_panel_sums", counted)
         rows, _ = run_preset(name, trials=None)
         assert len(calls) == geometries
         amplitudes = {id(r.ensemble.panels[0].amplitude): r.ensemble.panels[0] for _, r in rows}
@@ -1234,10 +1248,22 @@ class TestCli:
         code, _, err = run_cli("analyze", "does-not-exist.yaml")
         assert code == 2, err
 
-    @pytest.mark.parametrize("out", [".", "missing/dir/x.csv"])
+    @pytest.mark.parametrize(
+        "out",
+        [
+            ".",
+            "missing/dir/x.csv",
+            pytest.param(
+                "/dev/full",
+                marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full"),
+            ),
+        ],
+    )
     @pytest.mark.parametrize("command", ["preset", "sweep"])
     def test_unwritable_out_exit_code(self, tmp_path, command, out):
-        # a directory, or a file in a directory that does not exist
+        # a directory, a file in a directory that does not exist, or a
+        # device that opens (the check before the run passes) but refuses
+        # the write; an absolute out replaces tmp_path
         target = str(tmp_path / out)
         if command == "preset":
             argv = ["preset", "fig2", "--no-mc", "--out", target]
@@ -1322,6 +1348,25 @@ class TestCli:
         assert (code, out) == (2, "")
         assert f"trials: a Monte Carlo block of 2048 trials needs two 2048 x {m} float64" in err
         assert f"for a panel of {m} elements" in err
+
+    def test_monte_carlo_blocks_run_at_once_beyond_memory_exit_code(self, tmp_path, monkeypatch):
+        # 4096 trials are two blocks of 2048, and two workers hold both at
+        # once: one byte short of that refuses the run before any draw,
+        # while one worker, holding one block, still runs
+        m = preset("fig2")[0].panels[0].panel.element_count
+        monkeypatch.setattr(montecarlo, "physical_memory", lambda: 2 * 16 * 2048 * m - 1)
+        path = self.scenario_file(tmp_path)
+        with monkeypatch.context() as patched:
+            patched.setattr(montecarlo, "sample_rician_envelope", None)
+            code, out, err = run_cli("analyze", path, "--trials", "4096", "--workers", "2")
+        assert (code, out) == (2, "")
+        assert (
+            f"trials: 2 Monte Carlo blocks of 2048 trials, run at once on 2 workers, need two "
+            f"2048 x {m} float64 arrays each"
+        ) in err
+        code, out, err = run_cli("analyze", path, "--trials", "4096", "--workers", "1")
+        assert code == 0, err
+        assert "ec_mc_bit_s_hz: " in out
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_memory_error_in_a_block_exit_code(self, tmp_path, monkeypatch, workers):
