@@ -13,7 +13,6 @@ from .capacity import (
     ec_upper_bound,
     ergodic_capacity,
     gamma_fit,
-    snr_mean,
     snr_variance,
 )
 from .channel import (

@@ -29,6 +29,10 @@ and a case that route fails is retried alone on the log scale, as a
 one-driver lockstep.  Each case's figures equal those of a run on its
 own; ``ergodic_capacity`` is the one-case call that takes a ``GammaFit``.
 
+A report takes E[SNR] = gamma_teff * E[Z^2], and so the upper bound, from
+the envelope moments, and Var[SNR], the integral and the lower bound from
+the Gamma fit.
+
 The "lower bound" is a second-order delta-method approximation of the
 Jensen harmonic-mean bound, not a true bound; reports label it
 approximate, and orderings against Monte Carlo allow a small slack.
@@ -193,22 +197,17 @@ def ergodic_capacity(fit: GammaFit, gamma_teff: float) -> float:
     return next(_ergodic_capacities([(fit, _checked_snr(gamma_teff))]))
 
 
-def snr_mean(fit: GammaFit, gamma_teff: float) -> float:
-    """E[SNR] = gamma_teff * a * (a + 1) / b^2 (preserves the raw second
-    moment of the envelope exactly)."""
-    return gamma_teff * fit.a * (fit.a + 1.0) / (fit.b * fit.b)
-
-
 def snr_variance(fit: GammaFit, gamma_teff: float) -> float:
     """Var[SNR] from the Gamma fourth moment.
 
     The gamma-ratio difference a(a+1)(a+2)(a+3) - (a(a+1))^2 factors as
     a(a+1)(4a+6), which avoids catastrophic cancellation for large shapes.
-    The scale gamma_teff / b^2 is formed first, so the result does not
-    turn to 0/0 where gamma_teff^2 and b^4 both underflow.
+    The scale gamma_teff / b / b is formed first, so the result does not
+    turn to 0/0 where gamma_teff^2 and b^4 both underflow, nor fail where
+    b^2 alone leaves float range.
     """
     a = fit.a
-    r = gamma_teff / (fit.b * fit.b)
+    r = gamma_teff / fit.b / fit.b
     return r * r * a * (a + 1.0) * (4.0 * a + 6.0)
 
 
@@ -221,10 +220,11 @@ def ec_upper_bound(mean_snr: float) -> float:
 
 def ec_lower_bound(mean_snr: float, var_snr: float) -> float:
     """Approximate harmonic-mean lower bound (second-order expansion of
-    E[1/SNR]); collapses to the upper bound when the variance vanishes."""
+    E[1/SNR]); collapses to the upper bound when the variance vanishes.
+    E[SNR]^3 is a product, which turns to inf where a float ** raises."""
     if mean_snr <= 0:
         return 0.0
-    inv = 1.0 / mean_snr + var_snr / mean_snr**3
+    inv = 1.0 / mean_snr + var_snr / (mean_snr * mean_snr * mean_snr)
     return math.log2(1.0 + 1.0 / inv)
 
 
@@ -264,29 +264,19 @@ def capacity_reports(
 
 
 def _report(moments, gamma_teff, fit, ecs) -> CapacityReport:
-    """One case's report, taking its capacity from ecs unless fit is None
-    (the degenerate fallback)."""
+    """One case's report.  E[SNR] = gamma_teff * E[Z^2] comes from the
+    envelope moments, and with it the upper bound; the capacity, Var[SNR]
+    and the lower bound come from the Gamma fit, taking the capacity from
+    ecs, unless fit is None (the degenerate fallback: the deterministic
+    capacity, no variance, and a lower bound equal to the upper one)."""
+    mean_g = gamma_teff * moments.second_moment
+    upper = ec_upper_bound(mean_g)
     if fit is None:
-        ec = deterministic_capacity(moments.mean, gamma_teff)
-        mean_g = gamma_teff * moments.second_moment
-        report = CapacityReport(
-            ec_approx=ec,
-            ec_upper=ec_upper_bound(mean_g),
-            ec_lower=ec_upper_bound(mean_g),
-            snr_mean=mean_g,
-            snr_variance=0.0,
-        )
+        ec, var_g, lower = deterministic_capacity(moments.mean, gamma_teff), 0.0, upper
     else:
-        mean_g = snr_mean(fit, gamma_teff)
-        var_g = snr_variance(fit, gamma_teff)
-        report = CapacityReport(
-            ec_approx=next(ecs),
-            ec_upper=ec_upper_bound(mean_g),
-            ec_lower=ec_lower_bound(mean_g, var_g),
-            snr_mean=mean_g,
-            snr_variance=var_g,
-        )
-    return _finite(report)
+        ec, var_g = next(ecs), snr_variance(fit, gamma_teff)
+        lower = ec_lower_bound(mean_g, var_g)
+    return _finite(CapacityReport(ec, upper, lower, mean_g, var_g))
 
 
 def _finite(report: CapacityReport) -> CapacityReport:

@@ -125,6 +125,19 @@ class _Section:
             )
 
 
+def check_structure(*, mode="auto", kind="centralized", panel_count=1) -> None:
+    """Raise the parser's ScenarioError for an unknown mode or deployment
+    kind, or no panels; an argument left at its default passes."""
+    if mode not in MODES:
+        raise ScenarioError(f"scenario.mode: must be one of {MODES}, got {mode!r}")
+    if kind not in ("centralized", "distributed"):
+        raise ScenarioError(
+            f"scenario.deployment.kind: must be 'centralized' or 'distributed', got {kind!r}"
+        )
+    if panel_count < 1:
+        raise ScenarioError("scenario.deployment.panels: expected a non-empty list")
+
+
 def _point(section: _Section) -> Point3:
     section.reject_unknown({"x", "y", "z"})
     return Point3(section.number("x"), section.number("y"), section.number("z"))
@@ -210,30 +223,25 @@ def parse_scenario(data: dict) -> Scenario:
     if fc_hz <= 0:
         raise ScenarioError("scenario.fc_hz: must be positive")
     mode = root.optional("mode", "auto")
-    if mode not in MODES:
-        raise ScenarioError(f"scenario.mode: must be one of {MODES}, got {mode!r}")
+    check_structure(mode=mode)
 
     bs = _point(root.child("bs"))
     user = _point(root.child("user"))
 
     deployment = root.child("deployment")
     kind = deployment.require("kind")
+    check_structure(kind=kind)
     if kind == "centralized":
         deployment.reject_unknown({"kind", "panel", "fixed_total_elements"})
         panels = [_panel(deployment.child("panel"))]
-    elif kind == "distributed":
+    else:
         deployment.reject_unknown({"kind", "panels", "fixed_total_elements"})
         raw_panels = deployment.require("panels")
-        if not isinstance(raw_panels, list) or not raw_panels:
-            raise ScenarioError(f"{deployment.path}.panels: expected a non-empty list")
+        check_structure(panel_count=len(raw_panels) if isinstance(raw_panels, list) else 0)
         panels = [
             _panel(_Section(p, f"{deployment.path}.panels[{i}]"))
             for i, p in enumerate(raw_panels)
         ]
-    else:
-        raise ScenarioError(
-            f"{deployment.path}.kind: must be 'centralized' or 'distributed', got {kind!r}"
-        )
     fixed_total = deployment.optional("fixed_total_elements")
     if fixed_total is not None and (isinstance(fixed_total, bool) or not isinstance(fixed_total, int) or fixed_total < 1):
         raise ScenarioError(

@@ -71,7 +71,7 @@ from .pathloss import (
     direct_pathloss,
     farfield_pathloss,
 )
-from .scenario import Scenario
+from .scenario import Scenario, check_structure
 from .units import dbm_to_watts, db_to_linear, wavelength
 
 SWEEP_UNITS = {
@@ -227,6 +227,8 @@ def _statistics(scenario: Scenario, shared: dict, keep: bool) -> dict:
     is evaluated and added, so geometry-equal points of a sweep reduce it
     once.  keep asks for every panel's amplitudes (Monte Carlo reads
     them); without it only one-tile panels carry them."""
+    # a scenario built in Python has not met the parser
+    check_structure(mode=scenario.mode, kind=scenario.kind, panel_count=len(scenario.panels))
     lam = wavelength(scenario.fc_hz)
     d0 = scenario.bs.distance_to(scenario.user)
     if d0 == 0:

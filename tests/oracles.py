@@ -107,6 +107,13 @@ def mp_capacity_meijerg(a: float, b: float, gamma_teff: float) -> float:
     return float(2 ** (a - 1) / (mp.sqrt(mp.pi) * mp.gamma(a) * mp.log(2)) * G)
 
 
+def gamma_snr_mean(a: float, b: float, gamma_teff: float) -> float:
+    """E[SNR] = gamma_teff * E[Z^2] for Z ~ Gamma(a, b), from the shape and
+    rate: gamma_teff * a (a + 1) / b^2.  The library takes the same figure
+    from the envelope's raw second moment, which the fit preserves."""
+    return gamma_teff * a * (a + 1.0) / (b * b)
+
+
 def _quad_result(result) -> tuple[float, float, int, bool]:
     """(value, abserr, neval, failed) of a full_output quad result."""
     return result[0], result[1], result[2]["neval"], len(result) > 3

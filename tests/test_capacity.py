@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     dqk21_nodes,
     dqk21_sums,
+    gamma_snr_mean,
     mp_capacity_direct,
     mp_capacity_meijerg,
     quad_compact,
@@ -23,7 +24,6 @@ from riscap.capacity import (
     ec_upper_bound,
     ergodic_capacity,
     gamma_fit,
-    snr_mean,
     snr_variance,
 )
 from riscap.errors import DegenerateDistribution, NumericalFailure, QuadratureFailure
@@ -374,14 +374,23 @@ class TestQk21Sums:
 
 
 class TestSnrMoments:
+    """A report's E[SNR] is gamma_teff * E[Z^2] from the envelope moments;
+    gamma_snr_mean forms it from the Gamma fit instead."""
+
     def test_exponential_factorials(self):
         fit = GammaFit(1.0, 1.0)
-        assert snr_mean(fit, 1.0) == pytest.approx(2.0, rel=1e-15)
+        (report,) = capacity_reports([(summary(1.0, 1.0), 1.0)])
+        assert gamma_snr_mean(fit.a, fit.b, 1.0) == pytest.approx(2.0, rel=1e-15)
+        assert report.snr_mean == pytest.approx(gamma_snr_mean(fit.a, fit.b, 1.0), rel=1e-15)
         assert snr_variance(fit, 1.0) == pytest.approx(20.0, rel=1e-15)
+        assert report.snr_variance == pytest.approx(20.0, rel=1e-15)
 
     def test_scaling_in_gamma_teff(self):
         fit = GammaFit(3.3, 1.7)
-        assert snr_mean(fit, 8.0) == pytest.approx(2.0 * snr_mean(fit, 4.0), rel=1e-15)
+        moments = summary(fit.a / fit.b, fit.a / fit.b**2)
+        report4, report8 = capacity_reports([(moments, 4.0), (moments, 8.0)])
+        assert report8.snr_mean == pytest.approx(2.0 * report4.snr_mean, rel=1e-15)
+        assert report8.snr_mean == pytest.approx(gamma_snr_mean(fit.a, fit.b, 8.0), rel=1e-10)
         assert snr_variance(fit, 8.0) == pytest.approx(4.0 * snr_variance(fit, 4.0), rel=1e-15)
 
     def test_second_moment_preserved_by_fit(self):
@@ -389,25 +398,28 @@ class TestSnrMoments:
         # can be computed from either the fit or the raw moments
         for mean, var in ((1e-4, 3e-10), (2.3, 0.31), (7.0, 0.5)):
             fit = gamma_fit(summary(mean, var))
-            assert fit.a * (fit.a + 1.0) / fit.b**2 == pytest.approx(
-                mean * mean + var, rel=1e-10
-            )
+            assert gamma_snr_mean(fit.a, fit.b, 1.0) == pytest.approx(mean * mean + var, rel=1e-10)
             gt = 3.7e11
-            assert snr_mean(fit, gt) == pytest.approx(gt * (mean * mean + var), rel=1e-10)
+            (report,) = capacity_reports([(summary(mean, var), gt)])
+            assert report.snr_mean == pytest.approx(gamma_snr_mean(fit.a, fit.b, gt), rel=1e-10)
 
     def test_full_scenario_cross_formula_consistency(self):
-        # fit-based E[SNR] equals gamma_teff times the raw envelope second
-        # moment on the reference 576-element scenario
+        # the report's E[SNR], gamma_teff times the raw envelope second
+        # moment, equals the fit-based figure on the reference 576-element
+        # scenario
         from riscap.presets import preset
         from riscap.workbench import run_scenario
 
         scenario, _ = preset("fig2")
         res = run_scenario(scenario)
         fit = gamma_fit(res.moments)
-        gt = res.gamma_teff
-        assert snr_mean(fit, gt) == pytest.approx(
-            gt * res.moments.second_moment, rel=1e-10
+        assert res.report.snr_mean == pytest.approx(
+            gamma_snr_mean(fit.a, fit.b, res.gamma_teff), rel=1e-10
         )
+
+    def test_variance_scale_beyond_float_range(self):
+        # b^2 = 1e-400 underflows to 0; the scale 1 / b / b is inf
+        assert snr_variance(GammaFit(2.0, 1e-200), 1.0) == math.inf
 
 
 class TestBounds:
@@ -418,12 +430,16 @@ class TestBounds:
     def test_zero_variance_collapses(self):
         assert ec_lower_bound(7.0, 0.0) == pytest.approx(ec_upper_bound(7.0), rel=1e-15)
 
+    def test_cube_of_mean_beyond_float_range(self):
+        # 1e309 is inf as a product, where a Python float ** raises
+        assert math.isfinite(ec_lower_bound(1e103, 1.0))
+
     def test_bracket_sampling_estimate(self):
         a, b, gt = 6.0, 2.0, 30.0
         fit = GammaFit(a, b)
         mean, se = sample_gamma_log_capacity(a, b, gt, n=2_000_000, seed=17)
-        ub = ec_upper_bound(snr_mean(fit, gt))
-        lb = ec_lower_bound(snr_mean(fit, gt), snr_variance(fit, gt))
+        ub = ec_upper_bound(gamma_snr_mean(a, b, gt))
+        lb = ec_lower_bound(gamma_snr_mean(a, b, gt), snr_variance(fit, gt))
         assert mean <= ub + 3 * se
         assert lb <= mean + 0.05
 
@@ -437,9 +453,18 @@ class TestCapacityReport:
         assert report.ec_upper == report.ec_lower
 
     def test_figure_out_of_float_range_raises(self):
-        # gamma_teff * a(a+1) / b^2 overflows: E[SNR] is not representable
-        with pytest.raises(NumericalFailure, match="snr_mean"):
-            capacity_reports([(MomentSummary(1.0, 1.5, 0.5), 1e308)])
+        # gamma_teff * E[Z^2] = 2e308: E[SNR] is not representable
+        with pytest.raises(NumericalFailure, match="snr_mean=inf"):
+            capacity_reports([(MomentSummary(1.0, 2.0, 1.0), 1e308)])
+
+    def test_rate_whose_square_leaves_float_range(self):
+        # the fit's rate b = 1e155 squares to inf, yet E[SNR] = 1e-10
+        moments, gt = MomentSummary(1e-150, 1e-300 + 1e-305, 1e-305), 1e290
+        (report,) = capacity_reports([(moments, gt)])
+        assert report.snr_mean == gt * moments.second_moment
+        assert report.snr_variance > 0
+        assert report.ec_upper > 0
+        assert report.ec_upper >= report.ec_approx
 
     def test_batch_equals_one_by_one(self, monkeypatch):
         retried = []

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_beta_inv, brute_force_element_links
+from panels import near_field, whole_panel
 from riscap.errors import GeometryError
 from riscap.geometry import (
     MAX_PANEL_ELEMENTS,
@@ -16,7 +17,7 @@ from riscap.geometry import (
     panel_link,
     panel_tiles,
 )
-from riscap.pathloss import NearFieldTiles, beta0_reference
+from riscap.pathloss import beta0_reference
 
 LAMBDA = 0.06
 CELL = LAMBDA / 8
@@ -40,21 +41,10 @@ class TestRisPanelLimits:
             panel(2, 2, dx=dx, dy=dy)
 
 
-def near(bs, user, p, gt=2.0, gr=2.0, link=None, b0=1.0) -> NearFieldTiles:
-    """The panel's near-field kernel, by default with beta0_ref = 1, so
-    that beta^-1 is pattern / (r_t r_r)^2."""
-    return NearFieldTiles(bs, user, p, link or panel_link(bs, user, p), b0, gt, gr)
-
-
-def beta_inv(bs, user, p, gt=2.0, gr=2.0, b0=1.0) -> np.ndarray:
-    """beta^-1 of the whole panel from one inverse_losses call."""
-    return near(bs, user, p, gt, gr, b0=b0).inverse_losses(range(p.my), range(p.mx))
-
-
 def links(bs, user, p) -> dict[str, np.ndarray]:
     """The whole panel's r_t, r_r, cos_tx and cos_rx from one links call,
     row-major."""
-    arrays = near(bs, user, p).links(range(p.my), range(p.mx))
+    arrays = near_field(bs, user, p).links(range(p.my), range(p.mx))
     return dict(zip(("r_t", "r_r", "cos_tx", "cos_rx"), (a.ravel() for a in arrays)))
 
 
@@ -75,7 +65,7 @@ class TestElementCenters:
         # the BS sees the two elements at the distances of their offsets:
         # with gt = gr = 2 and the user at the BS, beta^-1 = h^2 / r^6
         bs = Point3(-5.0, 0.0, 1.0)
-        r = (1.0 / beta_inv(bs, bs, p)) ** (1 / 6)
+        r = (1.0 / whole_panel(near_field(bs, bs, p))) ** (1 / 6)
         assert r.tolist() == pytest.approx([math.hypot(4.5, 1.0), math.hypot(5.5, 1.0)])
 
     def test_max_offset_24_grid(self):
@@ -94,7 +84,7 @@ class TestElementCenters:
             math.dist((bs.x, bs.y, bs.z), (x, y, 0.0)) ** -6
             for x, y in ((-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5), (0.5, 0.5))
         ]
-        np.testing.assert_allclose(beta_inv(bs, bs, p), expected, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(whole_panel(near_field(bs, bs, p)), expected, rtol=1e-15, atol=0)
 
     @given(
         mx=st.integers(1, 9),
@@ -150,9 +140,9 @@ class TestPanelTiles:
     @staticmethod
     def assert_tiles_equal_whole_panel(bs, user, p, gt, gr):
         link = panel_link(bs, user, p)
-        whole = near(bs, user, p, gt, gr, link).inverse_losses(range(p.my), range(p.mx))
+        whole = near_field(bs, user, p, gt, gr, link=link).inverse_losses(range(p.my), range(p.mx))
         grid = whole.reshape(p.my, p.mx)
-        tiled = near(bs, user, p, gt, gr, link)
+        tiled = near_field(bs, user, p, gt, gr, link=link)
         for rows, cols in panel_tiles(p):
             tile = tiled.inverse_losses(rows, cols)
             want = grid[rows.start : rows.stop, cols.start : cols.stop].ravel()
@@ -193,7 +183,7 @@ class TestPanelTiles:
     def test_rejects_tile_outside_the_panel(self, rows, cols):
         bs, user, p = Point3(0.0, 0.0, 1.0), Point3(1.0, 0.0, 1.0), panel(2, 2)
         with pytest.raises(ValueError, match="range"):
-            near(bs, user, p).inverse_losses(rows, cols)
+            near_field(bs, user, p).inverse_losses(rows, cols)
 
 
 class TestElementLinks:
@@ -221,7 +211,8 @@ class TestElementLinks:
         bs, user = Point3(0.0, 0.0, 7.0), Point3(30.0, 0.0, 5.0)
         r_r = math.hypot(30.0, 5.0)
         # cos_t = 1 at r_t = 7: beta^-1 = (5 / r_r) / (7 r_r)^2
-        assert beta_inv(bs, user, p)[4] == pytest.approx(5.0 / r_r / (7.0 * r_r) ** 2, rel=1e-12)
+        beta_inv = whole_panel(near_field(bs, user, p))
+        assert beta_inv[4] == pytest.approx(5.0 / r_r / (7.0 * r_r) ** 2, rel=1e-12)
 
     def test_rejects_endpoint_in_panel_plane(self):
         # the kernel takes the panel link, which rejects the endpoint
@@ -231,7 +222,7 @@ class TestElementLinks:
             (Point3(-5.0, 0.0, 1.0), Point3(5.0, 0.0, -0.2)),
         ):
             with pytest.raises(GeometryError):
-                beta_inv(bs, user, p)
+                whole_panel(near_field(bs, user, p))
 
     def test_triangle_inequality_against_panel_center(self):
         p = panel(8, 6, center=Point3(-49.5, 0.0, 9.5))
@@ -284,7 +275,7 @@ class TestElementLinks:
             assert got.shape == (mx * my,)
             np.testing.assert_allclose(got, expected[name], rtol=1e-12, atol=0, err_msg=name)
         gt, gr = gains
-        got = beta_inv(bs, user, p, gt, gr, beta0_reference(gt, gr, dx, dy))
+        got = whole_panel(near_field(bs, user, p, gt, gr, beta0_reference(gt, gr, dx, dy)))
         expected = brute_force_beta_inv(bs, user, p, gt, gr)
         assert got.shape == (mx * my,)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_element_links
+from panels import near_field, whole_panel
 from riscap.errors import PatternUnderflow, SingularPattern
 from riscap.geometry import PanelLink, Point3, RisPanel, panel_link
 from riscap.pathloss import (
     LinkBudget,
-    NearFieldTiles,
     beta0_reference,
     direct_pathloss,
     farfield_pathloss,
@@ -21,19 +21,6 @@ USER = Point3(50.0, 0.0, 10.0)
 
 def fig_panel(mx=40, my=40):
     return RisPanel(center=Point3(-49.5, 0.0, 9.5), mx=mx, my=my, dx=CELL, dy=CELL)
-
-
-def near(bs, user, p, gt, gr, b0=1.0) -> NearFieldTiles:
-    return NearFieldTiles(bs, user, p, panel_link(bs, user, p), b0, gt, gr)
-
-
-def whole_panel(bs, user, p, gt, gr, b0=1.0) -> np.ndarray:
-    """beta^-1 of every element from one inverse_losses call; raises the
-    panel's pattern fault, if any."""
-    kernel = near(bs, user, p, gt, gr, b0)
-    beta_inv = kernel.inverse_losses(range(p.my), range(p.mx))
-    kernel.check()
-    return beta_inv
 
 
 class TestLinkBudget:
@@ -83,7 +70,8 @@ class TestJointPattern:
         # both endpoints above a one-element panel: every cosine is 1, so
         # beta^-1 is 1 / (r_t r_r)^2 exactly
         p = RisPanel(Point3(0.0, 0.0, 0.0), 1, 1, 1.0, 1.0)
-        beta_inv = whole_panel(Point3(0.0, 0.0, 2.0), Point3(0.0, 0.0, 4.0), p, 20.0, 4.0)
+        bs, user = Point3(0.0, 0.0, 2.0), Point3(0.0, 0.0, 4.0)
+        beta_inv = whole_panel(near_field(bs, user, p, 20.0, 4.0))
         assert beta_inv.tolist() == [1.0 / 64.0]
 
     def test_exponents_vanish_at_gain_two(self):
@@ -92,7 +80,8 @@ class TestJointPattern:
         bs, user = Point3(1.0, 2.0, 3.0), Point3(-4.0, 5.0, 6.0)
         link = panel_link(bs, user, p)
         expected = link.cos_theta_t * link.cos_theta_r / (link.d1 * link.d2) ** 2
-        assert whole_panel(bs, user, p, 2.0, 2.0)[0] == pytest.approx(expected, rel=1e-15)
+        beta_inv = whole_panel(near_field(bs, user, p, 2.0, 2.0))
+        assert beta_inv[0] == pytest.approx(expected, rel=1e-15)
 
     def test_off_center_element_against_scripted_product(self):
         # both endpoints on the normal of the element 12 m off-center, at
@@ -104,14 +93,14 @@ class TestJointPattern:
         gt, gr = 100.0, 1.0
         pattern = (5.0 / 13.0) ** (gt / 2 - 1) * 1.0 * 1.0 * (9.0 / 15.0) ** (gr / 2 - 1)
         expected = pattern / (5.0 * 9.0) ** 2
-        assert whole_panel(bs, user, p, gt, gr)[2] == pytest.approx(expected, rel=1e-15)
+        assert whole_panel(near_field(bs, user, p, gt, gr))[2] == pytest.approx(expected, rel=1e-15)
 
 
 class TestElementPathloss:
     def test_center_element_matches_farfield_at_gain_two(self):
         p = RisPanel(center=Point3(-49.5, 0.0, 9.5), mx=1, my=1, dx=CELL, dy=CELL)
         b0 = beta0_reference(2.0, 2.0, CELL, CELL)
-        beta_inv = whole_panel(BS, USER, p, 2.0, 2.0, b0)
+        beta_inv = whole_panel(near_field(BS, USER, p, 2.0, 2.0, b0))
         assert beta_inv.shape == (1,)
         assert 1.0 / beta_inv[0] == pytest.approx(
             farfield_pathloss(panel_link(BS, USER, p), b0), rel=1e-12
@@ -122,14 +111,14 @@ class TestElementPathloss:
         def scaled(k):
             p = RisPanel(Point3(0.3 * k, -0.2 * k, 0.1 * k), 3, 2, 0.2 * k, 0.1 * k)
             bs, user = Point3(-3.0 * k, 1.0 * k, 2.0 * k), Point3(40.0 * k, 2.0 * k, 5.0 * k)
-            return whole_panel(bs, user, p, 20.0, 4.0, b0=1e9)
+            return whole_panel(near_field(bs, user, p, 20.0, 4.0, b0=1e9))
 
         np.testing.assert_allclose(scaled(1.0), 16.0 * scaled(2.0), rtol=1e-12, atol=0)
 
     def test_edge_element_lossier_than_center(self):
         p = fig_panel()
         b0 = beta0_reference(100.0, 1.0, CELL, CELL)
-        beta_inv = whole_panel(BS, USER, p, 100.0, 1.0, b0)
+        beta_inv = whole_panel(near_field(BS, USER, p, 100.0, 1.0, b0))
         x = p.element_x(range(p.mx)) - p.center.x
         y = p.element_y(range(p.my)) - p.center.y
         d_m = np.hypot(x[None, :], y[:, None]).ravel()
@@ -142,14 +131,14 @@ class TestElementPathloss:
         p = RisPanel(Point3(0.0, 0.0, 0.0), 2, 1, 1e23, 1.0)
         bs, user = Point3(-1e24, 0.0, 1e-300), Point3(0.0, 0.0, 1e23)
         with pytest.raises(SingularPattern, match="radiation pattern is not positive") as exc:
-            whole_panel(bs, user, p, 2.0, 2.0)
+            whole_panel(near_field(bs, user, p, 2.0, 2.0))
         assert type(exc.value) is SingularPattern
 
     def test_negative_endpoint_cosine_rejected_with_fractional_exponent(self):
         # element x = -0.5 lies past the BS's perpendicular: a float power
         # of its negative cos_tx would otherwise go complex
         p = RisPanel(Point3(0.0, 0.0, 0.0), 2, 1, 1.0, 1.0)
-        kernel = near(Point3(-0.3, 0.0, 0.1), Point3(5.0, 0.0, 5.0), p, 5.0, 1.0)
+        kernel = near_field(Point3(-0.3, 0.0, 0.1), Point3(5.0, 0.0, 5.0), p, 5.0, 1.0)
         beta_inv = kernel.inverse_losses(range(1), range(2))
         assert math.isnan(beta_inv[0]) and beta_inv[1] > 0
         with pytest.raises(SingularPattern, match="endpoint-side"):
@@ -163,18 +152,18 @@ class TestElementPathloss:
         assert np.count_nonzero(endpoint <= 0) == 3
         worst = f"{endpoint.min():.4g}"
         with pytest.raises(SingularPattern, match=rf"3 element\(s\).*worst {worst}\)"):
-            whole_panel(bs, user, p, 5.0, 1.0)
+            whole_panel(near_field(bs, user, p, 5.0, 1.0))
         # cos_t = 1e-300 / r_t underflows to 0 at the three elements
         p = RisPanel(Point3(0.0, 0.0, 0.0), 3, 1, 1e24, 1.0)
         bs, user = Point3(-1.5e24, 0.0, 1e-300), Point3(0.0, 0.0, 1e24)
         with pytest.raises(SingularPattern, match=r"not positive at 3 element\(s\) \(worst 0\)"):
-            whole_panel(bs, user, p, 2.0, 2.0)
+            whole_panel(near_field(bs, user, p, 2.0, 2.0))
 
     def test_shapes_and_positivity(self):
         b0 = beta0_reference(100.0, 1.0, CELL, CELL)
         for (mx, my), size in (((4, 6), 24), ((3, 3), 9)):
             p = fig_panel(mx, my)
-            beta_inv = whole_panel(BS, USER, p, 100.0, 1.0, b0)
+            beta_inv = whole_panel(near_field(BS, USER, p, 100.0, 1.0, b0))
             assert beta_inv.shape == (size,)
             assert np.all(beta_inv > 0)
             assert farfield_pathloss(panel_link(BS, USER, p), b0) > 0
@@ -189,7 +178,7 @@ class TestElementPathloss:
             bs = Point3(-d / math.sqrt(2), 0.0, d / math.sqrt(2))
             user = Point3(d / math.sqrt(2), 1.0, d / math.sqrt(2))
             ff = farfield_pathloss(panel_link(bs, user, p), b0)
-            beta_inv = whole_panel(bs, user, p, 100.0, 1.0, b0)
+            beta_inv = whole_panel(near_field(bs, user, p, 100.0, 1.0, b0))
             worst.append(max(abs(1.0 / (b * ff) - 1.0) for b in beta_inv))
         assert worst[0] < 0.01
         assert worst[2] < worst[1] < worst[0]
@@ -238,7 +227,7 @@ class TestPatternFaults:
     def test_tiles_raise_what_one_call_raises(self, case, bounds):
         bs, user, gt, gr, dx, raises = self.CASES[case]
         p = RisPanel(Point3(0.0, 0.0, 0.0), 8, 1, dx, 1.0)
-        one_tile, tiled = near(bs, user, p, gt, gr), near(bs, user, p, gt, gr)
+        one_tile, tiled = near_field(bs, user, p, gt, gr), near_field(bs, user, p, gt, gr)
         whole, start = one_tile.inverse_losses(range(1), range(8)), 0
         for stop in (*bounds, 8):
             tile = tiled.inverse_losses(range(1), range(start, stop))

@@ -31,6 +31,7 @@ from riscap.scenario import (
 )
 
 from oracles import brute_force_beta_inv, per_point_preset, per_point_sweep
+from panels import near_field, whole_panel
 from riscap.workbench import (
     SWEEP_VARIABLES,
     SweepSpec,
@@ -80,6 +81,25 @@ class TestAutoMode:
         assert res.mode_used == "far"
         assert any("boundary" in note for note in res.notes)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"mode": "Near"}, "scenario.mode: must be one of ('auto', 'near', 'far'), got 'Near'"),
+            (
+                {"kind": "bogus"},
+                "scenario.deployment.kind: must be 'centralized' or 'distributed', got 'bogus'",
+            ),
+            ({"panels": ()}, "scenario.deployment.panels: expected a non-empty list"),
+        ],
+        ids=["mode", "kind", "panels"],
+    )
+    def test_structure_of_a_python_scenario_is_checked(self, edit, message):
+        # a scenario built in Python gets the parser's checks and texts
+        scenario = dataclasses.replace(preset("fig2")[0], **edit)
+        with pytest.raises(ScenarioError) as exc:
+            run_scenario(scenario)
+        assert str(exc.value) == message
+
 
 class TestPipelineConsistency:
     def test_distributed_single_panel_equals_centralized(self):
@@ -117,7 +137,7 @@ class TestPipelineConsistency:
             )
         res = run_scenario(s)
         assert res.mode_used == "near"
-        whole = one_tile_beta_inv(s)
+        whole = whole_panel(near_field(*first_panel(s)))
         assert np.array_equal(res.ensemble.panels[0].amplitude, np.sqrt(whole))
         assert res.ensemble.panels[0].power_sum == float(np.sum(whole))
         assert res.ensemble.panels[0].root_sum == float(np.sum(np.sqrt(whole)))
@@ -165,22 +185,12 @@ class TestPipelineConsistency:
         assert ec_high - ec_mid < 1e-3
 
 
-def near_field(s: Scenario) -> NearFieldTiles:
-    """The near-field kernel of the scenario's first panel."""
+def first_panel(s: Scenario) -> tuple:
+    """near_field's arguments for the scenario's first panel: endpoints,
+    panel, gains and reference constant."""
     panel = s.panels[0].panel
     b0 = beta0_reference(s.budget.gt, s.budget.gr, panel.dx, panel.dy)
-    link = panel_link(s.bs, s.user, panel)
-    return NearFieldTiles(s.bs, s.user, panel, link, b0, s.budget.gt, s.budget.gr)
-
-
-def one_tile_beta_inv(s: Scenario) -> np.ndarray:
-    """beta^-1 of the first panel's elements from one inverse_losses call
-    over the whole panel, row-major."""
-    near = near_field(s)
-    panel = near.panel
-    beta_inv = near.inverse_losses(range(panel.my), range(panel.mx))
-    near.check()
-    return beta_inv
+    return s.bs, s.user, panel, s.budget.gt, s.budget.gr, b0
 
 
 def reference_tiles(beta_inv: np.ndarray, panel: RisPanel) -> list[np.ndarray]:
@@ -217,7 +227,7 @@ class TestTiledNearField:
         s = midlink_fig2(mx, my)
         panel = s.panels[0].panel
         assert len(list(panel_tiles(panel))) > 1
-        whole = one_tile_beta_inv(s)
+        whole = whole_panel(near_field(*first_panel(s)))
         # the analytic run: each tile's sums, added in tile order
         channel = run_scenario(s).ensemble.panels[0]
         assert channel.amplitude is None and channel.count == mx * my
@@ -294,13 +304,13 @@ class TestTiledNearField:
         setup = s.panels[0]
         panel = dataclasses.replace(setup.panel, center=Point3(10.0, 0.0, 9.5))
         s = dataclasses.replace(s, panels=(dataclasses.replace(setup, panel=panel),))
-        by_tile = near_field(s)
+        by_tile = near_field(*first_panel(s))
         (rows, cols), (rest_rows, rest_cols) = panel_tiles(panel)
         by_tile.inverse_losses(rows, cols)
         assert by_tile.endpoint_count == 0
         by_tile.inverse_losses(rest_rows, rest_cols)
         assert by_tile.endpoint_count == 666
-        one_call = near_field(s)
+        one_call = near_field(*first_panel(s))
         one_call.inverse_losses(range(1), range(12000))
         with pytest.raises(SingularPattern) as whole:
             one_call.check()
@@ -319,13 +329,13 @@ class TestTiledNearField:
         # huge gain exponents: the pattern underflows at both ends of a
         # 12000-element row, one end in each of its two tiles
         s = midlink_fig2(12000, 1, gt=1e6, gr=1e6)
-        by_tile, counts = near_field(s), []
+        by_tile, counts = near_field(*first_panel(s)), []
         for rows, cols in panel_tiles(s.panels[0].panel):
             by_tile.inverse_losses(rows, cols)
             counts.append(by_tile.pattern_count)
         assert 0 < counts[0] < counts[1]
         with pytest.raises(PatternUnderflow) as whole:
-            one_tile_beta_inv(s)
+            whole_panel(near_field(*first_panel(s)))
         assert f"at {counts[1]} element(s)" in str(whole.value)
         with pytest.raises(PatternUnderflow) as tiled:
             run_scenario(s)
