@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import os
 import sys
+import warnings
 
 from .errors import NumericalFailure, ValidationFailure
 from .presets import PRESET_NAMES, run_preset
@@ -101,7 +102,7 @@ def _override_mode(scenario, mode):
 
 
 def _cannot_write(out: str, exc: OSError) -> ValidationFailure:
-    return ValidationFailure(f"--out: cannot write {out}: {exc.strerror or exc}")
+    return ValidationFailure(f"cannot write {out}: {exc.strerror or exc}", ("--out",))
 
 
 @contextlib.contextmanager
@@ -166,7 +167,7 @@ def _parse_values(raw: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in raw.split(",") if v.strip() != "")
     except ValueError as exc:
-        raise ValidationFailure(f"--values: {exc}") from exc
+        raise ValidationFailure(str(exc), ("--values",)) from exc
 
 
 def _cmd_sweep(args) -> None:
@@ -204,6 +205,8 @@ def main(argv=None) -> int:
         "preset": _cmd_preset,
         "mc": _cmd_mc,
     }
+    # a shown warning is one line; a caller that records warnings keeps its records
+    shown, warnings.formatwarning = warnings.formatwarning, lambda msg, *_: f"warning: {msg}\n"
     try:
         handlers[args.command](args)
     except ValidationFailure as exc:
@@ -212,6 +215,8 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = shown
     return 0
 
 

@@ -2,13 +2,37 @@
 
 Two branches matter to callers: ``ValidationFailure`` (bad inputs, exit
 code 2 in the CLI) and ``NumericalFailure`` (a computation that could not
-be completed, exit code 3).  ``until_failure`` lets a stage that batches
-work across items raise what item-by-item evaluation would raise first.
+be completed, exit code 3); ``RiscapError.__str__`` writes every text.
+``until_failure`` lets a stage that batches work across items raise what
+item-by-item evaluation would raise first.
 """
 
 
 class RiscapError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors: a message, the fields that set
+    it (input paths as written, such as ``scenario.deployment.panels[1].dx``,
+    ``trials`` or ``--out``; empty where none applies) and a label naming
+    the item that failed (``panel 0``, ``sweep P=-10.0``) or None."""
+
+    def __init__(self, message, fields=(), label=None, *, set_by=False, detail=None, named=0):
+        super().__init__(message)
+        self.message, self.fields, self.label = message, tuple(fields), label
+        self.set_by, self.detail, self.named = set_by or detail is not None, detail, named
+
+    def __str__(self) -> str:
+        """The text: "F: message" with the fields F first, or with set_by
+        "message, set by F" then ": detail" if given; F leaves out the first
+        named fields, which the message names itself, and a label leads."""
+        listed = ", ".join(self.fields[self.named :])
+        if self.set_by:
+            text = f"{self.message}, set by {listed}" + (f": {self.detail}" if self.detail else "")
+        else:
+            text = f"{listed}: {self.message}" if listed else self.message
+        return f"{self.label}: {text}" if self.label else text
+
+    def within(self, label: str) -> None:
+        """Put the failure under an enclosing label, outermost first."""
+        self.label = f"{label}: {self.label}" if self.label else label
 
 
 class ValidationFailure(RiscapError):
@@ -41,7 +65,7 @@ class InvalidScenario(ValidationFailure):
 
 
 class ScenarioError(ValidationFailure):
-    """Scenario file failed schema validation; message carries the field path."""
+    """A scenario input, from a file or built in Python, failed validation."""
 
 
 class DegenerateDistribution(NumericalFailure):

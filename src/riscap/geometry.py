@@ -25,8 +25,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import GeometryError, ScenarioError
 
+ENDPOINTS = ("scenario.bs", "scenario.user")  # their sections in a scenario file
 # Surfaced in workbench run metadata (see module docstring).
 ELEVATION_CONVENTION_NOTE = (
     "element-to-user elevation cosine computed from the receiver height"
@@ -56,13 +57,27 @@ class Point3:
         return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
 
 
-class PanelError(ValueError):
-    """A RisPanel field value out of range; `fields` names the fields at
-    fault."""
-
-    def __init__(self, fields: tuple[str, ...], message: str):
-        super().__init__(message)
-        self.fields = fields
+def check_panel(mx: int, my: int, dx: float, dy: float, section: str = "") -> None:
+    """Raise ScenarioError for an element count or size out of range,
+    naming the fields under section (bare names without one)."""
+    at = f"{section}." if section else ""
+    for name, value in (("mx", mx), ("my", my)):
+        if value < 1:
+            raise ScenarioError("element counts must be >= 1", (at + name,))
+    for name, value in (("dx", dx), ("dy", dy)):
+        if value <= 0:
+            raise ScenarioError("element dimensions must be positive", (at + name,))
+    if mx * my > MAX_PANEL_ELEMENTS:
+        raise ScenarioError(
+            f"element count mx*my exceeds the limit of {MAX_PANEL_ELEMENTS}", (at + "mx", at + "my")
+        )
+    # the path-loss reference constant divides by dx^2 * dy^2
+    sx, sy = dx * dx, dy * dy
+    for names, square in ((("dx",), sx), (("dy",), sy), (("dx", "dy"), sx * sy)):
+        if not 0.0 < square < math.inf:
+            raise ScenarioError(
+                f"element size {dx:g} x {dy:g} m is out of float range", [at + n for n in names]
+            )
 
 
 @dataclass(frozen=True)
@@ -70,7 +85,7 @@ class RisPanel:
     """One reflecting surface: center, element grid counts, element size.
 
     The panel lies in the plane z = center.z, elements on an mx-by-my grid
-    with spacing (dx, dy) meters.
+    with spacing (dx, dy) meters; check_panel bounds the counts and sizes.
     """
 
     center: Point3
@@ -80,23 +95,7 @@ class RisPanel:
     dy: float
 
     def __post_init__(self):
-        for name in ("mx", "my"):
-            if getattr(self, name) < 1:
-                raise PanelError((name,), "element counts must be >= 1")
-        for name in ("dx", "dy"):
-            if getattr(self, name) <= 0:
-                raise PanelError((name,), "element dimensions must be positive")
-        if self.mx * self.my > MAX_PANEL_ELEMENTS:
-            raise PanelError(
-                ("mx", "my"), f"element count mx*my exceeds the limit of {MAX_PANEL_ELEMENTS}"
-            )
-        # the path-loss reference constant divides by dx^2 * dy^2
-        sx, sy = self.dx * self.dx, self.dy * self.dy
-        for fields, square in ((("dx",), sx), (("dy",), sy), (("dx", "dy"), sx * sy)):
-            if not 0.0 < square < math.inf:
-                raise PanelError(
-                    fields, f"element size {self.dx:g} x {self.dy:g} m is out of float range"
-                )
+        check_panel(self.mx, self.my, self.dx, self.dy)
 
     @property
     def element_count(self) -> int:
@@ -120,24 +119,29 @@ def _axis(name: str, span: range, count: int, center: float, spacing: float) -> 
 
 @dataclass(frozen=True)
 class PanelLink:
-    """Panel-center link quantities (the far-field view of a panel)."""
+    """Panel-center link quantities (the far-field view of a panel), and
+    the panel's index and section path, which its failures name."""
 
     d1: float  # BS to panel center
     d2: float  # user to panel center
     cos_theta_t: float
     cos_theta_r: float
+    section: str = "scenario.deployment.panel"
+    index: int = 0
 
 
-def _require_above_plane(point: Point3, z0: float, field: str) -> None:
-    if point.z <= z0:
-        raise GeometryError(f"{field}={point.z} must lie strictly above the panel plane z={z0}")
-
-
-def panel_link(bs: Point3, user: Point3, panel: RisPanel) -> PanelLink:
-    """Center-of-panel distances and elevation cosines."""
+def panel_link(
+    bs: Point3, user: Point3, panel: RisPanel, section: str = PanelLink.section, index: int = 0
+) -> PanelLink:
+    """Center-of-panel distances and elevation cosines of panel index at
+    section; an endpoint not above the panel plane raises GeometryError."""
     z0 = panel.center.z
-    _require_above_plane(bs, z0, "scenario.bs.z")
-    _require_above_plane(user, z0, "scenario.user.z")
+    for name, point in zip(ENDPOINTS, (bs, user)):
+        if point.z <= z0:
+            raise GeometryError(
+                f"{name}.z={point.z} must lie strictly above the panel plane z={z0}",
+                (f"{name}.z", f"{section}.center.z"), f"panel {index}", set_by=True, named=1,
+            )
     d1 = bs.distance_to(panel.center)
     d2 = user.distance_to(panel.center)
     return PanelLink(
@@ -145,6 +149,8 @@ def panel_link(bs: Point3, user: Point3, panel: RisPanel) -> PanelLink:
         d2=d2,
         cos_theta_t=(bs.z - z0) / d1,
         cos_theta_r=(user.z - z0) / d2,
+        section=section,
+        index=index,
     )
 
 

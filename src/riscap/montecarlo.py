@@ -63,7 +63,7 @@ from .errors import InvalidScenario, ScenarioError
 def _integer(field: str, value):
     """value, if an integer (numpy's too, bool not); else ScenarioError naming field."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ScenarioError(f"{field}: must be an integer, got {value!r}")
+        raise ScenarioError(f"must be an integer, got {value!r}", (field,))
     return value
 
 
@@ -71,11 +71,11 @@ def check_run_settings(trials: Optional[int], seed: int, workers: int = 1):
     """Reject a non-integer, trials below 1 (None means no Monte Carlo), a
     seed outside [0, 2**64) and fewer than one worker, naming the field."""
     if trials is not None and _integer("trials", trials) < 1:
-        raise ScenarioError(f"trials: must be >= 1, got {trials}")
+        raise ScenarioError(f"must be >= 1, got {trials}", ("trials",))
     if not (0 <= _integer("seed", seed) < 2**64):
-        raise ScenarioError(f"seed: must lie in [0, 2**64), got {seed}")
+        raise ScenarioError(f"must lie in [0, 2**64), got {seed}", ("seed",))
     if _integer("workers", workers) < 1:
-        raise ScenarioError(f"workers: must be >= 1, got {workers}")
+        raise ScenarioError(f"must be >= 1, got {workers}", ("workers",))
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class TrialConfig:
 
     def __post_init__(self):
         if self.trials is None:  # "no Monte Carlo" only to the run functions
-            raise ScenarioError("trials: must be >= 1, got None")
+            raise ScenarioError("must be >= 1, got None", ("trials",))
         check_run_settings(self.trials, self.seed)
         if _integer("block_size", self.block_size) < 1:
             raise ValueError("block_size must be >= 1")
@@ -221,8 +221,9 @@ def simulate_ec_sweep(
                 f"need two {block} x {largest} float64 arrays each"
             )
         raise ScenarioError(
-            f"trials: {held} ({need / 2**30:.3g} GiB) for a panel of {largest} elements, "
-            "more memory than this machine has"
+            f"{held} ({need / 2**30:.3g} GiB) for a panel of {largest} elements, "
+            "more memory than this machine has",
+            ("trials",),
         )
 
     def block_sums(item) -> list[tuple[float, float]]:
@@ -243,8 +244,9 @@ def simulate_ec_sweep(
             blocks = list(pool.map(block_sums, plan))
     except MemoryError:
         raise ScenarioError(
-            f"trials: allocating a Monte Carlo block of {block} trials for a panel of {largest} "
-            f"elements with {workers} worker(s) failed; use fewer trials per block or fewer workers"
+            f"allocating a Monte Carlo block of {block} trials for a panel of {largest} elements "
+            f"with {workers} worker(s) failed; use fewer trials per block or fewer workers",
+            ("trials",),
         ) from None
 
     n = cfg.trials

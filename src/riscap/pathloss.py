@@ -22,7 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PatternUnderflow, SingularPattern
-from .geometry import PanelLink, Point3, RisPanel
+from .geometry import ENDPOINTS, PanelLink, Point3, RisPanel
+
+GAINS = ("scenario.budget.gt", "scenario.budget.gr")  # their fields in a scenario file
+
+
+def _pattern_fault(kind, link: PanelLink, message: str):
+    """A pattern fault of the link's panel: a cosine's sign follows from
+    its element grid and the endpoints."""
+    grid = tuple(f"{link.section}.{key}" for key in ("mx", "my", "dx", "dy"))
+    return kind(message, grid + ENDPOINTS, f"panel {link.index}", set_by=True)
 
 
 @dataclass(frozen=True)
@@ -83,7 +92,7 @@ class NearFieldTiles:
         z0 = panel.center.z
         # per endpoint: its point, height over the plane, distance to the center
         self.ends = ((bs, bs.z - z0, link.d1), (user, user.z - z0, link.d2))
-        self.panel, self.beta0_ref, self.gt, self.gr = panel, beta0_ref, gt, gr
+        self.panel, self.link, self.beta0_ref, self.gt, self.gr = panel, link, beta0_ref, gt, gr
         self.endpoint_count, self.endpoint_worst = 0, math.inf
         self.pattern_count, self.pattern_worst = 0, math.inf
         self.underflow = True  # every non-positive pattern has positive cos_t and cos_r
@@ -150,11 +159,11 @@ class NearFieldTiles:
 
     def check(self) -> None:
         """Raise the panel's first fault, if it has one."""
-        gt, gr = self.gt, self.gr
+        gt, gr, link = self.gt, self.gr, self.link
         if self.endpoint_count:
-            raise SingularPattern(
-                f"endpoint-side pattern cosines must be positive; {self.endpoint_count} "
-                f"element(s) are not (worst {self.endpoint_worst:.4g})"
+            raise _pattern_fault(
+                SingularPattern, link, "endpoint-side pattern cosines must be positive; "
+                f"{self.endpoint_count} element(s) are not (worst {self.endpoint_worst:.4g})"
             )
         if not self.pattern_count:
             return
@@ -162,18 +171,19 @@ class NearFieldTiles:
             raise PatternUnderflow(
                 f"radiation pattern underflows to 0 at {self.pattern_count} element(s) although "
                 f"every cosine is positive: a gain exponent (gt/2 - 1 = {gt / 2.0 - 1.0:g}, "
-                f"gr/2 - 1 = {gr / 2.0 - 1.0:g}) is too large for this geometry"
+                f"gr/2 - 1 = {gr / 2.0 - 1.0:g}) is too large for this geometry",
+                GAINS, f"panel {link.index}",
             )
-        raise SingularPattern(
-            f"radiation pattern is not positive at {self.pattern_count} element(s) "
-            f"(worst {self.pattern_worst:.4g}); check link geometry"
+        raise _pattern_fault(
+            SingularPattern, link, f"radiation pattern is not positive at {self.pattern_count} "
+            f"element(s) (worst {self.pattern_worst:.4g}); check link geometry"
         )
 
 
 def farfield_pathloss(link: PanelLink, beta0_ref: float) -> float:
     """Far-field loss factor shared by every element of a panel."""
     if link.cos_theta_t <= 0 or link.cos_theta_r <= 0:
-        raise SingularPattern("panel elevation cosine is not positive")
+        raise _pattern_fault(SingularPattern, link, "panel elevation cosine is not positive")
     return beta0_ref * (link.d1 * link.d2) ** 2 / (link.cos_theta_t * link.cos_theta_r)
 
 

@@ -24,7 +24,7 @@ import yaml
 
 from .channel import outdated_correlation
 from .errors import NegativeCorrelation, ScenarioError
-from .geometry import PanelError, Point3, RisPanel
+from .geometry import Point3, RisPanel, check_panel
 from .pathloss import LinkBudget
 from .units import db_to_linear, dbm_to_watts
 
@@ -65,13 +65,13 @@ def _as_number(value, path: str) -> float:
     rejected: no scenario quantity is meaningful at them.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ScenarioError(f"{path}: expected a number, got {value!r}")
+        raise ScenarioError(f"expected a number, got {value!r}", (path,))
     try:
         number = float(value)
     except (ValueError, OverflowError):
-        raise ScenarioError(f"{path}: expected a number, got {value!r}") from None
+        raise ScenarioError(f"expected a number, got {value!r}", (path,)) from None
     if not math.isfinite(number):
-        raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
+        raise ScenarioError(f"expected a finite number, got {value!r}", (path,))
     return number
 
 
@@ -80,7 +80,7 @@ class _Section:
 
     def __init__(self, data, path: str):
         if not isinstance(data, dict):
-            raise ScenarioError(f"{path}: expected a mapping, got {type(data).__name__}")
+            raise ScenarioError(f"expected a mapping, got {type(data).__name__}", (path,))
         self.data = data
         self.path = path
 
@@ -89,7 +89,7 @@ class _Section:
 
     def require(self, key: str):
         if key not in self.data:
-            raise ScenarioError(f"{self.path}.{key}: required field is missing")
+            raise ScenarioError("required field is missing", (f"{self.path}.{key}",))
         return self.data[key]
 
     def optional(self, key: str, default=None):
@@ -101,17 +101,17 @@ class _Section:
     def integer(self, key: str) -> int:
         value = self.require(key)
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(f"{self.path}.{key}: expected an integer, got {value!r}")
+            raise ScenarioError(f"expected an integer, got {value!r}", (f"{self.path}.{key}",))
         return value
 
     def one_of(self, *keys: str) -> tuple[str, object]:
         present = [k for k in keys if k in self.data]
         if len(present) > 1:
             raise ScenarioError(
-                f"{self.path}: fields {present} are mutually exclusive; give exactly one"
+                f"fields {present} are mutually exclusive; give exactly one", (self.path,)
             )
         if not present:
-            raise ScenarioError(f"{self.path}: one of {list(keys)} is required")
+            raise ScenarioError(f"one of {list(keys)} is required", (self.path,))
         key = present[0]
         return key, self.require(key)
 
@@ -120,8 +120,8 @@ class _Section:
         if unknown:
             raise ScenarioError(
                 # key=str: YAML keys may be numbers, booleans or null too
-                f"{self.path}: unknown fields {sorted(unknown, key=str)}; "
-                f"known fields are {sorted(known)}"
+                f"unknown fields {sorted(unknown, key=str)}; known fields are {sorted(known)}",
+                (self.path,),
             )
 
 
@@ -129,13 +129,13 @@ def check_structure(*, mode="auto", kind="centralized", panel_count=1) -> None:
     """Raise the parser's ScenarioError for an unknown mode or deployment
     kind, or no panels; an argument left at its default passes."""
     if mode not in MODES:
-        raise ScenarioError(f"scenario.mode: must be one of {MODES}, got {mode!r}")
+        raise ScenarioError(f"must be one of {MODES}, got {mode!r}", ("scenario.mode",))
     if kind not in ("centralized", "distributed"):
         raise ScenarioError(
-            f"scenario.deployment.kind: must be 'centralized' or 'distributed', got {kind!r}"
+            f"must be 'centralized' or 'distributed', got {kind!r}", ("scenario.deployment.kind",)
         )
     if panel_count < 1:
-        raise ScenarioError("scenario.deployment.panels: expected a non-empty list")
+        raise ScenarioError("expected a non-empty list", ("scenario.deployment.panels",))
 
 
 def _point(section: _Section) -> Point3:
@@ -145,17 +145,11 @@ def _point(section: _Section) -> Point3:
 
 def _panel(section: _Section) -> RisPanel:
     section.reject_unknown({"center", "mx", "my", "dx", "dy"})
-    try:
-        return RisPanel(
-            center=_point(section.child("center")),
-            mx=section.integer("mx"),
-            my=section.integer("my"),
-            dx=section.number("dx"),
-            dy=section.number("dy"),
-        )
-    except PanelError as exc:
-        fields = ", ".join(f"{section.path}.{name}" for name in exc.fields)
-        raise ScenarioError(f"{fields}: {exc}") from exc
+    center = _point(section.child("center"))
+    mx, my = section.integer("mx"), section.integer("my")
+    dx, dy = section.number("dx"), section.number("dy")
+    check_panel(mx, my, dx, dy, section.path)
+    return RisPanel(center=center, mx=mx, my=my, dx=dx, dy=dy)
 
 
 # per-value checks of _field: the test a value in linear units must pass,
@@ -174,7 +168,7 @@ def _doppler(section: _Section, default_fc: float) -> float:
     try:
         return outdated_correlation(fc, section.number("v_mps"), section.number("ts_s"))
     except (ValueError, NegativeCorrelation) as exc:
-        raise ScenarioError(f"{section.path}: {exc}") from None
+        raise ScenarioError(str(exc), (section.path,)) from None
 
 
 def _field(section: _Section, keys: tuple[str, ...], check, n: Optional[int] = None, fc_hz=None):
@@ -195,7 +189,7 @@ def _field(section: _Section, keys: tuple[str, ...], check, n: Optional[int] = N
         else:
             values = value if isinstance(value, list) else [value] * n
             if len(values) != n:
-                raise ScenarioError(f"{path}: expected {n} per-panel values, got {len(values)}")
+                raise ScenarioError(f"expected {n} per-panel values, got {len(values)}", (path,))
             written = [(f"{path}[{i}]", v) for i, v in enumerate(values)]
         numbers = [(where, _as_number(v, where)) for where, v in written]
     convert = (
@@ -207,9 +201,9 @@ def _field(section: _Section, keys: tuple[str, ...], check, n: Optional[int] = N
         try:
             linear = convert(number) if convert else number
         except OverflowError:
-            raise ScenarioError(f"{where}: {number!r} is out of float range in linear units") from None
+            raise ScenarioError(f"{number!r} is out of float range in linear units", (where,)) from None
         if not test(linear):
-            raise ScenarioError(f"{where}: " + message.format(number))
+            raise ScenarioError(message.format(number), (where,))
         out.append(linear)
     return out[0] if n is None else out
 
@@ -221,7 +215,7 @@ def parse_scenario(data: dict) -> Scenario:
 
     fc_hz = root.number("fc_hz")
     if fc_hz <= 0:
-        raise ScenarioError("scenario.fc_hz: must be positive")
+        raise ScenarioError("must be positive", ("scenario.fc_hz",))
     mode = root.optional("mode", "auto")
     check_structure(mode=mode)
 
@@ -245,14 +239,15 @@ def parse_scenario(data: dict) -> Scenario:
     fixed_total = deployment.optional("fixed_total_elements")
     if fixed_total is not None and (isinstance(fixed_total, bool) or not isinstance(fixed_total, int) or fixed_total < 1):
         raise ScenarioError(
-            f"{deployment.path}.fixed_total_elements: expected a positive integer"
+            "expected a positive integer", (f"{deployment.path}.fixed_total_elements",)
         )
     # one element size everywhere: the aperture reference constant is
     # defined once per scenario
     sizes = {(p.dx, p.dy) for p in panels}
     if len(sizes) > 1:
         raise ScenarioError(
-            f"{deployment.path}.panels: all panels must share one element size, got {sorted(sizes)}"
+            f"all panels must share one element size, got {sorted(sizes)}",
+            (f"{deployment.path}.panels",),
         )
 
     channel = root.child("channel")
@@ -274,7 +269,7 @@ def parse_scenario(data: dict) -> Scenario:
     noise_power = _field(budget_sec, ("noise_dbm", "noise_w"), _POSITIVE)
     xi = budget_sec.number("xi")
     if xi <= 0:
-        raise ScenarioError("scenario.budget.xi: path-loss exponent must be positive")
+        raise ScenarioError("path-loss exponent must be positive", ("scenario.budget.xi",))
     # every LinkBudget condition is checked above, at its own field
     budget = LinkBudget(
         gt=_field(budget_sec, ("gt", "gt_db"), _POSITIVE),
@@ -321,13 +316,15 @@ def load_scenario(path: str) -> Scenario:
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario file is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
-        raise ScenarioError("scenario: top level must be a mapping")
+        raise ScenarioError("top level must be a mapping", ("scenario",))
     return parse_scenario(data)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Canonical (all-linear) mapping; parse(scenario_to_dict(s)) == s.
-    Point3 and RisPanel list their fields in the schema's key order."""
+    Point3 and RisPanel list their fields in the schema's key order.  A
+    mode, kind or panel count the parser rejects raises its error."""
+    check_structure(mode=s.mode, kind=s.kind, panel_count=len(s.panels))
     panels = [dataclasses.asdict(ps.panel) for ps in s.panels]
     if s.kind == "centralized":
         deployment = {"kind": "centralized", "panel": panels[0]}

@@ -40,19 +40,14 @@ import numpy as np
 
 from . import capacity as cap
 from .channel import PanelChannel, RicianParams, rician_mean_envelope
-from .errors import (
-    GeometryError,
-    PatternUnderflow,
-    ScenarioError,
-    SingularPattern,
-    ValidationFailure,
-    until_failure,
-)
+from .errors import ScenarioError, ValidationFailure, until_failure
 from .geometry import (
     ELEVATION_CONVENTION_NOTE,
+    ENDPOINTS,
     TILE_ELEMENTS,
     PanelLink,
     Point3,
+    RisPanel,
     near_field_boundary,
     panel_link,
     panel_tiles,
@@ -66,6 +61,7 @@ from .montecarlo import (
     simulate_ec_sweep,
 )
 from .pathloss import (
+    GAINS,
     NearFieldTiles,
     beta0_reference,
     direct_pathloss,
@@ -98,14 +94,14 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
             raise ScenarioError(
-                f"sweep.variable: {self.variable!r} is not one of {SWEEP_VARIABLES}"
+                f"{self.variable!r} is not one of {SWEEP_VARIABLES}", ("sweep.variable",)
             )
         if not self.values:
-            raise ScenarioError("sweep.values: must be non-empty")
+            raise ScenarioError("must be non-empty", ("sweep.values",))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         bad = [v for v in self.values if not math.isfinite(v)]
         if bad:
-            raise ScenarioError(f"sweep.values: must be finite, got {bad[0]}")
+            raise ScenarioError(f"must be finite, got {bad[0]}", ("sweep.values",))
 
 
 @dataclass(frozen=True)
@@ -127,17 +123,19 @@ class RunResult:
         return self.ensemble.gamma_teff
 
 
-def _loss(what: str, pathloss, *args):
+_OUT_OF_RANGE = "loss factor or its inverse is out of float range"
+
+
+def _loss(failure, pathloss, *args):
     """pathloss(*args), a loss factor that must be finite and positive and
-    have a finite inverse: out of float range it raises ScenarioError
-    naming `what`."""
+    have a finite inverse: out of float range it raises failure()."""
     try:
         loss = pathloss(*args)
         in_range = 0.0 < 1.0 / loss < math.inf
     except (OverflowError, ZeroDivisionError):
         in_range = False
     if not in_range:
-        raise ScenarioError(f"{what}: loss factor or its inverse is out of float range")
+        raise failure()
     return loss
 
 
@@ -151,9 +149,9 @@ def _fsum(values) -> float:
 
 
 def _panel_sums(
-    scenario: Scenario, i: int, section: str, link: PanelLink, mode: str, keep: bool
+    scenario: Scenario, panel: RisPanel, link: PanelLink, mode: str, keep: bool
 ) -> tuple[Optional[np.ndarray], float, float]:
-    """Panel i's (amplitude, root_sum, power_sum) under the resolved mode,
+    """The panel's (amplitude, root_sum, power_sum) under the resolved mode,
     reduced one panel_tiles tile at a time: a near-field tile is
     NearFieldTiles.inverse_losses of its rows and columns, a far-field
     tile the constant 1/farfield_pathloss.  The tiles' sums of beta^-1 and
@@ -162,19 +160,26 @@ def _panel_sums(
     tile when keep is set or the panel is one tile, else they are None
     and only one tile is held.  After the last tile it raises the panel's
     first pattern fault, then an inverse loss out of range, each naming
-    the fields that set it."""
-    panel = scenario.panels[i].panel
+    the fields that set it, under the link's section."""
     gt, gr = scenario.budget.gt, scenario.budget.gr
     b0_ref = _loss(
-        "scenario.budget.gt, scenario.budget.gr: reference constant at "
-        f"gt={gt:g}, gr={gr:g}, {panel.dx:g} x {panel.dy:g} m",
+        lambda: ScenarioError(
+            f"reference constant at gt={gt:g}, gr={gr:g}, {panel.dx:g} x {panel.dy:g} m: "
+            + _OUT_OF_RANGE,
+            (*GAINS, f"{link.section}.dx", f"{link.section}.dy"),
+        ),
         beta0_reference, gt, gr, panel.dx, panel.dy,
     )
-    what = (
-        f"panel {i}: {mode}-field loss at d1={link.d1:g} m, d2={link.d2:g} m, set by "
-        + ", ".join(f"{section}.{key}" for key in ("center", "dx", "dy"))
-        + ", scenario.budget.gt, scenario.budget.gr, scenario.bs, scenario.user"
-    )
+
+    def out_of_range():
+        # d1 and d2 depend on the panel centre and both endpoints
+        return ScenarioError(
+            f"{mode}-field loss at d1={link.d1:g} m, d2={link.d2:g} m",
+            (*(f"{link.section}.{key}" for key in ("center", "dx", "dy")), *GAINS, *ENDPOINTS),
+            f"panel {link.index}",
+            detail=_OUT_OF_RANGE,
+        )
+
     amplitude = grid = None
     if keep or panel.element_count <= TILE_ELEMENTS:
         amplitude = np.empty(panel.element_count)
@@ -183,35 +188,26 @@ def _panel_sums(
     # per tile, sum(beta^-1) and sum(sqrt(beta^-1)): 16 bytes a tile, a
     # quarter of what two lists of Python floats would take
     sums = np.empty((sum(1 for _ in panel_tiles(panel)), 2))
-    try:
+    if mode == "near":
+        near = NearFieldTiles(scenario.bs, scenario.user, panel, link, b0_ref, gt, gr)
+    else:
+        far_inv = 1.0 / _loss(out_of_range, farfield_pathloss, link, b0_ref)
+    for k, (rows, cols) in enumerate(panel_tiles(panel)):
         if mode == "near":
-            near = NearFieldTiles(scenario.bs, scenario.user, panel, link, b0_ref, gt, gr)
+            tile = near.inverse_losses(rows, cols)
         else:
-            far_inv = 1.0 / _loss(what, farfield_pathloss, link, b0_ref)
-        for k, (rows, cols) in enumerate(panel_tiles(panel)):
-            if mode == "near":
-                tile = near.inverse_losses(rows, cols)
-            else:
-                tile = np.full(len(rows) * len(cols), far_inv)
-            # a nan fails both comparisons, so it is out of range too
-            in_range = in_range and bool(tile.min() > 0 and tile.max() < math.inf)
-            sums[k, 0] = tile.sum()
-            root = np.sqrt(tile, out=tile)
-            sums[k, 1] = root.sum()
-            if grid is not None:
-                grid[rows.start : rows.stop, cols.start : cols.stop] = root.reshape(len(rows), -1)
-        if mode == "near":
-            near.check()
-    except PatternUnderflow as exc:
-        message = f"panel {i}: scenario.budget.gt, scenario.budget.gr: {exc}"
-        raise PatternUnderflow(message) from None
-    except SingularPattern as exc:
-        # a cosine's sign follows from the element grid and the endpoints
-        fields = ", ".join(f"{section}.{key}" for key in ("mx", "my", "dx", "dy"))
-        message = f"panel {i}: {exc}, set by {fields}, scenario.bs, scenario.user"
-        raise SingularPattern(message) from None
+            tile = np.full(len(rows) * len(cols), far_inv)
+        # a nan fails both comparisons, so it is out of range too
+        in_range = in_range and bool(tile.min() > 0 and tile.max() < math.inf)
+        sums[k, 0] = tile.sum()
+        root = np.sqrt(tile, out=tile)
+        sums[k, 1] = root.sum()
+        if grid is not None:
+            grid[rows.start : rows.stop, cols.start : cols.stop] = root.reshape(len(rows), -1)
+    if mode == "near":
+        near.check()
     if not in_range:
-        raise ScenarioError(f"{what}: loss factor or its inverse is out of float range")
+        raise out_of_range()
     if amplitude is not None:
         amplitude.flags.writeable = False
     return amplitude, _fsum(sums[:, 1]), _fsum(sums[:, 0])
@@ -232,27 +228,25 @@ def _statistics(scenario: Scenario, shared: dict, keep: bool) -> dict:
     lam = wavelength(scenario.fc_hz)
     d0 = scenario.bs.distance_to(scenario.user)
     if d0 == 0:
-        raise ScenarioError("scenario.bs, scenario.user: the endpoints coincide")
+        raise ScenarioError("the endpoints coincide", ENDPOINTS)
     budget = scenario.budget
     beta0_inv = 1.0 / _loss(
-        "scenario.bs, scenario.user, scenario.budget.eta_db, scenario.budget.xi: direct link "
-        f"at eta_db={budget.eta_db:g}, xi={budget.xi:g} "
-        f"over the {d0:g} m bs-user distance",
+        lambda: ScenarioError(
+            f"direct link at eta_db={budget.eta_db:g}, xi={budget.xi:g} "
+            f"over the {d0:g} m bs-user distance: {_OUT_OF_RANGE}",
+            (*ENDPOINTS, "scenario.budget.eta_db", "scenario.budget.xi"),
+        ),
         direct_pathloss, d0, budget.eta_db, budget.xi,
     )
 
-    sections = [
-        "scenario.deployment." + ("panel" if scenario.kind == "centralized" else f"panels[{i}]")
-        for i in range(len(scenario.panels))
-    ]
     boundaries = []
     links = []
     for i, setup in enumerate(scenario.panels):
         boundaries.append(near_field_boundary(setup.panel, lam))
-        try:
-            links.append(panel_link(scenario.bs, scenario.user, setup.panel))
-        except GeometryError as exc:
-            raise GeometryError(f"panel {i}: {exc}, set by {sections[i]}.center.z") from None
+        section = "scenario.deployment." + (
+            "panel" if scenario.kind == "centralized" else f"panels[{i}]"
+        )
+        links.append(panel_link(scenario.bs, scenario.user, setup.panel, section, i))
 
     inside = [
         i
@@ -273,11 +267,11 @@ def _statistics(scenario: Scenario, shared: dict, keep: bool) -> dict:
 
     gt, gr = budget.gt, budget.gr
     panels = []
-    for i, (setup, link) in enumerate(zip(scenario.panels, links)):
+    for setup, link in zip(scenario.panels, links):
         # a panel's inverse losses are a function of these fields alone
         key = (scenario.bs, scenario.user, setup.panel, gt, gr, mode)
         if key not in shared:
-            shared[key] = _panel_sums(scenario, i, sections[i], link, mode, keep)
+            shared[key] = _panel_sums(scenario, setup.panel, link, mode, keep)
         amplitude, root_sum, power_sum = shared[key]
         count = setup.panel.element_count
         panels.append(
@@ -292,23 +286,24 @@ def _statistics(scenario: Scenario, shared: dict, keep: bool) -> dict:
     )
     if not math.isfinite(variance):
         raise ScenarioError(
-            "scenario.budget.p_w, scenario.budget.gt, scenario.budget.gr: the outdated-CSI leakage "
-            f"P * sum(beta^-1) overflowed at p_w={budget.tx_power:g} W, gt={gt:g}, gr={gr:g}"
+            "the outdated-CSI leakage P * sum(beta^-1) overflowed "
+            f"at p_w={budget.tx_power:g} W, gt={gt:g}, gr={gr:g}",
+            ("scenario.budget.p_w", *GAINS),
         )
     gamma_teff = budget.tx_power / variance
     if not 0 < gamma_teff < math.inf:
         raise ScenarioError(
-            "scenario.budget.p_w, scenario.budget.noise_w: effective transmit SNR "
-            f"{budget.tx_power:g} W / {variance:g} W is out of float range"
+            f"effective transmit SNR {budget.tx_power:g} W / {variance:g} W is out of float range",
+            ("scenario.budget.p_w", "scenario.budget.noise_w"),
         )
     if not (math.isfinite(moments.mean) and math.isfinite(moments.second_moment)):
-        grids = ", ".join(
-            f"{section}.{key}" for section in sections for key in ("center", "mx", "my", "dx", "dy")
+        grids = (
+            f"{link.section}.{key}" for link in links for key in ("center", "mx", "my", "dx", "dy")
         )
         raise ScenarioError(
-            f"scenario.budget.gt, scenario.budget.gr, {grids}, scenario.bs, scenario.user: "
             f"the envelope moments overflowed (mean {moments.mean:g}, second moment "
-            f"{moments.second_moment:g}) at gt={gt:g}, gr={gr:g}"
+            f"{moments.second_moment:g}) at gt={gt:g}, gr={gr:g}",
+            (*GAINS, *grids, *ENDPOINTS),
         )
     ensemble = SnrEnsemble(
         panels=tuple(panels),
@@ -338,8 +333,8 @@ def _evaluate(
     None, Monte Carlo estimates from one simulate_ec_sweep call on one seed
     (common random numbers), which decides which scenarios share draws.
     A failure raises what evaluating the scenarios one by one would raise
-    first; given labels (one message prefix or None per scenario, such as
-    its sweep point), a ValidationFailure carries its scenario's prefix."""
+    first; given labels (one label or None per scenario, such as
+    its sweep point), a ValidationFailure carries its scenario's label."""
     check_run_settings(trials, seed, workers)
     shared: dict = {}
     keep = trials is not None
@@ -350,7 +345,7 @@ def _evaluate(
     if failure is not None:
         label = labels[len(staged)] if labels else None
         if label is not None and isinstance(failure, ValidationFailure):
-            raise type(failure)(f"{label}: {failure}") from None
+            failure.within(label)
         raise failure
     results = [RunResult(report=report, **fields) for fields, report in zip(staged, reports)]
     if trials is None:
@@ -378,25 +373,33 @@ def apply_sweep_value(scenario: Scenario, variable: str, value: float) -> Scenar
     Units: P in dBm, K0 in dB, d1 and cell_size in meters; rho/rho0 are
     plain correlations; My is an element count (with
     deployment.fixed_total_elements set, mx is re-derived as total/my).
-    A value the scenario's constructors reject, or whose conversion
-    overflows, raises ScenarioError naming the sweep variable and value.
+    A value the scenario's constructors reject, whose conversion
+    overflows, or that takes a panel past a RisPanel limit raises
+    ScenarioError labelled "sweep variable=value", with no fields.
     """
+    if variable not in SWEEP_UNITS:
+        raise ScenarioError(f"unknown sweep variable {variable!r}")
+    label = f"sweep {variable}={value}"
     try:
-        return _replace_swept(scenario, variable, value)
+        return _replace_swept(scenario, variable, value, label)
     except ValueError as exc:
-        raise ScenarioError(f"sweep {variable}={value}: {exc}") from exc
+        raise ScenarioError(str(exc), label=label) from exc
     except OverflowError:
-        raise ScenarioError(f"sweep {variable}={value}: out of float range") from None
+        raise ScenarioError("out of float range", label=label) from None
+    except ScenarioError as exc:
+        if exc.fields:  # a RisPanel limit, naming the panel fields the value set
+            exc.fields, exc.label = (), label
+        raise
 
 
-def _replace_swept(scenario: Scenario, variable: str, value: float) -> Scenario:
+def _replace_swept(scenario: Scenario, variable: str, value: float, label: str) -> Scenario:
     if variable == "P":
         return dataclasses.replace(
             scenario,
             budget=dataclasses.replace(scenario.budget, tx_power=dbm_to_watts(value)),
         )
     if variable in ("rho", "rho0") and not (0.0 <= value <= 1.0):
-        raise ScenarioError(f"sweep {variable}={value}: correlation must lie in [0, 1]")
+        raise ScenarioError("correlation must lie in [0, 1]", label=label)
     if variable == "rho0":
         return dataclasses.replace(scenario, rho0=value)
     if variable == "rho":
@@ -405,56 +408,49 @@ def _replace_swept(scenario: Scenario, variable: str, value: float) -> Scenario:
     if variable == "K0":
         # +-inf dB is a Rayleigh or a deterministic link; NaN is no K-factor
         if math.isnan(value):
-            raise ScenarioError(f"sweep K0={value}: K-factor must be >= 0")
+            raise ScenarioError("K-factor must be >= 0", label=label)
         return dataclasses.replace(scenario, k0=db_to_linear(value))
     if variable == "cell_size":
         if value <= 0:
-            raise ScenarioError(f"sweep cell_size={value}: must be positive")
-        panels = tuple(
-            dataclasses.replace(
-                ps, panel=dataclasses.replace(ps.panel, dx=value, dy=value)
-            )
-            for ps in scenario.panels
-        )
-        return dataclasses.replace(scenario, panels=panels)
+            raise ScenarioError("must be positive", label=label)
+        return _with_panels(scenario, dx=value, dy=value)
     if variable == "My":
         my = int(value)
         if my < 1 or my != value:
-            raise ScenarioError(f"sweep My={value}: must be a positive integer")
+            raise ScenarioError("must be a positive integer", label=label)
         if len(scenario.panels) != 1:
-            raise ScenarioError("sweep My: only supported for single-panel scenarios")
-        setup = scenario.panels[0]
-        mx = setup.panel.mx
+            raise ScenarioError("only supported for single-panel scenarios", label="sweep My")
+        mx = scenario.panels[0].panel.mx
         total = scenario.fixed_total_elements
         if total is not None:
             if total % my != 0:
                 raise ScenarioError(
-                    f"sweep My={my}: does not divide fixed_total_elements={total}"
+                    f"does not divide fixed_total_elements={total}", label=f"sweep My={my}"
                 )
             mx = total // my
-        panel = dataclasses.replace(setup.panel, mx=mx, my=my)
-        return dataclasses.replace(
-            scenario, panels=(dataclasses.replace(setup, panel=panel),)
+        return _with_panels(scenario, mx=mx, my=my)
+    # d1
+    if len(scenario.panels) != 1:
+        raise ScenarioError("only supported for single-panel scenarios", label="sweep d1")
+    center = scenario.panels[0].panel.center
+    offset_sq = (scenario.bs.z - center.z) ** 2 + (scenario.bs.y - center.y) ** 2
+    if value * value <= offset_sq:
+        raise ScenarioError(
+            f"smaller than the fixed off-axis offset {math.sqrt(offset_sq):.6g} m", label=label
         )
-    if variable == "d1":
-        if len(scenario.panels) != 1:
-            raise ScenarioError("sweep d1: only supported for single-panel scenarios")
-        setup = scenario.panels[0]
-        center = setup.panel.center
-        offset_sq = (scenario.bs.z - center.z) ** 2 + (scenario.bs.y - center.y) ** 2
-        if value * value <= offset_sq:
-            raise ScenarioError(
-                f"sweep d1={value}: smaller than the fixed off-axis offset "
-                f"{math.sqrt(offset_sq):.6g} m"
-            )
-        new_center = Point3(
-            scenario.bs.x + math.sqrt(value * value - offset_sq), center.y, center.z
-        )
-        panel = dataclasses.replace(setup.panel, center=new_center)
-        return dataclasses.replace(
-            scenario, panels=(dataclasses.replace(setup, panel=panel),)
-        )
-    raise ScenarioError(f"unknown sweep variable {variable!r}")
+    new_center = Point3(
+        scenario.bs.x + math.sqrt(value * value - offset_sq), center.y, center.z
+    )
+    return _with_panels(scenario, center=new_center)
+
+
+def _with_panels(scenario: Scenario, **changes) -> Scenario:
+    """The scenario with changes made to every panel's RisPanel."""
+    panels = tuple(
+        dataclasses.replace(ps, panel=dataclasses.replace(ps.panel, **changes))
+        for ps in scenario.panels
+    )
+    return dataclasses.replace(scenario, panels=panels)
 
 
 def run_sweep(

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_beta_inv, brute_force_element_links
 from panels import near_field, whole_panel
-from riscap.errors import GeometryError
+from riscap.errors import GeometryError, ScenarioError
 from riscap.geometry import (
     MAX_PANEL_ELEMENTS,
     TILE_ELEMENTS,
@@ -30,15 +30,27 @@ def panel(mx, my, dx=CELL, dy=CELL, center=Point3(0.0, 0.0, 0.0)):
 class TestRisPanelLimits:
     def test_element_count_bound(self):
         assert panel(MAX_PANEL_ELEMENTS, 1).element_count == MAX_PANEL_ELEMENTS
-        with pytest.raises(ValueError, match="element count"):
+        with pytest.raises(ScenarioError, match="element count") as exc:
             panel(MAX_PANEL_ELEMENTS + 1, 1)
-        with pytest.raises(ValueError, match="element count"):
+        assert exc.value.fields == ("mx", "my")
+        with pytest.raises(ScenarioError, match="element count"):
             panel(10**5, 10**5)
 
-    @pytest.mark.parametrize("dx, dy", [(1e155, CELL), (1e-200, CELL), (1e200, 1e-200)])
-    def test_element_size_out_of_float_range(self, dx, dy):
-        with pytest.raises(ValueError, match="element size"):
+    @pytest.mark.parametrize(
+        "dx, dy, fields",
+        [
+            (1e155, CELL, ("dx",)),
+            (1e-200, CELL, ("dx",)),
+            (1e200, 1e-200, ("dx",)),
+            (CELL, 1e-200, ("dy",)),
+            # each square in range, their product not
+            (1e150, 1e50, ("dx", "dy")),
+        ],
+    )
+    def test_element_size_out_of_float_range(self, dx, dy, fields):
+        with pytest.raises(ScenarioError, match="element size") as exc:
             panel(2, 2, dx=dx, dy=dy)
+        assert exc.value.fields == fields
 
 
 def links(bs, user, p) -> dict[str, np.ndarray]:

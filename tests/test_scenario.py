@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import mpmath
@@ -349,6 +350,29 @@ class TestRoundTrip:
         assert parse_scenario(dumped) == scenario
         assert scenario.panels[0].rho == outdated_correlation(5.0e9, 1.0, 1.0e-3)
         assert scenario.rho0 == outdated_correlation(2.0e9, 3.0, 2.0e-3)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                {"mode": "sideways"},
+                "scenario.mode: must be one of ('auto', 'near', 'far'), got 'sideways'",
+            ),
+            (
+                {"kind": "bogus"},
+                "scenario.deployment.kind: must be 'centralized' or 'distributed', got 'bogus'",
+            ),
+            ({"panels": ()}, "scenario.deployment.panels: expected a non-empty list"),
+        ],
+        ids=["mode", "kind", "panels"],
+    )
+    def test_dump_checks_the_structure(self, edit, message):
+        # a scenario the parser would reject is not written out: a bogus
+        # kind would otherwise be saved as distributed
+        scenario = dataclasses.replace(preset("fig2")[0], **edit)
+        with pytest.raises(ScenarioError) as exc:
+            dump_scenario(scenario)
+        assert str(exc.value) == message
 
     def test_file_round_trip(self, tmp_path):
         scenario = parse_text(MINIMAL)

@@ -2,9 +2,12 @@ import contextlib
 import copy
 import dataclasses
 import functools
+import importlib.util
 import io
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,7 +20,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from riscap import capacity, cli, montecarlo
-from riscap.errors import PatternUnderflow, QuadratureFailure, ScenarioError, SingularPattern
+from riscap.errors import (
+    PatternUnderflow,
+    QuadratureFailure,
+    ScenarioError,
+    SingularPattern,
+    ValidationFailure,
+)
 from riscap.geometry import TILE_ELEMENTS, Point3, RisPanel, panel_link, panel_tiles
 from riscap.montecarlo import TrialConfig, simulate_ec_sweep
 from riscap.pathloss import LinkBudget, NearFieldTiles, beta0_reference, farfield_pathloss
@@ -319,7 +328,7 @@ class TestTiledNearField:
             by_tile.check()
         assert str(tiles.value) == str(whole.value)
         grid = ", ".join(f"scenario.deployment.panel.{key}" for key in ("mx", "my", "dx", "dy"))
-        expected = f"panel 0: {whole.value}, set by {grid}, scenario.bs, scenario.user"
+        expected = f"panel 0: {whole.value.message}, set by {grid}, scenario.bs, scenario.user"
         with pytest.raises(SingularPattern) as tiled:
             run_scenario(s)
         assert type(tiled.value) is SingularPattern
@@ -339,7 +348,8 @@ class TestTiledNearField:
         assert f"at {counts[1]} element(s)" in str(whole.value)
         with pytest.raises(PatternUnderflow) as tiled:
             run_scenario(s)
-        assert str(tiled.value) == f"panel 0: scenario.budget.gt, scenario.budget.gr: {whole.value}"
+        expected = f"panel 0: scenario.budget.gt, scenario.budget.gr: {whole.value.message}"
+        assert str(tiled.value) == expected
 
 
     @pytest.mark.parametrize("bad_tile", [0, 1])
@@ -776,6 +786,46 @@ def edited_preset_file(tmp_path, name, edits) -> str:
     return str(path)
 
 
+def _single_edit_scan():
+    """tools/single_edit_scan.py as a module: its leaf walk and values."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "single_edit_scan.py")
+    spec = importlib.util.spec_from_file_location("single_edit_scan", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SCAN = _single_edit_scan()
+SCAN_LEAVES = [
+    (name, leaf)
+    for name in ("fig2", "fig3")
+    for leaf, _, _ in SCAN.numeric_leaves(scenario_to_dict(preset(name)[0]))
+]
+
+
+class TestFailureFields:
+    @pytest.mark.parametrize("name, leaf", SCAN_LEAVES)
+    def test_failure_names_the_edited_leaf(self, name, leaf):
+        # the single-edit scan's edit at a seeded subset of its values,
+        # parsed and run under each mode: every validation failure names
+        # the leaf, or a section that holds it, in its fields
+        path = f"scenario.{leaf}"
+        parts = re.split(r"(?=[.\[])", path)
+        holders = {"".join(parts[:k]) for k in range(2, len(parts) + 1)}
+        data = scenario_to_dict(preset(name)[0])
+        node, key = next((n, k) for where, n, k in SCAN.numeric_leaves(data) if where == leaf)
+        original = node[key]
+        for value in random.Random(path).sample(SCAN.VALUES, 6):
+            node[key] = int(value) if isinstance(original, int) and value.is_integer() else value
+            for mode in ("auto", "near", "far"):
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)  # forced far field
+                        run_scenario(dataclasses.replace(parse_scenario(data), mode=mode))
+                except ValidationFailure as exc:
+                    assert holders & set(exc.fields), (value, mode, str(exc))
+
+
 def scenario_leaves(node, path=()):
     """Key paths of every leaf of a scenario dict but mode."""
     items = node.items() if isinstance(node, dict) else enumerate(node)
@@ -1017,6 +1067,13 @@ class TestCli:
             *(
                 (f"budget.{key}", 1e-300, f"scenario.budget.{key}")
                 for key in ("gt", "gr")
+            ),
+            # element sizes that RisPanel takes but the reference constant
+            # 16 pi^2 / (gt gr dx^2 dy^2) cannot: a subnormal square, or
+            # gt * gr * dx^2 past float range
+            *(
+                (f"deployment.panel.{key}", value, f"scenario.deployment.panel.{key}")
+                for key, value in (("dx", 1e-154), ("dy", 1e-154), ("dx", 1e154))
             ),
             *(
                 (f"deployment.panel.center.{axis}", value, "scenario.deployment.panel.center")
@@ -1331,6 +1388,25 @@ class TestCli:
         lines = csv_path.read_text().splitlines()[2:]
         modes = [line.split(",")[7] for line in lines]
         assert "near" in modes and "far" in modes
+
+    def test_forced_far_warning_is_one_stderr_line(self):
+        # the process shows the warning without the source path and line;
+        # in process it stays a UserWarning, and main leaves the
+        # formatter as it found it
+        shown = warnings.formatwarning
+        with pytest.warns(UserWarning, match="boundary"):
+            run_cli("preset", "fig4", "--no-mc")
+        assert warnings.formatwarning is shown
+        proc = subprocess.run(
+            [sys.executable, "-m", "riscap.cli", "preset", "fig4", "--no-mc"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == (
+            "warning: far-field formula applied to panel(s) [0] inside the near/far boundary; "
+            "results are approximate there\n"
+        )
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
