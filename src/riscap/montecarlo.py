@@ -17,9 +17,11 @@ its standard error.
 
 Determinism contract: trials are partitioned into fixed-size blocks and
 block i draws from an independent Philox substream keyed (seed, i).
-Blocks always run on a pool of ``workers`` threads; per-block partial
-sums are reduced in block order with exact summation (math.fsum), so the
-result is bit-identical for any worker count.
+Blocks always run on a pool of ``workers`` threads; per-block sums are
+reduced in block order (the mean with exact summation, math.fsum; the
+squared deviations from each block's mean by Chan's pairwise update, so
+a spread far below the mean does not cancel), so the result is
+bit-identical for any worker count.
 
 Ensembles with equal draw signatures (SnrEnsemble.draw_signature) consume
 identical draws from a block's substream.  simulate_ec_sweep takes
@@ -227,8 +229,9 @@ def simulate_ec_sweep(
         )
 
     def block_sums(item) -> list[tuple[float, float]]:
-        """Per ensemble, the block's sum of log2(1 + SNR) and of its square;
-        each group draws the block from its own fresh substream."""
+        """Per ensemble, the block's sum of log2(1 + SNR) and its sum of
+        squared deviations from the block mean; each group draws the block
+        from its own fresh substream."""
         index, n = item
         sums: list[tuple[float, float]] = [(0.0, 0.0)] * len(ensembles)
         for indices in groups.values():
@@ -236,7 +239,9 @@ def simulate_ec_sweep(
             zs = _block_envelope_sums(group, _block_rng(cfg.seed, index), n)
             for i, z in zip(indices, zs):
                 ec = np.log2(1.0 + ensembles[i].gamma_teff * z * z)
-                sums[i] = (float(np.sum(ec)), float(np.sum(ec * ec)))
+                total = float(np.sum(ec))
+                ec -= total / n
+                sums[i] = (total, float(np.sum(ec * ec)))
         return sums
 
     try:
@@ -252,10 +257,15 @@ def simulate_ec_sweep(
     n = cfg.trials
     estimates = []
     for j in range(len(ensembles)):
+        # squared deviations merged block by block (Chan, Golub and LeVeque)
+        seen, running, m2 = 0, 0.0, 0.0
+        for (_, count), block in zip(plan, blocks):
+            total, block_m2 = block[j]
+            delta = total / count - running
+            seen += count
+            running += delta * count / seen
+            m2 += block_m2 + delta * delta * (seen - count) * count / seen
+        stderr = math.sqrt(m2 / (n - 1) / n) if n >= 2 else 0.0
         mean = math.fsum(block[j][0] for block in blocks) / n
-        stderr = 0.0
-        if n >= 2:
-            total_sq = math.fsum(block[j][1] for block in blocks)
-            stderr = math.sqrt(max(total_sq - n * mean * mean, 0.0) / (n - 1) / n)
         estimates.append(McEstimate(mean_ec=mean, std_error=stderr))
     return estimates

@@ -27,11 +27,12 @@ from .geometry import ENDPOINTS, PanelLink, Point3, RisPanel
 GAINS = ("scenario.budget.gt", "scenario.budget.gr")  # their fields in a scenario file
 
 
-def _pattern_fault(kind, link: PanelLink, message: str):
+def _pattern_fault(kind, link: PanelLink, message: str, keys=("mx", "my", "dx", "dy")):
     """A pattern fault of the link's panel: a cosine's sign follows from
-    its element grid and the endpoints."""
-    grid = tuple(f"{link.section}.{key}" for key in ("mx", "my", "dx", "dy"))
-    return kind(message, grid + ENDPOINTS, f"panel {link.index}", set_by=True)
+    the endpoints and the panel's keys (its element grid, or its centre in
+    the far field)."""
+    panel = tuple(f"{link.section}.{key}" for key in keys)
+    return kind(message, panel + ENDPOINTS, f"panel {link.index}", set_by=True)
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,9 @@ class NearFieldTiles:
 def farfield_pathloss(link: PanelLink, beta0_ref: float) -> float:
     """Far-field loss factor shared by every element of a panel."""
     if link.cos_theta_t <= 0 or link.cos_theta_r <= 0:
-        raise _pattern_fault(SingularPattern, link, "panel elevation cosine is not positive")
+        raise _pattern_fault(
+            SingularPattern, link, "panel elevation cosine is not positive", ("center",)
+        )
     return beta0_ref * (link.d1 * link.d2) ** 2 / (link.cos_theta_t * link.cos_theta_r)
 
 

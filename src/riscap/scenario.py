@@ -303,18 +303,23 @@ def parse_scenario(data: dict) -> Scenario:
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+def _unreadable(message: str) -> ScenarioError:
+    """A scenario file that cannot be read or parsed: field "scenario", not in the text."""
+    return ScenarioError(message, ("scenario",), named=1)
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.load(fh, Loader=_YAML_LOADER)
     except FileNotFoundError as exc:
-        raise ScenarioError(f"scenario file not found: {path}") from exc
+        raise _unreadable(f"scenario file not found: {path}") from exc
     except OSError as exc:
-        raise ScenarioError(f"scenario file cannot be read: {path}: {exc.strerror or exc}") from exc
+        raise _unreadable(f"scenario file cannot be read: {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise ScenarioError(f"scenario file is not UTF-8 text: {path}: {exc}") from exc
+        raise _unreadable(f"scenario file is not UTF-8 text: {path}: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise ScenarioError(f"scenario file is not valid YAML: {exc}") from exc
+        raise _unreadable(f"scenario file is not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("top level must be a mapping", ("scenario",))
     return parse_scenario(data)

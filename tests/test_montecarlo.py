@@ -149,6 +149,31 @@ class TestDeterministicChannelLimit:
         # identically-constant samples; only summation roundoff remains
         assert out.std_error < 1e-8
 
+    @pytest.mark.parametrize("block_size", [2048, 300])
+    def test_spread_far_below_the_mean_survives(self, block_size):
+        # fig2 at K = 1e16: the capacities spread ~1e-8 around ~9.5, so
+        # sum(x^2) - n mean^2 cancels to 0; the standard error must match
+        # the two-pass value over the very same samples
+        from riscap.presets import preset
+        from riscap.workbench import run_scenario
+
+        scenario, _ = preset("fig2")
+        panels = tuple(dataclasses.replace(p, k1=1e16, k2=1e16) for p in scenario.panels)
+        scenario = dataclasses.replace(scenario, k0=1e16, panels=panels)
+        ens = run_scenario(scenario).ensemble
+        cfg = TrialConfig(trials=2048, seed=5, block_size=block_size)
+        z = np.concatenate(
+            [_block_envelope_sums([ens], _block_rng(5, i), n)[0] for i, n in _block_plan(cfg)]
+        )
+        ec = np.log2(1.0 + ens.gamma_teff * z * z)
+        two_pass = float(np.std(ec, ddof=1)) / math.sqrt(cfg.trials)
+        assert two_pass > 1e-10
+        results = [simulate_ec(ens, cfg, workers=w) for w in (1, 2)]
+        assert results[0] == results[1]
+        # block means carry a rounding of ~1 ulp of 9.5, which the merge's
+        # between-block term magnifies: 3.6e-9 relative at 300-trial blocks
+        assert results[0].std_error == pytest.approx(two_pass, rel=1e-7, abs=0)
+
 
 class TestInputChecks:
     @pytest.mark.parametrize(

@@ -202,6 +202,26 @@ class TestValidationErrors:
         with pytest.raises(ScenarioError, match=re.escape(f"scenario file is not UTF-8 text: {path}: ")):
             load_scenario(str(path))
 
+    @pytest.mark.parametrize(
+        "name, content, start",
+        [
+            ("nope.yaml", None, "scenario file not found: "),
+            (".", None, "scenario file cannot be read: "),
+            ("s.yaml", b"\xff\xfe" + MINIMAL.encode(), "scenario file is not UTF-8 text: "),
+            ("s.yaml", b"bs: [1, 2\n", "scenario file is not valid YAML: "),
+        ],
+        ids=["not-found", "directory", "not-utf8", "not-yaml"],
+    )
+    def test_unreadable_file_names_the_scenario(self, tmp_path, name, content, start):
+        # the field is "scenario", which the text does not repeat
+        path = tmp_path / name
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(str(path))
+        assert exc.value.fields == ("scenario",)
+        assert str(exc.value).startswith(start)
+
 
 # the spellings of each field the scenario reader takes, by section
 SPELLINGS = {

@@ -1,5 +1,6 @@
 """riscap.special: scipy.special's compiled ufuncs without the package
-__init__, in either import order, and the fallback to the package.
+__init__, in either import order, from either candidate extension, and the
+fallback to the package.
 
 Each case runs in a fresh interpreter: what is imported first is the
 point, and this process has long since imported scipy.special."""
@@ -25,19 +26,42 @@ VALUES = """
     print("scipy._lib._array_api" in sys.modules)
 """
 
-# the bare-stub import of scipy.special._ufuncs fails, as it might under
-# another scipy layout; the real package's own import of it still works
+# the bare-stub imports of both candidate extensions fail, as they might
+# under another scipy layout; the real package's own imports still work
 REFUSE_STUB = """
     import sys
 
     class RefuseUnderStub:
         def find_spec(self, name, path, target=None):
             parent = sys.modules.get("scipy.special")
-            if name == "scipy.special._ufuncs" and not hasattr(parent, "__file__"):
+            refused = ("scipy.special._special_ufuncs", "scipy.special._ufuncs")
+            if name in refused and not hasattr(parent, "__file__"):
                 raise ImportError(name)
             return None
 
     sys.meta_path.insert(0, RefuseUnderStub())
+"""
+
+# the first bare-stub import of scipy.special._special_ufuncs fails, as on
+# a scipy without it; scipy.special._ufuncs, which imports it itself, loads
+REFUSE_SPECIAL_UFUNCS = """
+    import sys
+
+    class RefuseOnce:
+        refused = False
+
+        def find_spec(self, name, path, target=None):
+            parent = sys.modules.get("scipy.special")
+            if (
+                name == "scipy.special._special_ufuncs"
+                and not hasattr(parent, "__file__")
+                and not self.refused
+            ):
+                self.refused = True
+                raise ImportError(name)
+            return None
+
+    sys.meta_path.insert(0, RefuseOnce())
 """
 
 
@@ -93,3 +117,19 @@ def test_fallback_gives_the_same_values(fast_path_values):
     out = python(REFUSE_STUB + VALUES)
     assert out.splitlines()[-1] == "True"
     assert out.splitlines()[:-1] == fast_path_values.splitlines()[:-1]
+
+
+def test_second_candidate_gives_the_same_values(fast_path_values):
+    out = python(
+        REFUSE_SPECIAL_UFUNCS
+        + VALUES
+        + """
+    from riscap import special
+    assert sys.meta_path[0].refused
+    assert "scipy.special" not in sys.modules
+    ufuncs = sys.modules["scipy.special._ufuncs"]
+    for name in special.NAMES:
+        assert getattr(special, name) is getattr(ufuncs, name), name
+    """
+    )
+    assert out.splitlines() == fast_path_values.splitlines()

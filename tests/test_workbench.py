@@ -19,7 +19,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from riscap import capacity, cli, montecarlo
+from riscap import capacity, cli, montecarlo, special
 from riscap.errors import (
     PatternUnderflow,
     QuadratureFailure,
@@ -1205,6 +1205,24 @@ class TestCli:
                 2,
                 ["panel 0: endpoint-side pattern cosines must be positive"],
             ),
+            # a far-field elevation cosine that underflows to 0 (d1 = inf)
+            # is set by the panel centre and the endpoints, not the grid
+            (
+                "fig2",
+                {
+                    "bs.x": 1.7e308,
+                    "user.x": 1.7e308,
+                    "user.y": 1,
+                    "deployment.panel.center.x": -1.7e308,
+                    "mode": "far",
+                },
+                ["analyze", "--no-mc"],
+                2,
+                [
+                    "panel 0: panel elevation cosine is not positive, set by "
+                    "scenario.deployment.panel.center, scenario.bs, scenario.user\n"
+                ],
+            ),
             # an endpoint at or below a panel's plane names its field and the panel
             (
                 "fig3",
@@ -1510,6 +1528,20 @@ class TestCli:
             "import sys, riscap.cli; "
             "print(sorted(m for m in ('scipy._lib._array_api', 'numpy.testing', 'numpy.f2py', "
             "'numpy.ma') if m in sys.modules))"
+        )
+        assert self.python("-c", code) == "[]"
+
+    def test_cli_import_leaves_out_the_larger_special_extensions(self):
+        # scipy.special._special_ufuncs defines all four functions;
+        # scipy.special._ufuncs would add three more extensions and
+        # scipy's bundled OpenBLAS (~3 MB resident) to every CLI call
+        ufuncs = pytest.importorskip("scipy.special._special_ufuncs")
+        if not all(hasattr(ufuncs, name) for name in special.NAMES):
+            pytest.skip("this scipy's _special_ufuncs lacks riscap's functions")
+        code = (
+            "import sys, riscap.cli; "
+            "print(sorted(m for m in ('scipy.special._ufuncs', 'scipy.special._ufuncs_cxx', "
+            "'scipy.special._gufuncs', 'scipy.special._ellip_harm_2') if m in sys.modules))"
         )
         assert self.python("-c", code) == "[]"
 
