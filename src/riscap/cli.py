@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import locale  # argparse's gettext imports it lazily: import it here, not inside the first run
 import os
 import sys
 import warnings

@@ -21,7 +21,10 @@ Blocks always run on a pool of ``workers`` threads; per-block sums are
 reduced in block order (the mean with exact summation, math.fsum; the
 squared deviations from each block's mean by Chan's pairwise update, so
 a spread far below the mean does not cancel), so the result is
-bit-identical for any worker count.
+bit-identical for any worker count.  Generator and Philox are numpy.random's
+own, loaded by special.import_bare from its two extensions without the
+package __init__ (legacy mtrand), and with a stand-in secrets whose randbits
+is secrets' own definition, without hashlib and OpenSSL: ~5 MB resident.
 
 Ensembles with equal draw signatures (SnrEnsemble.draw_signature) consume
 identical draws from a block's substream.  simulate_ec_sweep takes
@@ -46,12 +49,13 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import random
+import types
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import numpy.random  # numpy loads it lazily: import it here, not inside the first run
 
 from .channel import (
     PanelChannel,
@@ -60,6 +64,15 @@ from .channel import (
     sample_rician_envelope,
 )
 from .errors import InvalidScenario, ScenarioError
+from .special import import_bare
+
+try:  # a numpy.random already imported is used as it is
+    _secrets = types.ModuleType("secrets")
+    _secrets.randbits = random.SystemRandom().getrandbits  # as secrets defines it
+    Generator = import_bare("numpy.random._generator", secrets=_secrets).Generator
+    Philox = import_bare("numpy.random._philox").Philox
+except (ImportError, AttributeError):
+    from numpy.random import Generator, Philox
 
 
 def _integer(field: str, value):
@@ -97,7 +110,7 @@ class TrialConfig:
             raise ScenarioError("must be >= 1, got None", ("trials",))
         check_run_settings(self.trials, self.seed)
         if _integer("block_size", self.block_size) < 1:
-            raise ValueError("block_size must be >= 1")
+            raise ScenarioError(f"must be >= 1, got {self.block_size}", ("block_size",))
 
 
 @dataclass(frozen=True)
@@ -146,10 +159,10 @@ def physical_memory() -> int:
         return 2**63
 
 
-def _block_rng(seed: int, block_index: int) -> np.random.Generator:
+def _block_rng(seed: int, block_index: int) -> Generator:
     """Philox substream for one block; keys (seed, index) never collide."""
     key = np.array([seed, block_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 def _block_envelope_sums(

@@ -467,11 +467,14 @@ def _map_blocks(fn, ensemble, cfg) -> list:
         return list(pool.map(block, block_partition(cfg)))
 
 
-def _blockwise_mean(sums, sums_sq, n: int) -> tuple[float, float]:
-    """Sample mean and its standard error from per-block sums."""
-    mean = math.fsum(sums) / n
-    var = max(math.fsum(sums_sq) - n * mean * mean, 0.0) / (n - 1)
-    return mean, math.sqrt(var / n)
+def _blockwise_mean(blocks, n: int) -> tuple[float, float]:
+    """Sample mean and its standard error from per-block arrays of n values
+    in all: the mean from exact sums of the block sums, the standard error
+    in a second pass over the values' deviations from it, so a spread far
+    below the mean does not cancel."""
+    mean = math.fsum(float(np.sum(b)) for b in blocks) / n
+    deviations = np.concatenate(blocks) - mean
+    return mean, math.sqrt(math.fsum(deviations * deviations) / (n - 1) / n)
 
 
 @dataclass(frozen=True)
@@ -487,13 +490,9 @@ class EnvelopeMomentEstimate:
 def simulate_envelope_moments(ensemble, cfg) -> EnvelopeMomentEstimate:
     """Sample moments of the envelope sum Z over cfg's blocks."""
 
-    def block_sums(z) -> tuple[float, float, float]:
-        z2 = z * z
-        return float(np.sum(z)), float(np.sum(z2)), float(np.sum(z2 * z2))
-
-    s1, s2, s4 = zip(*_map_blocks(block_sums, ensemble, cfg))
-    mean, se_mean = _blockwise_mean(s1, s2, cfg.trials)
-    second, se_second = _blockwise_mean(s2, s4, cfg.trials)
+    zs = _map_blocks(lambda z: z, ensemble, cfg)
+    mean, se_mean = _blockwise_mean(zs, cfg.trials)
+    second, se_second = _blockwise_mean([z * z for z in zs], cfg.trials)
     return EnvelopeMomentEstimate(mean, second, se_mean, se_second)
 
 
@@ -510,11 +509,6 @@ class SampledCapacity:
 def simulate_ec(ensemble, cfg, keep_samples: bool = False) -> SampledCapacity:
     """Sampled E[log2(1 + gamma_teff Z^2)] over cfg's blocks."""
 
-    def block_sums(z) -> tuple[float, float, Optional[np.ndarray]]:
-        snr = ensemble.gamma_teff * z * z
-        ec = np.log2(1.0 + snr)
-        return float(np.sum(ec)), float(np.sum(ec * ec)), snr if keep_samples else None
-
-    sums, sums_sq, samples = zip(*_map_blocks(block_sums, ensemble, cfg))
-    mean, stderr = _blockwise_mean(sums, sums_sq, cfg.trials)
-    return SampledCapacity(mean, stderr, np.concatenate(samples) if keep_samples else None)
+    snrs = _map_blocks(lambda z: ensemble.gamma_teff * z * z, ensemble, cfg)
+    mean, stderr = _blockwise_mean([np.log2(1.0 + snr) for snr in snrs], cfg.trials)
+    return SampledCapacity(mean, stderr, np.concatenate(snrs) if keep_samples else None)

@@ -60,8 +60,9 @@ class TestDeterminism:
         ref = oracles.simulate_ec(ens, cfg, keep_samples=True)
         assert ref.snr_samples.size == 1000
         assert out.mean_ec == pytest.approx(ref.mean_ec, rel=1e-12, abs=0)
-        # the standard error subtracts n*mean^2 from the sum of squares,
-        # which magnifies last-bit differences of the two kernels ~100x
+        # the library merges block deviations, the oracle takes a second
+        # pass over the samples; last-bit differences of the two kernels
+        # remain
         assert out.std_error == pytest.approx(ref.std_error, rel=1e-10, abs=0)
 
 
@@ -149,18 +150,23 @@ class TestDeterministicChannelLimit:
         # identically-constant samples; only summation roundoff remains
         assert out.std_error < 1e-8
 
-    @pytest.mark.parametrize("block_size", [2048, 300])
-    def test_spread_far_below_the_mean_survives(self, block_size):
+    @staticmethod
+    def fig2_nearly_deterministic():
         # fig2 at K = 1e16: the capacities spread ~1e-8 around ~9.5, so
-        # sum(x^2) - n mean^2 cancels to 0; the standard error must match
-        # the two-pass value over the very same samples
+        # sum(x^2) - n mean^2 cancels to 0
         from riscap.presets import preset
         from riscap.workbench import run_scenario
 
         scenario, _ = preset("fig2")
         panels = tuple(dataclasses.replace(p, k1=1e16, k2=1e16) for p in scenario.panels)
         scenario = dataclasses.replace(scenario, k0=1e16, panels=panels)
-        ens = run_scenario(scenario).ensemble
+        return run_scenario(scenario).ensemble
+
+    @pytest.mark.parametrize("block_size", [2048, 300])
+    def test_spread_far_below_the_mean_survives(self, block_size):
+        # the standard error must match the two-pass value over the very
+        # same samples
+        ens = self.fig2_nearly_deterministic()
         cfg = TrialConfig(trials=2048, seed=5, block_size=block_size)
         z = np.concatenate(
             [_block_envelope_sums([ens], _block_rng(5, i), n)[0] for i, n in _block_plan(cfg)]
@@ -173,6 +179,15 @@ class TestDeterministicChannelLimit:
         # block means carry a rounding of ~1 ulp of 9.5, which the merge's
         # between-block term magnifies: 3.6e-9 relative at 300-trial blocks
         assert results[0].std_error == pytest.approx(two_pass, rel=1e-7, abs=0)
+
+    def test_oracle_standard_error_survives_the_same_spread(self):
+        # the oracle's own reduction and kernel give the library's value
+        ens = self.fig2_nearly_deterministic()
+        cfg = TrialConfig(trials=2048, seed=5)
+        out = simulate_ec(ens, cfg)
+        ref = oracles.simulate_ec(ens, cfg)
+        assert ref.std_error > 1e-10
+        assert out.std_error == pytest.approx(ref.std_error, rel=1e-7, abs=0)
 
 
 class TestInputChecks:
@@ -205,6 +220,13 @@ class TestInputChecks:
         settings = {"trials": 10, "seed": 1, "block_size": 4, field: value}
         with pytest.raises(ScenarioError, match=f"^{field}: must be an integer, got {value!r}$"):
             TrialConfig(**settings)
+
+    @pytest.mark.parametrize("block_size", [0, -4])
+    def test_trial_config_rejects_blocks_below_one_trial(self, block_size):
+        message = f"^block_size: must be >= 1, got {block_size}$"
+        with pytest.raises(ScenarioError, match=message) as err:
+            TrialConfig(trials=10, seed=1, block_size=block_size)
+        assert err.value.fields == ("block_size",)
 
     def test_trial_config_takes_numpy_integers(self):
         cfg = TrialConfig(trials=np.int64(10), seed=np.uint64(1), block_size=np.int32(4))
@@ -255,24 +277,19 @@ class TestMomentAgreement:
 
 
     def test_pooled_oracle_equals_its_blocks_reduced_in_order(self):
-        # the oracle's thread pool changes nothing: each block's sums, taken
-        # one block at a time and reduced in block order with math.fsum
+        # the oracle's thread pool changes nothing: each block's draws, taken
+        # one block at a time and reduced in block order
         ens = small_ensemble(m=9)
         cfg = TrialConfig(trials=20_000, seed=5, block_size=1000)
-        s1, s2, s4 = [], [], []
-        for index, n in oracles.block_partition(cfg):
-            z = oracles.reference_block_z(ens, cfg.seed, index, n)
-            z2 = z * z
-            s1.append(float(np.sum(z)))
-            s2.append(float(np.sum(z2)))
-            s4.append(float(np.sum(z2 * z2)))
-        est = oracles.simulate_envelope_moments(ens, cfg)
-        assert est.mean == math.fsum(s1) / cfg.trials
-        assert est.second_moment == math.fsum(s2) / cfg.trials
+        blocks = oracles.block_partition(cfg)
+        zs = [oracles.reference_block_z(ens, cfg.seed, *block) for block in blocks]
+        z = np.concatenate(zs)
         n = cfg.trials
-        assert est.se_second_moment == math.sqrt(
-            max(math.fsum(s4) - n * (math.fsum(s2) / n) ** 2, 0.0) / (n - 1) / n
-        )
+        est = oracles.simulate_envelope_moments(ens, cfg)
+        assert est.mean == math.fsum(float(np.sum(b)) for b in zs) / n
+        assert est.second_moment == math.fsum(float(np.sum(b * b)) for b in zs) / n
+        d2 = z * z - est.second_moment
+        assert est.se_second_moment == math.sqrt(math.fsum(d2 * d2) / (n - 1) / n)
 
 
 class TestFigureScenarioMoments:

@@ -1545,6 +1545,73 @@ class TestCli:
         )
         assert self.python("-c", code) == "[]"
 
+    def test_cli_import_leaves_out_secrets_and_the_legacy_rng(self):
+        # Generator and Philox come from numpy.random's two extensions; the
+        # package __init__ would add mtrand, MT19937 and SFC64, and secrets
+        # would add hashlib and OpenSSL, to every CLI call
+        names = (
+            "secrets", "hashlib", "_hashlib", "numpy.random", "numpy.random.mtrand",
+            "numpy.random._mt19937", "scipy",
+        )
+        code = (
+            f"import sys, numpy; names = [m for m in {names!r} if m not in sys.modules]; "
+            "import riscap.cli; print(sorted(m for m in names if m in sys.modules))"
+        )
+        assert self.python("-c", code) == "[]"
+
+    def test_bare_rng_draws_as_numpy_random(self):
+        # the very classes numpy.random exports; secrets and unseeded
+        # generators are untouched by the stand-in
+        code = (
+            "import sys\n"
+            "from riscap import montecarlo\n"
+            "import numpy as np\n"
+            "assert montecarlo.Generator is np.random.Generator\n"
+            "assert montecarlo.Philox is np.random.Philox\n"
+            "for s, i in ((0, 0), (5, 3), (2**64 - 1, 7)):\n"
+            "    ours = montecarlo._block_rng(s, i).standard_normal(5)\n"
+            "    key = np.array([s, i], dtype=np.uint64)\n"
+            "    theirs = np.random.Generator(np.random.Philox(key=key)).standard_normal(5)\n"
+            "    assert (ours == theirs).all(), (s, i)\n"
+            "import secrets\n"
+            "assert secrets.__file__ and len(secrets.token_hex(8)) == 16\n"
+            "assert np.random.default_rng().random() != np.random.default_rng().random()\n"
+            "print('ok')"
+        )
+        assert self.python("-c", code) == "ok"
+
+    def test_numpy_random_imported_first_is_used(self):
+        code = (
+            "import numpy.random, sys\n"
+            "package = sys.modules['numpy.random']\n"
+            "from riscap import montecarlo\n"
+            "assert sys.modules['numpy.random'] is package\n"
+            "assert montecarlo.Generator is package.Generator\n"
+            "assert montecarlo.Philox is package.Philox\n"
+            "print('ok')"
+        )
+        assert self.python("-c", code) == "ok"
+
+    def test_refused_bare_rng_falls_back_to_the_package(self):
+        # as under another numpy layout: the bare import fails, and the
+        # package's own import of the same extension still works
+        code = (
+            "import sys\n"
+            "class RefuseUnderStub:\n"
+            "    def find_spec(self, name, path, target=None):\n"
+            "        parent = sys.modules.get('numpy.random')\n"
+            "        if name == 'numpy.random._generator' and not hasattr(parent, '__file__'):\n"
+            "            raise ImportError(name)\n"
+            "sys.meta_path.insert(0, RefuseUnderStub())\n"
+            "from riscap import montecarlo\n"
+            "import numpy as np\n"
+            "assert 'numpy.random.mtrand' in sys.modules\n"
+            "assert montecarlo.Generator is np.random.Generator\n"
+            "print(montecarlo._block_rng(5, 3).standard_normal())"
+        )
+        expected = str(np.random.Generator(np.random.Philox(key=[5, 3])).standard_normal())
+        assert self.python("-c", code) == expected
+
     def test_cli_runs_import_nothing(self, tmp_path):
         # every module a run needs is loaded with riscap.cli, so none is
         # loaded (and timed) inside the first run of a process
