@@ -11,6 +11,9 @@ a per-element evaluation (``pathloss.NearFieldTiles``) holds one tile at
 a time whatever the panel size; per-element arrays are row-major over
 (y, x).
 
+``Point3`` and ``RisPanel`` check their own fields when built: a value
+out of range raises ``ScenarioError`` naming the attribute (``x``, ``dy``).
+
 Convention note: the elevation cosine from an element toward the user
 (``cos_r``, formed per element by ``pathloss.NearFieldTiles``) is computed
 from the *receiver* height.  Output metadata of
@@ -20,6 +23,7 @@ the workbench repeats this note so downstream consumers see the choice.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -42,42 +46,19 @@ TILE_ELEMENTS = 2**13
 
 @dataclass(frozen=True)
 class Point3:
-    """A point in 3-space, meters."""
+    """A point in 3-space, meters, with finite coordinates."""
 
     x: float
     y: float
     z: float
 
     def __post_init__(self):
-        for v in (self.x, self.y, self.z):
-            if not math.isfinite(v):
-                raise ValueError("coordinates must be finite")
+        for name in ("x", "y", "z"):
+            if not math.isfinite(getattr(self, name)):
+                raise ScenarioError("coordinates must be finite", (name,))
 
     def distance_to(self, other: "Point3") -> float:
         return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
-
-
-def check_panel(mx: int, my: int, dx: float, dy: float, section: str = "") -> None:
-    """Raise ScenarioError for an element count or size out of range,
-    naming the fields under section (bare names without one)."""
-    at = f"{section}." if section else ""
-    for name, value in (("mx", mx), ("my", my)):
-        if value < 1:
-            raise ScenarioError("element counts must be >= 1", (at + name,))
-    for name, value in (("dx", dx), ("dy", dy)):
-        if value <= 0:
-            raise ScenarioError("element dimensions must be positive", (at + name,))
-    if mx * my > MAX_PANEL_ELEMENTS:
-        raise ScenarioError(
-            f"element count mx*my exceeds the limit of {MAX_PANEL_ELEMENTS}", (at + "mx", at + "my")
-        )
-    # the path-loss reference constant divides by dx^2 * dy^2
-    sx, sy = dx * dx, dy * dy
-    for names, square in ((("dx",), sx), (("dy",), sy), (("dx", "dy"), sx * sy)):
-        if not 0.0 < square < math.inf:
-            raise ScenarioError(
-                f"element size {dx:g} x {dy:g} m is out of float range", [at + n for n in names]
-            )
 
 
 @dataclass(frozen=True)
@@ -85,7 +66,8 @@ class RisPanel:
     """One reflecting surface: center, element grid counts, element size.
 
     The panel lies in the plane z = center.z, elements on an mx-by-my grid
-    with spacing (dx, dy) meters; check_panel bounds the counts and sizes.
+    (integer counts >= 1, at most MAX_PANEL_ELEMENTS in all) with spacing
+    (dx, dy) meters (positive, with squares in float range).
     """
 
     center: Point3
@@ -95,7 +77,25 @@ class RisPanel:
     dy: float
 
     def __post_init__(self):
-        check_panel(self.mx, self.my, self.dx, self.dy)
+        for name in ("mx", "my"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ScenarioError(f"expected an integer, got {value!r}", (name,))
+            if value < 1:
+                raise ScenarioError("element counts must be >= 1", (name,))
+        for name in ("dx", "dy"):
+            if not getattr(self, name) > 0:
+                raise ScenarioError("element dimensions must be positive", (name,))
+        if int(self.mx) * int(self.my) > MAX_PANEL_ELEMENTS:
+            raise ScenarioError(
+                f"element count mx*my exceeds the limit of {MAX_PANEL_ELEMENTS}", ("mx", "my")
+            )
+        # the path-loss reference constant divides by dx^2 * dy^2
+        dx, dy = self.dx, self.dy
+        sx, sy = dx * dx, dy * dy
+        for names, square in ((("dx",), sx), (("dy",), sy), (("dx", "dy"), sx * sy)):
+            if not 0.0 < square < math.inf:
+                raise ScenarioError(f"element size {dx:g} x {dy:g} m is out of float range", names)
 
     @property
     def element_count(self) -> int:
@@ -171,8 +171,6 @@ def near_field_boundary(panel: RisPanel, wavelength: float) -> float:
     2 * D^2 / wavelength with D the panel diagonal; computed from the
     squared side lengths directly so exact inputs give exact output.
     """
-    if wavelength <= 0:
-        raise ValueError("wavelength must be positive")
     wx = panel.mx * panel.dx
     wy = panel.my * panel.dy
     return 2.0 * (wx * wx + wy * wy) / wavelength

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PatternUnderflow, SingularPattern
+from .errors import PatternUnderflow, ScenarioError, SingularPattern
 from .geometry import ENDPOINTS, PanelLink, Point3, RisPanel
 
 GAINS = ("scenario.budget.gt", "scenario.budget.gr")  # their fields in a scenario file
@@ -31,13 +31,18 @@ def _pattern_fault(kind, link: PanelLink, message: str, keys=("mx", "my", "dx", 
     """A pattern fault of the link's panel: a cosine's sign follows from
     the endpoints and the panel's keys (its element grid, or its centre in
     the far field)."""
-    panel = tuple(f"{link.section}.{key}" for key in keys)
-    return kind(message, panel + ENDPOINTS, f"panel {link.index}", set_by=True)
+    return kind(message, _panel_fields(link, keys), f"panel {link.index}", set_by=True)
+
+
+def _panel_fields(link: PanelLink, keys=("mx", "my", "dx", "dy")) -> tuple[str, ...]:
+    """The panel's keys and the endpoints, which set its cosines."""
+    return (*(f"{link.section}.{key}" for key in keys), *ENDPOINTS)
 
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Link-budget inputs in linear units (gains linear, powers in watts)."""
+    """Link-budget inputs in linear units (gains linear, powers in watts),
+    positive but for eta_db."""
 
     gt: float
     gr: float
@@ -47,20 +52,16 @@ class LinkBudget:
     xi: float
 
     def __post_init__(self):
-        if not (self.gt > 0 and self.gr > 0):
-            raise ValueError("antenna gains must be positive")
-        if not self.tx_power > 0:
-            raise ValueError("transmit power must be positive")
-        if not self.noise_power > 0:
-            raise ValueError("noise power must be positive")
+        for name in ("tx_power", "noise_power", "gt", "gr"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ScenarioError(f"must be positive in linear units, got {value!r}", (name,))
         if not self.xi > 0:
-            raise ValueError("path-loss exponent must be positive")
+            raise ScenarioError("path-loss exponent must be positive", ("xi",))
 
 
 def beta0_reference(gt: float, gr: float, dx: float, dy: float) -> float:
     """Element-aperture reference constant 16*pi^2 / (gt*gr*dx^2*dy^2)."""
-    if min(gt, gr, dx, dy) <= 0:
-        raise ValueError("gains and element dimensions must be positive")
     return 16.0 * math.pi**2 / (gt * gr * dx**2 * dy**2)
 
 
@@ -74,11 +75,14 @@ class NearFieldTiles:
     center, cos_tx / cos_rx is (r^2 + d^2 - d_m^2) / (2 d r) (law of
     cosines) and cos_t / cos_r is h / r; r^2 and d_m^2 (element to center)
     are outer sums of per-column and per-row squares, read before r is
-    taken.  ``check`` then raises the panel's first fault: non-positive
-    endpoint cosines (an endpoint past an element's perpendicular, which
-    the fractional gain exponents cannot take), then a pattern that
-    underflows or is not positive, each with the panel's element count and
-    worst value."""
+    taken.  Where r and d_m dwarf d that numerator cancels, so a cosine
+    it puts at <= 0 is taken again from the rays' dot product, (h^2 +
+    (x - ex)(cx - ex) + (y - ey)(cy - ey)) / (d r), which does not.
+    ``check`` then raises the panel's first fault: non-positive endpoint
+    cosines (an endpoint past an element's perpendicular, which the
+    fractional gain exponents cannot take), then a pattern that underflows
+    or is not positive, each with the panel's element count and worst
+    value."""
 
     def __init__(
         self,
@@ -129,6 +133,10 @@ class NearFieldTiles:
         (_, hb, _), (_, hu, _) = self.ends
         # a tile's minima show whether it has a fault (or a nan) to record
         if not (cos_tx.min() > 0 and cos_rx.min() > 0):
+            c, x, y = self.panel.center, self.panel.element_x(cols), self.panel.element_y(rows)
+            for cos, (e, h, d), r in zip((cos_tx, cos_rx), self.ends, (r_t, r_r)):
+                dot = h * h + (x - e.x) * (c.x - e.x) + (y[:, None] - e.y) * (c.y - e.y)
+                np.copyto(cos, dot / d / r, where=cos <= 0)
             endpoint_cos = np.minimum(cos_tx, cos_rx)
             self.endpoint_count += int(np.count_nonzero(endpoint_cos <= 0))
             # a reduction from the worst so far: a nan propagates as in one call
@@ -173,7 +181,7 @@ class NearFieldTiles:
                 f"radiation pattern underflows to 0 at {self.pattern_count} element(s) although "
                 f"every cosine is positive: a gain exponent (gt/2 - 1 = {gt / 2.0 - 1.0:g}, "
                 f"gr/2 - 1 = {gr / 2.0 - 1.0:g}) is too large for this geometry",
-                GAINS, f"panel {link.index}",
+                (*GAINS, *_panel_fields(link)), f"panel {link.index}",
             )
         raise _pattern_fault(
             SingularPattern, link, f"radiation pattern is not positive at {self.pattern_count} "
@@ -196,7 +204,5 @@ def direct_pathloss(d0: float, eta_db: float, xi: float) -> float:
     The *inverse* loss in dB is eta_db - 10*xi*log10(d0); the returned
     linear value is the loss factor (>= 1 for any sensible budget).
     """
-    if d0 <= 0:
-        raise ValueError("direct-link distance must be positive")
     inv_db = eta_db - 10.0 * xi * math.log10(d0)
     return 10.0 ** (-inv_db / 10.0)

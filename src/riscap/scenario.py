@@ -1,16 +1,17 @@
-"""Scenario files: schema, validation, serialization.
+"""Scenarios: the records, their invariants, and the scenario file.
 
-The on-disk format is YAML with nested sections (see README for the full
-grammar).  A field with more than one spelling (a K-factor in linear units
-or dB, a power in watts or dBm, a gain linear or in dB, a correlation
-given directly or as a Doppler triple) is read by one reader, ``_field``:
-it takes whichever spelling is present, converts dB/dBm to linear units,
-resolves a Doppler triple to its aging correlation J0(2 pi f_d T_s),
-repeats a scalar for every panel or reads a per-panel list, and checks
-each value under the path of the key as written.  The in-memory model is
-strictly linear and holds plain correlations.  Serializing always emits
-the linear spellings (rho, rho0 for a triple) so that serialize -> parse
-round-trips to an identical in-memory scenario.
+``Scenario``, ``PanelSetup``, ``pathloss.LinkBudget``, ``geometry.RisPanel``
+and ``geometry.Point3`` check their own fields in ``__post_init__``, however
+they are built, raising ``ScenarioError`` that names the attribute (``k0``,
+``rho``, ``gt``, ``dx``, ``x``): a ``Scenario`` that exists is valid.
+
+The on-disk format is YAML with nested sections (see README).  The parser
+checks only what depends on the writing: YAML types and finiteness,
+unknown or missing keys, per-panel list lengths.  ``_field`` reads a field
+of several spellings in linear units (dB/dBm converted, a Doppler triple
+resolved to its correlation), and ``_build`` renames a record's failing
+fields to the keys as written (``scenario.channel.k1_db[1]``).  Serializing
+emits the linear spellings, so serialize -> parse round-trips exactly.
 """
 
 from __future__ import annotations
@@ -24,11 +25,26 @@ import yaml
 
 from .channel import outdated_correlation
 from .errors import NegativeCorrelation, ScenarioError
-from .geometry import Point3, RisPanel, check_panel
+from .geometry import Point3, RisPanel
 from .pathloss import LinkBudget
 from .units import db_to_linear, dbm_to_watts
 
 MODES = ("auto", "near", "far")
+
+
+def _k_factor(value: float, name: str) -> None:
+    if not value >= 0:
+        raise ScenarioError("K-factor must be >= 0", (name,))
+
+
+def _correlation(value: float, name: str) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ScenarioError(f"correlation must lie in [0, 1], got {value!r}", (name,))
+
+
+def _kind(kind) -> None:
+    if kind not in ("centralized", "distributed"):
+        raise ScenarioError(f"must be 'centralized' or 'distributed', got {kind!r}", ("kind",))
 
 
 @dataclass(frozen=True)
@@ -40,10 +56,17 @@ class PanelSetup:
     k2: float
     rho: float
 
+    def __post_init__(self):
+        _k_factor(self.k1, "k1")
+        _k_factor(self.k2, "k2")
+        _correlation(self.rho, "rho")
+
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully described experiment: geometry, channels, link budget."""
+    """A fully described experiment: geometry, channels, link budget.  Its
+    panels (one if centralized) share one element size, as the aperture
+    reference constant is defined once per scenario."""
 
     bs: Point3
     user: Point3
@@ -55,6 +78,31 @@ class Scenario:
     rho0: float
     mode: str = "auto"
     fixed_total_elements: Optional[int] = None
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ScenarioError(f"must be one of {MODES}, got {self.mode!r}", ("mode",))
+        _kind(self.kind)
+        if not self.panels:
+            raise ScenarioError("expected a non-empty list", ("panels",))
+        if self.kind == "centralized" and len(self.panels) != 1:
+            raise ScenarioError(
+                f"a centralized deployment has one panel, got {len(self.panels)}", ("kind", "panels")
+            )
+        sizes = {(ps.panel.dx, ps.panel.dy) for ps in self.panels}
+        if len(sizes) > 1:
+            raise ScenarioError(
+                f"all panels must share one element size, got {sorted(sizes)}", ("panels",)
+            )
+        total = self.fixed_total_elements
+        if total is not None and (isinstance(total, bool) or not isinstance(total, int) or total < 1):
+            raise ScenarioError("expected a positive integer", ("fixed_total_elements",))
+        _k_factor(self.k0, "k0")
+        _correlation(self.rho0, "rho0")
+        if not 0 < self.fc_hz < math.inf:
+            raise ScenarioError("must be positive and finite", ("fc_hz",))
+        if self.bs.distance_to(self.user) == 0:
+            raise ScenarioError("the endpoints coincide", ("bs", "user"))
 
 
 def _as_number(value, path: str) -> float:
@@ -98,11 +146,10 @@ class _Section:
     def number(self, key: str) -> float:
         return _as_number(self.require(key), f"{self.path}.{key}")
 
-    def integer(self, key: str) -> int:
-        value = self.require(key)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(f"expected an integer, got {value!r}", (f"{self.path}.{key}",))
-        return value
+    def fields(self, **values) -> dict:
+        """Each value with the path of its key under this section, as
+        _build takes them."""
+        return {key: (value, f"{self.path}.{key}") for key, value in values.items()}
 
     def one_of(self, *keys: str) -> tuple[str, object]:
         present = [k for k in keys if k in self.data]
@@ -125,17 +172,15 @@ class _Section:
             )
 
 
-def check_structure(*, mode="auto", kind="centralized", panel_count=1) -> None:
-    """Raise the parser's ScenarioError for an unknown mode or deployment
-    kind, or no panels; an argument left at its default passes."""
-    if mode not in MODES:
-        raise ScenarioError(f"must be one of {MODES}, got {mode!r}", ("scenario.mode",))
-    if kind not in ("centralized", "distributed"):
-        raise ScenarioError(
-            f"must be 'centralized' or 'distributed', got {kind!r}", ("scenario.deployment.kind",)
-        )
-    if panel_count < 1:
-        raise ScenarioError("expected a non-empty list", ("scenario.deployment.panels",))
+def _build(record, fields: dict):
+    """record built from fields, which map each argument name to its
+    (value, path of the key as written): a ScenarioError it raises names
+    those paths in place of the bare argument names."""
+    try:
+        return record(**{name: value for name, (value, _) in fields.items()})
+    except ScenarioError as exc:
+        exc.fields = tuple(fields[f][1] if f in fields else f for f in exc.fields)
+        raise
 
 
 def _point(section: _Section) -> Point3:
@@ -146,18 +191,9 @@ def _point(section: _Section) -> Point3:
 def _panel(section: _Section) -> RisPanel:
     section.reject_unknown({"center", "mx", "my", "dx", "dy"})
     center = _point(section.child("center"))
-    mx, my = section.integer("mx"), section.integer("my")
+    mx, my = section.require("mx"), section.require("my")  # RisPanel checks them
     dx, dy = section.number("dx"), section.number("dy")
-    check_panel(mx, my, dx, dy, section.path)
-    return RisPanel(center=center, mx=mx, my=my, dx=dx, dy=dy)
-
-
-# per-value checks of _field: the test a value in linear units must pass,
-# and the message it fails with under the path of the key as written
-# ({!r} is the number as written)
-_K_FACTOR = (lambda v: v >= 0, "K-factor must be >= 0")
-_CORRELATION = (lambda v: 0.0 <= v <= 1.0, "correlation must lie in [0, 1], got {!r}")
-_POSITIVE = (lambda v: v > 0, "must be positive in linear units, got {!r}")
+    return _build(RisPanel, section.fields(center=center, mx=mx, my=my, dx=dx, dy=dy))
 
 
 def _doppler(section: _Section, default_fc: float) -> float:
@@ -171,130 +207,101 @@ def _doppler(section: _Section, default_fc: float) -> float:
         raise ScenarioError(str(exc), (section.path,)) from None
 
 
-def _field(section: _Section, keys: tuple[str, ...], check, n: Optional[int] = None, fc_hz=None):
+def _field(section: _Section, keys: tuple[str, ...], n: Optional[int] = None, fc_hz=None):
     """The one field spelled by whichever of keys is present, in linear
-    units: a number, or given n panels a list of n numbers (a scalar is
-    repeated for every panel).  A key ending in _db or _dbm is converted
-    from dB or dBm, and a doppler key's triple resolves to its correlation
-    at default carrier fc_hz.  Every value must pass check, else a
-    ScenarioError names the key as written (and the value's index)."""
+    units, and the path of the key as written: a (number, path) pair, or
+    given n panels a list of n pairs (a scalar is repeated for every
+    panel, path[i] naming it for panel i).  A key ending in _db or _dbm
+    is converted from dB or dBm, and a doppler key's triple resolves to
+    its correlation at default carrier fc_hz."""
     key, value = section.one_of(*keys)
     path = f"{section.path}.{key}"
     if key.startswith("doppler"):
         # one triple for every panel
-        numbers = [(path, _doppler(section.child(key), fc_hz))] * (n or 1)
+        numbers = [(_doppler(section.child(key), fc_hz), path)] * (n or 1)
     else:
         if n is None:
-            written = [(path, value)]
+            written = [(value, path)]
         else:
             values = value if isinstance(value, list) else [value] * n
             if len(values) != n:
                 raise ScenarioError(f"expected {n} per-panel values, got {len(values)}", (path,))
-            written = [(f"{path}[{i}]", v) for i, v in enumerate(values)]
-        numbers = [(where, _as_number(v, where)) for where, v in written]
+            written = [(v, f"{path}[{i}]") for i, v in enumerate(values)]
+        numbers = [(_as_number(v, where), where) for v, where in written]
     convert = (
         dbm_to_watts if key.endswith("_dbm") else db_to_linear if key.endswith("_db") else None
     )
-    test, message = check
     out = []
-    for where, number in numbers:
+    for number, where in numbers:
         try:
-            linear = convert(number) if convert else number
+            out.append((convert(number) if convert else number, where))
         except OverflowError:
             raise ScenarioError(f"{number!r} is out of float range in linear units", (where,)) from None
-        if not test(linear):
-            raise ScenarioError(message.format(number), (where,))
-        out.append(linear)
     return out[0] if n is None else out
 
 
 def parse_scenario(data: dict) -> Scenario:
-    """Validate a raw mapping against the scenario schema."""
+    """Build the Scenario a raw mapping describes; a failure names the key
+    as written."""
     root = _Section(data, "scenario")
     root.reject_unknown({"fc_hz", "mode", "bs", "user", "deployment", "channel", "budget"})
 
     fc_hz = root.number("fc_hz")
-    if fc_hz <= 0:
-        raise ScenarioError("must be positive", ("scenario.fc_hz",))
-    mode = root.optional("mode", "auto")
-    check_structure(mode=mode)
-
     bs = _point(root.child("bs"))
     user = _point(root.child("user"))
 
     deployment = root.child("deployment")
     kind = deployment.require("kind")
-    check_structure(kind=kind)
+    _build(_kind, deployment.fields(kind=kind))
     if kind == "centralized":
         deployment.reject_unknown({"kind", "panel", "fixed_total_elements"})
         panels = [_panel(deployment.child("panel"))]
     else:
         deployment.reject_unknown({"kind", "panels", "fixed_total_elements"})
         raw_panels = deployment.require("panels")
-        check_structure(panel_count=len(raw_panels) if isinstance(raw_panels, list) else 0)
+        if not isinstance(raw_panels, list):
+            raise ScenarioError("expected a non-empty list", (f"{deployment.path}.panels",))
         panels = [
             _panel(_Section(p, f"{deployment.path}.panels[{i}]"))
             for i, p in enumerate(raw_panels)
         ]
-    fixed_total = deployment.optional("fixed_total_elements")
-    if fixed_total is not None and (isinstance(fixed_total, bool) or not isinstance(fixed_total, int) or fixed_total < 1):
-        raise ScenarioError(
-            "expected a positive integer", (f"{deployment.path}.fixed_total_elements",)
-        )
-    # one element size everywhere: the aperture reference constant is
-    # defined once per scenario
-    sizes = {(p.dx, p.dy) for p in panels}
-    if len(sizes) > 1:
-        raise ScenarioError(
-            f"all panels must share one element size, got {sorted(sizes)}",
-            (f"{deployment.path}.panels",),
-        )
 
     channel = root.child("channel")
     channel.reject_unknown(
         {"k0", "k0_db", "k1", "k1_db", "k2", "k2_db", "rho0", "doppler0", "rho", "doppler"}
     )
     n = len(panels)
-    k0 = _field(channel, ("k0", "k0_db"), _K_FACTOR)
-    k1s = _field(channel, ("k1", "k1_db"), _K_FACTOR, n)
-    k2s = _field(channel, ("k2", "k2_db"), _K_FACTOR, n)
-    rho0 = _field(channel, ("rho0", "doppler0"), _CORRELATION, fc_hz=fc_hz)
-    rhos = _field(channel, ("rho", "doppler"), _CORRELATION, n, fc_hz)
-
-    budget_sec = root.child("budget")
-    budget_sec.reject_unknown(
-        {"p_dbm", "p_w", "noise_dbm", "noise_w", "gt", "gt_db", "gr", "gr_db", "eta_db", "xi"}
-    )
-    tx_power = _field(budget_sec, ("p_dbm", "p_w"), _POSITIVE)
-    noise_power = _field(budget_sec, ("noise_dbm", "noise_w"), _POSITIVE)
-    xi = budget_sec.number("xi")
-    if xi <= 0:
-        raise ScenarioError("path-loss exponent must be positive", ("scenario.budget.xi",))
-    # every LinkBudget condition is checked above, at its own field
-    budget = LinkBudget(
-        gt=_field(budget_sec, ("gt", "gt_db"), _POSITIVE),
-        gr=_field(budget_sec, ("gr", "gr_db"), _POSITIVE),
-        tx_power=tx_power,
-        noise_power=noise_power,
-        eta_db=budget_sec.number("eta_db"),
-        xi=xi,
-    )
-
+    k0 = _field(channel, ("k0", "k0_db"))
+    k1s = _field(channel, ("k1", "k1_db"), n)
+    k2s = _field(channel, ("k2", "k2_db"), n)
+    rho0 = _field(channel, ("rho0", "doppler0"), fc_hz=fc_hz)
+    rhos = _field(channel, ("rho", "doppler"), n, fc_hz)
     setups = tuple(
-        PanelSetup(panel=p, k1=k1, k2=k2, rho=rho)
+        _build(PanelSetup, {"panel": (p, None), "k1": k1, "k2": k2, "rho": rho})
         for p, k1, k2, rho in zip(panels, k1s, k2s, rhos)
     )
-    return Scenario(
-        bs=bs,
-        user=user,
-        kind=kind,
-        panels=setups,
-        k0=k0,
-        budget=budget,
-        fc_hz=fc_hz,
-        rho0=rho0,
-        mode=mode,
-        fixed_total_elements=fixed_total,
+
+    budget = root.child("budget")
+    budget.reject_unknown(
+        {"p_dbm", "p_w", "noise_dbm", "noise_w", "gt", "gt_db", "gr", "gr_db", "eta_db", "xi"}
+    )
+    link_budget = {
+        "tx_power": _field(budget, ("p_dbm", "p_w")),
+        "noise_power": _field(budget, ("noise_dbm", "noise_w")),
+        "gt": _field(budget, ("gt", "gt_db")),
+        "gr": _field(budget, ("gr", "gr_db")),
+        **budget.fields(eta_db=budget.number("eta_db"), xi=budget.number("xi")),
+    }
+    total = deployment.optional("fixed_total_elements")
+    return _build(
+        Scenario,
+        {
+            **root.fields(bs=bs, user=user, fc_hz=fc_hz, mode=root.optional("mode", "auto")),
+            **deployment.fields(kind=kind, panels=setups, fixed_total_elements=total),
+            "k0": k0,
+            "rho0": rho0,
+            "budget": (_build(LinkBudget, link_budget), None),
+        },
     )
 
 
@@ -320,16 +327,12 @@ def load_scenario(path: str) -> Scenario:
         raise _unreadable(f"scenario file is not UTF-8 text: {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise _unreadable(f"scenario file is not valid YAML: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError("top level must be a mapping", ("scenario",))
     return parse_scenario(data)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Canonical (all-linear) mapping; parse(scenario_to_dict(s)) == s.
-    Point3 and RisPanel list their fields in the schema's key order.  A
-    mode, kind or panel count the parser rejects raises its error."""
-    check_structure(mode=s.mode, kind=s.kind, panel_count=len(s.panels))
+    Point3 and RisPanel list their fields in the schema's key order."""
     panels = [dataclasses.asdict(ps.panel) for ps in s.panels]
     if s.kind == "centralized":
         deployment = {"kind": "centralized", "panel": panels[0]}

@@ -18,6 +18,4 @@ def dbm_to_watts(dbm: float) -> float:
 
 
 def wavelength(fc_hz: float) -> float:
-    if fc_hz <= 0:
-        raise ValueError("carrier frequency must be positive")
     return SPEED_OF_LIGHT / fc_hz

@@ -67,7 +67,7 @@ from .pathloss import (
     direct_pathloss,
     farfield_pathloss,
 )
-from .scenario import Scenario, check_structure
+from .scenario import Scenario
 from .units import dbm_to_watts, db_to_linear, wavelength
 
 SWEEP_UNITS = {
@@ -96,9 +96,13 @@ class SweepSpec:
             raise ScenarioError(
                 f"{self.variable!r} is not one of {SWEEP_VARIABLES}", ("sweep.variable",)
             )
-        if not self.values:
+        try:
+            values = tuple(map(float, self.values))
+        except (TypeError, ValueError, OverflowError):
+            raise ScenarioError(f"expected numbers, got {self.values!r}", ("sweep.values",)) from None
+        if not values:
             raise ScenarioError("must be non-empty", ("sweep.values",))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", values)
         bad = [v for v in self.values if not math.isfinite(v)]
         if bad:
             raise ScenarioError(f"must be finite, got {bad[0]}", ("sweep.values",))
@@ -223,12 +227,8 @@ def _statistics(scenario: Scenario, shared: dict, keep: bool) -> dict:
     is evaluated and added, so geometry-equal points of a sweep reduce it
     once.  keep asks for every panel's amplitudes (Monte Carlo reads
     them); without it only one-tile panels carry them."""
-    # a scenario built in Python has not met the parser
-    check_structure(mode=scenario.mode, kind=scenario.kind, panel_count=len(scenario.panels))
     lam = wavelength(scenario.fc_hz)
     d0 = scenario.bs.distance_to(scenario.user)
-    if d0 == 0:
-        raise ScenarioError("the endpoints coincide", ENDPOINTS)
     budget = scenario.budget
     beta0_inv = 1.0 / _loss(
         lambda: ScenarioError(
@@ -373,21 +373,20 @@ def apply_sweep_value(scenario: Scenario, variable: str, value: float) -> Scenar
     Units: P in dBm, K0 in dB, d1 and cell_size in meters; rho/rho0 are
     plain correlations; My is an element count (with
     deployment.fixed_total_elements set, mx is re-derived as total/my).
-    A value the scenario's constructors reject, whose conversion
-    overflows, or that takes a panel past a RisPanel limit raises
-    ScenarioError labelled "sweep variable=value", with no fields.
+    A value the scenario's records reject (a correlation outside [0, 1],
+    a NaN K-factor, a panel past a RisPanel limit) or whose conversion
+    overflows raises ScenarioError labelled "sweep variable=value", with
+    no fields.
     """
     if variable not in SWEEP_UNITS:
         raise ScenarioError(f"unknown sweep variable {variable!r}")
     label = f"sweep {variable}={value}"
     try:
         return _replace_swept(scenario, variable, value, label)
-    except ValueError as exc:
-        raise ScenarioError(str(exc), label=label) from exc
     except OverflowError:
         raise ScenarioError("out of float range", label=label) from None
     except ScenarioError as exc:
-        if exc.fields:  # a RisPanel limit, naming the panel fields the value set
+        if exc.fields:  # a record's failure, naming the field the value set
             exc.fields, exc.label = (), label
         raise
 
@@ -398,32 +397,26 @@ def _replace_swept(scenario: Scenario, variable: str, value: float, label: str) 
             scenario,
             budget=dataclasses.replace(scenario.budget, tx_power=dbm_to_watts(value)),
         )
-    if variable in ("rho", "rho0") and not (0.0 <= value <= 1.0):
-        raise ScenarioError("correlation must lie in [0, 1]", label=label)
     if variable == "rho0":
         return dataclasses.replace(scenario, rho0=value)
     if variable == "rho":
         panels = tuple(dataclasses.replace(ps, rho=value) for ps in scenario.panels)
         return dataclasses.replace(scenario, panels=panels)
     if variable == "K0":
-        # +-inf dB is a Rayleigh or a deterministic link; NaN is no K-factor
-        if math.isnan(value):
-            raise ScenarioError("K-factor must be >= 0", label=label)
+        # +-inf dB is a Rayleigh or a deterministic link
         return dataclasses.replace(scenario, k0=db_to_linear(value))
     if variable == "cell_size":
-        if value <= 0:
-            raise ScenarioError("must be positive", label=label)
         return _with_panels(scenario, dx=value, dy=value)
     if variable == "My":
-        my = int(value)
-        if my < 1 or my != value:
+        if not float(value).is_integer():
             raise ScenarioError("must be a positive integer", label=label)
+        my = int(value)
         if len(scenario.panels) != 1:
             raise ScenarioError("only supported for single-panel scenarios", label="sweep My")
         mx = scenario.panels[0].panel.mx
         total = scenario.fixed_total_elements
         if total is not None:
-            if total % my != 0:
+            if not my or total % my:  # 0 divides no positive total
                 raise ScenarioError(
                     f"does not divide fixed_total_elements={total}", label=f"sweep My={my}"
                 )

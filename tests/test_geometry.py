@@ -303,7 +303,3 @@ class TestNearFieldBoundary:
         base = near_field_boundary(panel(10, 14), LAMBDA)
         doubled = near_field_boundary(panel(20, 28), LAMBDA)
         assert doubled == pytest.approx(4.0 * base, rel=1e-12)
-
-    def test_rejects_bad_wavelength(self):
-        with pytest.raises(ValueError):
-            near_field_boundary(panel(2, 2), 0.0)

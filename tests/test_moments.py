@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from oracles import farfield_closed_form_moments, naive_envelope_moments, saturation_gamma_teff
 from panels import panel_channel
 from riscap.channel import PanelChannel, RicianParams, rician_mean_envelope
+from riscap.errors import ScenarioError
 from riscap.moments import distributed_moments, distributed_noise_variance
+from riscap.pathloss import LinkBudget
 
 
 def omega(k):
@@ -181,12 +183,15 @@ class TestNoiseVariance:
 
     @pytest.mark.parametrize(
         "tx_power, noise_power, message",
-        [(math.nan, 1e-15, "transmit power"), (1e-3, math.nan, "noise power")],
+        [(math.nan, 1e-15, "tx_power"), (1e-3, math.nan, "noise_power")],
     )
     def test_rejects_nan_powers(self, tx_power, noise_power, message):
-        panel = panel_channel(np.array([1e-10]), rho=0.9, k1=2.0, k2=2.0)
-        with pytest.raises(ValueError, match=f"^{message} must be positive$"):
-            distributed_noise_variance(tx_power, [panel], 0.95, 0.96, 1e-10, noise_power)
+        # the powers reach the variance from a LinkBudget, which rejects a
+        # nan power when it is built, naming it
+        fields = dict(gt=100.0, gr=1.0, eta_db=-30.0, xi=3.5)
+        with pytest.raises(ScenarioError) as exc:
+            LinkBudget(tx_power=tx_power, noise_power=noise_power, **fields)
+        assert exc.value.fields == (message,)
 
     def test_limit_infinite_without_leakage(self):
         panel = panel_channel(beta_inv=np.array([1e-11]), rho=1.0, k1=math.inf, k2=6.0)

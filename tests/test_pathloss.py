@@ -5,7 +5,7 @@ import pytest
 
 from oracles import brute_force_element_links
 from panels import near_field, whole_panel
-from riscap.errors import PatternUnderflow, SingularPattern
+from riscap.errors import PatternUnderflow, ScenarioError, SingularPattern
 from riscap.geometry import PanelLink, Point3, RisPanel, panel_link
 from riscap.pathloss import (
     LinkBudget,
@@ -29,16 +29,18 @@ class TestLinkBudget:
     @pytest.mark.parametrize(
         "field, message",
         [
-            ("gt", "antenna gains"),
-            ("gr", "antenna gains"),
-            ("tx_power", "transmit power"),
-            ("noise_power", "noise power"),
-            ("xi", "path-loss exponent"),
+            ("gt", "must be positive in linear units, got nan"),
+            ("gr", "must be positive in linear units, got nan"),
+            ("tx_power", "must be positive in linear units, got nan"),
+            ("noise_power", "must be positive in linear units, got nan"),
+            ("xi", "path-loss exponent must be positive"),
         ],
     )
     def test_rejects_nan(self, field, message):
-        with pytest.raises(ValueError, match=f"^{message} must be positive$"):
+        with pytest.raises(ScenarioError) as exc:
             LinkBudget(**{**self.FIELDS, field: math.nan})
+        assert exc.value.fields == (field,)
+        assert str(exc.value) == f"{field}: {message}"
 
 
 class TestBeta0Reference:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import mpmath
@@ -6,8 +7,9 @@ import pytest
 import yaml
 
 from riscap.channel import outdated_correlation
+from riscap import presets
 from riscap.errors import ScenarioError
-from riscap.presets import PRESET_NAMES, fig8_distributed_cases, preset
+from riscap.presets import PRESET_NAMES, fig8_distributed_cases, preset, run_preset
 from riscap.scenario import dump_scenario, load_scenario, parse_scenario
 
 MINIMAL = """
@@ -182,8 +184,9 @@ class TestValidationErrors:
     def test_non_mapping_file(self, tmp_path):
         path = tmp_path / "s.yaml"
         path.write_text("- 1\n- 2\n")
-        with pytest.raises(ScenarioError, match="top level"):
+        with pytest.raises(ScenarioError) as exc:
             load_scenario(str(path))
+        assert str(exc.value) == "scenario: expected a mapping, got list"
 
     def test_malformed_yaml(self, tmp_path):
         path = tmp_path / "s.yaml"
@@ -353,8 +356,22 @@ class TestRoundTrip:
             pure = parse_scenario(yaml.load(text, Loader=yaml.SafeLoader))
             assert load_scenario(str(path)) == pure == scenario
 
-    def test_fig8_cases_round_trip(self):
-        for scenario in fig8_distributed_cases():
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_scenario_a_preset_runs_round_trips(self, name, monkeypatch):
+        # whatever a run builds also saves as a file that parses back
+        # equal: each sweep point, fig4's under both modes, the fig8 cases
+        built = []
+
+        def evaluate(scenarios, *args):
+            built.extend(scenarios)
+            return [None] * len(scenarios)
+
+        monkeypatch.setattr(presets, "_evaluate", evaluate)
+        run_preset(name, trials=None)
+        _, sweep = preset(name)
+        extra = {"fig4": len(sweep.values), "fig8": len(fig8_distributed_cases())}
+        assert len(built) == len(sweep.values) + extra.get(name, 0)
+        for scenario in built:
             assert parse_scenario(yaml.safe_load(dump_scenario(scenario))) == scenario
 
     def test_doppler_file_round_trips_as_correlations(self):
@@ -374,24 +391,17 @@ class TestRoundTrip:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (
-                {"mode": "sideways"},
-                "scenario.mode: must be one of ('auto', 'near', 'far'), got 'sideways'",
-            ),
-            (
-                {"kind": "bogus"},
-                "scenario.deployment.kind: must be 'centralized' or 'distributed', got 'bogus'",
-            ),
-            ({"panels": ()}, "scenario.deployment.panels: expected a non-empty list"),
+            ({"mode": "sideways"}, "mode: must be one of ('auto', 'near', 'far'), got 'sideways'"),
+            ({"kind": "bogus"}, "kind: must be 'centralized' or 'distributed', got 'bogus'"),
+            ({"panels": ()}, "panels: expected a non-empty list"),
         ],
         ids=["mode", "kind", "panels"],
     )
     def test_dump_checks_the_structure(self, edit, message):
-        # a scenario the parser would reject is not written out: a bogus
-        # kind would otherwise be saved as distributed
-        scenario = dataclasses.replace(preset("fig2")[0], **edit)
+        # a scenario the parser would reject is not written out: it cannot
+        # be built, so a bogus kind is never saved as distributed
         with pytest.raises(ScenarioError) as exc:
-            dump_scenario(scenario)
+            dump_scenario(dataclasses.replace(preset("fig2")[0], **edit))
         assert str(exc.value) == message
 
     def test_file_round_trip(self, tmp_path):
@@ -399,3 +409,88 @@ class TestRoundTrip:
         path = tmp_path / "s.yaml"
         path.write_text(dump_scenario(scenario))
         assert load_scenario(str(path)) == scenario
+
+
+FIG3 = preset("fig3")[0]
+NAN, INF = math.nan, math.inf
+
+
+def _replaced(record, **edit):
+    return lambda: dataclasses.replace(record, **edit)
+
+
+def _leaf_cases():
+    """(id, build, fields): each leaf of a Scenario built in Python with a
+    value the parser rejects, and the fields its failure must hold."""
+    setup = FIG3.panels[1]
+    records = {
+        "scenario": FIG3,
+        "setup": setup,
+        "budget": FIG3.budget,
+        "panel": setup.panel,
+        "point": FIG3.bs,
+    }
+    bad = {
+        ("scenario", "k0"): (-1.0, NAN),
+        ("scenario", "rho0"): (-0.1, 2.0, NAN),
+        ("scenario", "fc_hz"): (0.0, -1.0, NAN, INF),
+        ("scenario", "fixed_total_elements"): (0, -576, 2.5, True),
+        ("scenario", "mode"): ("sideways", "Near"),
+        ("scenario", "kind"): ("bogus",),
+        ("setup", "k1"): (-1.0, NAN),
+        ("setup", "k2"): (-1.0, NAN),
+        ("setup", "rho"): (-0.1, 2.0, NAN),
+        **{("budget", k): (0.0, -1.0, NAN) for k in ("gt", "gr", "tx_power", "noise_power", "xi")},
+        **{("panel", k): (0, 2.5, True) for k in ("mx", "my")},
+        **{("panel", k): (0.0, -1.0, NAN) for k in ("dx", "dy")},
+        **{("point", k): (NAN, INF) for k in ("x", "y", "z")},
+    }
+    for (record, leaf), values in bad.items():
+        for value in values:
+            yield f"{record}.{leaf}={value!r}", _replaced(records[record], **{leaf: value}), (leaf,)
+    # invariants across fields
+    wider = dataclasses.replace(setup, panel=dataclasses.replace(setup.panel, dx=0.01))
+    yield "centralized-two-panels", _replaced(FIG3, kind="centralized"), ("kind", "panels")
+    yield "no-panels", _replaced(FIG3, panels=()), ("panels",)
+    yield "mixed-element-sizes", _replaced(FIG3, panels=(FIG3.panels[0], wider)), ("panels",)
+    yield "endpoints-coincide", _replaced(FIG3, user=FIG3.bs), ("bs", "user")
+
+
+LEAF_CASES = list(_leaf_cases())
+
+
+class TestRecordsValidateThemselves:
+    @pytest.mark.parametrize(
+        "build, fields", [case[1:] for case in LEAF_CASES], ids=[case[0] for case in LEAF_CASES]
+    )
+    def test_bad_leaf_built_in_python_names_it(self, build, fields):
+        with pytest.raises(ScenarioError) as exc:
+            build()
+        assert exc.value.fields == fields
+        assert exc.value.label is None
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d.update(fc_hz=0), "scenario.fc_hz: must be positive and finite"),
+            (
+                lambda d: d["deployment"]["panel"].update(mx=2.5),
+                "scenario.deployment.panel.mx: expected an integer, got 2.5",
+            ),
+            (
+                lambda d: d["budget"].update(p_dbm=-1e300),
+                "scenario.budget.p_dbm: must be positive in linear units, got 0.0",
+            ),
+            (
+                lambda d: d["user"].update(x=-50.0),
+                "scenario.bs, scenario.user: the endpoints coincide",
+            ),
+        ],
+        ids=["fc_hz", "mx", "p_dbm", "endpoints"],
+    )
+    def test_parser_names_the_key_as_written(self, mutate, message):
+        # a record's failure under its bare field reads under the key the
+        # file wrote (TestFieldReader covers the per-panel and spelled keys)
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario(edited(mutate))
+        assert str(exc.value) == message

@@ -90,25 +90,6 @@ class TestAutoMode:
         assert res.mode_used == "far"
         assert any("boundary" in note for note in res.notes)
 
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            ({"mode": "Near"}, "scenario.mode: must be one of ('auto', 'near', 'far'), got 'Near'"),
-            (
-                {"kind": "bogus"},
-                "scenario.deployment.kind: must be 'centralized' or 'distributed', got 'bogus'",
-            ),
-            ({"panels": ()}, "scenario.deployment.panels: expected a non-empty list"),
-        ],
-        ids=["mode", "kind", "panels"],
-    )
-    def test_structure_of_a_python_scenario_is_checked(self, edit, message):
-        # a scenario built in Python gets the parser's checks and texts
-        scenario = dataclasses.replace(preset("fig2")[0], **edit)
-        with pytest.raises(ScenarioError) as exc:
-            run_scenario(scenario)
-        assert str(exc.value) == message
-
 
 class TestPipelineConsistency:
     def test_distributed_single_panel_equals_centralized(self):
@@ -348,7 +329,9 @@ class TestTiledNearField:
         assert f"at {counts[1]} element(s)" in str(whole.value)
         with pytest.raises(PatternUnderflow) as tiled:
             run_scenario(s)
-        expected = f"panel 0: scenario.budget.gt, scenario.budget.gr: {whole.value.message}"
+        grid = ", ".join(f"scenario.deployment.panel.{key}" for key in ("mx", "my", "dx", "dy"))
+        fields = f"scenario.budget.gt, scenario.budget.gr, {grid}, scenario.bs, scenario.user"
+        expected = f"panel 0: {fields}: {whole.value.message}"
         assert str(tiled.value) == expected
 
 
@@ -460,6 +443,12 @@ class TestApplySweepValue:
     def test_unknown_variable(self):
         with pytest.raises(ScenarioError):
             SweepSpec(variable="bananas", values=(1.0,))
+
+    @pytest.mark.parametrize("values", [("x",), 5, (1j,), (10**400,), (), None])
+    def test_values_that_are_not_numbers_name_the_field(self, values):
+        with pytest.raises(ScenarioError) as exc:
+            SweepSpec("P", values)
+        assert exc.value.fields == ("sweep.values",)
 
     @pytest.mark.parametrize(
         "name, variable, value, message",
@@ -748,6 +737,11 @@ MOMENT_OVERFLOW_FIELDS = (
     "scenario.budget.gt, scenario.budget.gr, scenario.deployment.panel.center, "
     "scenario.deployment.panel.mx, scenario.deployment.panel.my, "
     "scenario.deployment.panel.dx, scenario.deployment.panel.dy"
+)
+# the fields that set fig2's element cosines
+GRID_AND_ENDPOINTS = (
+    "scenario.deployment.panel.mx, scenario.deployment.panel.my, "
+    "scenario.deployment.panel.dx, scenario.deployment.panel.dy, scenario.bs, scenario.user"
 )
 
 
@@ -1102,17 +1096,16 @@ class TestCli:
                 for i in (0, 1)
                 for value in (1e300, 1e8)
             ),
-            # elements so large that an endpoint sees some from behind name
-            # the element grid and the endpoints
-            *(
-                (
-                    f"deployment.panel.{key}",
-                    1e8,
-                    "scenario.deployment.panel.mx, scenario.deployment.panel.my, "
-                    "scenario.deployment.panel.dx, scenario.deployment.panel.dy, "
-                    "scenario.bs, scenario.user",
-                )
-                for key in ("dx", "dy")
+            # elements so wide that an endpoint sees some from behind name
+            # the element grid and the endpoints; rows so far apart that
+            # every endpoint cosine is a tiny positive number underflow the
+            # pattern, which names the gains first
+            ("deployment.panel.dx", 1e8, GRID_AND_ENDPOINTS),
+            (
+                "deployment.panel.dy",
+                1e8,
+                f"scenario.budget.gt, scenario.budget.gr, {GRID_AND_ENDPOINTS}: "
+                "radiation pattern underflows to 0 at 576 element(s)",
             ),
         ],
     )
@@ -1189,14 +1182,15 @@ class TestCli:
                 2,
                 ["scenario.budget.eta_db", "direct link at eta_db=3200"],
             ),
-            # gain exponents that underflow the pattern name the gains; a
-            # pattern with a non-positive cosine names the panel
+            # gain exponents that underflow the pattern name the gains, then
+            # the element grid and endpoints that set the cosines; a pattern
+            # with a non-positive cosine names the panel
             (
                 "fig2",
                 {"budget.gt": 1e6},
                 ["analyze", "--no-mc"],
                 2,
-                ["panel 0: scenario.budget.gt, scenario.budget.gr: radiation pattern underflows"],
+                [f"panel 0: scenario.budget.gt, scenario.budget.gr, {GRID_AND_ENDPOINTS}: radiation pattern underflows"],
             ),
             (
                 "fig2",

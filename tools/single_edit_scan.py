@@ -11,7 +11,9 @@ process for each mode.  An integer leaf (mx, my, fixed_total_elements)
 takes a value as an int when the value is integral.  Each run writes one
 JSON line: preset, leaf, value, mode, exit code, stdout, stderr, the
 warnings raised, and a traceback when an exception escaped ``cli.main``
-(else null).  The scan exits 1 if any run has a traceback.
+(else null).  The scan exits 1 if any run has a traceback, or if a run
+that exits 2 names in its stderr neither the edited leaf nor a section
+that holds it (``scenario.budget`` holds ``scenario.budget.gt``).
 
 The riscap it runs is the one under ``src/`` next to this script, so a
 copy of the script in another checkout scans that checkout.  Warnings
@@ -28,6 +30,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import sys
 import tempfile
 import traceback
@@ -42,6 +45,7 @@ VALUES = (
     0.5, 2.0, 1e8, 1e20, 1e154, 1e300, 1.7976931348623157e308,
 )
 KEY = ("preset", "leaf", "value", "mode")
+FIELD = re.compile(r"scenario(?:\.\w+|\[\d+\])+")  # a field path below the file
 
 
 def numeric_leaves(node, path=""):
@@ -54,6 +58,12 @@ def numeric_leaves(node, path=""):
             yield from numeric_leaves(value, where)
         elif isinstance(value, (int, float)) and not isinstance(value, bool):
             yield where, node, key
+
+
+def names_leaf(leaf: str, text: str) -> bool:
+    """Whether text names the field scenario.<leaf> or a section holding it."""
+    path = f"scenario.{leaf}"
+    return any(path == f or path.startswith((f"{f}.", f"{f}[")) for f in FIELD.findall(text))
 
 
 def run_once(cli, argv) -> dict:
@@ -85,7 +95,7 @@ def scan(out) -> int:
 
     from riscap import cli, preset, scenario_to_dict
 
-    failures = 0
+    failures = unnamed = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "scenario.yaml")
         for name in PRESETS:
@@ -102,11 +112,14 @@ def scan(out) -> int:
                         record = dict(zip(KEY, (name, leaf, value, mode)))
                         record.update(run_once(cli, argv))
                         failures += record["traceback"] is not None
+                        unnamed += record["exit"] == 2 and not names_leaf(leaf, record["stderr"])
                         out.write(json.dumps(record) + "\n")
                 node[key] = original
     if failures:
         print(f"{failures} run(s) ended in a traceback", file=sys.stderr)
-    return 1 if failures else 0
+    if unnamed:
+        print(f"{unnamed} run(s) exited 2 without naming the edited leaf", file=sys.stderr)
+    return 1 if failures or unnamed else 0
 
 
 def compare(a: str, b: str) -> int:
