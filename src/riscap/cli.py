@@ -3,7 +3,8 @@
 Subcommands: analyze (one scenario, full report), sweep (one variable over
 a value list, CSV out), preset (figure-reproduction runs, CSV out), mc
 (Monte Carlo estimate only).  Exit codes: 0 success, 2 validation error,
-3 numerical failure.
+3 numerical failure.  The library checks the flags' values: a failure
+that names a run setting or the sweep names its flag (``--trials``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import sys
 import warnings
 
 from .errors import NumericalFailure, ValidationFailure
+from .montecarlo import check_run_settings
 from .presets import PRESET_NAMES, run_preset
 from .scenario import MODES, load_scenario
 from .workbench import (
@@ -31,29 +33,20 @@ from .workbench import (
 )
 
 
-def _at_least_one(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if not (0 <= value < 2**64):
-        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {value}")
-    return value
+# the fields of the library's failures that a flag sets, and that flag
+FLAGS = {
+    "trials": "--trials",
+    "seed": "--seed",
+    "workers": "--workers",
+    "sweep.variable": "--var",
+    "sweep.values": "--values",
+}
 
 
 def _add_common(parser: argparse.ArgumentParser, with_mode: bool = True) -> None:
-    # Bad values exit with code 2 through argparse, naming the flag.
-    parser.add_argument(
-        "--trials", type=_at_least_one, default=DEFAULT_TRIALS, help="Monte Carlo trials"
-    )
-    parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="Monte Carlo seed")
-    parser.add_argument(
-        "--workers", type=_at_least_one, default=1, help="Monte Carlo worker threads"
-    )
+    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="Monte Carlo trials")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="Monte Carlo seed")
+    parser.add_argument("--workers", type=int, default=1, help="Monte Carlo worker threads")
     if with_mode:
         parser.add_argument(
             "--mode",
@@ -164,16 +157,9 @@ def _cmd_analyze(args) -> None:
     print("\n".join(lines))
 
 
-def _parse_values(raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in raw.split(",") if v.strip() != "")
-    except ValueError as exc:
-        raise ValidationFailure(str(exc), ("--values",)) from exc
-
-
 def _cmd_sweep(args) -> None:
     scenario = _override_mode(load_scenario(args.scenario), args.mode)
-    sweep = SweepSpec(variable=args.var, values=_parse_values(args.values))
+    sweep = SweepSpec(args.var, [v for v in args.values.split(",") if v.strip()])
     with _output(args.out):
         rows = run_sweep(
             scenario, sweep, None if args.no_mc else args.trials, args.seed, args.workers
@@ -209,8 +195,10 @@ def main(argv=None) -> int:
     # a shown warning is one line; a caller that records warnings keeps its records
     shown, warnings.formatwarning = warnings.formatwarning, lambda msg, *_: f"warning: {msg}\n"
     try:
+        check_run_settings(args.trials, args.seed, args.workers)  # with --no-mc too
         handlers[args.command](args)
     except ValidationFailure as exc:
+        exc.fields = tuple(FLAGS.get(field, field) for field in exc.fields)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:

@@ -14,16 +14,15 @@ class RiscapError(Exception):
     ``trials`` or ``--out``; empty where none applies) and a label naming
     the item that failed (``panel 0``, ``sweep P=-10.0``) or None."""
 
-    def __init__(self, message, fields=(), label=None, *, set_by=False, detail=None, named=0):
+    def __init__(self, message, fields=(), label=None, *, set_by=False, detail=None):
         super().__init__(message)
         self.message, self.fields, self.label = message, tuple(fields), label
-        self.set_by, self.detail, self.named = set_by or detail is not None, detail, named
+        self.set_by, self.detail = set_by or detail is not None, detail
 
     def __str__(self) -> str:
         """The text: "F: message" with the fields F first, or with set_by
-        "message, set by F" then ": detail" if given; F leaves out the first
-        named fields, which the message names itself, and a label leads."""
-        listed = ", ".join(self.fields[self.named :])
+        "message, set by F" then ": detail" if given; a label leads."""
+        listed = ", ".join(self.fields)
         if self.set_by:
             text = f"{self.message}, set by {listed}" + (f": {self.detail}" if self.detail else "")
         else:
@@ -41,10 +40,6 @@ class ValidationFailure(RiscapError):
 
 class NumericalFailure(RiscapError):
     """A numerical procedure failed to produce a trustworthy result."""
-
-
-class GeometryError(ValidationFailure):
-    """Degenerate link geometry (endpoint in or below the panel plane)."""
 
 
 class SingularPattern(ValidationFailure):

@@ -29,9 +29,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import GeometryError, ScenarioError
+from .errors import ScenarioError
 
-ENDPOINTS = ("scenario.bs", "scenario.user")  # their sections in a scenario file
 # Surfaced in workbench run metadata (see module docstring).
 ELEVATION_CONVENTION_NOTE = (
     "element-to-user elevation cosine computed from the receiver height"
@@ -134,14 +133,8 @@ def panel_link(
     bs: Point3, user: Point3, panel: RisPanel, section: str = PanelLink.section, index: int = 0
 ) -> PanelLink:
     """Center-of-panel distances and elevation cosines of panel index at
-    section; an endpoint not above the panel plane raises GeometryError."""
+    section (a Scenario holds its endpoints above every panel plane)."""
     z0 = panel.center.z
-    for name, point in zip(ENDPOINTS, (bs, user)):
-        if point.z <= z0:
-            raise GeometryError(
-                f"{name}.z={point.z} must lie strictly above the panel plane z={z0}",
-                (f"{name}.z", f"{section}.center.z"), f"panel {index}", set_by=True, named=1,
-            )
     d1 = bs.distance_to(panel.center)
     d2 = user.distance_to(panel.center)
     return PanelLink(

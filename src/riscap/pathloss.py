@@ -22,9 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PatternUnderflow, ScenarioError, SingularPattern
-from .geometry import ENDPOINTS, PanelLink, Point3, RisPanel
+from .geometry import PanelLink, Point3, RisPanel
 
 GAINS = ("scenario.budget.gt", "scenario.budget.gr")  # their fields in a scenario file
+ENDPOINTS = ("scenario.bs", "scenario.user")  # their sections in a scenario file
+OUT_OF_RANGE = "loss factor or its inverse is out of float range"
+
+
+def loss_factor(pathloss, *args) -> float:
+    """pathloss(*args), or inf where that loss factor or its inverse is not
+    finite and positive."""
+    try:
+        loss = pathloss(*args)
+        return loss if 0.0 < 1.0 / loss < math.inf else math.inf
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def _pattern_fault(kind, link: PanelLink, message: str, keys=("mx", "my", "dx", "dy")):
@@ -82,7 +94,9 @@ class NearFieldTiles:
     cosines (an endpoint past an element's perpendicular, which the
     fractional gain exponents cannot take), then a pattern that underflows
     or is not positive, each with the panel's element count and worst
-    value."""
+    value.  A nan endpoint cosine (its squared distances overflowed) is
+    no pattern fault: its loss is out of float range, which the caller's
+    range check reports."""
 
     def __init__(
         self,
@@ -98,7 +112,7 @@ class NearFieldTiles:
         # per endpoint: its point, height over the plane, distance to the center
         self.ends = ((bs, bs.z - z0, link.d1), (user, user.z - z0, link.d2))
         self.panel, self.link, self.beta0_ref, self.gt, self.gr = panel, link, beta0_ref, gt, gr
-        self.endpoint_count, self.endpoint_worst = 0, math.inf
+        self.endpoint_count, self.endpoint_worst, self.nan_count = 0, math.inf, 0
         self.pattern_count, self.pattern_worst = 0, math.inf
         self.underflow = True  # every non-positive pattern has positive cos_t and cos_r
 
@@ -139,6 +153,7 @@ class NearFieldTiles:
                 np.copyto(cos, dot / d / r, where=cos <= 0)
             endpoint_cos = np.minimum(cos_tx, cos_rx)
             self.endpoint_count += int(np.count_nonzero(endpoint_cos <= 0))
+            self.nan_count += int(np.count_nonzero(np.isnan(endpoint_cos)))
             # a reduction from the worst so far: a nan propagates as in one call
             self.endpoint_worst = endpoint_cos.min(initial=self.endpoint_worst)
         # a non-positive endpoint cosine to a fractional power is nan, and
@@ -174,7 +189,7 @@ class NearFieldTiles:
                 SingularPattern, link, "endpoint-side pattern cosines must be positive; "
                 f"{self.endpoint_count} element(s) are not (worst {self.endpoint_worst:.4g})"
             )
-        if not self.pattern_count:
+        if not self.pattern_count or self.nan_count:
             return
         if self.underflow:
             raise PatternUnderflow(

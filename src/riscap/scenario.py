@@ -3,14 +3,16 @@
 ``Scenario``, ``PanelSetup``, ``pathloss.LinkBudget``, ``geometry.RisPanel``
 and ``geometry.Point3`` check their own fields in ``__post_init__``, however
 they are built, raising ``ScenarioError`` that names the attribute (``k0``,
-``rho``, ``gt``, ``dx``, ``x``): a ``Scenario`` that exists is valid.
+``rho``, ``gt``, ``dx``, ``x``), or its path across records (``user.z``,
+``panels[1].panel.center.z``): a ``Scenario`` that exists can run.
 
 The on-disk format is YAML with nested sections (see README).  The parser
 checks only what depends on the writing: YAML types and finiteness,
 unknown or missing keys, per-panel list lengths.  ``_field`` reads a field
 of several spellings in linear units (dB/dBm converted, a Doppler triple
 resolved to its correlation), and ``_build`` renames a record's failing
-fields to the keys as written (``scenario.channel.k1_db[1]``).  Serializing
+fields to the keys as written (``scenario.channel.k1_db[1]``,
+``scenario.deployment.panels[1].center.z``).  Serializing
 emits the linear spellings, so serialize -> parse round-trips exactly.
 """
 
@@ -26,7 +28,7 @@ import yaml
 from .channel import outdated_correlation
 from .errors import NegativeCorrelation, ScenarioError
 from .geometry import Point3, RisPanel
-from .pathloss import LinkBudget
+from .pathloss import OUT_OF_RANGE, LinkBudget, beta0_reference, direct_pathloss, loss_factor
 from .units import db_to_linear, dbm_to_watts
 
 MODES = ("auto", "near", "far")
@@ -66,7 +68,9 @@ class PanelSetup:
 class Scenario:
     """A fully described experiment: geometry, channels, link budget.  Its
     panels (one if centralized) share one element size, as the aperture
-    reference constant is defined once per scenario."""
+    reference constant is defined once per scenario; that constant and
+    the direct-link loss are in float range; both endpoints lie strictly
+    above every panel plane (else naming ``user.z`` and the panel centre)."""
 
     bs: Point3
     user: Point3
@@ -101,8 +105,30 @@ class Scenario:
         _correlation(self.rho0, "rho0")
         if not 0 < self.fc_hz < math.inf:
             raise ScenarioError("must be positive and finite", ("fc_hz",))
-        if self.bs.distance_to(self.user) == 0:
+        d0, budget = self.bs.distance_to(self.user), self.budget
+        if d0 == 0:
             raise ScenarioError("the endpoints coincide", ("bs", "user"))
+        if loss_factor(direct_pathloss, d0, budget.eta_db, budget.xi) == math.inf:
+            raise ScenarioError(
+                f"direct link at eta_db={budget.eta_db:g}, xi={budget.xi:g} "
+                f"over the {d0:g} m bs-user distance: {OUT_OF_RANGE}",
+                ("bs", "user", "budget.eta_db", "budget.xi"),
+            )
+        for i, setup in enumerate(self.panels):
+            z0 = setup.panel.center.z
+            for name, point in (("bs", self.bs), ("user", self.user)):
+                if point.z <= z0:
+                    raise ScenarioError(
+                        f"endpoint z={point.z} must lie strictly above the panel plane z={z0}",
+                        (f"{name}.z", f"panels[{i}].panel.center.z"),
+                    )
+        gt, gr, panel = budget.gt, budget.gr, self.panels[0].panel
+        if loss_factor(beta0_reference, gt, gr, panel.dx, panel.dy) == math.inf:
+            raise ScenarioError(
+                f"reference constant at gt={gt:g}, gr={gr:g}, {panel.dx:g} x {panel.dy:g} m: "
+                + OUT_OF_RANGE,
+                ("budget.gt", "budget.gr", "panels[0].panel.dx", "panels[0].panel.dy"),
+            )
 
 
 def _as_number(value, path: str) -> float:
@@ -173,14 +199,24 @@ class _Section:
 
 
 def _build(record, fields: dict):
-    """record built from fields, which map each argument name to its
-    (value, path of the key as written): a ScenarioError it raises names
-    those paths in place of the bare argument names."""
+    """record built from fields, which map record paths to (value, path of
+    the key as written): its arguments are the fields named by a bare name,
+    and the others are paths below them (``budget.gt``, ``panels[1].panel``).
+    A ScenarioError it raises names, in place of each record path it gives
+    (``user.z``), the written path of that path's longest prefix in fields
+    and the rest of the path (``scenario.user.z``)."""
     try:
-        return record(**{name: value for name, (value, _) in fields.items()})
+        return record(**{k: v for k, (v, _) in fields.items() if k.isidentifier()})
     except ScenarioError as exc:
-        exc.fields = tuple(fields[f][1] if f in fields else f for f in exc.fields)
+        exc.fields = tuple(_written(field, fields) for field in exc.fields)
         raise
+
+
+def _written(field: str, fields: dict) -> str:
+    for key in sorted(fields, key=len, reverse=True):  # the longest prefix first
+        if field == key or field.startswith((f"{key}.", f"{key}[")):
+            return fields[key][1] + field[len(key) :]
+    return field
 
 
 def _point(section: _Section) -> Point3:
@@ -188,12 +224,13 @@ def _point(section: _Section) -> Point3:
     return Point3(section.number("x"), section.number("y"), section.number("z"))
 
 
-def _panel(section: _Section) -> RisPanel:
+def _panel(section: _Section) -> tuple[RisPanel, str]:
+    """The panel the section describes, and the section's path."""
     section.reject_unknown({"center", "mx", "my", "dx", "dy"})
     center = _point(section.child("center"))
     mx, my = section.require("mx"), section.require("my")  # RisPanel checks them
     dx, dy = section.number("dx"), section.number("dy")
-    return _build(RisPanel, section.fields(center=center, mx=mx, my=my, dx=dx, dy=dy))
+    return _build(RisPanel, section.fields(center=center, mx=mx, my=my, dx=dx, dy=dy)), section.path
 
 
 def _doppler(section: _Section, default_fc: float) -> float:
@@ -277,8 +314,8 @@ def parse_scenario(data: dict) -> Scenario:
     rho0 = _field(channel, ("rho0", "doppler0"), fc_hz=fc_hz)
     rhos = _field(channel, ("rho", "doppler"), n, fc_hz)
     setups = tuple(
-        _build(PanelSetup, {"panel": (p, None), "k1": k1, "k2": k2, "rho": rho})
-        for p, k1, k2, rho in zip(panels, k1s, k2s, rhos)
+        _build(PanelSetup, {"panel": panel, "k1": k1, "k2": k2, "rho": rho})
+        for panel, k1, k2, rho in zip(panels, k1s, k2s, rhos)
     )
 
     budget = root.child("budget")
@@ -298,9 +335,11 @@ def parse_scenario(data: dict) -> Scenario:
         {
             **root.fields(bs=bs, user=user, fc_hz=fc_hz, mode=root.optional("mode", "auto")),
             **deployment.fields(kind=kind, panels=setups, fixed_total_elements=total),
+            **{f"panels[{i}].panel": panel for i, panel in enumerate(panels)},
             "k0": k0,
             "rho0": rho0,
-            "budget": (_build(LinkBudget, link_budget), None),
+            "budget": (_build(LinkBudget, link_budget), budget.path),
+            **{f"budget.{name}": pair for name, pair in link_budget.items()},
         },
     )
 
@@ -310,23 +349,19 @@ def parse_scenario(data: dict) -> Scenario:
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-def _unreadable(message: str) -> ScenarioError:
-    """A scenario file that cannot be read or parsed: field "scenario", not in the text."""
-    return ScenarioError(message, ("scenario",), named=1)
-
-
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.load(fh, Loader=_YAML_LOADER)
     except FileNotFoundError as exc:
-        raise _unreadable(f"scenario file not found: {path}") from exc
+        raise ScenarioError(f"file not found: {path}", ("scenario",)) from exc
     except OSError as exc:
-        raise _unreadable(f"scenario file cannot be read: {path}: {exc.strerror or exc}") from exc
+        reason = exc.strerror or exc
+        raise ScenarioError(f"file cannot be read: {path}: {reason}", ("scenario",)) from exc
     except UnicodeDecodeError as exc:
-        raise _unreadable(f"scenario file is not UTF-8 text: {path}: {exc}") from exc
+        raise ScenarioError(f"file is not UTF-8 text: {path}: {exc}", ("scenario",)) from exc
     except yaml.YAMLError as exc:
-        raise _unreadable(f"scenario file is not valid YAML: {exc}") from exc
+        raise ScenarioError(f"file is not valid YAML: {exc}", ("scenario",)) from exc
     return parse_scenario(data)
 
 

@@ -2,24 +2,24 @@
 Carlo runs, parameter sweeps, and CSV emission.
 
 ``RunResult`` is the one record of an evaluated scenario.  ``_evaluate``
-is the one evaluation route: ``_statistics`` takes each scenario through
-geometry, path loss and envelope statistics in turn.  Every panel, near
-or far field, is reduced in one ``panel_tiles`` loop to its element
-count, root sum sum(sqrt(beta^-1)) and power sum sum(beta^-1), the
-``channel.PanelChannel`` the moments read; the panel's read-only
-amplitudes sqrt(beta^-1) are one vector, filled tile by tile, kept only
-for a run with trials (Monte Carlo samples them) or when the panel is one
-tile, so an analytic-only run holds one tile whatever the panel size.  A
-panel whose endpoints, geometry, gains and resolved mode an earlier
-scenario of the run already had reuses that panel's record, so a sweep
-over P, rho, rho0 or K0 reduces its panels once.  Then one
-``capacity.capacity_reports`` call runs the capacity integrals of the
-whole run in lockstep, and unless trials is None one ``simulate_ec_sweep``
-call, which groups the scenarios that can share draws, fills in ``mc``.
-``run_scenario`` is its one-scenario case, and ``run_scenario(scenario)``
-(trials None) the analytic-only call; ``run_sweep`` and
-``presets.run_preset`` return (sweep_value, RunResult) pairs, the rows
-``rows_to_csv`` reads.
+is the one evaluation route: ``_statistics`` takes each scenario, whose
+invariants its records hold, through geometry, path loss and envelope
+statistics in turn.  Every panel, near or far field, is reduced in one
+``panel_tiles`` loop to its element count, root sum sum(sqrt(beta^-1))
+and power sum sum(beta^-1), the ``channel.PanelChannel`` the moments
+read; the panel's read-only amplitudes sqrt(beta^-1) are one vector,
+filled tile by tile, kept only for a run with trials (Monte Carlo
+samples them) or when the panel is one tile, so an analytic-only run
+holds one tile whatever the panel size.  A panel whose endpoints,
+geometry, gains and resolved mode an earlier scenario of the run already
+had reuses that panel's record, so a sweep over P, rho, rho0 or K0
+reduces its panels once.  Then one ``capacity.capacity_reports`` call
+runs the capacity integrals of the whole run in lockstep, and unless
+trials is None one ``simulate_ec_sweep`` call, which groups the
+scenarios that can share draws, fills in ``mc``.  ``run_scenario`` is its
+one-scenario case, and ``run_scenario(scenario)`` (trials None) the
+analytic-only call; ``run_sweep`` and ``presets.run_preset`` return
+(sweep_value, RunResult) pairs, the rows ``rows_to_csv`` reads.
 
 Near/far decision in "auto" mode: the far-field constant-loss model is
 used only when, for every panel, both endpoint distances (BS-to-center
@@ -43,7 +43,6 @@ from .channel import PanelChannel, RicianParams, rician_mean_envelope
 from .errors import ScenarioError, ValidationFailure, until_failure
 from .geometry import (
     ELEVATION_CONVENTION_NOTE,
-    ENDPOINTS,
     TILE_ELEMENTS,
     PanelLink,
     Point3,
@@ -61,11 +60,14 @@ from .montecarlo import (
     simulate_ec_sweep,
 )
 from .pathloss import (
+    ENDPOINTS,
     GAINS,
+    OUT_OF_RANGE,
     NearFieldTiles,
     beta0_reference,
     direct_pathloss,
     farfield_pathloss,
+    loss_factor,
 )
 from .scenario import Scenario
 from .units import dbm_to_watts, db_to_linear, wavelength
@@ -97,6 +99,8 @@ class SweepSpec:
                 f"{self.variable!r} is not one of {SWEEP_VARIABLES}", ("sweep.variable",)
             )
         try:
+            if isinstance(self.values, (str, bytes)):  # one value, not a sequence of them
+                raise TypeError
             values = tuple(map(float, self.values))
         except (TypeError, ValueError, OverflowError):
             raise ScenarioError(f"expected numbers, got {self.values!r}", ("sweep.values",)) from None
@@ -127,22 +131,6 @@ class RunResult:
         return self.ensemble.gamma_teff
 
 
-_OUT_OF_RANGE = "loss factor or its inverse is out of float range"
-
-
-def _loss(failure, pathloss, *args):
-    """pathloss(*args), a loss factor that must be finite and positive and
-    have a finite inverse: out of float range it raises failure()."""
-    try:
-        loss = pathloss(*args)
-        in_range = 0.0 < 1.0 / loss < math.inf
-    except (OverflowError, ZeroDivisionError):
-        in_range = False
-    if not in_range:
-        raise failure()
-    return loss
-
-
 def _fsum(values) -> float:
     """math.fsum of non-negative values; +inf where their sum overflows,
     which fsum raises as OverflowError."""
@@ -158,22 +146,15 @@ def _panel_sums(
     """The panel's (amplitude, root_sum, power_sum) under the resolved mode,
     reduced one panel_tiles tile at a time: a near-field tile is
     NearFieldTiles.inverse_losses of its rows and columns, a far-field
-    tile the constant 1/farfield_pathloss.  The tiles' sums of beta^-1 and
-    of sqrt(beta^-1) are added with math.fsum in tile order.  The
-    amplitudes sqrt(beta^-1), row-major and read-only, are filled tile by
-    tile when keep is set or the panel is one tile, else they are None
-    and only one tile is held.  After the last tile it raises the panel's
-    first pattern fault, then an inverse loss out of range, each naming
-    the fields that set it, under the link's section."""
+    tile the constant 1/farfield_pathloss (0 if out of float range).  The
+    tiles' sums of beta^-1 and of sqrt(beta^-1) are added with math.fsum
+    in tile order.  The amplitudes sqrt(beta^-1), row-major and read-only,
+    are filled tile by tile when keep is set or the panel is one tile,
+    else they are None and only one tile is held.  After the last tile it
+    raises the panel's first pattern fault, then an inverse loss out of
+    range, each naming the fields that set it, under the link's section."""
     gt, gr = scenario.budget.gt, scenario.budget.gr
-    b0_ref = _loss(
-        lambda: ScenarioError(
-            f"reference constant at gt={gt:g}, gr={gr:g}, {panel.dx:g} x {panel.dy:g} m: "
-            + _OUT_OF_RANGE,
-            (*GAINS, f"{link.section}.dx", f"{link.section}.dy"),
-        ),
-        beta0_reference, gt, gr, panel.dx, panel.dy,
-    )
+    b0_ref = beta0_reference(gt, gr, panel.dx, panel.dy)  # Scenario checks its range
 
     def out_of_range():
         # d1 and d2 depend on the panel centre and both endpoints
@@ -181,7 +162,7 @@ def _panel_sums(
             f"{mode}-field loss at d1={link.d1:g} m, d2={link.d2:g} m",
             (*(f"{link.section}.{key}" for key in ("center", "dx", "dy")), *GAINS, *ENDPOINTS),
             f"panel {link.index}",
-            detail=_OUT_OF_RANGE,
+            detail=OUT_OF_RANGE,
         )
 
     amplitude = grid = None
@@ -195,7 +176,7 @@ def _panel_sums(
     if mode == "near":
         near = NearFieldTiles(scenario.bs, scenario.user, panel, link, b0_ref, gt, gr)
     else:
-        far_inv = 1.0 / _loss(out_of_range, farfield_pathloss, link, b0_ref)
+        far_inv = 1.0 / loss_factor(farfield_pathloss, link, b0_ref)
     for k, (rows, cols) in enumerate(panel_tiles(panel)):
         if mode == "near":
             tile = near.inverse_losses(rows, cols)
@@ -228,16 +209,9 @@ def _statistics(scenario: Scenario, shared: dict, keep: bool) -> dict:
     once.  keep asks for every panel's amplitudes (Monte Carlo reads
     them); without it only one-tile panels carry them."""
     lam = wavelength(scenario.fc_hz)
-    d0 = scenario.bs.distance_to(scenario.user)
     budget = scenario.budget
-    beta0_inv = 1.0 / _loss(
-        lambda: ScenarioError(
-            f"direct link at eta_db={budget.eta_db:g}, xi={budget.xi:g} "
-            f"over the {d0:g} m bs-user distance: {_OUT_OF_RANGE}",
-            (*ENDPOINTS, "scenario.budget.eta_db", "scenario.budget.xi"),
-        ),
-        direct_pathloss, d0, budget.eta_db, budget.xi,
-    )
+    d0 = scenario.bs.distance_to(scenario.user)
+    beta0_inv = 1.0 / direct_pathloss(d0, budget.eta_db, budget.xi)  # Scenario checks its range
 
     boundaries = []
     links = []

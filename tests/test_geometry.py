@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_beta_inv, brute_force_element_links
 from panels import near_field, whole_panel
-from riscap.errors import GeometryError, ScenarioError
+from riscap.errors import ScenarioError, SingularPattern
 from riscap.geometry import (
     MAX_PANEL_ELEMENTS,
     TILE_ELEMENTS,
@@ -227,13 +227,14 @@ class TestElementLinks:
         assert beta_inv[4] == pytest.approx(5.0 / r_r / (7.0 * r_r) ** 2, rel=1e-12)
 
     def test_rejects_endpoint_in_panel_plane(self):
-        # the kernel takes the panel link, which rejects the endpoint
+        # a Scenario holds its endpoints above the plane; the kernel given
+        # one in or below it finds the pattern it sets not positive
         p = panel(2, 2)
         for bs, user in (
             (Point3(-5.0, 0.0, 0.0), Point3(5.0, 0.0, 1.0)),
             (Point3(-5.0, 0.0, 1.0), Point3(5.0, 0.0, -0.2)),
         ):
-            with pytest.raises(GeometryError):
+            with pytest.raises(SingularPattern):
                 whole_panel(near_field(bs, user, p))
 
     def test_triangle_inequality_against_panel_center(self):

@@ -9,6 +9,7 @@ import yaml
 from riscap.channel import outdated_correlation
 from riscap import presets
 from riscap.errors import ScenarioError
+from riscap.geometry import Point3
 from riscap.presets import PRESET_NAMES, fig8_distributed_cases, preset, run_preset
 from riscap.scenario import dump_scenario, load_scenario, parse_scenario
 
@@ -197,26 +198,26 @@ class TestValidationErrors:
     def test_directory_path(self, tmp_path):
         with pytest.raises(ScenarioError) as exc:
             load_scenario(str(tmp_path))
-        assert str(exc.value).startswith(f"scenario file cannot be read: {tmp_path}: ")
+        assert str(exc.value).startswith(f"scenario: file cannot be read: {tmp_path}: ")
 
     def test_file_not_utf8(self, tmp_path):
         path = tmp_path / "s.yaml"
         path.write_bytes(b"\xff\xfe" + MINIMAL.encode())
-        with pytest.raises(ScenarioError, match=re.escape(f"scenario file is not UTF-8 text: {path}: ")):
+        with pytest.raises(ScenarioError, match=re.escape(f"scenario: file is not UTF-8 text: {path}: ")):
             load_scenario(str(path))
 
     @pytest.mark.parametrize(
         "name, content, start",
         [
-            ("nope.yaml", None, "scenario file not found: "),
-            (".", None, "scenario file cannot be read: "),
-            ("s.yaml", b"\xff\xfe" + MINIMAL.encode(), "scenario file is not UTF-8 text: "),
-            ("s.yaml", b"bs: [1, 2\n", "scenario file is not valid YAML: "),
+            ("nope.yaml", None, "scenario: file not found: "),
+            (".", None, "scenario: file cannot be read: "),
+            ("s.yaml", b"\xff\xfe" + MINIMAL.encode(), "scenario: file is not UTF-8 text: "),
+            ("s.yaml", b"bs: [1, 2\n", "scenario: file is not valid YAML: "),
         ],
         ids=["not-found", "directory", "not-utf8", "not-yaml"],
     )
     def test_unreadable_file_names_the_scenario(self, tmp_path, name, content, start):
-        # the field is "scenario", which the text does not repeat
+        # the field is "scenario", which leads the text as any field does
         path = tmp_path / name
         if content is not None:
             path.write_bytes(content)
@@ -411,7 +412,7 @@ class TestRoundTrip:
         assert load_scenario(str(path)) == scenario
 
 
-FIG3 = preset("fig3")[0]
+FIG2, FIG3 = preset("fig2")[0], preset("fig3")[0]
 NAN, INF = math.nan, math.inf
 
 
@@ -454,6 +455,23 @@ def _leaf_cases():
     yield "no-panels", _replaced(FIG3, panels=()), ("panels",)
     yield "mixed-element-sizes", _replaced(FIG3, panels=(FIG3.panels[0], wider)), ("panels",)
     yield "endpoints-coincide", _replaced(FIG3, user=FIG3.bs), ("bs", "user")
+    # an endpoint in a panel plane names its height and that panel's centre
+    for name, record in (("fig2", FIG2), ("fig3", FIG3)):
+        for end in ("bs", "user"):
+            low = dataclasses.replace(getattr(record, end), z=9.5)
+            fields = (f"{end}.z", "panels[0].panel.center.z")
+            yield f"{name}-{end}-in-a-panel-plane", _replaced(record, **{end: low}), fields
+    raised = dataclasses.replace(setup.panel, center=Point3(49.0, 0.0, 10.5))
+    panels = (FIG3.panels[0], dataclasses.replace(setup, panel=raised))
+    fields = ("bs.z", "panels[1].panel.center.z")
+    yield "fig3-second-panel-above-the-bs", _replaced(FIG3, panels=panels), fields
+    # a loss factor out of float range: the direct link, the reference constant
+    budget = dataclasses.replace(FIG3.budget, eta_db=1e300)
+    fields = ("bs", "user", "budget.eta_db", "budget.xi")
+    yield "direct-link-out-of-range", _replaced(FIG3, budget=budget), fields
+    budget = dataclasses.replace(FIG3.budget, gt=1e-300)
+    fields = ("budget.gt", "budget.gr", "panels[0].panel.dx", "panels[0].panel.dy")
+    yield "reference-constant-out-of-range", _replaced(FIG3, budget=budget), fields
 
 
 LEAF_CASES = list(_leaf_cases())
@@ -485,8 +503,19 @@ class TestRecordsValidateThemselves:
                 lambda d: d["user"].update(x=-50.0),
                 "scenario.bs, scenario.user: the endpoints coincide",
             ),
+            (
+                lambda d: d["user"].update(z=9.0),
+                "scenario.user.z, scenario.deployment.panel.center.z: "
+                "endpoint z=9.0 must lie strictly above the panel plane z=9.5",
+            ),
+            (
+                lambda d: d["budget"].update(gt_db=-3000),
+                "scenario.budget.gt_db, scenario.budget.gr_db, scenario.deployment.panel.dx, "
+                "scenario.deployment.panel.dy: reference constant at gt=1e-300, gr=1, "
+                "0.0075 x 0.0075 m: loss factor or its inverse is out of float range",
+            ),
         ],
-        ids=["fc_hz", "mx", "p_dbm", "endpoints"],
+        ids=["fc_hz", "mx", "p_dbm", "endpoints", "endpoint-plane", "gt_db"],
     )
     def test_parser_names_the_key_as_written(self, mutate, message):
         # a record's failure under its bare field reads under the key the

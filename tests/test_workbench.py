@@ -444,7 +444,7 @@ class TestApplySweepValue:
         with pytest.raises(ScenarioError):
             SweepSpec(variable="bananas", values=(1.0,))
 
-    @pytest.mark.parametrize("values", [("x",), 5, (1j,), (10**400,), (), None])
+    @pytest.mark.parametrize("values", [("x",), 5, (1j,), (10**400,), (), None, "12", b"12"])
     def test_values_that_are_not_numbers_name_the_field(self, values):
         with pytest.raises(ScenarioError) as exc:
             SweepSpec("P", values)
@@ -938,13 +938,24 @@ class TestCli:
             (["sweep", "{s}", "--var", "P", "--values", "0", "--trials", "-5"], "--trials"),
             (["sweep", "{s}", "--var", "P", "--values", "0", "--trials", "0"], "--trials"),
             (["preset", "fig2", "--workers", "0"], "--workers"),
+            (["analyze", "{s}", "--no-mc", "--trials", "0"], "--trials"),
+            (["sweep", "{s}", "--var", "Q", "--values", "0", "--no-mc"], "--var"),
+            (["sweep", "{s}", "--var", "P", "--values=abc", "--no-mc"], "--values"),
+            (["sweep", "{s}", "--var", "P", "--values=nan", "--no-mc"], "--values"),
         ],
     )
     def test_bad_mc_flag_exit_code(self, tmp_path, argv, flag):
+        # the library checks the value, and its failure names the flag in
+        # one line, as any failure does, and without argparse's usage block
         path = self.scenario_file(tmp_path)
-        code, _, err = run_cli(*(arg.replace("{s}", path) for arg in argv))
+        code, out, err = run_cli(*(arg.replace("{s}", path) for arg in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1, err
+
+    def test_non_integer_flag_exit_code(self, tmp_path):
+        code, _, err = run_cli("analyze", self.scenario_file(tmp_path), "--trials", "abc")
         assert code == 2
-        assert f"argument {flag}:" in err
+        assert "argument --trials: invalid int value: 'abc'" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("variable", ["P", "K0", "d1", "cell_size", "My"])
@@ -952,7 +963,7 @@ class TestCli:
         path = self.scenario_file(tmp_path)
         code, _, err = run_cli("sweep", path, "--var", variable, f"--values={value}", "--no-mc")
         assert code == 2
-        assert "sweep.values" in err
+        assert "error: --values: " in err
 
     @pytest.mark.parametrize(
         "argv, edits, field",
@@ -1217,20 +1228,52 @@ class TestCli:
                     "scenario.deployment.panel.center, scenario.bs, scenario.user\n"
                 ],
             ),
-            # an endpoint at or below a panel's plane names its field and the panel
+            # an endpoint at or below a panel's plane names its height and
+            # the panel's centre
             (
                 "fig3",
                 {"deployment.panels.1.center.z": 10.5},
                 ["analyze", "--no-mc"],
                 2,
-                ["panel 1: scenario.bs.z=10.0 must lie strictly above the panel plane z=10.5"],
+                [
+                    "error: scenario.bs.z, scenario.deployment.panels[1].center.z: "
+                    "endpoint z=10.0 must lie strictly above the panel plane z=10.5\n"
+                ],
+            ),
+            (
+                "fig3",
+                {"user.z": 9.0},
+                ["analyze", "--no-mc"],
+                2,
+                [
+                    "error: scenario.user.z, scenario.deployment.panels[0].center.z: "
+                    "endpoint z=9.0 must lie strictly above the panel plane z=9.5\n"
+                ],
             ),
             (
                 "fig2",
                 {"user.z": 9.0},
                 ["analyze", "--no-mc"],
                 2,
-                ["panel 0: scenario.user.z=9.0 must lie strictly above the panel plane z=9.5"],
+                [
+                    "error: scenario.user.z, scenario.deployment.panel.center.z: "
+                    "endpoint z=9.0 must lie strictly above the panel plane z=9.5\n"
+                ],
+            ),
+            # rows so far apart that most elements' squared distances
+            # overflow: their cosines are nan, which is no pattern fault,
+            # and their losses leave float range
+            (
+                "fig2",
+                {"deployment.panel.dy": 1e154},
+                ["analyze", "--no-mc"],
+                2,
+                [
+                    "error: panel 0: near-field loss at d1=0.707107 m, d2=99.5013 m, set by "
+                    "scenario.deployment.panel.center, scenario.deployment.panel.dx, "
+                    "scenario.deployment.panel.dy, scenario.budget.gt, scenario.budget.gr, "
+                    "scenario.bs, scenario.user: loss factor or its inverse is out of float range\n"
+                ],
             ),
             # the SNR -> 0 limit of the lower bound; a variance whose
             # gamma_teff^2 and b^4 both underflow, yet which is finite
@@ -1444,7 +1487,7 @@ class TestCli:
         monkeypatch.setattr(montecarlo, "sample_rician_envelope", None)
         code, out, err = run_cli("analyze", self.scenario_file(tmp_path), "--trials", "4096")
         assert (code, out) == (2, "")
-        assert f"trials: a Monte Carlo block of 2048 trials needs two 2048 x {m} float64" in err
+        assert f"error: --trials: a Monte Carlo block of 2048 trials needs two 2048 x {m} float64" in err
         assert f"for a panel of {m} elements" in err
 
     def test_monte_carlo_blocks_run_at_once_beyond_memory_exit_code(self, tmp_path, monkeypatch):
@@ -1459,7 +1502,7 @@ class TestCli:
             code, out, err = run_cli("analyze", path, "--trials", "4096", "--workers", "2")
         assert (code, out) == (2, "")
         assert (
-            f"trials: 2 Monte Carlo blocks of 2048 trials, run at once on 2 workers, need two "
+            f"error: --trials: 2 Monte Carlo blocks of 2048 trials, run at once on 2 workers, need two "
             f"2048 x {m} float64 arrays each"
         ) in err
         code, out, err = run_cli("analyze", path, "--trials", "4096", "--workers", "1")
@@ -1477,7 +1520,7 @@ class TestCli:
         code, out, err = run_cli(*argv)
         assert (code, out) == (2, "")
         assert (
-            f"trials: allocating a Monte Carlo block of 2048 trials for a panel of {m} elements "
+            f"error: --trials: allocating a Monte Carlo block of 2048 trials for a panel of {m} elements "
             f"with {workers} worker(s) failed; use fewer trials per block or fewer workers"
         ) in err
 

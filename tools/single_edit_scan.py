@@ -1,5 +1,6 @@
 """Single-edit scan: every numeric leaf of four presets at fixed extreme
-values, run through ``riscap analyze --no-mc`` under each ``--mode``.
+values, run through ``riscap analyze --no-mc`` under each ``--mode``, and
+each run-setting flag at the same values.
 
     python tools/single_edit_scan.py --out scan.jsonl
     python tools/single_edit_scan.py --compare parent.jsonl change.jsonl
@@ -8,12 +9,18 @@ The scan saves each preset's scenario (fig2, fig3, fig5 and fig7) with
 one numeric leaf set to one of ``VALUES``, and runs
 ``cli.main(["analyze", path, "--no-mc", "--mode", mode])`` in this
 process for each mode.  An integer leaf (mx, my, fixed_total_elements)
-takes a value as an int when the value is integral.  Each run writes one
-JSON line: preset, leaf, value, mode, exit code, stdout, stderr, the
-warnings raised, and a traceback when an exception escaped ``cli.main``
-(else null).  The scan exits 1 if any run has a traceback, or if a run
-that exits 2 names in its stderr neither the edited leaf nor a section
-that holds it (``scenario.budget`` holds ``scenario.budget.gt``).
+takes a value as an int when the value is integral.  Then it runs
+``cli.main(["analyze", path, "--no-mc", flag, value])`` on fig2's
+scenario for each of ``FLAGS`` at each value, passed as an int when
+integral; ``--no-mc`` keeps every value from starting a Monte Carlo draw
+or a worker thread, so a value is only ever checked.  Each run writes
+one JSON line: preset, leaf (the flag, for a flag run), value, mode (null
+for a flag run), exit code, stdout, stderr, the warnings raised, and a
+traceback when an exception escaped ``cli.main`` (else null).  The scan
+exits 1 if any run has a traceback, if a file run that exits 2 names in
+its stderr neither the edited leaf nor a section that holds it
+(``scenario.budget`` holds ``scenario.budget.gt``), or if a flag run
+that exits 2 does not name its flag.
 
 The riscap it runs is the one under ``src/`` next to this script, so a
 copy of the script in another checkout scans that checkout.  Warnings
@@ -40,6 +47,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 PRESETS = ("fig2", "fig3", "fig5", "fig7")
 MODES = ("auto", "near", "far")
+FLAGS = ("--trials", "--seed", "--workers")
 VALUES = (
     -1e300, -1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-154, 1e-8,
     0.5, 2.0, 1e8, 1e20, 1e154, 1e300, 1.7976931348623157e308,
@@ -95,7 +103,7 @@ def scan(out) -> int:
 
     from riscap import cli, preset, scenario_to_dict
 
-    failures = unnamed = 0
+    failures = unnamed = flagless = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "scenario.yaml")
         for name in PRESETS:
@@ -115,11 +123,24 @@ def scan(out) -> int:
                         unnamed += record["exit"] == 2 and not names_leaf(leaf, record["stderr"])
                         out.write(json.dumps(record) + "\n")
                 node[key] = original
+        with open(path, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(scenario_to_dict(preset("fig2")[0]), fh, sort_keys=False)
+        for flag in FLAGS:
+            for value in VALUES:
+                text = str(int(value) if value.is_integer() else value)
+                argv = ["analyze", path, "--no-mc", flag, text]
+                record = dict(zip(KEY, ("fig2", flag, value, None)))
+                record.update(run_once(cli, argv))
+                failures += record["traceback"] is not None
+                flagless += record["exit"] == 2 and flag not in record["stderr"]
+                out.write(json.dumps(record) + "\n")
     if failures:
         print(f"{failures} run(s) ended in a traceback", file=sys.stderr)
     if unnamed:
         print(f"{unnamed} run(s) exited 2 without naming the edited leaf", file=sys.stderr)
-    return 1 if failures or unnamed else 0
+    if flagless:
+        print(f"{flagless} flag run(s) exited 2 without naming the flag", file=sys.stderr)
+    return 1 if failures or unnamed or flagless else 0
 
 
 def compare(a: str, b: str) -> int:
