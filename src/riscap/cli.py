@@ -4,7 +4,7 @@ Subcommands: analyze (one scenario, full report), sweep (one variable over
 a value list, CSV out), preset (figure-reproduction runs, CSV out), mc
 (Monte Carlo estimate only).  Exit codes: 0 success, 2 validation error,
 3 numerical failure.  The library checks the flags' values: a failure
-that names a run setting or the sweep names its flag (``--trials``).
+names a flag (``--trials``) or a key the scenario file wrote.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import os
 import sys
 import warnings
 
-from .errors import NumericalFailure, ValidationFailure
+from .errors import NumericalFailure, ValidationFailure, renamed
 from .montecarlo import check_run_settings
 from .presets import PRESET_NAMES, run_preset
-from .scenario import MODES, load_scenario
+from .scenario import MODES, load_scenario, written_keys
 from .workbench import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -89,10 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _override_mode(scenario, mode):
-    if mode is None:
-        return scenario
-    return dataclasses.replace(scenario, mode=mode)
+@contextlib.contextmanager
+def _scenario(args):
+    """args.scenario's Scenario under --mode, in written_keys' block."""
+    scenario = load_scenario(args.scenario)
+    with written_keys(args.scenario):
+        yield scenario if args.mode is None else dataclasses.replace(scenario, mode=args.mode)
 
 
 def _cannot_write(out: str, exc: OSError) -> ValidationFailure:
@@ -134,9 +136,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_analyze(args) -> None:
-    scenario = _override_mode(load_scenario(args.scenario), args.mode)
     trials = None if args.no_mc else args.trials
-    result = run_scenario(scenario, trials=trials, seed=args.seed, workers=args.workers)
+    with _scenario(args) as scenario:
+        result = run_scenario(scenario, trials=trials, seed=args.seed, workers=args.workers)
     lines = [
         f"ec_approx_bit_s_hz: {result.report.ec_approx:.10g}",
         f"ec_upper_bit_s_hz: {result.report.ec_upper:.10g}",
@@ -158,13 +160,13 @@ def _cmd_analyze(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
-    scenario = _override_mode(load_scenario(args.scenario), args.mode)
-    sweep = SweepSpec(args.var, [v for v in args.values.split(",") if v.strip()])
-    with _output(args.out):
-        rows = run_sweep(
-            scenario, sweep, None if args.no_mc else args.trials, args.seed, args.workers
-        )
-        _emit(rows_to_csv(rows, sweep.variable), args.out)
+    with _scenario(args) as scenario:
+        sweep = SweepSpec(args.var, [v for v in args.values.split(",") if v.strip()])
+        with _output(args.out):
+            rows = run_sweep(
+                scenario, sweep, None if args.no_mc else args.trials, args.seed, args.workers
+            )
+            _emit(rows_to_csv(rows, sweep.variable), args.out)
 
 
 def _cmd_preset(args) -> None:
@@ -176,8 +178,8 @@ def _cmd_preset(args) -> None:
 
 
 def _cmd_mc(args) -> None:
-    scenario = _override_mode(load_scenario(args.scenario), args.mode)
-    result = run_scenario(scenario, trials=args.trials, seed=args.seed, workers=args.workers)
+    with _scenario(args) as scenario:
+        result = run_scenario(scenario, trials=args.trials, seed=args.seed, workers=args.workers)
     print(f"ec_mc_bit_s_hz: {result.mc.mean_ec:.10g}")
     print(f"mc_stderr_bit_s_hz: {result.mc.std_error:.10g}")
     print(f"trials: {args.trials}")
@@ -195,10 +197,10 @@ def main(argv=None) -> int:
     # a shown warning is one line; a caller that records warnings keeps its records
     shown, warnings.formatwarning = warnings.formatwarning, lambda msg, *_: f"warning: {msg}\n"
     try:
-        check_run_settings(args.trials, args.seed, args.workers)  # with --no-mc too
-        handlers[args.command](args)
+        with renamed(lambda field: FLAGS.get(field, field)):
+            check_run_settings(args.trials, args.seed, args.workers)  # with --no-mc too
+            handlers[args.command](args)
     except ValidationFailure as exc:
-        exc.fields = tuple(FLAGS.get(field, field) for field in exc.fields)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:

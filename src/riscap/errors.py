@@ -2,17 +2,21 @@
 
 Two branches matter to callers: ``ValidationFailure`` (bad inputs, exit
 code 2 in the CLI) and ``NumericalFailure`` (a computation that could not
-be completed, exit code 3); ``RiscapError.__str__`` writes every text.
-``until_failure`` lets a stage that batches work across items raise what
-item-by-item evaluation would raise first.
+be completed, exit code 3); ``RiscapError.__str__`` writes every text,
+and ``renamed`` renames a failure's fields or labels it.  ``until_failure``
+lets a stage that batches work across items raise what item-by-item
+evaluation would raise first.
 """
+
+import contextlib
 
 
 class RiscapError(Exception):
     """Base class for all library errors: a message, the fields that set
-    it (input paths as written, such as ``scenario.deployment.panels[1].dx``,
-    ``trials`` or ``--out``; empty where none applies) and a label naming
-    the item that failed (``panel 0``, ``sweep P=-10.0``) or None."""
+    it (record paths such as ``panels[1].panel.dx`` or ``trials``, which
+    the caller that read the file or flag renames; empty where none
+    applies) and a label naming the item that failed (``panel 0``,
+    ``sweep P=-10.0``) or None."""
 
     def __init__(self, message, fields=(), label=None, *, set_by=False, detail=None):
         super().__init__(message)
@@ -28,10 +32,6 @@ class RiscapError(Exception):
         else:
             text = f"{listed}: {self.message}" if listed else self.message
         return f"{self.label}: {text}" if self.label else text
-
-    def within(self, label: str) -> None:
-        """Put the failure under an enclosing label, outermost first."""
-        self.label = f"{label}: {self.label}" if self.label else label
 
 
 class ValidationFailure(RiscapError):
@@ -69,6 +69,21 @@ class DegenerateDistribution(NumericalFailure):
 
 class QuadratureFailure(NumericalFailure):
     """Adaptive quadrature did not reach the requested tolerance."""
+
+
+@contextlib.contextmanager
+def renamed(rename=None, label=None):
+    """A ValidationFailure raised in the block names rename(field) in
+    place of each of its fields, once each, and is put under label,
+    outermost first; either may be None."""
+    try:
+        yield
+    except ValidationFailure as exc:
+        if rename:
+            exc.fields = tuple(dict.fromkeys(map(rename, exc.fields)))
+        if label:
+            exc.label = f"{label}: {exc.label}" if exc.label else label
+        raise
 
 
 def until_failure(fn, items):

@@ -118,22 +118,18 @@ def _axis(name: str, span: range, count: int, center: float, spacing: float) -> 
 
 @dataclass(frozen=True)
 class PanelLink:
-    """Panel-center link quantities (the far-field view of a panel), and
-    the panel's index and section path, which its failures name."""
+    """Panel-center link quantities (the far-field view of a panel); the
+    caller that knows the panel's index names its faults."""
 
     d1: float  # BS to panel center
     d2: float  # user to panel center
     cos_theta_t: float
     cos_theta_r: float
-    section: str = "scenario.deployment.panel"
-    index: int = 0
 
 
-def panel_link(
-    bs: Point3, user: Point3, panel: RisPanel, section: str = PanelLink.section, index: int = 0
-) -> PanelLink:
-    """Center-of-panel distances and elevation cosines of panel index at
-    section (a Scenario holds its endpoints above every panel plane)."""
+def panel_link(bs: Point3, user: Point3, panel: RisPanel) -> PanelLink:
+    """Center-of-panel distances and elevation cosines of the panel (a
+    Scenario holds its endpoints above every panel plane)."""
     z0 = panel.center.z
     d1 = bs.distance_to(panel.center)
     d2 = user.distance_to(panel.center)
@@ -142,8 +138,6 @@ def panel_link(
         d2=d2,
         cos_theta_t=(bs.z - z0) / d1,
         cos_theta_r=(user.z - z0) / d2,
-        section=section,
-        index=index,
     )
 
 

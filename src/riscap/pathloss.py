@@ -6,7 +6,9 @@ SNR formulas downstream consume beta^-1.  The reference constant
 ``direct_pathloss`` are distinct quantities and are never aliased.
 ``NearFieldTiles`` gives a panel's per-element near-field losses one tile
 at a time and records its pattern faults; ``farfield_pathloss`` is the one
-loss every element of a far-field panel shares.
+loss every element of a far-field panel shares.  A fault names record
+paths (``budget.gt``, ``bs``, ``panel.mx``): the caller that knows the
+panel's index puts ``panels[i].`` before the panel's own.
 
 Antenna gains are linear here; dB conversion happens at the scenario
 boundary.  The transmit and receive antennas are assumed pointed at the
@@ -24,8 +26,10 @@ import numpy as np
 from .errors import PatternUnderflow, ScenarioError, SingularPattern
 from .geometry import PanelLink, Point3, RisPanel
 
-GAINS = ("scenario.budget.gt", "scenario.budget.gr")  # their fields in a scenario file
-ENDPOINTS = ("scenario.bs", "scenario.user")  # their sections in a scenario file
+GAINS = ("budget.gt", "budget.gr")  # their record paths in a Scenario
+ENDPOINTS = ("bs", "user")
+# the fields that set a panel's element cosines
+ELEMENT_COSINES = ("panel.mx", "panel.my", "panel.dx", "panel.dy", *ENDPOINTS)
 OUT_OF_RANGE = "loss factor or its inverse is out of float range"
 
 
@@ -37,18 +41,6 @@ def loss_factor(pathloss, *args) -> float:
         return loss if 0.0 < 1.0 / loss < math.inf else math.inf
     except (OverflowError, ZeroDivisionError):
         return math.inf
-
-
-def _pattern_fault(kind, link: PanelLink, message: str, keys=("mx", "my", "dx", "dy")):
-    """A pattern fault of the link's panel: a cosine's sign follows from
-    the endpoints and the panel's keys (its element grid, or its centre in
-    the far field)."""
-    return kind(message, _panel_fields(link, keys), f"panel {link.index}", set_by=True)
-
-
-def _panel_fields(link: PanelLink, keys=("mx", "my", "dx", "dy")) -> tuple[str, ...]:
-    """The panel's keys and the endpoints, which set its cosines."""
-    return (*(f"{link.section}.{key}" for key in keys), *ENDPOINTS)
 
 
 @dataclass(frozen=True)
@@ -111,7 +103,7 @@ class NearFieldTiles:
         z0 = panel.center.z
         # per endpoint: its point, height over the plane, distance to the center
         self.ends = ((bs, bs.z - z0, link.d1), (user, user.z - z0, link.d2))
-        self.panel, self.link, self.beta0_ref, self.gt, self.gr = panel, link, beta0_ref, gt, gr
+        self.panel, self.beta0_ref, self.gt, self.gr = panel, beta0_ref, gt, gr
         self.endpoint_count, self.endpoint_worst, self.nan_count = 0, math.inf, 0
         self.pattern_count, self.pattern_worst = 0, math.inf
         self.underflow = True  # every non-positive pattern has positive cos_t and cos_r
@@ -183,32 +175,34 @@ class NearFieldTiles:
 
     def check(self) -> None:
         """Raise the panel's first fault, if it has one."""
-        gt, gr, link = self.gt, self.gr, self.link
         if self.endpoint_count:
-            raise _pattern_fault(
-                SingularPattern, link, "endpoint-side pattern cosines must be positive; "
-                f"{self.endpoint_count} element(s) are not (worst {self.endpoint_worst:.4g})"
+            raise SingularPattern(
+                "endpoint-side pattern cosines must be positive; "
+                f"{self.endpoint_count} element(s) are not (worst {self.endpoint_worst:.4g})",
+                ELEMENT_COSINES, set_by=True,
             )
         if not self.pattern_count or self.nan_count:
             return
         if self.underflow:
             raise PatternUnderflow(
                 f"radiation pattern underflows to 0 at {self.pattern_count} element(s) although "
-                f"every cosine is positive: a gain exponent (gt/2 - 1 = {gt / 2.0 - 1.0:g}, "
-                f"gr/2 - 1 = {gr / 2.0 - 1.0:g}) is too large for this geometry",
-                (*GAINS, *_panel_fields(link)), f"panel {link.index}",
+                f"every cosine is positive: a gain exponent (gt/2 - 1 = {self.gt / 2.0 - 1.0:g}, "
+                f"gr/2 - 1 = {self.gr / 2.0 - 1.0:g}) is too large for this geometry",
+                (*GAINS, *ELEMENT_COSINES),
             )
-        raise _pattern_fault(
-            SingularPattern, link, f"radiation pattern is not positive at {self.pattern_count} "
-            f"element(s) (worst {self.pattern_worst:.4g}); check link geometry"
+        raise SingularPattern(
+            f"radiation pattern is not positive at {self.pattern_count} "
+            f"element(s) (worst {self.pattern_worst:.4g}); check link geometry",
+            ELEMENT_COSINES, set_by=True,
         )
 
 
 def farfield_pathloss(link: PanelLink, beta0_ref: float) -> float:
     """Far-field loss factor shared by every element of a panel."""
     if link.cos_theta_t <= 0 or link.cos_theta_r <= 0:
-        raise _pattern_fault(
-            SingularPattern, link, "panel elevation cosine is not positive", ("center",)
+        # the far field sets both cosines from the panel centre
+        raise SingularPattern(
+            "panel elevation cosine is not positive", ("panel.center", *ENDPOINTS), set_by=True
         )
     return beta0_ref * (link.d1 * link.d2) ** 2 / (link.cos_theta_t * link.cos_theta_r)
 

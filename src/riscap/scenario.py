@@ -12,12 +12,14 @@ unknown or missing keys, per-panel list lengths.  ``_field`` reads a field
 of several spellings in linear units (dB/dBm converted, a Doppler triple
 resolved to its correlation), and ``_build`` renames a record's failing
 fields to the keys as written (``scenario.channel.k1_db[1]``,
-``scenario.deployment.panels[1].center.z``).  Serializing
+``scenario.deployment.panels[1].center.z``), as ``written_keys`` does
+for a run of the file's Scenario.  Serializing
 emits the linear spellings, so serialize -> parse round-trips exactly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -26,7 +28,7 @@ from typing import Optional
 import yaml
 
 from .channel import outdated_correlation
-from .errors import NegativeCorrelation, ScenarioError
+from .errors import NegativeCorrelation, ScenarioError, ValidationFailure, renamed
 from .geometry import Point3, RisPanel
 from .pathloss import OUT_OF_RANGE, LinkBudget, beta0_reference, direct_pathloss, loss_factor
 from .units import db_to_linear, dbm_to_watts
@@ -201,18 +203,14 @@ class _Section:
 def _build(record, fields: dict):
     """record built from fields, which map record paths to (value, path of
     the key as written): its arguments are the fields named by a bare name,
-    and the others are paths below them (``budget.gt``, ``panels[1].panel``).
-    A ScenarioError it raises names, in place of each record path it gives
-    (``user.z``), the written path of that path's longest prefix in fields
-    and the rest of the path (``scenario.user.z``)."""
-    try:
+    and the others are paths below them (``budget.gt``, ``panels[1].panel``)."""
+    with renamed(lambda field: _written(field, fields)):
         return record(**{k: v for k, (v, _) in fields.items() if k.isidentifier()})
-    except ScenarioError as exc:
-        exc.fields = tuple(_written(field, fields) for field in exc.fields)
-        raise
 
 
 def _written(field: str, fields: dict) -> str:
+    """The record path field (``user.z``) as written: the written path of
+    its longest prefix in fields, then the rest (``scenario.user.z``)."""
     for key in sorted(fields, key=len, reverse=True):  # the longest prefix first
         if field == key or field.startswith((f"{key}.", f"{key}[")):
             return fields[key][1] + field[len(key) :]
@@ -280,6 +278,11 @@ def _field(section: _Section, keys: tuple[str, ...], n: Optional[int] = None, fc
 def parse_scenario(data: dict) -> Scenario:
     """Build the Scenario a raw mapping describes; a failure names the key
     as written."""
+    return _build(Scenario, _fields(data))
+
+
+def _fields(data: dict) -> dict:
+    """The fields of the Scenario data describes, as _build takes them."""
     root = _Section(data, "scenario")
     root.reject_unknown({"fc_hz", "mode", "bs", "user", "deployment", "channel", "budget"})
 
@@ -330,18 +333,15 @@ def parse_scenario(data: dict) -> Scenario:
         **budget.fields(eta_db=budget.number("eta_db"), xi=budget.number("xi")),
     }
     total = deployment.optional("fixed_total_elements")
-    return _build(
-        Scenario,
-        {
-            **root.fields(bs=bs, user=user, fc_hz=fc_hz, mode=root.optional("mode", "auto")),
-            **deployment.fields(kind=kind, panels=setups, fixed_total_elements=total),
-            **{f"panels[{i}].panel": panel for i, panel in enumerate(panels)},
-            "k0": k0,
-            "rho0": rho0,
-            "budget": (_build(LinkBudget, link_budget), budget.path),
-            **{f"budget.{name}": pair for name, pair in link_budget.items()},
-        },
-    )
+    return {
+        **root.fields(bs=bs, user=user, fc_hz=fc_hz, mode=root.optional("mode", "auto")),
+        **deployment.fields(kind=kind, panels=setups, fixed_total_elements=total),
+        **{f"panels[{i}].panel": panel for i, panel in enumerate(panels)},
+        "k0": k0,
+        "rho0": rho0,
+        "budget": (_build(LinkBudget, link_budget), budget.path),
+        **{f"budget.{name}": pair for name, pair in link_budget.items()},
+    }
 
 
 # libyaml's parser when PyYAML was built with it (about 7x faster), else
@@ -350,9 +350,26 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def load_scenario(path: str) -> Scenario:
+    return parse_scenario(_read(path))
+
+
+@contextlib.contextmanager
+def written_keys(path: str):
+    """A ValidationFailure raised in the block, where the file's Scenario
+    runs, names the keys the YAML file at path wrote (``scenario.budget.p_dbm``)
+    in place of record paths (``budget.tx_power``); only then is it read again."""
+    try:
+        yield
+    except ValidationFailure:
+        fields = _fields(_read(path))
+        with renamed(lambda field: _written(field, fields)):
+            raise
+
+
+def _read(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.load(fh, Loader=_YAML_LOADER)
+            return yaml.load(fh, Loader=_YAML_LOADER)
     except FileNotFoundError as exc:
         raise ScenarioError(f"file not found: {path}", ("scenario",)) from exc
     except OSError as exc:
@@ -362,7 +379,6 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"file is not UTF-8 text: {path}: {exc}", ("scenario",)) from exc
     except yaml.YAMLError as exc:
         raise ScenarioError(f"file is not valid YAML: {exc}", ("scenario",)) from exc
-    return parse_scenario(data)
 
 
 def scenario_to_dict(s: Scenario) -> dict:

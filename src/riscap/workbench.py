@@ -19,7 +19,9 @@ trials is None one ``simulate_ec_sweep`` call, which groups the
 scenarios that can share draws, fills in ``mc``.  ``run_scenario`` is its
 one-scenario case, and ``run_scenario(scenario)`` (trials None) the
 analytic-only call; ``run_sweep`` and ``presets.run_preset`` return
-(sweep_value, RunResult) pairs, the rows ``rows_to_csv`` reads.
+(sweep_value, RunResult) pairs, the rows ``rows_to_csv`` reads.  A
+failure names record paths (``budget.tx_power``, ``panels[1].panel.dx``),
+and a sweep names ``sweep.values`` in place of those its value set.
 
 Near/far decision in "auto" mode: the far-field constant-loss model is
 used only when, for every panel, both endpoint distances (BS-to-center
@@ -40,7 +42,7 @@ import numpy as np
 
 from . import capacity as cap
 from .channel import PanelChannel, RicianParams, rician_mean_envelope
-from .errors import ScenarioError, ValidationFailure, until_failure
+from .errors import ScenarioError, renamed, until_failure
 from .geometry import (
     ELEVATION_CONVENTION_NOTE,
     TILE_ELEMENTS,
@@ -152,19 +154,9 @@ def _panel_sums(
     are filled tile by tile when keep is set or the panel is one tile,
     else they are None and only one tile is held.  After the last tile it
     raises the panel's first pattern fault, then an inverse loss out of
-    range, each naming the fields that set it, under the link's section."""
+    range, each naming the record paths that set it (``panel.dx``)."""
     gt, gr = scenario.budget.gt, scenario.budget.gr
     b0_ref = beta0_reference(gt, gr, panel.dx, panel.dy)  # Scenario checks its range
-
-    def out_of_range():
-        # d1 and d2 depend on the panel centre and both endpoints
-        return ScenarioError(
-            f"{mode}-field loss at d1={link.d1:g} m, d2={link.d2:g} m",
-            (*(f"{link.section}.{key}" for key in ("center", "dx", "dy")), *GAINS, *ENDPOINTS),
-            f"panel {link.index}",
-            detail=OUT_OF_RANGE,
-        )
-
     amplitude = grid = None
     if keep or panel.element_count <= TILE_ELEMENTS:
         amplitude = np.empty(panel.element_count)
@@ -192,7 +184,12 @@ def _panel_sums(
     if mode == "near":
         near.check()
     if not in_range:
-        raise out_of_range()
+        # d1 and d2 depend on the panel centre and both endpoints
+        raise ScenarioError(
+            f"{mode}-field loss at d1={link.d1:g} m, d2={link.d2:g} m",
+            ("panel.center", "panel.dx", "panel.dy", *GAINS, *ENDPOINTS),
+            detail=OUT_OF_RANGE,
+        )
     if amplitude is not None:
         amplitude.flags.writeable = False
     return amplitude, _fsum(sums[:, 1]), _fsum(sums[:, 0])
@@ -213,14 +210,8 @@ def _statistics(scenario: Scenario, shared: dict, keep: bool) -> dict:
     d0 = scenario.bs.distance_to(scenario.user)
     beta0_inv = 1.0 / direct_pathloss(d0, budget.eta_db, budget.xi)  # Scenario checks its range
 
-    boundaries = []
-    links = []
-    for i, setup in enumerate(scenario.panels):
-        boundaries.append(near_field_boundary(setup.panel, lam))
-        section = "scenario.deployment." + (
-            "panel" if scenario.kind == "centralized" else f"panels[{i}]"
-        )
-        links.append(panel_link(scenario.bs, scenario.user, setup.panel, section, i))
+    boundaries = [near_field_boundary(setup.panel, lam) for setup in scenario.panels]
+    links = [panel_link(scenario.bs, scenario.user, setup.panel) for setup in scenario.panels]
 
     inside = [
         i
@@ -241,11 +232,13 @@ def _statistics(scenario: Scenario, shared: dict, keep: bool) -> dict:
 
     gt, gr = budget.gt, budget.gr
     panels = []
-    for setup, link in zip(scenario.panels, links):
+    for i, (setup, link) in enumerate(zip(scenario.panels, links)):
         # a panel's inverse losses are a function of these fields alone
         key = (scenario.bs, scenario.user, setup.panel, gt, gr, mode)
         if key not in shared:
-            shared[key] = _panel_sums(scenario, setup.panel, link, mode, keep)
+            prefix = f"panels[{i}]."  # before the panel's own fields
+            with renamed(lambda f: prefix + f if f.startswith("panel.") else f, f"panel {i}"):
+                shared[key] = _panel_sums(scenario, setup.panel, link, mode, keep)
         amplitude, root_sum, power_sum = shared[key]
         count = setup.panel.element_count
         panels.append(
@@ -262,17 +255,19 @@ def _statistics(scenario: Scenario, shared: dict, keep: bool) -> dict:
         raise ScenarioError(
             "the outdated-CSI leakage P * sum(beta^-1) overflowed "
             f"at p_w={budget.tx_power:g} W, gt={gt:g}, gr={gr:g}",
-            ("scenario.budget.p_w", *GAINS),
+            ("budget.tx_power", *GAINS),
         )
     gamma_teff = budget.tx_power / variance
     if not 0 < gamma_teff < math.inf:
         raise ScenarioError(
             f"effective transmit SNR {budget.tx_power:g} W / {variance:g} W is out of float range",
-            ("scenario.budget.p_w", "scenario.budget.noise_w"),
+            ("budget.tx_power", "budget.noise_power"),
         )
     if not (math.isfinite(moments.mean) and math.isfinite(moments.second_moment)):
         grids = (
-            f"{link.section}.{key}" for link in links for key in ("center", "mx", "my", "dx", "dy")
+            f"panels[{i}].panel.{key}"
+            for i in range(len(links))
+            for key in ("center", "mx", "my", "dx", "dy")
         )
         raise ScenarioError(
             f"the envelope moments overflowed (mean {moments.mean:g}, second moment "
@@ -317,10 +312,8 @@ def _evaluate(
         [(fields["moments"], fields["ensemble"].gamma_teff) for fields in staged]
     )
     if failure is not None:
-        label = labels[len(staged)] if labels else None
-        if label is not None and isinstance(failure, ValidationFailure):
-            failure.within(label)
-        raise failure
+        with renamed(label=labels[len(staged)] if labels else None):
+            raise failure
     results = [RunResult(report=report, **fields) for fields, report in zip(staged, reports)]
     if trials is None:
         return results
@@ -349,53 +342,52 @@ def apply_sweep_value(scenario: Scenario, variable: str, value: float) -> Scenar
     deployment.fixed_total_elements set, mx is re-derived as total/my).
     A value the scenario's records reject (a correlation outside [0, 1],
     a NaN K-factor, a panel past a RisPanel limit) or whose conversion
-    overflows raises ScenarioError labelled "sweep variable=value", with
-    no fields.
+    overflows raises ScenarioError labelled "sweep variable=value", naming
+    sweep.values for a path the value set or a record it rebuilt.
     """
     if variable not in SWEEP_UNITS:
         raise ScenarioError(f"unknown sweep variable {variable!r}")
     label = f"sweep {variable}={value}"
+    paths: tuple[str, ...] = ()
     try:
-        return _replace_swept(scenario, variable, value, label)
+        # a record the value rebuilt names its own attribute, bare
+        with renamed(lambda f: "sweep.values" if f in paths or f.isidentifier() else f):
+            changes, paths = _replace_swept(scenario, variable, value)
+            return dataclasses.replace(scenario, **changes)
     except OverflowError:
-        raise ScenarioError("out of float range", label=label) from None
+        raise ScenarioError("out of float range", ("sweep.values",), label) from None
     except ScenarioError as exc:
-        if exc.fields:  # a record's failure, naming the field the value set
-            exc.fields, exc.label = (), label
+        exc.label = exc.label or label
         raise
 
 
-def _replace_swept(scenario: Scenario, variable: str, value: float, label: str) -> Scenario:
+def _replace_swept(scenario: Scenario, variable: str, value: float) -> tuple[dict, tuple]:
+    """The scenario fields the swept value replaces, and the paths it sets."""
     if variable == "P":
-        return dataclasses.replace(
-            scenario,
-            budget=dataclasses.replace(scenario.budget, tx_power=dbm_to_watts(value)),
-        )
+        budget = dataclasses.replace(scenario.budget, tx_power=dbm_to_watts(value))
+        return {"budget": budget}, ("budget.tx_power",)
     if variable == "rho0":
-        return dataclasses.replace(scenario, rho0=value)
+        return {"rho0": value}, ("rho0",)
     if variable == "rho":
         panels = tuple(dataclasses.replace(ps, rho=value) for ps in scenario.panels)
-        return dataclasses.replace(scenario, panels=panels)
+        return {"panels": panels}, tuple(f"panels[{i}].rho" for i in range(len(panels)))
     if variable == "K0":
         # +-inf dB is a Rayleigh or a deterministic link
-        return dataclasses.replace(scenario, k0=db_to_linear(value))
+        return {"k0": db_to_linear(value)}, ("k0",)
     if variable == "cell_size":
         return _with_panels(scenario, dx=value, dy=value)
     if variable == "My":
         if not float(value).is_integer():
-            raise ScenarioError("must be a positive integer", label=label)
+            raise ScenarioError("must be a positive integer", ("sweep.values",))
         my = int(value)
         if len(scenario.panels) != 1:
             raise ScenarioError("only supported for single-panel scenarios", label="sweep My")
-        mx = scenario.panels[0].panel.mx
         total = scenario.fixed_total_elements
-        if total is not None:
-            if not my or total % my:  # 0 divides no positive total
-                raise ScenarioError(
-                    f"does not divide fixed_total_elements={total}", label=f"sweep My={my}"
-                )
-            mx = total // my
-        return _with_panels(scenario, mx=mx, my=my)
+        if total is None:
+            return _with_panels(scenario, my=my)
+        if not my or total % my:  # 0 divides no positive total
+            raise ScenarioError(f"does not divide fixed_total_elements={total}", ("sweep.values",))
+        return _with_panels(scenario, mx=total // my, my=my)
     # d1
     if len(scenario.panels) != 1:
         raise ScenarioError("only supported for single-panel scenarios", label="sweep d1")
@@ -403,7 +395,8 @@ def _replace_swept(scenario: Scenario, variable: str, value: float, label: str) 
     offset_sq = (scenario.bs.z - center.z) ** 2 + (scenario.bs.y - center.y) ** 2
     if value * value <= offset_sq:
         raise ScenarioError(
-            f"smaller than the fixed off-axis offset {math.sqrt(offset_sq):.6g} m", label=label
+            f"smaller than the fixed off-axis offset {math.sqrt(offset_sq):.6g} m",
+            ("sweep.values",),
         )
     new_center = Point3(
         scenario.bs.x + math.sqrt(value * value - offset_sq), center.y, center.z
@@ -411,13 +404,14 @@ def _replace_swept(scenario: Scenario, variable: str, value: float, label: str) 
     return _with_panels(scenario, center=new_center)
 
 
-def _with_panels(scenario: Scenario, **changes) -> Scenario:
-    """The scenario with changes made to every panel's RisPanel."""
+def _with_panels(scenario: Scenario, **changes) -> tuple[dict, tuple]:
+    """_replace_swept's changes to every panel's RisPanel."""
     panels = tuple(
         dataclasses.replace(ps, panel=dataclasses.replace(ps.panel, **changes))
         for ps in scenario.panels
     )
-    return dataclasses.replace(scenario, panels=panels)
+    paths = (f"panels[{i}].panel.{key}" for i in range(len(panels)) for key in changes)
+    return {"panels": panels}, tuple(paths)
 
 
 def run_sweep(
@@ -428,10 +422,13 @@ def run_sweep(
     workers: int = 1,
 ) -> list[tuple[float, RunResult]]:
     """One (sweep_value, RunResult) pair per sweep value, with Monte Carlo
-    unless trials is None."""
+    unless trials is None; a failure names sweep.values for what it set."""
     scenarios = [apply_sweep_value(scenario, sweep.variable, v) for v in sweep.values]
     labels = [f"sweep {sweep.variable}={v}" for v in sweep.values]
-    return list(zip(sweep.values, _evaluate(scenarios, trials, seed, workers, labels)))
+    paths = _replace_swept(scenario, sweep.variable, sweep.values[0])[1]  # every point's
+    with renamed(lambda field: "sweep.values" if field in paths else field):
+        results = _evaluate(scenarios, trials, seed, workers, labels)
+    return list(zip(sweep.values, results))
 
 
 # The CSV schema: each column's name and its reader of one

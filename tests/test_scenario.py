@@ -12,6 +12,7 @@ from riscap.errors import ScenarioError
 from riscap.geometry import Point3
 from riscap.presets import PRESET_NAMES, fig8_distributed_cases, preset, run_preset
 from riscap.scenario import dump_scenario, load_scenario, parse_scenario
+from riscap.workbench import run_scenario
 
 MINIMAL = """
 fc_hz: 5.0e9
@@ -472,6 +473,11 @@ def _leaf_cases():
     budget = dataclasses.replace(FIG3.budget, gt=1e-300)
     fields = ("budget.gt", "budget.gr", "panels[0].panel.dx", "panels[0].panel.dy")
     yield "reference-constant-out-of-range", _replaced(FIG3, budget=budget), fields
+    # a run's failure names record paths too: 3000 dBm and a 3000 dB gain
+    # overflow the outdated-CSI leakage
+    build = _replaced(FIG3, budget=dataclasses.replace(FIG3.budget, tx_power=1e297, gt=1e300))
+    fields = ("budget.tx_power", "budget.gt", "budget.gr")
+    yield "leakage-overflow-run", lambda: run_scenario(build()), fields
 
 
 LEAF_CASES = list(_leaf_cases())

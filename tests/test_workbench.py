@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from riscap import capacity, cli, montecarlo, special
+from riscap import scenario as scenario_module
 from riscap.errors import (
     PatternUnderflow,
     QuadratureFailure,
@@ -35,8 +36,10 @@ from riscap.scenario import (
     PanelSetup,
     Scenario,
     dump_scenario,
+    load_scenario,
     parse_scenario,
     scenario_to_dict,
+    written_keys,
 )
 
 from oracles import brute_force_beta_inv, per_point_preset, per_point_sweep
@@ -166,7 +169,7 @@ class TestPipelineConsistency:
             warnings.simplefilter("ignore", UserWarning)  # forced far field
             with pytest.raises(ScenarioError, match="envelope moments overflowed") as exc:
                 run_scenario(s)
-        assert MOMENT_OVERFLOW_FIELDS in str(exc.value)
+        assert exc.value.fields == MOMENT_OVERFLOW_PATHS
 
     def test_power_saturation(self):
         s, _ = preset("fig2")
@@ -308,8 +311,8 @@ class TestTiledNearField:
         with pytest.raises(SingularPattern) as tiles:
             by_tile.check()
         assert str(tiles.value) == str(whole.value)
-        grid = ", ".join(f"scenario.deployment.panel.{key}" for key in ("mx", "my", "dx", "dy"))
-        expected = f"panel 0: {whole.value.message}, set by {grid}, scenario.bs, scenario.user"
+        grid = ", ".join(f"panels[0].panel.{key}" for key in ("mx", "my", "dx", "dy"))
+        expected = f"panel 0: {whole.value.message}, set by {grid}, bs, user"
         with pytest.raises(SingularPattern) as tiled:
             run_scenario(s)
         assert type(tiled.value) is SingularPattern
@@ -329,8 +332,8 @@ class TestTiledNearField:
         assert f"at {counts[1]} element(s)" in str(whole.value)
         with pytest.raises(PatternUnderflow) as tiled:
             run_scenario(s)
-        grid = ", ".join(f"scenario.deployment.panel.{key}" for key in ("mx", "my", "dx", "dy"))
-        fields = f"scenario.budget.gt, scenario.budget.gr, {grid}, scenario.bs, scenario.user"
+        grid = ", ".join(f"panels[0].panel.{key}" for key in ("mx", "my", "dx", "dy"))
+        fields = f"budget.gt, budget.gr, {grid}, bs, user"
         expected = f"panel 0: {fields}: {whole.value.message}"
         assert str(tiled.value) == expected
 
@@ -388,7 +391,7 @@ class TestTiledNearField:
             warnings.simplefilter("ignore", UserWarning)  # forced far field
             with pytest.raises(ScenarioError, match="envelope moments overflowed") as exc:
                 run_scenario(s)
-        assert MOMENT_OVERFLOW_FIELDS in str(exc.value)
+        assert exc.value.fields == MOMENT_OVERFLOW_PATHS
 
 
 class TestApplySweepValue:
@@ -455,6 +458,13 @@ class TestApplySweepValue:
         [
             ("fig3", "My", 20, "sweep My: only supported for single-panel scenarios"),
             ("fig2", "bananas", 1.0, "unknown sweep variable 'bananas'"),
+            # the label gives the value as it came, not the int it stands for
+            (
+                "fig7",
+                "My",
+                -1e300,
+                "sweep My=-1e+300: sweep.values: does not divide fixed_total_elements=576",
+            ),
         ],
     )
     def test_rejected_sweep_names_the_variable(self, name, variable, value, message):
@@ -738,6 +748,14 @@ MOMENT_OVERFLOW_FIELDS = (
     "scenario.deployment.panel.mx, scenario.deployment.panel.my, "
     "scenario.deployment.panel.dx, scenario.deployment.panel.dy"
 )
+# the same fields as record paths, which the library names
+MOMENT_OVERFLOW_PATHS = (
+    "budget.gt",
+    "budget.gr",
+    *(f"panels[0].panel.{key}" for key in ("center", "mx", "my", "dx", "dy")),
+    "bs",
+    "user",
+)
 # the fields that set fig2's element cosines
 GRID_AND_ENDPOINTS = (
     "scenario.deployment.panel.mx, scenario.deployment.panel.my, "
@@ -799,23 +817,27 @@ SCAN_LEAVES = [
 
 class TestFailureFields:
     @pytest.mark.parametrize("name, leaf", SCAN_LEAVES)
-    def test_failure_names_the_edited_leaf(self, name, leaf):
+    def test_failure_names_the_edited_leaf(self, tmp_path, name, leaf):
         # the single-edit scan's edit at a seeded subset of its values,
-        # parsed and run under each mode: every validation failure names
-        # the leaf, or a section that holds it, in its fields
+        # loaded from a file and run under each mode in written_keys'
+        # block: every validation failure names the leaf, or a section
+        # that holds it, in its fields
         path = f"scenario.{leaf}"
         parts = re.split(r"(?=[.\[])", path)
         holders = {"".join(parts[:k]) for k in range(2, len(parts) + 1)}
         data = scenario_to_dict(preset(name)[0])
         node, key = next((n, k) for where, n, k in SCAN.numeric_leaves(data) if where == leaf)
         original = node[key]
+        file = tmp_path / "edited.yaml"
         for value in random.Random(path).sample(SCAN.VALUES, 6):
             node[key] = int(value) if isinstance(original, int) and value.is_integer() else value
+            file.write_text(yaml.safe_dump(data))
             for mode in ("auto", "near", "far"):
                 try:
-                    with warnings.catch_warnings():
+                    scenario = load_scenario(str(file))
+                    with warnings.catch_warnings(), written_keys(str(file)):
                         warnings.simplefilter("ignore", UserWarning)  # forced far field
-                        run_scenario(dataclasses.replace(parse_scenario(data), mode=mode))
+                        run_scenario(dataclasses.replace(scenario, mode=mode))
                 except ValidationFailure as exc:
                     assert holders & set(exc.fields), (value, mode, str(exc))
 
@@ -957,13 +979,25 @@ class TestCli:
         assert code == 2
         assert "argument --trials: invalid int value: 'abc'" in err
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("variable", ["P", "K0", "d1", "cell_size", "My"])
+    @pytest.mark.parametrize(
+        "variable, value",
+        [
+            *(
+                (variable, value)
+                for variable in ("P", "K0", "d1", "cell_size", "My")
+                for value in ("nan", "inf", "-inf")
+            ),
+            # finite, but its int is 301 digits: the label gives the value
+            ("My", "-1e300"),
+        ],
+    )
     def test_non_finite_sweep_value_exit_code(self, tmp_path, variable, value):
         path = self.scenario_file(tmp_path)
         code, _, err = run_cli("sweep", path, "--var", variable, f"--values={value}", "--no-mc")
         assert code == 2
-        assert "error: --values: " in err
+        # SweepSpec rejects a non-finite value; a record, a finite one
+        label = f"sweep {variable}={float(value)}: " if math.isfinite(float(value)) else ""
+        assert f"error: {label}--values: " in err
 
     @pytest.mark.parametrize(
         "argv, edits, field",
@@ -1287,6 +1321,33 @@ class TestCli:
             ),
             # a second moment that overflows to NaN names the gains and the panel
             ("fig2", MOMENT_OVERFLOW, ["analyze", "--no-mc"], 2, [MOMENT_OVERFLOW_FIELDS]),
+            # run-time faults of a file in dB keys name the keys it wrote
+            (
+                "fig3",
+                {"budget.p_w": None, "budget.p_dbm": 3000, "budget.gt": None, "budget.gt_db": 3000},
+                ["analyze", "--no-mc"],
+                2,
+                ["error: scenario.budget.p_dbm, scenario.budget.gt_db, scenario.budget.gr: ", "leakage"],
+            ),
+            (
+                "fig2",
+                {"budget.gt": None, "budget.gt_db": 1540},
+                ["analyze", "--no-mc"],
+                2,
+                ["error: panel 0: scenario.budget.gt_db, scenario.budget.gr, ", "pattern underflows"],
+            ),
+            # a swept value that takes the reference constant out of float
+            # range names --values in place of the element size it set
+            (
+                "fig5",
+                {},
+                ["sweep", "--var", "cell_size", "--values=0.01,3e-78", "--no-mc"],
+                2,
+                [
+                    "error: sweep cell_size=3e-78: scenario.budget.gt, scenario.budget.gr, "
+                    "--values: reference constant at gt=100, gr=1, 3e-78 x 3e-78 m"
+                ],
+            ),
         ],
     )
     def test_degenerate_input_exit_code(self, tmp_path, name, edits, argv, code, expected):
@@ -1407,6 +1468,28 @@ class TestCli:
         assert code == 2
         assert f"error: --out: cannot write {target}: " in err
 
+    @pytest.mark.parametrize(
+        "argv, code, reads",
+        [
+            (["analyze", "--no-mc"], 0, 1),
+            (["sweep", "--var", "P", "--values=0", "--no-mc"], 0, 1),
+            (["mc", "--trials", "64"], 0, 1),
+            # a failure: written_keys reads the file again to rename its fields
+            (["sweep", "--var", "P", "--values=4000", "--no-mc"], 2, 2),
+        ],
+    )
+    def test_file_is_read_through_cli_load_scenario(
+        self, tmp_path, monkeypatch, argv, code, reads
+    ):
+        # the CLI parses a file once, through its own load_scenario name,
+        # and written_keys reads it again only to rename a failure
+        loads, read, seen = [], scenario_module._read, []
+        monkeypatch.setattr(scenario_module, "_read", lambda path: seen.append(path) or read(path))
+        monkeypatch.setattr(cli, "load_scenario", lambda path: loads.append(path) or load_scenario(path))
+        path = self.scenario_file(tmp_path)
+        assert run_cli(argv[0], path, *argv[1:])[0] == code
+        assert (loads, seen) == ([path], [path] * reads)
+
     def test_failed_run_leaves_no_out_file(self, tmp_path):
         scenario = self.scenario_file(tmp_path)
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
@@ -1415,7 +1498,7 @@ class TestCli:
             argv = ["sweep", scenario, "--var", "rho", "--values=0.5,2", "--no-mc"]
             code, _, err = run_cli(*argv, "--out", str(target))
             assert code == 2
-            assert "sweep rho=2.0: correlation must lie in [0, 1]" in err
+            assert "sweep rho=2.0: --values: correlation must lie in [0, 1]" in err
         assert not new.exists()
         assert old.read_text() == "kept\n"
 
