@@ -25,7 +25,6 @@ from .channel import (
 )
 from .errors import (
     DegenerateDistribution,
-    InvalidScenario,
     NegativeCorrelation,
     NumericalFailure,
     PatternUnderflow,

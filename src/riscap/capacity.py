@@ -92,8 +92,6 @@ def gamma_fit(moments: MomentSummary) -> GammaFit:
             f"variance {var:.3g} too small relative to mean {mean:.3g}; "
             "treat the envelope as deterministic"
         )
-    if mean <= 0:
-        raise ValueError("envelope mean must be positive to fit")
     return GammaFit(a=mean * mean / var, b=mean / var)
 
 

@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import special
-from .errors import NegativeCorrelation
+from .errors import NegativeCorrelation, ScenarioError
+from .errors import check_correlation, check_integer, check_k_factor
 from .units import SPEED_OF_LIGHT
 
 
@@ -50,8 +50,7 @@ class RicianParams:
     k: float
 
     def __post_init__(self):
-        if math.isnan(self.k) or self.k < 0:
-            raise ValueError("Rician K-factor must be >= 0")
+        check_k_factor("k", self.k)
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ class PanelChannel:
     the panel-to-user aging correlation, the BS-to-panel and panel-to-user
     K-factors, and, when the Monte Carlo oracle is to sample the panel,
     each element's amplitude sqrt(beta^-1) (None otherwise: the moments
-    read only the two sums)."""
+    read only the two sums).  A bad field raises ScenarioError naming it."""
 
     count: int
     root_sum: float
@@ -77,21 +76,20 @@ class PanelChannel:
             amplitude = np.asarray(self.amplitude, dtype=float)
             object.__setattr__(self, "amplitude", amplitude)
             if amplitude.ndim != 1 or amplitude.size == 0:
-                raise ValueError("amplitude must be a non-empty 1-D array")
+                raise ScenarioError("expected a non-empty 1-D array", ("amplitude",))
             if not (np.min(amplitude) >= 0 and np.max(amplitude) < math.inf):
-                raise ValueError("amplitudes must be finite and >= 0")
+                raise ScenarioError("must be finite and >= 0", ("amplitude",))
             if amplitude.size != self.count:
-                raise ValueError(f"amplitude has {amplitude.size} entries, count is {self.count}")
-        if isinstance(self.count, bool) or not (
-            isinstance(self.count, numbers.Integral) and self.count >= 1
-        ):
-            raise ValueError("count must be an integer >= 1")
-        if not self.root_sum >= 0:
-            raise ValueError("root_sum must be >= 0")
-        if not self.power_sum >= 0:
-            raise ValueError("power_sum must be >= 0")
-        if not (0.0 <= self.rho <= 1.0):
-            raise ValueError("rho must lie in [0, 1]")
+                raise ScenarioError(
+                    f"has {amplitude.size} entries, count is {self.count}", ("amplitude", "count")
+                )
+        check_integer("count", self.count)
+        for name in ("root_sum", "power_sum"):
+            if not getattr(self, name) >= 0:
+                raise ScenarioError(f"must be >= 0, got {getattr(self, name)!r}", (name,))
+        check_correlation("rho", self.rho)
+        check_k_factor("k1", self.k1)
+        check_k_factor("k2", self.k2)
 
 
 def laguerre_half(x: float) -> float:

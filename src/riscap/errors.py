@@ -6,9 +6,13 @@ be completed, exit code 3); ``RiscapError.__str__`` writes every text,
 and ``renamed`` renames a failure's fields or labels it.  ``until_failure``
 lets a stage that batches work across items raise what item-by-item
 evaluation would raise first.
+A bad field of a record is a ``ScenarioError`` naming it (``check_integer``,
+``check_k_factor`` and ``check_correlation`` hold the rules records share);
+a bad argument to a math helper (``laguerre_half(0.5)``) is a ValueError.
 """
 
 import contextlib
+import numbers
 
 
 class RiscapError(Exception):
@@ -55,10 +59,6 @@ class NegativeCorrelation(ValidationFailure):
     """Doppler-derived correlation fell below zero (outside the model)."""
 
 
-class InvalidScenario(ValidationFailure):
-    """Scenario is structurally empty (no reflecting path, no direct path)."""
-
-
 class ScenarioError(ValidationFailure):
     """A scenario input, from a file or built in Python, failed validation."""
 
@@ -69,6 +69,29 @@ class DegenerateDistribution(NumericalFailure):
 
 class QuadratureFailure(NumericalFailure):
     """Adaptive quadrature did not reach the requested tolerance."""
+
+
+def check_integer(field: str, value, low: int = 1, bits: int | None = None) -> None:
+    """Reject a value that is not an integer (numpy's are, bool is not), or
+    is below low, or given bits is not below 2**bits, naming field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ScenarioError(f"expected an integer, got {value!r}", (field,))
+    if bits is not None and not low <= value < 2**bits:
+        raise ScenarioError(f"must lie in [{low}, 2**{bits}), got {value}", (field,))
+    if value < low:
+        raise ScenarioError(f"must be >= {low}, got {value}", (field,))
+
+
+def check_k_factor(field: str, value: float) -> None:
+    """Reject a K-factor below 0 or NaN (+inf: a deterministic link), naming field."""
+    if not value >= 0:
+        raise ScenarioError("K-factor must be >= 0", (field,))
+
+
+def check_correlation(field: str, value: float) -> None:
+    """Reject a correlation outside [0, 1] or NaN, naming field."""
+    if not 0.0 <= value <= 1.0:
+        raise ScenarioError(f"correlation must lie in [0, 1], got {value!r}", (field,))
 
 
 @contextlib.contextmanager

@@ -23,13 +23,12 @@ the workbench repeats this note so downstream consumers see the choice.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import ScenarioError, check_integer
 
 # Surfaced in workbench run metadata (see module docstring).
 ELEVATION_CONVENTION_NOTE = (
@@ -76,12 +75,8 @@ class RisPanel:
     dy: float
 
     def __post_init__(self):
-        for name in ("mx", "my"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ScenarioError(f"expected an integer, got {value!r}", (name,))
-            if value < 1:
-                raise ScenarioError("element counts must be >= 1", (name,))
+        check_integer("mx", self.mx)
+        check_integer("my", self.my)
         for name in ("dx", "dy"):
             if not getattr(self, name) > 0:
                 raise ScenarioError("element dimensions must be positive", (name,))

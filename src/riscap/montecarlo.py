@@ -13,7 +13,9 @@ the deterministic effective transmit SNR computed upstream from the
 expected effective-noise power; the oracle does not re-draw the
 outdated-CSI noise per realization (that would estimate a different
 quantity).  simulate_ec_sweep is the one reduction: the capacity mean and
-its standard error.
+its standard error.  TrialConfig, SnrEnsemble and channel.PanelChannel
+check their own fields when built, as Scenario does: a bad field, or an
+ensemble with no panel and no direct link, raises ScenarioError naming them.
 
 Determinism contract: trials are partitioned into fixed-size blocks and
 block i draws from an independent Philox substream keyed (seed, i).
@@ -47,7 +49,6 @@ names the worker count.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import random
 import types
@@ -63,7 +64,7 @@ from .channel import (
     rician_envelope_from_normals,
     sample_rician_envelope,
 )
-from .errors import InvalidScenario, ScenarioError
+from .errors import ScenarioError, check_correlation, check_integer, check_k_factor
 from .special import import_bare
 
 try:  # a numpy.random already imported is used as it is
@@ -75,22 +76,13 @@ except (ImportError, AttributeError):
     from numpy.random import Generator, Philox
 
 
-def _integer(field: str, value):
-    """value, if an integer (numpy's too, bool not); else ScenarioError naming field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ScenarioError(f"must be an integer, got {value!r}", (field,))
-    return value
-
-
 def check_run_settings(trials: Optional[int], seed: int, workers: int = 1):
     """Reject a non-integer, trials below 1 (None means no Monte Carlo), a
     seed outside [0, 2**64) and fewer than one worker, naming the field."""
-    if trials is not None and _integer("trials", trials) < 1:
-        raise ScenarioError(f"must be >= 1, got {trials}", ("trials",))
-    if not (0 <= _integer("seed", seed) < 2**64):
-        raise ScenarioError(f"must lie in [0, 2**64), got {seed}", ("seed",))
-    if _integer("workers", workers) < 1:
-        raise ScenarioError(f"must be >= 1, got {workers}", ("workers",))
+    if trials is not None:
+        check_integer("trials", trials)
+    check_integer("seed", seed, low=0, bits=64)
+    check_integer("workers", workers)
 
 
 @dataclass(frozen=True)
@@ -106,11 +98,9 @@ class TrialConfig:
     block_size: int = 2048
 
     def __post_init__(self):
-        if self.trials is None:  # "no Monte Carlo" only to the run functions
-            raise ScenarioError("must be >= 1, got None", ("trials",))
-        check_run_settings(self.trials, self.seed)
-        if _integer("block_size", self.block_size) < 1:
-            raise ScenarioError(f"must be >= 1, got {self.block_size}", ("block_size",))
+        check_integer("trials", self.trials)
+        check_integer("seed", self.seed, low=0, bits=64)
+        check_integer("block_size", self.block_size)
 
 
 @dataclass(frozen=True)
@@ -124,7 +114,8 @@ class McEstimate:
 @dataclass(frozen=True)
 class SnrEnsemble:
     """Everything the oracle needs: panel amplitudes, direct inverse loss,
-    fading factors, aging coefficients, and the effective transmit SNR."""
+    fading factors, aging coefficients, and the effective transmit SNR;
+    a bad field raises ScenarioError naming it."""
 
     panels: tuple[PanelChannel, ...]
     beta0_inv: float
@@ -134,14 +125,14 @@ class SnrEnsemble:
 
     def __post_init__(self):
         object.__setattr__(self, "panels", tuple(self.panels))
-        if self.beta0_inv < 0:
-            raise ValueError("direct inverse loss must be >= 0")
-        if not (0.0 <= self.rho0 <= 1.0):
-            raise ValueError("rho0 must lie in [0, 1]")
-        if self.gamma_teff <= 0:
-            raise ValueError("gamma_teff must be positive")
+        if not 0 <= self.beta0_inv < math.inf:
+            raise ScenarioError(f"must be finite and >= 0, got {self.beta0_inv}", ("beta0_inv",))
+        check_correlation("rho0", self.rho0)
+        check_k_factor("k0", self.k0)
+        if not 0 < self.gamma_teff < math.inf:
+            raise ScenarioError(f"must be finite and > 0, got {self.gamma_teff}", ("gamma_teff",))
         if not self.panels and self.beta0_inv == 0:
-            raise InvalidScenario("no reflecting elements and no direct link")
+            raise ScenarioError("no reflecting panel and no direct link", ("panels", "beta0_inv"))
 
     def draw_signature(self) -> tuple:
         """What fixes a trial block's draws and envelope transforms: per
@@ -209,17 +200,19 @@ def simulate_ec_sweep(
     """Estimate the ergodic capacity of each ensemble, in input order.
     Ensembles that share a draw signature share every block's draws; each
     estimate is bit-identical to simulating its ensemble alone, for any
-    worker count.  Every panel must carry its amplitudes."""
-    check_run_settings(cfg.trials, cfg.seed, workers)
+    worker count.  cfg and the ensembles checked their own fields; here a
+    worker count below 1, no ensemble, or a panel without amplitudes (its
+    label "ensemble j, panel i") raises ScenarioError naming the field."""
+    check_integer("workers", workers)
     ensembles = tuple(ensembles)
     if not ensembles:
-        raise ValueError("need at least one ensemble")
+        raise ScenarioError("expected at least one ensemble", ("ensembles",))
     groups: dict[tuple, list[int]] = {}
     for j, ensemble in enumerate(ensembles):
         for i, panel in enumerate(ensemble.panels):
             if panel.amplitude is None:
-                raise ValueError(
-                    f"ensemble {j}, panel {i}: carries no amplitudes, which the draws need"
+                raise ScenarioError(
+                    "the draws need it, got None", ("amplitude",), f"ensemble {j}, panel {i}"
                 )
         groups.setdefault(ensemble.draw_signature(), []).append(j)
 

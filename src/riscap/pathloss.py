@@ -186,8 +186,8 @@ class NearFieldTiles:
         if self.underflow:
             raise PatternUnderflow(
                 f"radiation pattern underflows to 0 at {self.pattern_count} element(s) although "
-                f"every cosine is positive: a gain exponent (gt/2 - 1 = {self.gt / 2.0 - 1.0:g}, "
-                f"gr/2 - 1 = {self.gr / 2.0 - 1.0:g}) is too large for this geometry",
+                "every cosine is positive: a gain exponent (linear gain / 2 - 1: "
+                f"{self.gt / 2 - 1:g} and {self.gr / 2 - 1:g}) is too large for this geometry",
                 (*GAINS, *ELEMENT_COSINES),
             )
         raise SingularPattern(

@@ -4,7 +4,9 @@
 and ``geometry.Point3`` check their own fields in ``__post_init__``, however
 they are built, raising ``ScenarioError`` that names the attribute (``k0``,
 ``rho``, ``gt``, ``dx``, ``x``), or its path across records (``user.z``,
-``panels[1].panel.center.z``): a ``Scenario`` that exists can run.
+``panels[1].panel.center.z``): a ``Scenario`` that exists can run.  Counts,
+K-factors and correlations are checked by ``errors``' checkers, which the
+Monte Carlo records use too.
 
 The on-disk format is YAML with nested sections (see README).  The parser
 checks only what depends on the writing: YAML types and finiteness,
@@ -29,21 +31,12 @@ import yaml
 
 from .channel import outdated_correlation
 from .errors import NegativeCorrelation, ScenarioError, ValidationFailure, renamed
+from .errors import check_correlation, check_integer, check_k_factor
 from .geometry import Point3, RisPanel
 from .pathloss import OUT_OF_RANGE, LinkBudget, beta0_reference, direct_pathloss, loss_factor
 from .units import db_to_linear, dbm_to_watts
 
 MODES = ("auto", "near", "far")
-
-
-def _k_factor(value: float, name: str) -> None:
-    if not value >= 0:
-        raise ScenarioError("K-factor must be >= 0", (name,))
-
-
-def _correlation(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ScenarioError(f"correlation must lie in [0, 1], got {value!r}", (name,))
 
 
 def _kind(kind) -> None:
@@ -61,9 +54,9 @@ class PanelSetup:
     rho: float
 
     def __post_init__(self):
-        _k_factor(self.k1, "k1")
-        _k_factor(self.k2, "k2")
-        _correlation(self.rho, "rho")
+        check_k_factor("k1", self.k1)
+        check_k_factor("k2", self.k2)
+        check_correlation("rho", self.rho)
 
 
 @dataclass(frozen=True)
@@ -100,11 +93,10 @@ class Scenario:
             raise ScenarioError(
                 f"all panels must share one element size, got {sorted(sizes)}", ("panels",)
             )
-        total = self.fixed_total_elements
-        if total is not None and (isinstance(total, bool) or not isinstance(total, int) or total < 1):
-            raise ScenarioError("expected a positive integer", ("fixed_total_elements",))
-        _k_factor(self.k0, "k0")
-        _correlation(self.rho0, "rho0")
+        if self.fixed_total_elements is not None:
+            check_integer("fixed_total_elements", self.fixed_total_elements)
+        check_k_factor("k0", self.k0)
+        check_correlation("rho0", self.rho0)
         if not 0 < self.fc_hz < math.inf:
             raise ScenarioError("must be positive and finite", ("fc_hz",))
         d0, budget = self.bs.distance_to(self.user), self.budget
@@ -127,8 +119,8 @@ class Scenario:
         gt, gr, panel = budget.gt, budget.gr, self.panels[0].panel
         if loss_factor(beta0_reference, gt, gr, panel.dx, panel.dy) == math.inf:
             raise ScenarioError(
-                f"reference constant at gt={gt:g}, gr={gr:g}, {panel.dx:g} x {panel.dy:g} m: "
-                + OUT_OF_RANGE,
+                f"reference constant at linear gains {gt:g} and {gr:g}, "
+                f"{panel.dx:g} x {panel.dy:g} m: {OUT_OF_RANGE}",
                 ("budget.gt", "budget.gr", "panels[0].panel.dx", "panels[0].panel.dy"),
             )
 

@@ -254,7 +254,7 @@ def _statistics(scenario: Scenario, shared: dict, keep: bool) -> dict:
     if not math.isfinite(variance):
         raise ScenarioError(
             "the outdated-CSI leakage P * sum(beta^-1) overflowed "
-            f"at p_w={budget.tx_power:g} W, gt={gt:g}, gr={gr:g}",
+            f"at transmit power {budget.tx_power:g} W, linear gains {gt:g} and {gr:g}",
             ("budget.tx_power", *GAINS),
         )
     gamma_teff = budget.tx_power / variance
@@ -271,7 +271,7 @@ def _statistics(scenario: Scenario, shared: dict, keep: bool) -> dict:
         )
         raise ScenarioError(
             f"the envelope moments overflowed (mean {moments.mean:g}, second moment "
-            f"{moments.second_moment:g}) at gt={gt:g}, gr={gr:g}",
+            f"{moments.second_moment:g}) at linear gains {gt:g} and {gr:g}",
             (*GAINS, *grids, *ENDPOINTS),
         )
     ensemble = SnrEnsemble(

@@ -16,7 +16,7 @@ from riscap.channel import (
     rician_mean_envelope,
     sample_rician_envelope,
 )
-from riscap.errors import NegativeCorrelation
+from riscap.errors import NegativeCorrelation, ScenarioError
 from riscap.units import db_to_linear
 
 # frozen from the quadrature oracle in oracles.mp_rician_mean (30 digits)
@@ -188,50 +188,51 @@ class TestSampler:
         # and leaves the generator where the two whole draws leave it
         assert after.standard_normal() == rng.standard_normal()
 
-    def test_k_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            RicianParams(-0.5)
-        with pytest.raises(ValueError):
-            RicianParams(math.nan)
+    @pytest.mark.parametrize("k", [-0.5, math.nan])
+    def test_k_must_be_nonnegative(self, k):
+        with pytest.raises(ScenarioError, match="^k: K-factor must be >= 0$"):
+            RicianParams(k)
 
 
 class TestPanelChannel:
     @pytest.mark.parametrize(
-        "amplitude, power_sum, rho, message",
+        "amplitude, power_sum, rho, k1, k2, fields",
         [
-            ([], 0.0, 0.5, "non-empty 1-D array"),
-            ([[1e-5, 2e-5]], 5e-10, 0.5, "non-empty 1-D array"),
-            ([1e-5, -1e-6], 1e-10, 0.5, "finite and >= 0"),
-            ([1e-5, math.inf], math.inf, 0.5, "finite and >= 0"),
-            ([math.nan, 1e-5], 1e-10, 0.5, "finite and >= 0"),
-            ([1e-5], -1e-10, 0.5, "power_sum must"),
-            ([1e-5], math.nan, 0.5, "power_sum must"),
-            ([1e-5], 1e-10, -0.1, "rho must"),
-            ([1e-5], 1e-10, 1.5, "rho must"),
-            ([1e-5], 1e-10, math.nan, "rho must"),
+            ([], 0.0, 0.5, 2.0, 2.0, ("amplitude",)),
+            ([[1e-5, 2e-5]], 5e-10, 0.5, 2.0, 2.0, ("amplitude",)),
+            ([1e-5, -1e-6], 1e-10, 0.5, 2.0, 2.0, ("amplitude",)),
+            ([1e-5, math.inf], math.inf, 0.5, 2.0, 2.0, ("amplitude",)),
+            ([math.nan, 1e-5], 1e-10, 0.5, 2.0, 2.0, ("amplitude",)),
+            ([1e-5], -1e-10, 0.5, 2.0, 2.0, ("power_sum",)),
+            ([1e-5], math.nan, 0.5, 2.0, 2.0, ("power_sum",)),
+            ([1e-5], 1e-10, -0.1, 2.0, 2.0, ("rho",)),
+            ([1e-5], 1e-10, 1.5, 2.0, 2.0, ("rho",)),
+            ([1e-5], 1e-10, math.nan, 2.0, 2.0, ("rho",)),
+            ([1e-5], 1e-10, 0.5, -1.0, 2.0, ("k1",)),
+            ([1e-5], 1e-10, 0.5, 2.0, math.nan, ("k2",)),
         ],
     )
-    def test_rejects(self, amplitude, power_sum, rho, message):
+    def test_rejects(self, amplitude, power_sum, rho, k1, k2, fields):
         amplitude = np.array(amplitude, dtype=float)
-        with pytest.raises(ValueError, match=message):
-            PanelChannel(
-                amplitude.size, 1e-5, power_sum, rho, k1=2.0, k2=2.0, amplitude=amplitude
-            )
+        with pytest.raises(ScenarioError) as exc:
+            PanelChannel(amplitude.size, 1e-5, power_sum, rho, k1=k1, k2=k2, amplitude=amplitude)
+        assert exc.value.fields == fields
 
     @pytest.mark.parametrize(
-        "count, root_sum, amplitude, message",
+        "count, root_sum, amplitude, fields",
         [
-            (0, 0.0, None, "count must"),
-            (2.5, 1e-5, None, "count must"),
-            (True, 1e-5, None, "count must"),
-            (3, 1e-5, [1e-5, 2e-5], "2 entries, count is 3"),
-            (1, -1e-5, None, "root_sum must"),
-            (1, math.nan, None, "root_sum must"),
+            (0, 0.0, None, ("count",)),
+            (2.5, 1e-5, None, ("count",)),
+            (True, 1e-5, None, ("count",)),
+            (3, 1e-5, [1e-5, 2e-5], ("amplitude", "count")),
+            (1, -1e-5, None, ("root_sum",)),
+            (1, math.nan, None, ("root_sum",)),
         ],
     )
-    def test_rejects_counts_and_root_sums(self, count, root_sum, amplitude, message):
-        with pytest.raises(ValueError, match=message):
+    def test_rejects_counts_and_root_sums(self, count, root_sum, amplitude, fields):
+        with pytest.raises(ScenarioError) as exc:
             PanelChannel(count, root_sum, 1e-10, 0.5, k1=2.0, k2=2.0, amplitude=amplitude)
+        assert exc.value.fields == fields
 
     def test_takes_an_overflowed_power_sum(self):
         # the caller reports the overflow against its inputs

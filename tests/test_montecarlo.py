@@ -8,7 +8,7 @@ import pytest
 import oracles
 from panels import panel_channel
 from riscap.channel import _CHUNK_ELEMENTS
-from riscap.errors import InvalidScenario, ScenarioError
+from riscap.errors import ScenarioError
 from riscap.montecarlo import (
     SnrEnsemble,
     TrialConfig,
@@ -192,24 +192,29 @@ class TestDeterministicChannelLimit:
 
 class TestInputChecks:
     @pytest.mark.parametrize(
-        "changes, error, message",
+        "changes, fields",
         [
-            ({"beta0_inv": -1e-12}, ValueError, "direct inverse loss"),
-            ({"rho0": -0.1}, ValueError, "rho0 must"),
-            ({"rho0": 1.5}, ValueError, "rho0 must"),
-            ({"rho0": math.nan}, ValueError, "rho0 must"),
-            ({"gamma_teff": 0.0}, ValueError, "gamma_teff must"),
-            ({"gamma_teff": -5e10}, ValueError, "gamma_teff must"),
-            ({"panels": (), "beta0_inv": 0.0}, InvalidScenario, "no reflecting elements"),
+            ({"beta0_inv": -1e-12}, ("beta0_inv",)),
+            ({"rho0": -0.1}, ("rho0",)),
+            ({"rho0": 1.5}, ("rho0",)),
+            ({"rho0": math.nan}, ("rho0",)),
+            ({"gamma_teff": 0.0}, ("gamma_teff",)),
+            ({"gamma_teff": -5e10}, ("gamma_teff",)),
+            ({"panels": (), "beta0_inv": 0.0}, ("panels", "beta0_inv")),
+            ({"gamma_teff": math.nan}, ("gamma_teff",)),
+            ({"beta0_inv": math.nan}, ("beta0_inv",)),
+            ({"k0": -1.0}, ("k0",)),
+            ({"k0": math.nan}, ("k0",)),
         ],
     )
-    def test_snr_ensemble_rejects(self, changes, error, message):
-        with pytest.raises(error, match=message):
+    def test_snr_ensemble_rejects(self, changes, fields):
+        with pytest.raises(ScenarioError) as exc:
             dataclasses.replace(small_ensemble(), **changes)
+        assert exc.value.fields == fields
 
     def test_trial_config_rejects_no_trials(self):
         # None means "no Monte Carlo" to the run functions, not to the sampler
-        with pytest.raises(ScenarioError, match="^trials: must be >= 1, got None$"):
+        with pytest.raises(ScenarioError, match="^trials: expected an integer, got None$"):
             TrialConfig(trials=None, seed=1)
 
     @pytest.mark.parametrize(
@@ -218,7 +223,7 @@ class TestInputChecks:
     )
     def test_trial_config_rejects_non_integers(self, field, value):
         settings = {"trials": 10, "seed": 1, "block_size": 4, field: value}
-        with pytest.raises(ScenarioError, match=f"^{field}: must be an integer, got {value!r}$"):
+        with pytest.raises(ScenarioError, match=f"^{field}: expected an integer, got {value!r}$"):
             TrialConfig(**settings)
 
     @pytest.mark.parametrize("block_size", [0, -4])
@@ -245,8 +250,9 @@ class TestInputChecks:
         bare = dataclasses.replace(base.panels[0], amplitude=None)
         ensemble = dataclasses.replace(base, panels=(base.panels[0], bare))
         cfg = TrialConfig(trials=10, seed=1)
-        with pytest.raises(ValueError, match="^ensemble 1, panel 1: carries no amplitudes"):
+        with pytest.raises(ScenarioError, match="^ensemble 1, panel 1: amplitude: ") as exc:
             simulate_ec_sweep([base, ensemble], cfg)
+        assert exc.value.fields == ("amplitude",)
 
 
 class TestMomentAgreement:

@@ -1,11 +1,15 @@
+import ast
+import builtins
 import dataclasses
 import math
+import pathlib
 import re
 
 import mpmath
 import pytest
 import yaml
 
+import riscap
 from riscap.channel import outdated_correlation
 from riscap import presets
 from riscap.errors import ScenarioError
@@ -132,9 +136,13 @@ class TestValidationErrors:
             *(
                 (
                     lambda d, v=value: d["deployment"].update(fixed_total_elements=v),
-                    "scenario.deployment.fixed_total_elements: expected a positive integer",
+                    f"scenario.deployment.fixed_total_elements: {message}",
                 )
-                for value in (0, True, 2.5)
+                for value, message in (
+                    (0, "must be >= 1, got 0"),
+                    (True, "expected an integer, got True"),
+                    (2.5, "expected an integer, got 2.5"),
+                )
             ),
         ],
     )
@@ -483,6 +491,32 @@ def _leaf_cases():
 LEAF_CASES = list(_leaf_cases())
 
 
+def _builtin_raises() -> list[tuple[str, str, str]]:
+    """(module, function, exception) of each raise of a builtin exception
+    in the riscap package, sorted."""
+    found = []
+
+    class Raises(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.scope = module, []
+
+        def visit_scope(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_FunctionDef = visit_ClassDef = visit_scope
+
+        def visit_Raise(self, node):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and isinstance(getattr(builtins, exc.id, None), type):
+                found.append((self.module, ".".join(self.scope), exc.id))
+
+    for path in pathlib.Path(riscap.__file__).parent.glob("*.py"):
+        Raises(path.stem).visit(ast.parse(path.read_text(encoding="utf-8")))
+    return sorted(found)
+
+
 class TestRecordsValidateThemselves:
     @pytest.mark.parametrize(
         "build, fields", [case[1:] for case in LEAF_CASES], ids=[case[0] for case in LEAF_CASES]
@@ -492,6 +526,21 @@ class TestRecordsValidateThemselves:
             build()
         assert exc.value.fields == fields
         assert exc.value.label is None
+
+    def test_only_math_helpers_raise_value_error(self):
+        # a bad field of a record raises ScenarioError naming it; a bare
+        # ValueError is left to a bad argument of a math helper
+        raises = _builtin_raises()
+        raises.remove(("workbench", "SweepSpec.__post_init__", "TypeError"))  # caught there
+        assert raises == [
+            ("capacity", "GammaFit.__post_init__", "ValueError"),
+            ("capacity", "_checked_snr", "ValueError"),
+            ("capacity", "ec_upper_bound", "ValueError"),
+            ("channel", "laguerre_half", "ValueError"),
+            ("channel", "outdated_correlation", "ValueError"),
+            ("geometry", "_axis", "ValueError"),
+            ("quadpack", "driver", "ValueError"),
+        ]
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -517,7 +566,7 @@ class TestRecordsValidateThemselves:
             (
                 lambda d: d["budget"].update(gt_db=-3000),
                 "scenario.budget.gt_db, scenario.budget.gr_db, scenario.deployment.panel.dx, "
-                "scenario.deployment.panel.dy: reference constant at gt=1e-300, gr=1, "
+                "scenario.deployment.panel.dy: reference constant at linear gains 1e-300 and 1, "
                 "0.0075 x 0.0075 m: loss factor or its inverse is out of float range",
             ),
         ],

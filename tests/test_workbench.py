@@ -273,7 +273,7 @@ class TestTiledNearField:
 
     def test_monte_carlo_refuses_an_analytic_multi_tile_ensemble(self):
         ensemble = run_scenario(midlink_fig2(317, 101)).ensemble
-        with pytest.raises(ValueError, match="^ensemble 0, panel 0: carries no amplitudes"):
+        with pytest.raises(ScenarioError, match="^ensemble 0, panel 0: amplitude: "):
             simulate_ec_sweep([ensemble], TrialConfig(trials=1, seed=1))
 
     @pytest.mark.parametrize("mx, my", [(1000, 1000), (1, 10**6)])
@@ -1033,7 +1033,7 @@ class TestCli:
             (["analyze"], {"user.y": 1e300}, "bs-user"),
             (["analyze"], {"deployment.panel.center.x": 1e300}, "panel 0"),
             (["analyze"], {"deployment.panel.center.y": 1e300}, "panel 0"),
-            (["analyze"], {"budget.gt": 1e-320}, "gt="),
+            (["analyze"], {"budget.gt": 1e-320}, "scenario.budget.gt, "),
             # dB/dBm fields that underflow to 0 in linear units
             (["analyze"], {"budget.p_w": None, "budget.p_dbm": -1e300}, "scenario.budget.p_dbm"),
             (
@@ -1345,7 +1345,7 @@ class TestCli:
                 2,
                 [
                     "error: sweep cell_size=3e-78: scenario.budget.gt, scenario.budget.gr, "
-                    "--values: reference constant at gt=100, gr=1, 3e-78 x 3e-78 m"
+                    "--values: reference constant at linear gains 100 and 1, 3e-78 x 3e-78 m"
                 ],
             ),
         ],
